@@ -9,8 +9,9 @@ vehicle-simulation-seconds per wall second.
 
 The skewed section is the planner's payoff demo: under the ``skewed``
 workload style two vehicles carry 7 service stacks each, and round-robin
-sharding at 4 partitions lands both on partition 0.  The static planner
-(``repro.analysis.plan``) isolates each heavy vehicle, which must cut
+sharding at 4 partitions lands both on partition 0.  The planner
+(``repro.analysis.plan``), balancing per-vehicle kernel event counts
+measured by a short inline probe, isolates each heavy vehicle, which must cut
 the busiest partition's event load (the per-round critical path) by
 >=20% -- asserted on the deterministic per-partition event counts, so
 the check holds on any hardware.  The wall-clock speedup is additionally

@@ -20,7 +20,7 @@ Modes (both are exercised in CI):
     seed, replays its journal, and the run must still match the
     reference when ``--check`` is also given.
 ``--plan plan.json``
-    Execute a :class:`~repro.fleet.PartitionPlan` emitted by the static
+    Execute a :class:`~repro.fleet.PartitionPlan` emitted by the fleet
     planner (``python -m repro.analysis --plan --plan-out plan.json``)
     instead of round-robin shards.  ``--workload skewed`` selects the
     imbalanced service mix the planner balances; with ``--check`` the

@@ -12,7 +12,10 @@ property checked on every commit instead of a convention in DESIGN.md:
 * a **whole-program** layer: a project-wide symbol table and call graph
   (:mod:`.callgraph`) feeding an interprocedural nondeterminism taint
   pass (:mod:`.dataflow`) -- DET101/SIM101/RACE001 catch cross-module
-  violations no single file can show;
+  violations no single file can show -- and the MP001-003
+  multiprocess-safety rules for the fleet layer (:mod:`.mp`: spawn
+  payload picklability, fork-crossing global writes, pipe-protocol
+  exhaustiveness);
 * a **semantic** tier: a forward abstract interpreter inferring
   physical units from naming conventions and ``# unit:`` pragmas
   (:mod:`.units` -- UNIT001/UNIT002/UNIT003) and a path-sensitive
@@ -21,23 +24,18 @@ property checked on every commit instead of a convention in DESIGN.md:
   incremental analysis cache (:mod:`.cache`, ``.vdaplint-cache/``) so
   warm runs re-analyze only changed files and their dependents with
   byte-identical output;
-* a **performance** tier (:mod:`.perf`, :mod:`.mp`): sim-hot path
-  classification over the call graph, PERF001-005 rules (per-event
-  allocation, hoistable invariants, quadratic patterns, vectorization
-  candidates, hot-path formatting), MP001-003 multiprocess-safety rules
-  for the fleet layer, and profile-guided ranking (``--perf
-  --profile run.pstats``) that orders findings by expected payoff;
-* a **planning** tier (:mod:`.commgraph`, :mod:`.cost`, :mod:`.plan`):
-  static extraction of the cross-vehicle communication graph with link
+* a **planning** tier (:mod:`.commgraph`, :mod:`.plan`): static
+  extraction of the cross-vehicle communication graph with link
   latencies recovered by bounded constant propagation + unit inference,
   a provable cross-partition lookahead, FLEET001-003 barrier-safety
-  rules, and a greedy-LPT cost-balanced partition plan the fleet layer
-  executes (``--plan``);
+  rules, and a greedy-LPT partition plan balanced on per-vehicle kernel
+  event counts measured by a short inline probe run (``--plan``);
 * a **scenario** tier (:mod:`.scenario`): SCN001-005 static validation
   of declarative fleet scenario files (:mod:`repro.scenarios`) --
   schema, unit suffixes, cross-references, per-cell barrier
   feasibility re-proved through the planning tier's ConstResolver, and
-  matrix cost budgets from the static cost model (``--scenarios``);
+  matrix cost budgets priced by the same measured probe
+  (``--scenarios``);
 * a **runtime** cross-check (:mod:`.sanitizer`): an opt-in
   ``DeterminismSanitizer`` that hashes the live event trace so two
   same-seed runs can be diffed to the first diverging event;
@@ -46,7 +44,6 @@ property checked on every commit instead of a convention in DESIGN.md:
     python -m repro.analysis src/repro --strict
     python -m repro.analysis --whole-program --jobs 4 src/repro tests --strict
     python -m repro.analysis --cache src/repro tests --strict
-    python -m repro.analysis --perf --profile run.pstats src/repro
     python -m repro.analysis --plan --dump-plan --format json src/repro
     vdaplint --list-rules
 """
@@ -70,7 +67,6 @@ from .commgraph import (
     ConstResolver,
     is_latency_name,
 )
-from .cost import ROLE_ROOTS, RoleWeights, vehicle_costs
 from .dataflow import (
     FLOW_RULE_CLASSES,
     TaintAnalysis,
@@ -98,17 +94,7 @@ from .plan import (
     fleet_rules_by_id,
     parse_fleet_spec,
     plan_for_config,
-)
-from .perf import (
-    HOT_ROOT_SUFFIXES,
-    PERF_RULE_CLASSES,
-    HotPathIndex,
-    PerfAnalyzer,
-    ProfileData,
-    load_profile,
-    perf_rules,
-    perf_rules_by_id,
-    rank_findings,
+    vehicle_costs,
 )
 from .protocol import PROTOCOL_RULE_CLASSES, ProtocolChecker
 from .reporter import render_json, render_text
@@ -150,23 +136,16 @@ __all__ = [
     "FileContext",
     "Finding",
     "FleetPlanAnalyzer",
-    "HOT_ROOT_SUFFIXES",
-    "HotPathIndex",
     "IncrementalAnalyzer",
     "LintEngine",
     "MP_RULE_CLASSES",
     "ModuleSummary",
     "MpAnalyzer",
-    "PERF_RULE_CLASSES",
     "PROTOCOL_RULE_CLASSES",
-    "PerfAnalyzer",
-    "ProfileData",
     "Pragmas",
     "ProjectGraph",
     "ProtocolChecker",
-    "ROLE_ROOTS",
     "RULE_CLASSES",
-    "RoleWeights",
     "Rule",
     "SCENARIO_RULE_CLASSES",
     "SEMANTIC_RULE_CLASSES",
@@ -195,17 +174,13 @@ __all__ = [
     "is_latency_name",
     "lint_paths",
     "lint_source",
-    "load_profile",
     "main",
     "mp_rules",
     "mp_rules_by_id",
     "parse_fleet_spec",
     "parse_name_unit",
     "parse_unit_expr",
-    "perf_rules",
-    "perf_rules_by_id",
     "plan_for_config",
-    "rank_findings",
     "render_json",
     "render_text",
     "rules_by_id",

@@ -92,21 +92,20 @@ def catalogue_fingerprint() -> str:
     """``id@version`` digest over *every* shipped rule pack.
 
     The env key embeds this so that adding, removing, or re-versioning a
-    rule in any catalogue -- including the PERF/MP packs, which do not
-    run through the incremental analyzer -- still invalidates the cache.
+    rule in any catalogue -- including the MP/FLEET/SCN packs, which do
+    not run through the incremental analyzer -- still invalidates the
+    cache.
     A stale cache must never replay findings from an old catalogue.
     """
     from .dataflow import flow_rules
     from .mp import mp_rules
-    from .perf import perf_rules
     from .plan import fleet_rules
     from .rules import default_rules
     from .scenario import scenario_rules
 
     parts: list[str] = []
     for pack in (default_rules(), flow_rules(), semantic_rules(),
-                 perf_rules(), mp_rules(), fleet_rules(),
-                 scenario_rules()):
+                 mp_rules(), fleet_rules(), scenario_rules()):
         parts.extend(sorted(f"{rule.id}@{rule.version}" for rule in pack))
     return _blake("|".join(parts).encode("utf-8"))
 

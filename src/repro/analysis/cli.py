@@ -10,7 +10,8 @@ Exit codes are stable so CI can gate on them:
 Two analysis passes share the same reporting/baseline/pragma machinery:
 the per-file pass always runs (parallelizable with ``--jobs``), and
 ``--whole-program`` additionally builds the project call graph and runs
-the interprocedural rule pack (DET101/SIM101/RACE001) over it.
+the interprocedural rule packs (DET101/SIM101/RACE001 and the MP001-003
+multiprocess-safety checks) over it.
 """
 
 from __future__ import annotations
@@ -39,14 +40,6 @@ from .plan import (
     fleet_rules,
     fleet_rules_by_id,
     parse_fleet_spec,
-)
-from .perf import (
-    HotPathIndex,
-    PerfAnalyzer,
-    load_profile,
-    perf_rules,
-    perf_rules_by_id,
-    rank_findings,
 )
 from .reporter import render_json, render_text
 from .rules import default_rules, rules_by_id
@@ -120,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "also build the project-wide call graph and run the "
             "interprocedural rules (DET101 sim-reachable wall-clock/RNG, "
-            "SIM101 sim-reachable blocking I/O, RACE001 shared-state races)"
+            "SIM101 sim-reachable blocking I/O, RACE001 shared-state races, "
+            "MP001-003 fleet multiprocess safety)"
         ),
     )
     parser.add_argument(
@@ -134,34 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
              "(requires --whole-program)",
     )
     parser.add_argument(
-        "--perf", action="store_true",
-        help=(
-            "also run the performance packs over the project call graph: "
-            "PERF001-005 on sim-hot functions and MP001-003 multiprocess-"
-            "safety checks for the fleet layer, with a ranked worklist"
-        ),
-    )
-    parser.add_argument(
-        "--profile", metavar="PATH",
-        help=(
-            "rank --perf findings by measured time: a cProfile pstats dump "
-            "joins each finding to its function's cumulative seconds; a "
-            "BENCH_fleet.json supplies throughput context (ranking then "
-            "falls back to call-graph depth-from-kernel)"
-        ),
-    )
-    parser.add_argument(
-        "--dump-hotpaths", action="store_true",
-        help="embed the sim-hot function set (with BFS depth from the "
-             "kernel) in the report (requires --perf)",
-    )
-    parser.add_argument(
         "--plan", action="store_true",
         help=(
-            "also run the static fleet planner over the project call graph: "
+            "also run the fleet planner over the project call graph: "
             "extract the cross-vehicle communication graph, verify the "
             "barrier geometry against the provable lookahead (FLEET001-003), "
-            "and emit a cost-balanced partition plan"
+            "and emit a partition plan balanced on measured per-vehicle "
+            "event counts"
         ),
     )
     parser.add_argument(
@@ -218,19 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _pick_rules(
     select: Optional[str], ignore: Optional[str],
     parser: argparse.ArgumentParser,
-) -> tuple[list[Rule], list[Rule], dict[str, Rule], list[Rule], list[Rule],
+) -> tuple[list[Rule], list[Rule], dict[str, Rule], list[Rule],
            list[Rule]]:
-    """Split the selection into (per-file, whole-program, semantic, perf,
-    fleet, scenario)."""
+    """Split the selection into (per-file, whole-program, semantic, fleet,
+    scenario)."""
     file_catalogue = rules_by_id()
-    flow_catalogue = flow_rules_by_id()
+    flow_catalogue = {**flow_rules_by_id(), **mp_rules_by_id()}
     semantic_catalogue = semantic_rules_by_id()
-    perf_catalogue = {**perf_rules_by_id(), **mp_rules_by_id()}
     fleet_catalogue = fleet_rules_by_id()
     scenario_catalogue = scenario_rules_by_id()
     catalogue = {
         **file_catalogue, **flow_catalogue, **semantic_catalogue,
-        **perf_catalogue, **fleet_catalogue, **scenario_catalogue,
+        **fleet_catalogue, **scenario_catalogue,
     }
 
     def parse_ids(raw: str) -> list[str]:
@@ -243,20 +215,17 @@ def _pick_rules(
     if select:
         chosen = [catalogue[rule_id] for rule_id in parse_ids(select)]
     else:
-        chosen = (default_rules() + flow_rules() + semantic_rules()
-                  + perf_rules() + mp_rules() + fleet_rules()
-                  + scenario_rules())
+        chosen = (default_rules() + flow_rules() + mp_rules()
+                  + semantic_rules() + fleet_rules() + scenario_rules())
     if ignore:
         skipped = set(parse_ids(ignore))
         chosen = [rule for rule in chosen if rule.id not in skipped]
     file_rules = [r for r in chosen if r.id in file_catalogue]
     wp_rules = [r for r in chosen if r.id in flow_catalogue]
     semantic_map = {r.id: r for r in chosen if r.id in semantic_catalogue}
-    perf_pack = [r for r in chosen if r.id in perf_catalogue]
     fleet_pack = [r for r in chosen if r.id in fleet_catalogue]
     scenario_pack = [r for r in chosen if r.id in scenario_catalogue]
-    return (file_rules, wp_rules, semantic_map, perf_pack, fleet_pack,
-            scenario_pack)
+    return file_rules, wp_rules, semantic_map, fleet_pack, scenario_pack
 
 
 def _init_worker(rule_ids: Sequence[str]) -> None:
@@ -297,14 +266,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         for rule in default_rules():
             print(f"{rule.id}  {rule.name}: {rule.description}")
-        for rule in flow_rules():
+        for rule in flow_rules() + mp_rules():
             print(f"{rule.id}  {rule.name} [whole-program]: {rule.description}")
         for rule in semantic_rules():
             print(f"{rule.id}  {rule.name} [semantic]: {rule.description}")
-        for rule in perf_rules():
-            print(f"{rule.id}  {rule.name} [perf]: {rule.description}")
-        for rule in mp_rules():
-            print(f"{rule.id}  {rule.name} [mp]: {rule.description}")
         for rule in fleet_rules():
             print(f"{rule.id}  {rule.name} [fleet]: {rule.description}")
         for rule in scenario_rules():
@@ -313,10 +278,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if (args.dump_callgraph or args.dump_taint) and not args.whole_program:
         parser.error("--dump-callgraph/--dump-taint require --whole-program")
-    if args.profile and not (args.perf or args.plan):
-        parser.error("--profile requires --perf or --plan")
-    if args.dump_hotpaths and not args.perf:
-        parser.error("--dump-hotpaths requires --perf")
     if (
         args.dump_commgraph or args.dump_plan
         or args.plan_out or args.plan_fleet
@@ -326,19 +287,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "require --plan"
         )
 
-    (file_rules, wp_rules, semantic_map, perf_pack, fleet_pack,
+    (file_rules, wp_rules, semantic_map, fleet_pack,
      scenario_pack) = _pick_rules(args.select, args.ignore, parser)
     if args.select and wp_rules and not args.whole_program:
         parser.error(
             "whole-program rules selected "
             f"({', '.join(sorted(r.id for r in wp_rules))}) "
             "but --whole-program not given"
-        )
-    if args.select and perf_pack and not args.perf:
-        parser.error(
-            "performance rules selected "
-            f"({', '.join(sorted(r.id for r in perf_pack))}) "
-            "but --perf not given"
         )
     if args.select and fleet_pack and not args.plan:
         parser.error(
@@ -387,39 +342,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     debug: dict = {}
     graph = None
-    if args.whole_program or args.perf or args.plan:
+    if args.whole_program or args.plan:
         graph = build_graph(args.paths)
-    profile = None
-    if args.profile:
-        try:
-            profile = load_profile(args.profile)
-        except ValueError as err:
-            parser.error(str(err))
     if args.whole_program:
-        analyzer = WholeProgramAnalyzer(wp_rules)
-        findings = sorted(findings + analyzer.analyze_graph(graph))
+        analyzer = WholeProgramAnalyzer(
+            [r for r in wp_rules if not r.id.startswith("MP")]
+        )
+        mp_analyzer = MpAnalyzer([r for r in wp_rules if r.id.startswith("MP")])
+        findings = sorted(findings + analyzer.analyze_graph(graph)
+                          + mp_analyzer.analyze_graph(graph))
         if args.dump_callgraph:
             debug["callgraph"] = graph.to_debug_dict()
         if args.dump_taint:
             taint = analyzer.taint or TaintAnalysis(graph).run()
             debug["taint"] = taint.to_debug_dict()
-
-    hot = None
-    perf_owners: dict[tuple[str, int, str], str] = {}
-    if args.perf:
-        hot = HotPathIndex(graph)
-        perf_analyzer = PerfAnalyzer(
-            [r for r in perf_pack if r.id.startswith("PERF")]
-        )
-        mp_analyzer = MpAnalyzer(
-            [r for r in perf_pack if r.id.startswith("MP")]
-        )
-        perf_findings = perf_analyzer.analyze_graph(graph, hot=hot)
-        mp_findings = mp_analyzer.analyze_graph(graph)
-        perf_owners = {**perf_analyzer.owners, **mp_analyzer.owners}
-        findings = sorted(findings + perf_findings + mp_findings)
-        if args.dump_hotpaths:
-            debug["hotpaths"] = hot.to_debug_dict()
 
     if args.plan:
         comm = CommGraph(graph)
@@ -427,7 +363,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         findings = sorted(findings + fleet_analyzer.analyze(comm))
         try:
             fleet = parse_fleet_spec(args.plan_fleet) if args.plan_fleet else None
-            plan = emit_plan(graph, fleet=fleet, profile=profile, comm=comm)
+            plan = emit_plan(graph, fleet=fleet, comm=comm)
         except ValueError as err:
             parser.error(str(err))
         if args.plan_out:
@@ -499,18 +435,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         findings, grandfathered = baseline.partition(findings)
         baselined_count = len(grandfathered)
 
-    ranking = None
-    if args.perf:
-        perf_ids = set(perf_rules_by_id()) | set(mp_rules_by_id())
-        ranking = rank_findings(
-            [f for f in findings if f.rule in perf_ids],
-            perf_owners, hot, profile,
-        )
-
     render = render_json if args.format == "json" else render_text
     print(render(findings, files_scanned=len(files) + len(scenario_files),
                  baselined=baselined_count,
-                 stale=stale_count, debug=debug or None, ranking=ranking))
+                 stale=stale_count, debug=debug or None))
     return 1 if findings else 0
 
 

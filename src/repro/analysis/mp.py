@@ -22,8 +22,9 @@ interpreter only reports at runtime (or, worse, silently):
   somewhere; an unhandled message falls through to the catch-all error
   arm at runtime, an unconstructed one is a dead protocol arm.
 
-Like the PERF pack, findings honor ``# vdaplint:`` pragmas and flow
-through the normal reporters; rules run whole-program (``--perf``).
+Findings honor ``# vdaplint:`` pragmas and flow through the normal
+reporters; the rules run in the whole-program tier (``--whole-program``)
+next to DET101/SIM101/RACE001, over the same project call graph.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class SpawnPayloadRule(Rule):
     description = (
         "lambdas, open handles, generators, or locks reachable from a "
         "Process(..., args=...) payload break pickling at the process "
-        "boundary (mp; needs --perf)"
+        "boundary"
     )
     version = 1
 
@@ -92,7 +93,7 @@ class ForkGlobalWriteRule(Rule):
     name = "fork-crossing-global-write"
     description = (
         "a module-level mutable written by worker-process code updates "
-        "only the child's copy; the parent never sees it (mp; needs --perf)"
+        "only the child's copy; the parent never sees it"
     )
     version = 1
 
@@ -105,7 +106,7 @@ class PipeProtocolRule(Rule):
     description = (
         "every message type sent over a pipe endpoint needs an "
         "isinstance handler on the peer side, and every handled type "
-        "must be constructed somewhere (mp; needs --perf)"
+        "must be constructed somewhere"
     )
     version = 1
 
@@ -157,9 +158,6 @@ class MpAnalyzer:
         selected = list(rules) if rules is not None else mp_rules()
         self.rules = {rule.id: rule for rule in selected}
         self.graph: Optional[ProjectGraph] = None
-        #: ``(path, line, rule)`` -> enclosing function qualname ("" for
-        #: class-level findings), consumed by the perf ranking.
-        self.owners: dict[tuple[str, int, str], str] = {}
 
     # -- entry points ------------------------------------------------------
 
@@ -168,14 +166,13 @@ class MpAnalyzer:
 
     def analyze_graph(self, graph: ProjectGraph) -> list[Finding]:
         self.graph = graph
-        self.owners = {}
         self._sites: dict[int, CallSite] = {}
         for caller in graph.calls:
             for site in graph.calls[caller]:
                 if site.node is not None:
                     self._sites[id(site.node)] = site
         spawns = self._spawn_sites()
-        raw: list[tuple[str, str, int, int, str, str]] = []
+        raw: list[tuple[str, str, int, int, str]] = []
         if "MP001" in self.rules:
             raw.extend(self._check_payloads(spawns))
         if "MP002" in self.rules:
@@ -184,12 +181,11 @@ class MpAnalyzer:
             raw.extend(self._check_protocol())
         findings: list[Finding] = []
         seen: set[tuple[str, int, str]] = set()
-        for rule_id, path, line, col, message, owner in raw:
+        for rule_id, path, line, col, message in raw:
             key = (path, line, rule_id)
             if key in seen:
                 continue
             seen.add(key)
-            self.owners[key] = owner
             findings.append(self._finding(rule_id, path, line, col, message))
         return sorted(self._apply_pragmas(findings))
 
@@ -259,18 +255,17 @@ class MpAnalyzer:
             return [(*where,
                      "lambda passed as a spawn payload cannot be pickled "
                      "across the process boundary; use a module-level "
-                     "function", site.caller)]
+                     "function")]
         if isinstance(element, ast.GeneratorExp):
             return [(*where,
                      "generator expression passed as a spawn payload cannot "
-                     "be pickled; materialize it (list/tuple) first",
-                     site.caller)]
+                     "be pickled; materialize it (list/tuple) first")]
         if isinstance(element, ast.Call):
             verdict = self._unpicklable_call(element)
             if verdict is not None:
                 return [(*where,
                          f"{verdict} passed as a spawn payload cannot be "
-                         "pickled across the process boundary", site.caller)]
+                         "pickled across the process boundary")]
             return []
         if isinstance(element, ast.Name):
             cls = self._local_value_class(element.id, site, module)
@@ -352,7 +347,7 @@ class MpAnalyzer:
                         (rule, cls.path, stmt.lineno, stmt.col_offset,
                          f"field `{stmt.target.id}: ...{bad[0]}...` of spawn "
                          f"payload `{cls.name}` is not picklable across the "
-                         "process boundary", ""))
+                         "process boundary"))
                     continue
                 if module is not None:
                     for token in sorted(tokens):
@@ -393,7 +388,7 @@ class MpAnalyzer:
                     (rule, cls.path, sub.lineno, sub.col_offset,
                      f"`self.{target.attr} = ...` stores {label} on spawn "
                      f"payload `{cls.name}`; it cannot cross the process "
-                     "boundary", f"{cls.qualname}.__init__"))
+                     "boundary"))
         return out
 
     # -- MP002 -------------------------------------------------------------
@@ -436,19 +431,17 @@ class MpAnalyzer:
                         (rule, write.path, write.line, write.col,
                          f"worker-process code mutates module-global "
                          f"`{write.share_key[1]}.{write.attr}`; the write "
-                         "stays in the child and the parent never sees it",
-                         qual))
+                         "stays in the child and the parent never sees it"))
             if info.module not in globals_cache:
                 module = self.graph.modules.get(info.module)
                 globals_cache[info.module] = (
                     self._module_globals(module) if module is not None else set()
                 )
             mutable = globals_cache[info.module]
-            out.extend(self._function_global_writes(info, mutable, qual))
+            out.extend(self._function_global_writes(info, mutable))
         return out
 
-    def _function_global_writes(self, info: FunctionInfo, mutable: set[str],
-                                qual: str):
+    def _function_global_writes(self, info: FunctionInfo, mutable: set[str]):
         out = []
         rule = "MP002"
         declared: set[str] = set()
@@ -466,7 +459,7 @@ class MpAnalyzer:
                             (rule, info.path, sub.lineno, sub.col_offset,
                              f"worker-process code rebinds global "
                              f"`{target.id}`; the write stays in the child "
-                             "process", qual))
+                             "process"))
                     elif (
                         isinstance(target, ast.Subscript)
                         and isinstance(target.value, ast.Name)
@@ -476,7 +469,7 @@ class MpAnalyzer:
                             (rule, info.path, sub.lineno, sub.col_offset,
                              f"worker-process code writes into module-global "
                              f"`{target.value.id}[...]`; the write stays in "
-                             "the child process", qual))
+                             "the child process"))
             elif (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
@@ -488,7 +481,7 @@ class MpAnalyzer:
                     (rule, info.path, sub.lineno, sub.col_offset,
                      f"worker-process code calls `{sub.func.value.id}."
                      f"{sub.func.attr}(...)` on a module global; the "
-                     "mutation stays in the child process", qual))
+                     "mutation stays in the child process"))
         return out
 
     # -- MP003 -------------------------------------------------------------
@@ -670,13 +663,13 @@ class MpAnalyzer:
                 (rule, cls.path, cls.lineno, 0,
                  f"message `{cls.name}` is sent over the pipe but no peer "
                  "isinstance-handles it; it will fall through to the "
-                 "unknown-command arm", ""))
+                 "unknown-command arm"))
         for qual in sorted(handled - constructed):
             cls = messages[qual]
             out.append(
                 (rule, cls.path, cls.lineno, 0,
                  f"message `{cls.name}` has an isinstance handler but is "
-                 "never constructed; dead protocol arm", ""))
+                 "never constructed; dead protocol arm"))
         return out
 
     # -- plumbing ----------------------------------------------------------

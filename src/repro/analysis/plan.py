@@ -1,9 +1,8 @@
-"""Static fleet planner: FLEET barrier-safety rules + plan emission.
+"""Fleet planner: FLEET barrier-safety rules + plan emission.
 
-Layer (c) of the planning compiler, and the ``--plan`` entry point.  It
-composes the other two layers -- the communication graph / lookahead
-proof (:mod:`~repro.analysis.commgraph`) and the per-vehicle cost model
-(:mod:`~repro.analysis.cost`) -- into two products:
+The ``--plan`` entry point.  It builds on the communication graph /
+lookahead proof (:mod:`~repro.analysis.commgraph`) and yields two
+products:
 
 * **FLEET rules** (:class:`FleetPlanAnalyzer`), graph-level barrier
   geometry checks that need no AST visitors of their own:
@@ -22,7 +21,9 @@ proof (:mod:`~repro.analysis.commgraph`) and the per-vehicle cost model
     its partition-invariant delivery order.
 
 * **Plan emission** (:func:`emit_plan` / :func:`plan_for_config`):
-  greedy-LPT cost-balanced shards wrapped in a
+  greedy-LPT shards balanced on *measured* per-vehicle costs
+  (:func:`vehicle_costs`: kernel events each vehicle fires in a short
+  inline probe run), wrapped in a
   :class:`~repro.fleet.config.PartitionPlan` JSON document stamped with
   the proved lookahead, for ``FleetConfig.plan`` to execute.
 
@@ -32,24 +33,24 @@ The fleet package imports this package's sanitizer, so everything from
 
 from __future__ import annotations
 
-import ast
 import os
+from dataclasses import replace
 from typing import Iterable, Optional
 
-from .callgraph import FunctionInfo, ProjectGraph, build_graph
-from .commgraph import CommEdge, CommGraph, is_latency_name
-from .cost import RoleWeights, vehicle_costs
+from .callgraph import ProjectGraph, build_graph
+from .commgraph import CommGraph, is_latency_name
 from .engine import Finding, Pragmas, Rule
-from .perf import ProfileData
 
 __all__ = [
     "FLEET_RULE_CLASSES",
     "FleetPlanAnalyzer",
+    "PROBE_HORIZON_S",
     "emit_plan",
     "fleet_rules",
     "fleet_rules_by_id",
     "parse_fleet_spec",
     "plan_for_config",
+    "vehicle_costs",
 ]
 
 #: The analyzed tree when the caller does not pick one: this package.
@@ -312,23 +313,45 @@ def parse_fleet_spec(spec: str) -> dict:
     return settings
 
 
+#: Simulated seconds of the cost probe run behind :func:`vehicle_costs`.
+PROBE_HORIZON_S = 4.0
+
+
+def vehicle_costs(config) -> list[float]:
+    """Measured per-vehicle cost: kernel events each vehicle of ``config``
+    fires in the first :data:`PROBE_HORIZON_S` simulated seconds.
+
+    The probe runs ``config`` inline with one vehicle per partition
+    (round-robin, no plan, no faults), so each partition's event count
+    is its vehicle's own load.  Counts are deterministic, so the plan
+    built from them is too.
+    """
+    from ..fleet.coordinator import run_inline
+
+    probe = replace(
+        config, partitions=config.vehicles, duration_s=PROBE_HORIZON_S,
+        plan=None, kill_plan=None, straggle_s=(),
+    )
+    events = run_inline(probe).stats.partition_events
+    return [float(events[v]) for v in range(config.vehicles)]
+
+
 def plan_for_config(config, graph: Optional[ProjectGraph] = None,
                     paths: Optional[list[str]] = None,
-                    profile: Optional[ProfileData] = None,
                     comm: Optional[CommGraph] = None):
     """Emit a cost-balanced :class:`~repro.fleet.config.PartitionPlan`
     for an existing :class:`~repro.fleet.config.FleetConfig`.
 
-    Without ``graph``/``paths`` the cost model and lookahead proof run
-    over this installed package -- the tree the config will execute.
+    Costs come from :func:`vehicle_costs`.  Without ``graph``/``paths``
+    the lookahead proof runs over this installed package -- the tree the
+    config will execute.
     """
     from ..fleet.config import PartitionPlan, shard_vehicles
 
     if graph is None:
         graph = build_graph(paths if paths is not None else [_PACKAGE_ROOT])
     comm = comm if comm is not None else CommGraph(graph)
-    weights = RoleWeights(graph, profile=profile)
-    costs = vehicle_costs(config, weights)
+    costs = vehicle_costs(config)
     shards = shard_vehicles(config.vehicles, config.partitions, costs)
     return PartitionPlan(
         vehicles=config.vehicles,
@@ -344,7 +367,6 @@ def plan_for_config(config, graph: Optional[ProjectGraph] = None,
 
 
 def emit_plan(graph: ProjectGraph, fleet: Optional[dict] = None,
-              profile: Optional[ProfileData] = None,
               comm: Optional[CommGraph] = None):
     """Emit a plan for a fleet described by :func:`parse_fleet_spec` output."""
     from ..fleet.config import FleetConfig
@@ -358,4 +380,4 @@ def emit_plan(graph: ProjectGraph, fleet: Optional[dict] = None,
         duration_s=settings["duration_s"],
         workload=settings["workload"],
     )
-    return plan_for_config(config, graph=graph, profile=profile, comm=comm)
+    return plan_for_config(config, graph=graph, comm=comm)

@@ -4,9 +4,8 @@ The JSON document's top-level keys (``version``, ``files_scanned``,
 ``baselined``, ``stale_baseline``, ``findings`` and the per-finding keys)
 are consumed by CI tooling and pinned by
 ``tests/analysis/test_reporter_schema.py`` -- extend, never rename.
-Whole-program debug dumps (``callgraph``, ``taint``, ``hotpaths``) appear
-only when requested on the CLI; ``perf_ranking`` appears only on
-``--perf`` runs (the ordered optimization worklist).
+Debug dumps (``callgraph``, ``taint``, ``commgraph``, ``plan``) appear
+only when requested on the CLI.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ def render_text(
     baselined: int = 0,
     stale: int = 0,
     debug: Optional[dict] = None,
-    ranking: Optional[Sequence[dict]] = None,
 ) -> str:
     """One ``path:line:col: RULE message`` line per finding plus a summary."""
     lines = [
@@ -44,17 +42,6 @@ def render_text(
             "re-run --write-baseline to garbage-collect]"
         )
     lines.append(summary)
-    if ranking is not None:
-        lines.append("-- perf worklist (highest expected payoff first) --")
-        if not ranking:
-            lines.append("(no perf findings)")
-        for entry in ranking:
-            where = f"{entry['path']}:{entry['line']}"
-            who = f" in {entry['function']}" if entry["function"] else ""
-            lines.append(
-                f"{entry['rank']:>3}. {entry['rule']} {where}{who} "
-                f"[score={entry['score']} via {entry['source']}]"
-            )
     if debug:
         for section in sorted(debug):
             lines.append(f"-- {section} --")
@@ -68,7 +55,6 @@ def render_json(
     baselined: int = 0,
     stale: int = 0,
     debug: Optional[dict] = None,
-    ranking: Optional[Sequence[dict]] = None,
 ) -> str:
     """A stable JSON document: counts plus one object per finding."""
     payload = {
@@ -88,8 +74,6 @@ def render_json(
             for finding in sorted(findings)
         ],
     }
-    if ranking is not None:
-        payload["perf_ranking"] = [dict(entry) for entry in ranking]
     if debug:
         payload.update(debug)
     return json.dumps(payload, indent=2)

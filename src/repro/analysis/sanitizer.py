@@ -114,7 +114,7 @@ class DeterminismSanitizer:
         name = getattr(event, "name", "") or ""
         kind = type(event).__name__
         # The f-string *is* the hashed trace line -- it cannot be hoisted.
-        line = f"{seq}|{when!r}|{kind}|{name}\n"  # vdaplint: disable=PERF005
+        line = f"{seq}|{when!r}|{kind}|{name}\n"
         self._hash.update(line.encode())
         if self.keep_records:
             self.records.append(TraceRecord(seq=seq, time=when, kind=kind, name=name))

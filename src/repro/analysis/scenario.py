@@ -21,12 +21,15 @@ about fleet experiments, not ASTs:
   bound the ``--plan`` ConstResolver proves for this package);
 * **SCN005** -- matrix cost budget: the expanded ``sweep:`` matrix
   exceeds a declared ``budget:`` -- either the plain cell-count cap or
-  the static per-vehicle cost model summed over every cell.
+  the kernel events every cell is expected to fire, priced from the
+  planner's measured per-vehicle probe (:func:`~repro.analysis.plan.
+  vehicle_costs`).
 
 SCN001-003 are pure document checks delegated to
-:mod:`repro.scenarios.schema`; SCN004/005 additionally consult the
-project call graph and only run once a document is structurally clean
-(estimating the cost of a malformed matrix would be noise).
+:mod:`repro.scenarios.schema`; SCN004 additionally consults the project
+call graph and SCN005 runs the cost probe.  Both only run once a
+document is structurally clean (pricing a malformed matrix would be
+noise).
 
 The scenarios package imports this package's unit vocabulary, so
 everything from ``repro.scenarios`` is imported lazily inside methods --
@@ -44,7 +47,6 @@ from typing import Iterable, Optional, Sequence
 
 from .callgraph import ProjectGraph, build_graph
 from .commgraph import CommGraph
-from .cost import RoleWeights, vehicle_costs
 from .engine import (
     PARSE_ERROR_RULE,
     SKIP_MARKER,
@@ -53,6 +55,7 @@ from .engine import (
     Rule,
     discover_files,
 )
+from .plan import PROBE_HORIZON_S, vehicle_costs
 
 __all__ = [
     "SCENARIO_RULE_CLASSES",
@@ -64,8 +67,8 @@ __all__ = [
     "scenario_rules_by_id",
 ]
 
-#: The tree whose lookahead proof and cost model back SCN004/SCN005:
-#: this installed package (the code the scenario will execute).
+#: The tree whose lookahead proof backs SCN004: this installed package
+#: (the code the scenario will execute).
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _EPS = 1e-9
@@ -134,10 +137,10 @@ class ScenarioBudgetExceeded(Rule):
     name = "scenario-budget-exceeded"
     description = (
         "the expanded sweep matrix exceeds the scenario's declared "
-        "budget: more cells than the cap, or the static per-vehicle "
-        "cost model summed over every cell tops the cost limit"
+        "budget: more cells than the cap, or the measured per-vehicle "
+        "event cost summed over every cell tops the cost limit"
     )
-    version = 1
+    version = 2
 
 
 SCENARIO_RULE_CLASSES: tuple[type[Rule], ...] = (
@@ -191,8 +194,9 @@ class ScenarioAnalyzer:
 
     SCN001-003 come straight from :func:`repro.scenarios.schema.
     validate`; SCN004/005 run only when that structural pass is clean,
-    lazily building (and caching) one call graph over this package for
-    the lookahead proof and the cost model.  Findings honor the same
+    SCN004 lazily building (and caching) one call graph over this
+    package for the lookahead proof, SCN005 pricing each cell with the
+    measured cost probe.  Findings honor the same
     ``# vdaplint:`` pragmas as the AST packs -- scenario files take
     them as YAML comments.
     """
@@ -203,7 +207,6 @@ class ScenarioAnalyzer:
         self.rules: dict[str, Rule] = {rule.id: rule for rule in selected}
         self._graph = graph
         self._lookahead: Optional[tuple[Optional[float], str]] = None
-        self._weights: Optional[RoleWeights] = None
 
     def analyze_files(self, files: Sequence[str]) -> list[Finding]:
         """Analyze scenario files; findings in deterministic order."""
@@ -338,27 +341,25 @@ class ScenarioAnalyzer:
             if total is not None and total > declared + _EPS:
                 out.append(self._finding(
                     source, path, budget.key_line("cost"), "SCN005",
-                    f"matrix costs ~{total:.1f} units under the static "
-                    f"cost model ({len(cells)} cells), over the declared "
-                    f"budget of {declared:g}",
+                    f"matrix costs ~{total:.0f} kernel events under the "
+                    f"measured cost model ({len(cells)} cells), over the "
+                    f"declared budget of {declared:g}",
                 ))
         return out
 
     def _matrix_cost(self, doc, cells) -> Optional[float]:
-        """Estimated cost of the whole matrix: per-vehicle static cost
-        x run duration, summed over every cell's fleet."""
+        """Expected kernel events of the whole matrix: each cell's measured
+        probe events, scaled from the probe horizon to the run duration."""
         from ..scenarios.compiler import build_cell_config
 
-        if self._weights is None:
-            self._weights = RoleWeights(self._ensure_graph())
         total = 0.0
         for cell in cells:
             try:
                 config = build_cell_config(doc, cell)
             except ValueError:
                 return None  # lowering failures already carry findings
-            total += sum(vehicle_costs(config, self._weights)) \
-                * config.duration_s
+            total += sum(vehicle_costs(config)) \
+                * config.duration_s / PROBE_HORIZON_S
         return total
 
     # -- plumbing ----------------------------------------------------------
@@ -412,8 +413,9 @@ def _blake(data: bytes) -> str:
 def _tree_digest() -> str:
     """Digest of this package's Python sources.
 
-    SCN004/005 findings depend on the tree's lookahead proof and cost
-    model, so any source edit must invalidate cached scenario findings.
+    SCN004/005 findings depend on the tree's lookahead proof and on the
+    events its code fires, so any source edit must invalidate cached
+    scenario findings.
     """
     digest = hashlib.blake2b(digest_size=16)
     for path in discover_files([_PACKAGE_ROOT]):

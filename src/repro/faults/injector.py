@@ -79,7 +79,7 @@ def collector_key(stream: str) -> str:
 def _state_key(event: FaultEvent) -> str:
     category = _CATEGORY[event.kind]
     # The formatted key *is* the product; callers cache per fault event.
-    return CLOUD_KEY if category == "cloud" else f"{category}:{event.target}"  # vdaplint: disable=PERF005
+    return CLOUD_KEY if category == "cloud" else f"{category}:{event.target}"
 
 
 def world_fault_targets(world: World) -> tuple[list[str], list[str]]:

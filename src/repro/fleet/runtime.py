@@ -75,19 +75,19 @@ class VehicleTraceHash:
 
     def record_send(self, env: Envelope) -> None:
         self._fold(
-            f"send|{fmt_float(env.sent_s)}|{env.dst}|{env.seq}|{env.payload!r}"  # vdaplint: disable=PERF005
+            f"send|{fmt_float(env.sent_s)}|{env.dst}|{env.seq}|{env.payload!r}"
         )
 
     def record_receive(self, env: Envelope) -> None:
         self._fold(
-            f"rx|{fmt_float(env.deliver_s)}|{env.src}|{env.seq}|{env.payload!r}"  # vdaplint: disable=PERF005
+            f"rx|{fmt_float(env.deliver_s)}|{env.src}|{env.seq}|{env.payload!r}"
         )
 
     def record_state(
         self, barrier_s: float, invocations: int, misses: int, energy_j: float
     ) -> None:
         self._fold(
-            f"state|{fmt_float(barrier_s)}|{invocations}|{misses}|"  # vdaplint: disable=PERF005
+            f"state|{fmt_float(barrier_s)}|{invocations}|{misses}|"
             f"{fmt_float(energy_j)}"
         )
 
@@ -158,7 +158,7 @@ class V2VBus:
                 )
             self.sim.process(
                 # Per-envelope process identity is load-bearing for traces.
-                self._deliver_one(env), name=f"v2v/rx-{env.dst:03d}"  # vdaplint: disable=PERF005
+                self._deliver_one(env), name=f"v2v/rx-{env.dst:03d}"
             )
             count += 1
         return count

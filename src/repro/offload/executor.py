@@ -265,7 +265,7 @@ class DistributedExecutor:
         sim, retry = self.sim, self.retry
         # Built once per task, not once per retry attempt; the per-task
         # process name is load-bearing for traces and divergence reports.
-        attempt_name = f"attempt:{graph.name}/{name}"  # vdaplint: disable=PERF005
+        attempt_name = f"attempt:{graph.name}/{name}"
         attempt = 0
         while True:
             attempt_proc = sim.process(

@@ -91,7 +91,7 @@ def evaluate_placement(
                 vehicle_energy_j=0.0,
                 feasible=False,
                 # Infeasible arm: the diagnostic only forms when placement fails.
-                infeasible_reason=f"{tier} has no processor for {task.workload.value}",  # vdaplint: disable=PERF005
+                infeasible_reason=f"{tier} has no processor for {task.workload.value}",
             )
 
         ready = 0.0
@@ -183,12 +183,12 @@ class CompiledPlacement:
             processor = node.best_processor_for(task.workload)
             if processor is None:
                 # Compile-time only: built at most once per cached plan.
-                self._infeasible = PlacementEvaluation(  # vdaplint: disable=PERF001
+                self._infeasible = PlacementEvaluation(
                     latency_s=float("inf"),
                     uplink_bytes=0.0,
                     vehicle_energy_j=0.0,
                     feasible=False,
-                    infeasible_reason=f"{tier} has no processor for {task.workload.value}",  # vdaplint: disable=PERF005
+                    infeasible_reason=f"{tier} has no processor for {task.workload.value}",
                 )
                 return
             source_op = None
@@ -209,7 +209,7 @@ class CompiledPlacement:
                     self.uplink_bytes += nbytes
             exec_time = processor.execution_time(task.work_gop, task.workload)
             # Compile-time only: one tuple per task, once per cached plan.
-            self._steps.append((source_op, tuple(pred_ops), exec_time))  # vdaplint: disable=PERF001
+            self._steps.append((source_op, tuple(pred_ops), exec_time))
             if tier == Tier.VEHICLE:
                 meter.record_busy(processor, exec_time)
         for sink in graph.sinks:

@@ -35,7 +35,6 @@ from .vcu.dsf import DSF
 from .vcu.mhep import MHEP
 
 __all__ = [
-    "PLANNER_DRIVE_ROOT",
     "ServiceReport",
     "ScenarioReport",
     "DriveScenario",
@@ -43,13 +42,6 @@ __all__ = [
 
 DSRC_FULL_MBPS = 27.0
 DSRC_DEAD_MBPS = 0.02
-
-#: Planner cost annotation: the qualname suffix of the per-vehicle drive
-#: process this module registers (the nested loop inside ``launch``).
-#: ``repro.analysis.cost`` roots its static "drive" role weight here --
-#: keep it in sync if the control loop moves.
-PLANNER_DRIVE_ROOT = "DriveScenario.launch.control_loop"
-
 
 @dataclass
 class ServiceReport:
@@ -272,20 +264,20 @@ class DriveScenario:
                         key = (service.name, choice.pipeline)
                         if key not in local_graphs:
                             # Cache fill: once per (service, pipeline).
-                            local_tasks = [  # vdaplint: disable=PERF001
+                            local_tasks = [
                                 task for task in service.graph_factory().tasks
                                 if pipeline.assignment[task.name] == Tier.VEHICLE
                             ]
                             share = None
                             if local_tasks:
-                                share = TaskGraph(service.name)  # vdaplint: disable=PERF001
+                                share = TaskGraph(service.name)
                                 for task in local_tasks:
                                     share.add_task(task)
                             local_graphs[key] = share
                         local_graph = local_graphs[key]
                         if local_graph is not None:
                             # Per-tick job identity lives in the name alone.
-                            local_graph.name = f"{service.name}@{sim.now:.0f}"  # vdaplint: disable=PERF005
+                            local_graph.name = f"{service.name}@{sim.now:.0f}"
                             self.dsf.submit(local_graph, priority=service.qos)
                 # 5. DDI collection.
                 if self.ddi is not None:

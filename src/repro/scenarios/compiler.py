@@ -98,21 +98,18 @@ def _roster_entries(doc: MappingNode) -> list[MappingNode]:
     return [item for item in roster.items if isinstance(item, MappingNode)]
 
 
-def _custom_styles(doc: MappingNode) -> dict[str, tuple[int, float]]:
-    """``styles:`` section as ``{id: (services, cost_weight)}``."""
+def _custom_styles(doc: MappingNode) -> dict[str, int]:
+    """``styles:`` section as ``{id: services}``."""
     styles = doc.get("styles")
-    out: dict[str, tuple[int, float]] = {}
+    out: dict[str, int] = {}
     if not isinstance(styles, MappingNode):
         return out
     for style_id, node in styles.items():
         if not isinstance(node, MappingNode):
             continue
         services = node.get("services")
-        weight = node.get("cost_weight")
-        count = services.value if isinstance(services, ScalarNode) else 1
         out[style_id] = (
-            int(count),
-            float(weight.value) if isinstance(weight, ScalarNode) else 1.0,
+            int(services.value) if isinstance(services, ScalarNode) else 1
         )
     return out
 
@@ -132,7 +129,6 @@ def _style_lowering(
     if workload not in custom and not styled:
         return workload, None
     table: list[int] = []
-    weight = custom[workload][1] if workload in custom else 1.0
     by_id: dict[int, MappingNode] = {}
     for entry in entries:
         id_node = entry.get("id")
@@ -153,16 +149,12 @@ def _style_lowering(
         ):
             style_name = style_node.value
         if style_name in custom:
-            table.append(custom[style_name][0])
+            table.append(custom[style_name])
         elif style_name in STYLES:
             table.append(STYLES[style_name].service_count(vehicle))
         else:
             table.append(1)
-    spec = WorkloadStyle(
-        name=workload, service_table=tuple(table),
-        service_cost_weight=weight,
-    )
-    return workload, spec
+    return workload, WorkloadStyle(name=workload, service_table=tuple(table))
 
 
 def _kill_plan(doc: MappingNode) -> KillPlan | None:
@@ -214,8 +206,8 @@ def _plan_shards(doc: MappingNode) -> tuple[tuple[int, ...], ...] | None:
 def build_cell_config(doc: MappingNode, cell: schema.CellSpec) -> FleetConfig:
     """Lower one validated matrix cell into a runnable ``FleetConfig``.
 
-    Also the static cost model's entry point: SCN005 budgets estimate a
-    matrix by building each cell's config exactly as the runner would.
+    Also the cost probe's entry point: SCN005 budgets price a matrix by
+    building each cell's config exactly as the runner would.
     Raises ``ValueError`` (from ``FleetConfig``) when the cell's merged
     settings are not runnable.
     """

@@ -119,7 +119,6 @@ _FLAT_FIELDS: dict[str, FieldSpec] = {**FLEET_FIELDS, **LINK_FIELDS}
 
 _STYLE_FIELDS: dict[str, FieldSpec] = _table(
     FieldSpec("services", "int", required=True, nonnegative=True),
-    FieldSpec("cost_weight", "float", positive=True),
 )
 
 _VEHICLE_FIELDS: dict[str, FieldSpec] = _table(

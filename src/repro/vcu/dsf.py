@@ -124,7 +124,7 @@ class DSF:
             self.sim.process(
                 self._run_task(graph, name, priority, task_done_events, result),
                 # Per-task process identity is load-bearing for traces.
-                name=f"dsf:{graph.name}:{name}",  # vdaplint: disable=PERF005
+                name=f"dsf:{graph.name}:{name}",
             )
         yield self.sim.all_of(list(task_done_events.values()))
         result.finished_at = self.sim.now

@@ -5,11 +5,9 @@ many managed service instances does vehicle ``i`` run?  ``uniform`` is
 the PR-6 fleet (one ADAS service everywhere); ``skewed`` gives every
 ``heavy_stride``-th vehicle a stack of services, which is what makes
 round-robin sharding pathological (the heavies land on one partition)
-and cost-balanced plans worth emitting.
-
-``service_cost_weight`` is a *planner cost annotation*: the relative
-per-tick cost of one managed service instance, consumed by
-:mod:`repro.analysis.cost` when rolling vehicle costs up per style.
+and cost-balanced plans worth emitting.  Styles carry no cost figures:
+the planner (:func:`repro.analysis.plan.vehicle_costs`) measures what
+each vehicle's services cost by running them.
 """
 
 from __future__ import annotations
@@ -28,8 +26,6 @@ class WorkloadStyle:
     heavy_services: int = 1
     #: Every Nth vehicle (0, N, 2N, ...) is heavy; 0 disables heavies.
     heavy_stride: int = 0
-    #: Planner cost annotation: relative cost of one service instance.
-    service_cost_weight: float = 1.0
     #: Explicit per-vehicle service counts (scenario rosters).  Non-empty
     #: tables override the stride rule; indices wrap, so a table built
     #: for N vehicles stays total for any probe index.

@@ -1,32 +1,35 @@
-"""Cost model and plan emission: role weights on the real tree, pstats
-blending, greedy-LPT plan shape, and the fleet-spec parser.
+"""Measured costs and plan emission: the probe's per-vehicle event
+counts, the greedy-LPT plan they produce, and the fleet-spec parser.
 
 The planner's promise is determinism: identical inputs must produce the
 identical ``PartitionPlan`` document, and the plan must only ever
-reassign vehicles -- never change what any vehicle computes.  These
-tests pin the cost side of that promise; the hash-invariance side lives
-in ``tests/property/test_plan_invariance.py``.
+reassign vehicles -- never change what any vehicle computes.  The probe
+counts kernel events, not wall time, so every assertion here is exact
+on any host.  Hash invariance under random plans lives in
+``tests/property/test_plan_invariance.py``.
 """
 
-import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis import (
-    ROLE_ROOTS,
-    RoleWeights,
     build_graph,
     emit_plan,
     parse_fleet_spec,
     plan_for_config,
     vehicle_costs,
 )
-from repro.analysis.perf import load_profile, write_synthetic_pstats
+from repro.fleet import run_inline, run_single_process
 from repro.fleet.config import FleetConfig, PartitionPlan
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")
+
+#: Minimum critical-partition cut a measured plan must deliver over
+#: round-robin on the skewed workload.
+PLAN_CUT_FLOOR = 1.2
 
 
 @pytest.fixture(scope="module")
@@ -34,79 +37,36 @@ def graph():
     return build_graph([SRC_REPRO])
 
 
-class TestRoleWeights:
-    def test_all_roles_rooted_on_real_tree(self, graph):
-        weights = RoleWeights(graph)
-        assert set(weights.roots) == set(ROLE_ROOTS)
-        assert all(root is not None for root in weights.roots.values())
-
-    def test_drive_anchors_normalization(self, graph):
-        weights = RoleWeights(graph).weights
-        assert weights["drive"] == 1.0
-        for role in ("beacon", "receive", "service"):
-            assert 0.0 < weights[role] < 1.0, (role, weights[role])
-
-    def test_missing_root_weighs_zero(self, tmp_path):
-        (tmp_path / "m.py").write_text("def f():\n    return 1\n", encoding="utf-8")
-        weights = RoleWeights(build_graph([str(tmp_path)]))
-        assert weights.roots["drive"] is None
-        assert weights.weights["beacon"] == 0.0
-
-    def test_hot_path_doubles_breadth(self, graph):
-        class ColdIndex:
-            hot = frozenset()
-
-        hot_weights = RoleWeights(graph).weights
-        cold_weights = RoleWeights(graph, hot=ColdIndex()).weights
-        # Both normalize drive to 1.0, but the hot set overlaps the role
-        # trees unevenly, so at least one ratio must move.
-        assert hot_weights != cold_weights
-
-    def test_pstats_profile_replaces_static_weights(self, graph, tmp_path):
-        path = tmp_path / "run.pstats"
-        # Measured: beacon half as expensive as a drive tick -- far above
-        # its static ~0.12 weight.
-        write_synthetic_pstats(
-            str(path),
-            {
-                ("scenario.py", 1, "control_loop"): 2.0,
-                ("runtime.py", 1, "_beacon_loop"): 1.0,
-            },
-        )
-        weights = RoleWeights(graph, profile=load_profile(str(path)))
-        assert weights.profiled == {"drive", "beacon"}
-        assert weights.weights["drive"] == 1.0
-        assert weights.weights["beacon"] == 0.5
-        # Unprofiled roles keep their static weights.
-        assert weights.weights["service"] == RoleWeights(graph).weights["service"]
-
-    def test_profile_without_drive_sample_is_ignored(self, graph, tmp_path):
-        path = tmp_path / "run.pstats"
-        write_synthetic_pstats(str(path), {("runtime.py", 1, "_beacon_loop"): 9.0})
-        weights = RoleWeights(graph, profile=load_profile(str(path)))
-        assert weights.profiled == set()
-        assert weights.weights == RoleWeights(graph).weights
-
-    def test_debug_dict_sorted_and_json_safe(self, graph):
-        debug = RoleWeights(graph).to_debug_dict()
-        assert list(debug["roots"]) == sorted(debug["roots"])
-        json.dumps(debug)
-
-
 class TestVehicleCosts:
-    def test_skewed_style_marks_heavy_vehicles(self, graph):
-        weights = RoleWeights(graph)
+    def test_skewed_style_marks_heavy_vehicles(self):
         config = FleetConfig(vehicles=8, partitions=4, workload="skewed")
-        costs = vehicle_costs(config, weights)
+        costs = vehicle_costs(config)
         assert len(costs) == 8
         heavy = {i for i, c in enumerate(costs) if c == max(costs)}
         assert heavy == {0, 4}
 
-    def test_uniform_style_is_flat(self, graph):
-        weights = RoleWeights(graph)
+    def test_uniform_style_is_flat(self):
         config = FleetConfig(vehicles=6, partitions=2)
-        costs = vehicle_costs(config, weights)
+        costs = vehicle_costs(config)
         assert len(set(costs)) == 1
+
+    def test_probe_ignores_the_config_plan(self):
+        config = FleetConfig(vehicles=4, partitions=2, workload="skewed")
+        pinned = replace(config, plan=((0, 1, 2, 3), ()))
+        assert vehicle_costs(pinned) == vehicle_costs(config)
+
+
+@pytest.mark.parametrize("vehicles", [8, 32])
+def test_measured_plan_cuts_critical_partition(vehicles, graph):
+    config = FleetConfig(vehicles=vehicles, partitions=4, workload="skewed")
+    plan = plan_for_config(config, graph=graph)
+    reference = run_single_process(config)
+    round_robin = run_inline(config)
+    planned = run_inline(replace(config, plan=plan.shards_for(config)))
+    assert round_robin.vehicle_hashes == reference.vehicle_hashes
+    assert planned.vehicle_hashes == reference.vehicle_hashes
+    cut = round_robin.stats.critical_events() / planned.stats.critical_events()
+    assert cut >= PLAN_CUT_FLOOR, (cut, plan.shards)
 
 
 class TestFleetSpec:

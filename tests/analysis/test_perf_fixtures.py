@@ -1,11 +1,12 @@
-"""Annotated perf/mp fixture corpus: every rule fires on its seeded bug
-and stays silent on the idiomatic fix in the same (sim-hot) file.
+"""Annotated mp fixture corpus: every MP rule fires on its seeded bug and
+stays silent on the idiomatic fix in the same file.
 
-Each fixture under ``perf_fixtures/`` carries ``# expect-perf: RULE`` /
-``# expect-mp: RULE`` annotations; the analyzers must produce *exactly*
-that finding set -- extra findings on the fixed variants are failures
-too.  The corpus directory holds a ``.vdaplint-skip`` marker so repo-wide
-lint sweeps do not trip over the deliberate violations.
+Each fixture under ``perf_fixtures/`` carries ``# expect-mp: RULE``
+annotations; the analyzer must produce *exactly* that finding set --
+extra findings on the fixed variants are failures too.  The corpus
+directory holds a ``.vdaplint-skip`` marker so repo-wide lint sweeps do
+not trip over the deliberate violations.  The CLI runs the pack under
+``--whole-program``.
 """
 
 import os
@@ -13,15 +14,12 @@ import re
 
 import pytest
 
-from repro.analysis import SKIP_MARKER, MpAnalyzer, PerfAnalyzer, build_graph
+from repro.analysis import SKIP_MARKER, MpAnalyzer, build_graph, main
 from repro.analysis.mp import MP_RULE_CLASSES
-from repro.analysis.perf import PERF_RULE_CLASSES
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "perf_fixtures")
 
-EXPECT_RE = re.compile(
-    r"#\s*expect-(?:perf|mp):\s*([A-Z0-9]+(?:\s*,\s*[A-Z0-9]+)*)"
-)
+EXPECT_RE = re.compile(r"#\s*expect-mp:\s*([A-Z0-9]+(?:\s*,\s*[A-Z0-9]+)*)")
 
 
 def fixture_paths() -> list[str]:
@@ -44,9 +42,7 @@ def expected_findings(source: str) -> set[tuple[int, str]]:
 
 
 def analyze(path: str) -> set[tuple[int, str]]:
-    graph = build_graph([path])
-    findings = PerfAnalyzer().analyze_graph(graph)
-    findings += MpAnalyzer().analyze_graph(graph)
+    findings = MpAnalyzer().analyze_graph(build_graph([path]))
     return {(f.line, f.rule) for f in findings}
 
 
@@ -65,18 +61,12 @@ def test_fixture_matches_annotations(path):
 
 
 def test_corpus_exercises_every_rule():
-    """Every shipped PERF/MP rule must fire somewhere in the corpus."""
-    shipped = {cls.id for cls in PERF_RULE_CLASSES + MP_RULE_CLASSES}
+    """Every shipped MP rule must fire somewhere in the corpus."""
+    shipped = {cls.id for cls in MP_RULE_CLASSES}
     fired = set()
     for path in fixture_paths():
         fired.update(rule for _line, rule in analyze(path))
     assert shipped <= fired, f"rules with no firing fixture: {shipped - fired}"
-
-
-def test_corpus_covers_at_least_eight_rule_ids():
-    """The acceptance floor: >=8 distinct rule ids across the packs."""
-    shipped = {cls.id for cls in PERF_RULE_CLASSES + MP_RULE_CLASSES}
-    assert len(shipped) >= 8
 
 
 def test_corpus_is_skip_marked():
@@ -84,17 +74,36 @@ def test_corpus_is_skip_marked():
     assert os.path.exists(os.path.join(FIXTURE_DIR, SKIP_MARKER))
 
 
-def test_pragma_suppresses_perf_finding(tmp_path):
-    """PERF/MP findings honor the standard vdaplint pragmas."""
+def test_whole_program_cli_reports_mp_findings(capsys):
+    """``--whole-program`` runs the MP pack at each annotated line."""
+    path = os.path.join(FIXTURE_DIR, "mp003_protocol.py")
+    code = main(["--whole-program", "--strict", path])
+    out = capsys.readouterr().out
+    assert code == 1
+    with open(path, encoding="utf-8") as fh:
+        expected = expected_findings(fh.read())
+    reported = {
+        (int(m.group(1)), m.group(2))
+        for m in re.finditer(r":(\d+):\d+: (MP\d{3}) ", out)
+    }
+    assert reported == expected
+
+
+def test_pragma_suppresses_mp_finding(tmp_path):
+    """MP findings honor the standard vdaplint pragmas."""
     bug = (
-        "class Simulator:\n"
-        "    def run(self, events):\n"
-        "        total = 0\n"
-        "        for event in events:\n"
-        "            box = {'seq': event}  # vdaplint: disable=PERF001\n"
-        "            total += box['seq']\n"
-        "        return total\n"
+        "import multiprocessing\n"
+        "\n"
+        "def run():\n"
+        "    proc = multiprocessing.Process(\n"
+        "        target=print,\n"
+        "        args=(lambda: 1,),  # vdaplint: disable=MP001\n"
+        "    )\n"
+        "    proc.start()\n"
     )
-    path = tmp_path / "hot.py"
+    path = tmp_path / "spawn.py"
     path.write_text(bug, encoding="utf-8")
     assert analyze(str(path)) == set()
+    path.write_text(bug.replace("  # vdaplint: disable=MP001", ""),
+                    encoding="utf-8")
+    assert analyze(str(path)) == {(6, "MP001")}

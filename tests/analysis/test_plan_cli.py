@@ -46,16 +46,6 @@ class TestGuards:
             main([CLEAN_DIR, "--plan", "--plan-fleet", "nope=1"])
         assert exc.value.code == 2
 
-    def test_profile_accepted_with_plan(self, capsys, tmp_path):
-        from repro.analysis.perf import write_synthetic_pstats
-
-        profile = tmp_path / "run.pstats"
-        write_synthetic_pstats(str(profile), {("loop.py", 1, "beacon_loop"): 1.0})
-        code, _ = run_cli(
-            [CLEAN_DIR, "--plan", "--strict", "--profile", str(profile)], capsys
-        )
-        assert code == 0
-
 
 class TestListRules:
     def test_fleet_pack_listed(self, capsys):

@@ -4,12 +4,12 @@ Regression for the stale-catalogue hazard: before rule versions existed,
 editing a rule's logic without renaming its id left ``.vdaplint-cache``
 replaying findings from the old catalogue.  The env key now embeds
 ``id@version`` for every enabled rule *plus* a fingerprint over every
-shipped pack (including PERF/MP, which bypass the incremental analyzer),
+shipped pack (including MP/FLEET, which bypass the incremental analyzer),
 so a version bump anywhere forces re-analysis.
 """
 
 from repro.analysis import IncrementalAnalyzer, catalogue_fingerprint
-from repro.analysis.perf import HotLoopAllocRule
+from repro.analysis.mp import SpawnPayloadRule
 from repro.analysis.plan import BarrierExceedsLookahead, FLEET_RULE_CLASSES
 from repro.analysis.rules import RULE_CLASSES
 
@@ -27,12 +27,12 @@ def test_env_key_embeds_rule_versions():
 
 def test_catalogue_fingerprint_tracks_pack_versions(monkeypatch):
     before = catalogue_fingerprint()
-    monkeypatch.setattr(HotLoopAllocRule, "version", HotLoopAllocRule.version + 1)
+    monkeypatch.setattr(SpawnPayloadRule, "version", SpawnPayloadRule.version + 1)
     assert catalogue_fingerprint() != before
 
 
 def test_catalogue_fingerprint_tracks_fleet_pack(monkeypatch):
-    """The FLEET pack rides the same invalidation channel as PERF/MP: a
+    """The FLEET pack rides the same invalidation channel as MP: a
     planner rule edit must flush warm ``--plan --cache`` runs."""
     before = catalogue_fingerprint()
     monkeypatch.setattr(
@@ -49,7 +49,7 @@ def test_fleet_rules_carry_versioned_ids():
 
 
 def test_pack_version_bump_invalidates_warm_cache(tmp_path, monkeypatch):
-    """A PERF-pack edit re-analyzes even though the enabled rules are
+    """An MP-pack edit re-analyzes even though the enabled rules are
     unchanged -- the pack fingerprint is part of the env key."""
     source = tmp_path / "mod.py"
     source.write_text("x = 1\n", encoding="utf-8")
@@ -62,7 +62,7 @@ def test_pack_version_bump_invalidates_warm_cache(tmp_path, monkeypatch):
     assert warm.analyzed == []
     assert warm.replayed == [str(source)]
 
-    monkeypatch.setattr(HotLoopAllocRule, "version", HotLoopAllocRule.version + 1)
+    monkeypatch.setattr(SpawnPayloadRule, "version", SpawnPayloadRule.version + 1)
     invalidated = _analyzer(rules, cache_dir).run([str(source)])
     assert invalidated.analyzed == [str(source)]
     assert invalidated.replayed == []

@@ -14,12 +14,17 @@ from repro.analysis import (
     FleetPlanAnalyzer,
     IncrementalAnalyzer,
     MpAnalyzer,
-    PerfAnalyzer,
     build_graph,
+    default_rules,
+    fleet_rules,
+    flow_rules,
     lint_paths,
+    mp_rules,
+    scenario_rules,
+    semantic_rules,
     semantic_rules_by_id,
 )
-from repro.analysis.engine import discover_files
+from repro.analysis.engine import PRAGMA_RE, discover_files
 
 
 def repro_source_root() -> str:
@@ -45,18 +50,42 @@ def test_semantic_tier_reports_zero_violations_on_src_repro():
     )
 
 
-def test_perf_tier_reports_zero_violations_on_src_repro():
-    """PERF/MP must be clean too: every remaining hot-path formatting or
-    allocation site is either fixed or carries a justified pragma."""
-    graph = build_graph([repro_source_root()])
-    findings = PerfAnalyzer().analyze_graph(graph)
-    findings += MpAnalyzer().analyze_graph(graph)
+def test_mp_tier_reports_zero_violations_on_src_repro():
+    """MP001-003 must be clean too: every spawn payload pickles, worker
+    code writes no fork-crossing globals, and the pipe protocol is
+    exhaustive."""
+    findings = MpAnalyzer().analyze_graph(build_graph([repro_source_root()]))
     rendered = "\n".join(
         f"{f.location()}: {f.rule} {f.message}" for f in findings
     )
     assert not findings, (
-        f"perf analysis found violations in src/repro:\n{rendered}"
+        f"mp analysis found violations in src/repro:\n{rendered}"
     )
+
+
+def test_every_pragma_names_a_shipped_rule():
+    """A suppression for a rule that no longer ships is dead weight and
+    hides nothing; every pragma must name a live rule id or ``all``."""
+    shipped = {"all"}
+    for pack in (default_rules(), flow_rules(), mp_rules(), semantic_rules(),
+                 fleet_rules(), scenario_rules()):
+        shipped.update(rule.id for rule in pack)
+    src_root = repro_source_root()
+    repo_root = os.path.dirname(os.path.dirname(src_root))
+    trees = [src_root] + [
+        os.path.join(repo_root, tree) for tree in ("benchmarks", "examples")
+    ]
+    stale = []
+    for path in discover_files(trees):
+        with open(path, encoding="utf-8") as fh:
+            for lineno, text in enumerate(fh, start=1):
+                match = PRAGMA_RE.search(text)
+                if match is None:
+                    continue
+                for rule_id in match.group(2).split(","):
+                    if rule_id.strip() not in shipped:
+                        stale.append(f"{path}:{lineno}: {rule_id.strip()}")
+    assert not stale, "pragmas naming unknown rules:\n" + "\n".join(stale)
 
 
 def test_fleet_tier_reports_zero_violations_on_runtime_trees():

@@ -62,7 +62,6 @@ def test_styled_roster_lowers_to_a_service_table():
         "styles:\n"
         "  calm:\n"
         "    services: 2\n"
-        "    cost_weight: 1.5\n"
         "vehicles:\n"
         "  - id: 0\n"
         "    style: calm\n"
@@ -76,7 +75,6 @@ def test_styled_roster_lowers_to_a_service_table():
     assert spec is not None
     assert spec.service_table[0] == 2          # custom style
     assert spec.service_table[1] == 5          # explicit per-vehicle count
-    assert spec.service_cost_weight == 1.5
     assert config.style.service_count(0) == 2
     assert config.style.service_count(1) == 5
 
