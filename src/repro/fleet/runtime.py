@@ -347,5 +347,10 @@ class PartitionRuntime:
         return out
 
     def metrics_snapshot(self) -> dict:
-        """The partition collector's raw metric snapshot."""
-        return self.collector.snapshot()
+        """The partition collector's mergeable metric state.
+
+        Histograms carry no quantile estimates: the coordinator merges and
+        views only the mergeable fields, so replaying the partition's
+        sample logs through P-squared would be wasted work.
+        """
+        return self.collector.registry.state()

@@ -4,10 +4,12 @@ Three pieces, all on the sim clock (vdaplint-clean: no wall clock, no
 global RNG, byte-stable exports):
 
 * **Metrics** (:mod:`repro.obs.metrics`) -- a label-aware registry of
-  :class:`Counter` / :class:`Gauge` / :class:`Histogram` series (fixed
-  buckets + P-squared streaming quantiles) with snapshot/diff/merge and
-  stable JSON export.  :class:`Summary` and :class:`Timeline` live
-  here.
+  :class:`Counter` / :class:`Gauge` / :class:`Histogram` series with
+  snapshot/diff/merge and stable JSON export.  Histograms keep fixed
+  buckets per sample; their P-squared p50/p95/p99 estimates are replayed
+  from a log of unread samples (8 B each) when read, so fleet
+  partitions, which ship only mergeable state, never compute them.
+  :class:`Summary` and :class:`Timeline` live here.
 * **Tracing** (:mod:`repro.obs.trace`) -- a span tracer stamping sim-time
   spans (context-manager, decorator, and async-process flavours) and
   exporting Chrome ``trace_event`` JSON viewable in Perfetto.

@@ -16,6 +16,7 @@ now fully migrated here) live here too.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
@@ -190,17 +191,25 @@ class P2Quantile:
         return self._heights[2]
 
 
-#: Quantiles every histogram tracks with a P-squared estimator.
+#: Quantiles every histogram snapshot reports as P-squared estimates.
 TRACKED_QUANTILES = (0.5, 0.95, 0.99)
 
 
 @dataclass
 class Histogram:
-    """Fixed-bucket distribution with streaming quantile estimators.
+    """Fixed-bucket distribution with P-squared quantile estimates on read.
 
     ``bounds`` are inclusive upper edges; one extra overflow bucket counts
-    samples above the last bound.  Alongside the buckets, three P-squared
-    estimators track p50/p95/p99 without storing samples.
+    samples above the last bound.  Buckets, count, sum, min and max are
+    the mergeable state (:meth:`state`) and are updated per sample.
+
+    The p50/p95/p99 estimates are not: each sample is appended to a log of
+    unread samples (an ``array('d')``, 8 B per sample), and reading a
+    tracked quantile replays that log, in arrival order, through three
+    P-squared estimators, then empties it.  The estimates are therefore
+    bit-identical to estimators fed live, memory is O(samples since the
+    last read), and a histogram whose quantiles are never read -- every
+    fleet partition's, which ship :meth:`state` -- never runs P-squared.
     """
 
     name: str
@@ -218,8 +227,8 @@ class Histogram:
         if not self.bucket_counts:
             self.bucket_counts = [0] * (len(self.bounds) + 1)
         self._bounds_arr = np.asarray(self.bounds, dtype=float)
-        self._quantiles = {q: P2Quantile(q) for q in TRACKED_QUANTILES}
-        self._estimators = tuple(self._quantiles.values())
+        self._unread = array("d")
+        self._estimators: dict[float, P2Quantile] | None = None
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -230,18 +239,17 @@ class Histogram:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-        for estimator in self._estimators:
-            estimator.add(value)
+        self._unread.append(value)
 
     def observe_many(self, values) -> None:
         """Feed a batch of samples; exactly equivalent to n observes.
 
         Bucket counting is vectorized (``searchsorted`` matches
-        ``bisect_left`` element-for-element); the running sum, min/max,
-        and the P-squared estimators consume the samples sequentially in
-        order, so every derived statistic -- including the
-        order-sensitive quantile estimates and the float ``sum`` -- is
-        bit-identical to calling :meth:`observe` per sample.
+        ``bisect_left`` element-for-element).  The sum is one sequential
+        ``cumsum`` seeded with the running total -- not the pairwise
+        ``np.sum`` -- so the float ``sum`` is bit-identical to per-sample
+        ``+=``.  The batch joins the unread log as one chunk, in order,
+        so quantile estimates match per-sample :meth:`observe` too.
         """
         arr = np.asarray(values, dtype=float)
         if arr.size == 0:
@@ -255,31 +263,32 @@ class Histogram:
             if n:
                 buckets[i] += n
         self.count += arr.size
-        total = self.total
-        minimum = self.minimum
-        maximum = self.maximum
-        estimators = self._estimators
-        for value in arr.tolist():
-            total += value
-            if value < minimum:
-                minimum = value
-            if value > maximum:
-                maximum = value
-            for estimator in estimators:
-                estimator.add(value)
-        self.total = total
-        self.minimum = minimum
-        self.maximum = maximum
+        self.total = float(np.cumsum(np.concatenate(([self.total], arr)))[-1])
+        low, high = float(arr.min()), float(arr.max())
+        if low < self.minimum:
+            self.minimum = low
+        if high > self.maximum:
+            self.maximum = high
+        self._unread.frombytes(arr.tobytes())
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Streaming estimate for tracked quantiles, bucket interpolation else."""
-        if q in self._quantiles:
-            return self._quantiles[q].value
-        return self.quantile_from_buckets(q)
+        """P-squared estimate for tracked quantiles, bucket interpolation else."""
+        if q not in TRACKED_QUANTILES:
+            return self.quantile_from_buckets(q)
+        if self._estimators is None:
+            self._estimators = {t: P2Quantile(t) for t in TRACKED_QUANTILES}
+        if self._unread:
+            samples = self._unread.tolist()
+            self._unread = array("d")
+            for estimator in self._estimators.values():
+                add = estimator.add
+                for value in samples:
+                    add(value)
+        return self._estimators[q].value
 
     def quantile_from_buckets(self, q: float) -> float:
         """Quantile by linear interpolation inside the owning bucket."""
@@ -304,8 +313,9 @@ class Histogram:
     def key(self) -> str:
         return self.name + _label_suffix(self.labels)
 
-    def to_snapshot(self) -> dict:
-        snap = {
+    def state(self) -> dict:
+        """The mergeable fields: count, sum, min, max, mean, buckets, bounds."""
+        return {
             "count": self.count,
             "sum": self.total,
             "min": self.minimum if self.count else 0.0,
@@ -314,6 +324,10 @@ class Histogram:
             "buckets": list(self.bucket_counts),
             "bounds": list(self.bounds),
         }
+
+    def to_snapshot(self) -> dict:
+        """:meth:`state` plus the ``p50``/``p95``/``p99`` estimates."""
+        snap = self.state()
         for q in TRACKED_QUANTILES:
             snap[f"p{int(q * 100)}"] = self.quantile(q)
         return snap
@@ -382,7 +396,19 @@ class MetricRegistry:
 
     def snapshot(self) -> dict:
         """Plain-dict view of every series, sorted by key: diffable, mergeable,
-        JSON-serializable, and stable across identical runs."""
+        JSON-serializable, and stable across identical runs.  Histograms
+        carry their quantile estimates, which replays their unread samples."""
+        return self._export(Histogram.to_snapshot)
+
+    def state(self) -> dict:
+        """:meth:`snapshot` without the histogram quantile estimates.
+
+        Everything :func:`merge_snapshots` and :func:`mergeable_view` need,
+        and nothing that replays a sample log: what fleet partitions ship.
+        """
+        return self._export(Histogram.state)
+
+    def _export(self, histogram_view) -> dict:
         out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
         for metric in self.series():
             if isinstance(metric, Counter):
@@ -390,7 +416,7 @@ class MetricRegistry:
             elif isinstance(metric, Gauge):
                 out["gauges"][metric.key] = metric.to_snapshot()
             else:
-                out["histograms"][metric.key] = metric.to_snapshot()
+                out["histograms"][metric.key] = histogram_view(metric)
         return out
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -427,8 +453,9 @@ def merge_snapshots(a: dict, b: dict) -> dict:
 
     Counters and histogram buckets/counts/sums add; gauges combine min/max
     and keep ``b``'s last reading; merged histogram quantiles are
-    re-estimated from the combined buckets (the streaming estimators are
-    not mergeable).
+    re-estimated from the combined buckets, because P-squared estimates
+    are not mergeable.  Inputs may be :meth:`MetricRegistry.state` exports
+    (what fleet partitions ship), which carry no estimates at all.
     """
     out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
     for key in sorted(set(a.get("counters", {})) | set(b.get("counters", {}))):
@@ -505,9 +532,9 @@ def mergeable_view(snapshot: dict) -> dict:
     * counters -- sums, kept (quantized: float addition orders differ);
     * gauges -- ``min``/``max``/``sets`` kept, ``last`` dropped (which
       vehicle recorded last depends on registry interleaving);
-    * histograms -- ``count``/``sum``/``min``/``max``/``mean``/``buckets``
-      kept, streaming quantile estimates dropped (P-squared markers are
-      order-sensitive and merges re-estimate from buckets);
+    * histograms -- the :meth:`Histogram.state` fields kept, quantile
+      estimates dropped (P-squared is order-sensitive; fleet partitions
+      ship states and never compute estimates);
     * ``sim.queue_depth`` dropped entirely (the shared queue's depth is a
       property of the partitioning, not the workload).
 

@@ -152,6 +152,98 @@ def test_p2_quantile_exact_under_five_samples():
         P2Quantile(1.0)
 
 
+# -- batched observation: exact equivalence with per-sample observe ---------
+
+#: Long-tailed latencies: enough samples that a pairwise ``np.sum`` or a
+#: reordered estimator feed would change the last bits of ``sum``/``p99``.
+_SAMPLES = np.random.default_rng(7).lognormal(-3.0, 1.5, 2503).tolist()
+
+
+def _per_sample(values) -> dict:
+    hist = Histogram("h")
+    for value in values:
+        hist.observe(value)
+    return hist.to_snapshot()
+
+
+def _batched(values, split: int) -> dict:
+    hist = Histogram("h")
+    for start in range(0, len(values), split):
+        hist.observe_many(values[start:start + split])
+    return hist.to_snapshot()
+
+
+@pytest.mark.parametrize("split", [1, 4, 5, 6, 1000])
+def test_observe_many_equals_per_sample_observe(split):
+    expected = _per_sample(_SAMPLES)
+    got = _batched(_SAMPLES, split)
+    assert got == expected
+    assert (got["sum"], got["p50"], got["p95"], got["p99"]) == (
+        expected["sum"], expected["p50"], expected["p95"], expected["p99"])
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [0.25],
+    [3, 1, 4, 1, 5, 9, 2, 6],
+    np.arange(-40, 60, 7),
+    np.random.default_rng(3).normal(0.0, 2.0, 300).tolist(),
+], ids=["empty", "single", "int-list", "int-array", "negative"])
+def test_observe_many_edge_batches_equal_per_sample(values):
+    hist = Histogram("h")
+    hist.observe_many(values)
+    assert hist.to_snapshot() == _per_sample(list(values))
+
+
+def test_interleaved_observe_and_observe_many_equal_per_sample():
+    hist = Histogram("h")
+    cursor = 0
+    for step, size in enumerate([1, 3, 5, 1, 6, 40, 1, 200, 2]):
+        chunk = _SAMPLES[cursor:cursor + size]
+        cursor += size
+        if step % 2:
+            hist.observe_many(chunk)
+        else:
+            for value in chunk:
+                hist.observe(value)
+    assert hist.to_snapshot() == _per_sample(_SAMPLES[:cursor])
+
+
+def test_quantile_read_mid_stream_then_more_samples():
+    hist = Histogram("h")
+    hist.observe_many(_SAMPLES[:700])
+    assert hist.to_snapshot() == _per_sample(_SAMPLES[:700])
+    first_p95 = hist.quantile(0.95)
+    hist.observe_many(_SAMPLES[700:1500])
+    for value in _SAMPLES[1500:1503]:
+        hist.observe(value)
+    assert hist.to_snapshot() == _per_sample(_SAMPLES[:1503])
+    assert hist.quantile(0.95) != first_p95
+
+
+def test_untracked_quantile_reads_buckets():
+    hist = Histogram("h", bounds=(1.0, 2.0, 3.0, 4.0))
+    hist.observe_many([0.5, 1.5, 2.5, 3.5])
+    assert hist.quantile(0.75) == hist.quantile_from_buckets(0.75)
+
+
+def test_registry_state_is_snapshot_without_estimates():
+    registry = _loaded_registry()
+    state, snap = registry.state(), registry.snapshot()
+    hist = state["histograms"]["lat"]
+    assert not {"p50", "p95", "p99"} & set(hist)
+    assert {k: v for k, v in snap["histograms"]["lat"].items()
+            if k in hist} == hist
+    assert (state["counters"], state["gauges"]) == (
+        snap["counters"], snap["gauges"])
+
+
+def test_merging_states_matches_merging_snapshots():
+    a, b = _loaded_registry(), _loaded_registry(extra=1.0)
+    assert merge_snapshots(a.state(), b.state()) == merge_snapshots(
+        a.snapshot(), b.snapshot())
+
+
 # -- snapshot algebra ------------------------------------------------------
 
 

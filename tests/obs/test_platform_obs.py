@@ -2,9 +2,11 @@
 
 Covers the single-wiring-point contract (``DriveScenario(observe=...)`` /
 ``Simulator(obs=...)``), byte-identical exports across identical-seed
-runs, and non-perturbation (instrumentation must not change simulated
-results).
+runs plus an absolute digest of one observed drive's metrics JSON, and
+non-perturbation (instrumentation must not change simulated results).
 """
+
+import hashlib
 
 import pytest
 
@@ -41,6 +43,30 @@ def test_scenario_wires_one_collector_across_subsystems():
     # The kernel exported process lifetimes as async span pairs.
     phases = {e["ph"] for e in collector.tracer.events}
     assert {"b", "e", "M"} <= phases
+
+
+#: sha256 of ``metrics_json()`` after ``_drive(observe=Collector())``.
+#:
+#: The rerun test below is relative: a change that moves both runs
+#: together passes it.  This digest is absolute.  Re-baseline policy: an
+#: *intended* change to the drive's metrics (a new series, a moved sample,
+#: a different estimator) replaces the constant with the digest printed by
+#: ``PYTHONPATH=src python tests/obs/test_platform_obs.py`` and says why in
+#: the commit, so the moved bytes are reviewed.  An unintended change
+#: fails here.
+DRIVE_METRICS_SHA256 = (
+    "09b433a76dde8aafc279fbab571247ea9f25c860691f24285072861179aa777c"
+)
+
+
+def _observed_metrics_digest() -> str:
+    collector = Collector()
+    _drive(observe=collector)
+    return hashlib.sha256(collector.metrics_json().encode()).hexdigest()
+
+
+def test_observed_drive_metrics_match_golden_digest():
+    assert _observed_metrics_digest() == DRIVE_METRICS_SHA256
 
 
 def test_identical_seed_runs_export_byte_identical_json():
@@ -98,3 +124,7 @@ def test_summary_cache_detects_direct_sample_mutation():
     assert summary.mean == 1.5
     summary.samples.append(6.0)  # legacy callers mutate the list directly
     assert summary.mean == 3.0
+
+
+if __name__ == "__main__":
+    print(_observed_metrics_digest())
