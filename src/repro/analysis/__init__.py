@@ -20,10 +20,8 @@ property checked on every commit instead of a convention in DESIGN.md:
   physical units from naming conventions and ``# unit:`` pragmas
   (:mod:`.units` -- UNIT001/UNIT002/UNIT003) and a path-sensitive
   resource-protocol checker over ``sim.resources`` grants
-  (:mod:`.protocol` -- RES101/RES102/PROTO001), both wrapped in an
-  incremental analysis cache (:mod:`.cache`, ``.vdaplint-cache/``) so
-  warm runs re-analyze only changed files and their dependents with
-  byte-identical output;
+  (:mod:`.protocol` -- RES101/RES102/PROTO001), both run by one serial
+  pass that parses each file once (:mod:`.semantic`);
 * a **planning** tier (:mod:`.commgraph`, :mod:`.plan`): static
   extraction of the cross-vehicle communication graph with link
   latencies recovered by bounded constant propagation + unit inference,
@@ -42,22 +40,12 @@ property checked on every commit instead of a convention in DESIGN.md:
 * a CLI with stable exit codes (:mod:`.cli`)::
 
     python -m repro.analysis src/repro --strict
-    python -m repro.analysis --whole-program --jobs 4 src/repro tests --strict
-    python -m repro.analysis --cache src/repro tests --strict
+    python -m repro.analysis --whole-program src/repro tests --strict
     python -m repro.analysis --plan --dump-plan --format json src/repro
     vdaplint --list-rules
 """
 
 from .baseline import Baseline, fingerprint_findings
-from .cache import (
-    DEFAULT_CACHE_DIR,
-    SEMANTIC_RULE_CLASSES,
-    CachedRun,
-    IncrementalAnalyzer,
-    catalogue_fingerprint,
-    semantic_rules,
-    semantic_rules_by_id,
-)
 from .callgraph import ProjectGraph, build_graph, infer_module_name
 from .commgraph import (
     COMM_SINKS,
@@ -103,10 +91,15 @@ from .sanitizer import DeterminismSanitizer, Divergence, TraceRecord
 from .scenario import (
     SCENARIO_RULE_CLASSES,
     ScenarioAnalyzer,
-    ScenarioCache,
     discover_scenario_files,
     scenario_rules,
     scenario_rules_by_id,
+)
+from .semantic import (
+    SEMANTIC_RULE_CLASSES,
+    analyze_files,
+    semantic_rules,
+    semantic_rules_by_id,
 )
 from .units import (
     UNIT_RULE_CLASSES,
@@ -123,12 +116,10 @@ from .cli import main
 __all__ = [
     "Baseline",
     "COMM_SINKS",
-    "CachedRun",
     "CommEdge",
     "CommGraph",
     "CommSinkSpec",
     "ConstResolver",
-    "DEFAULT_CACHE_DIR",
     "DeterminismSanitizer",
     "Divergence",
     "FLEET_RULE_CLASSES",
@@ -136,7 +127,6 @@ __all__ = [
     "FileContext",
     "Finding",
     "FleetPlanAnalyzer",
-    "IncrementalAnalyzer",
     "LintEngine",
     "MP_RULE_CLASSES",
     "ModuleSummary",
@@ -151,7 +141,6 @@ __all__ = [
     "SEMANTIC_RULE_CLASSES",
     "SKIP_MARKER",
     "ScenarioAnalyzer",
-    "ScenarioCache",
     "SignatureIndex",
     "TaintAnalysis",
     "TraceRecord",
@@ -159,8 +148,8 @@ __all__ = [
     "Unit",
     "UnitChecker",
     "WholeProgramAnalyzer",
+    "analyze_files",
     "build_graph",
-    "catalogue_fingerprint",
     "default_rules",
     "discover_files",
     "discover_scenario_files",

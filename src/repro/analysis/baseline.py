@@ -49,7 +49,11 @@ class Baseline:
 
     @classmethod
     def load(cls, path: str) -> "Baseline":
-        """Load a baseline file; a missing file is an empty baseline."""
+        """Load a baseline file; a missing file is an empty baseline.
+
+        Raises ``ValueError`` unless the file is JSON of the shape
+        ``{"fingerprints": [str, ...]}``.
+        """
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -57,7 +61,16 @@ class Baseline:
             return cls()
         except (OSError, ValueError) as err:
             raise ValueError(f"unreadable baseline {path}: {err}") from err
-        return cls(payload.get("fingerprints", []))
+        if isinstance(payload, dict):
+            prints = payload.get("fingerprints", [])
+            if isinstance(prints, list) and all(
+                isinstance(p, str) for p in prints
+            ):
+                return cls(prints)
+        raise ValueError(
+            f"malformed baseline {path}: expected "
+            '{"fingerprints": [str, ...]}'
+        )
 
     def save(self, path: str) -> None:
         """Write the baseline (sorted, versioned) to ``path``."""

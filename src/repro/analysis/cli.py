@@ -8,31 +8,23 @@ Exit codes are stable so CI can gate on them:
   incoherent flag combinations)
 
 Two analysis passes share the same reporting/baseline/pragma machinery:
-the per-file pass always runs (parallelizable with ``--jobs``), and
-``--whole-program`` additionally builds the project call graph and runs
-the interprocedural rule packs (DET101/SIM101/RACE001 and the MP001-003
-multiprocess-safety checks) over it.
+the per-file and semantic rules always run in one serial pass over every
+file, and ``--whole-program`` additionally builds the project call graph
+and runs the interprocedural rule packs (DET101/SIM101/RACE001 and the
+MP001-003 multiprocess-safety checks) over it.
 """
 
 from __future__ import annotations
 
 import argparse
-import multiprocessing
-import os
 import sys
 from typing import Optional, Sequence
 
 from .baseline import Baseline, fingerprint_findings
-from .cache import (
-    DEFAULT_CACHE_DIR,
-    IncrementalAnalyzer,
-    semantic_rules,
-    semantic_rules_by_id,
-)
 from .callgraph import build_graph
 from .commgraph import CommGraph
 from .dataflow import TaintAnalysis, WholeProgramAnalyzer, flow_rules, flow_rules_by_id
-from .engine import Finding, LintEngine, Rule, discover_files
+from .engine import Rule, discover_files
 from .mp import MpAnalyzer, mp_rules, mp_rules_by_id
 from .plan import (
     FleetPlanAnalyzer,
@@ -45,18 +37,15 @@ from .reporter import render_json, render_text
 from .rules import default_rules, rules_by_id
 from .scenario import (
     ScenarioAnalyzer,
-    ScenarioCache,
     discover_scenario_files,
     scenario_rules,
     scenario_rules_by_id,
 )
+from .semantic import analyze_files, semantic_rules, semantic_rules_by_id
 
 __all__ = ["build_parser", "main"]
 
 DEFAULT_BASELINE = ".vdaplint-baseline.json"
-
-#: Engine rebuilt once per worker process (initializer), not per file.
-_WORKER_ENGINE: Optional[LintEngine] = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,13 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ignore", metavar="IDS",
         help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help=(
-            "lint files with N worker processes (0 = one per CPU core); "
-            "findings stay in deterministic path-sorted order"
-        ),
     )
     parser.add_argument(
         "--whole-program", action="store_true",
@@ -170,18 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--cache", action="store_true",
-        help=(
-            "enable the incremental analysis cache: warm runs re-analyze "
-            "only changed files and their dependents, with byte-identical "
-            "output to a cold run (implies serial analysis)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
-        help=f"cache directory for --cache (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
@@ -191,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _pick_rules(
     select: Optional[str], ignore: Optional[str],
     parser: argparse.ArgumentParser,
-) -> tuple[list[Rule], list[Rule], dict[str, Rule], list[Rule],
+) -> tuple[list[Rule], list[Rule], list[Rule], list[Rule],
            list[Rule]]:
     """Split the selection into (per-file, whole-program, semantic, fleet,
     scenario)."""
@@ -222,40 +192,10 @@ def _pick_rules(
         chosen = [rule for rule in chosen if rule.id not in skipped]
     file_rules = [r for r in chosen if r.id in file_catalogue]
     wp_rules = [r for r in chosen if r.id in flow_catalogue]
-    semantic_map = {r.id: r for r in chosen if r.id in semantic_catalogue}
+    semantic_pack = [r for r in chosen if r.id in semantic_catalogue]
     fleet_pack = [r for r in chosen if r.id in fleet_catalogue]
     scenario_pack = [r for r in chosen if r.id in scenario_catalogue]
-    return file_rules, wp_rules, semantic_map, fleet_pack, scenario_pack
-
-
-def _init_worker(rule_ids: Sequence[str]) -> None:
-    global _WORKER_ENGINE
-    catalogue = rules_by_id()
-    _WORKER_ENGINE = LintEngine([catalogue[rule_id] for rule_id in rule_ids])
-
-
-def _lint_one(path: str) -> list[Finding]:
-    assert _WORKER_ENGINE is not None
-    return _WORKER_ENGINE.lint_file(path)
-
-
-def _lint_parallel(files: Sequence[str], rule_ids: Sequence[str],
-                   jobs: int) -> list[Finding]:
-    """Fan files out over worker processes; order is restored by sorting.
-
-    ``pool.map`` preserves input (path-sorted) order and the final
-    ``sorted`` pins intra-file ordering, so output is byte-identical to a
-    serial run regardless of worker scheduling.
-    """
-    jobs = min(jobs, len(files)) or 1
-    with multiprocessing.Pool(
-        processes=jobs, initializer=_init_worker, initargs=(list(rule_ids),)
-    ) as pool:
-        per_file = pool.map(_lint_one, files)
-    findings: list[Finding] = []
-    for batch in per_file:
-        findings.extend(batch)
-    return sorted(findings)
+    return file_rules, wp_rules, semantic_pack, fleet_pack, scenario_pack
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -287,7 +227,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "require --plan"
         )
 
-    (file_rules, wp_rules, semantic_map, fleet_pack,
+    (file_rules, wp_rules, semantic_pack, fleet_pack,
      scenario_pack) = _pick_rules(args.select, args.ignore, parser)
     if args.select and wp_rules and not args.whole_program:
         parser.error(
@@ -319,26 +259,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except FileNotFoundError as err:
             parser.error(f"no such path: {err.args[0]}")
 
-    if args.jobs < 0:
-        parser.error("--jobs must be >= 0")
-    jobs = args.jobs or os.cpu_count() or 1
-    cache_dir = args.cache_dir if args.cache else None
-    if jobs > 1 and len(files) > 1 and not args.cache:
-        findings = _lint_parallel(files, [r.id for r in file_rules], jobs)
-        if semantic_map:
-            # Semantic pass runs serially; E999s are emitted by both
-            # passes identically, so the set union deduplicates them.
-            run = IncrementalAnalyzer([], semantic_map, cache_dir=None).run(files)
-            findings = sorted(set(findings) | set(run.findings))
-    else:
-        run = IncrementalAnalyzer(file_rules, semantic_map, cache_dir).run(files)
-        findings = run.findings
-        if args.cache:
-            print(
-                f"vdaplint: cache: {len(run.analyzed)} analyzed, "
-                f"{len(run.replayed)} replayed",
-                file=sys.stderr,
-            )
+    findings = analyze_files(files, file_rules, semantic_pack)
 
     debug: dict = {}
     graph = None
@@ -374,24 +295,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             debug["plan"] = plan.to_dict()
 
     if args.scenarios and scenario_files:
-        scenario_analyzer = ScenarioAnalyzer(scenario_pack)
-        if cache_dir is not None:
-            scenario_cache = ScenarioCache(
-                cache_dir, [r.id for r in scenario_pack]
-            )
-            scenario_run = scenario_cache.run(scenario_files,
-                                              scenario_analyzer)
-            scenario_findings = scenario_run.findings
-            print(
-                f"vdaplint: scenario cache: "
-                f"{len(scenario_run.analyzed)} analyzed, "
-                f"{len(scenario_run.replayed)} replayed",
-                file=sys.stderr,
-            )
-        else:
-            scenario_findings = scenario_analyzer.analyze_files(
-                scenario_files
-            )
+        scenario_findings = ScenarioAnalyzer(scenario_pack).analyze_files(
+            scenario_files
+        )
         findings = sorted(findings + scenario_findings)
 
     if args.write_baseline:

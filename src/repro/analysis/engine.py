@@ -109,9 +109,6 @@ class Rule:
     id: str = ""
     name: str = ""
     description: str = ""
-    #: Bump when a rule's semantics change without its id changing; the
-    #: incremental cache keys on ``id@version`` so edited rules re-run.
-    version: int = 1
 
     def handlers(self) -> dict[type, Callable]:
         """Map AST node types to this rule's bound visitor methods."""
@@ -280,7 +277,7 @@ class LintEngine:
 
     def lint_parsed(self, path: str, source: str,
                     tree: ast.Module) -> list[Finding]:
-        """Lint an already-parsed module (the cache parses each file once)."""
+        """Lint an already-parsed module."""
         ctx = FileContext(path, source, tree)
         self._walk(tree, ctx)
         pragmas = Pragmas(source)

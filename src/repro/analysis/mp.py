@@ -83,7 +83,6 @@ class SpawnPayloadRule(Rule):
         "Process(..., args=...) payload break pickling at the process "
         "boundary"
     )
-    version = 1
 
 
 class ForkGlobalWriteRule(Rule):
@@ -95,7 +94,6 @@ class ForkGlobalWriteRule(Rule):
         "a module-level mutable written by worker-process code updates "
         "only the child's copy; the parent never sees it"
     )
-    version = 1
 
 
 class PipeProtocolRule(Rule):
@@ -108,7 +106,6 @@ class PipeProtocolRule(Rule):
         "isinstance handler on the peer side, and every handled type "
         "must be constructed somewhere"
     )
-    version = 1
 
 
 MP_RULE_CLASSES = [SpawnPayloadRule, ForkGlobalWriteRule, PipeProtocolRule]

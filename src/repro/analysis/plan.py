@@ -69,7 +69,6 @@ class BarrierExceedsLookahead(Rule):
         "cross-partition lookahead; envelopes become due in a "
         "partition's past and trace hashes diverge"
     )
-    version = 1
 
 
 class UnboundedCrossPartitionEdge(Rule):
@@ -82,7 +81,6 @@ class UnboundedCrossPartitionEdge(Rule):
         "unresolvable link latency, so conservative sync has no safe "
         "barrier step (stall/deadlock risk)"
     )
-    version = 1
 
 
 class BarrierExchangeBypass(Rule):
@@ -95,7 +93,6 @@ class BarrierExchangeBypass(Rule):
         "directly, bypassing the coordinator's canonical envelope "
         "exchange and its partition-invariant delivery order"
     )
-    version = 1
 
 
 FLEET_RULE_CLASSES: tuple[type[Rule], ...] = (

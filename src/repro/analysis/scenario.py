@@ -3,8 +3,8 @@
 The ``--scenarios`` tier of vdaplint.  Scenario files (the YAML-subset
 DSL of :mod:`repro.scenarios`) get the same treatment as Python source:
 deterministic discovery, line-anchored findings, ``# vdaplint:`` pragma
-suppression, baselines, and a content-keyed cache -- but the rules are
-about fleet experiments, not ASTs:
+suppression and baselines -- but the rules are about fleet experiments,
+not ASTs:
 
 * **SCN001** -- schema violations: unknown keys/sections, wrong types,
   missing required fields, constraint breaches (negative durations,
@@ -39,10 +39,7 @@ the same cycle-breaking discipline :mod:`~repro.analysis.plan` uses for
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .callgraph import ProjectGraph, build_graph
@@ -53,15 +50,12 @@ from .engine import (
     Finding,
     Pragmas,
     Rule,
-    discover_files,
 )
 from .plan import PROBE_HORIZON_S, vehicle_costs
 
 __all__ = [
     "SCENARIO_RULE_CLASSES",
     "ScenarioAnalyzer",
-    "ScenarioCache",
-    "ScenarioRun",
     "discover_scenario_files",
     "scenario_rules",
     "scenario_rules_by_id",
@@ -87,7 +81,6 @@ class ScenarioSchemaViolation(Rule):
         "sections, wrong types, missing required fields, or constraint "
         "breaches in some matrix cell"
     )
-    version = 1
 
 
 class ScenarioUnitError(Rule):
@@ -100,7 +93,6 @@ class ScenarioUnitError(Rule):
         "it matches in dimension or scale (barrier_ms for barrier_s, "
         "v2v_latency_bytes for v2v_latency_s)"
     )
-    version = 1
 
 
 class ScenarioDanglingReference(Rule):
@@ -113,7 +105,6 @@ class ScenarioDanglingReference(Rule):
         "plan shards naming unknown/duplicate/unassigned vehicle ids, "
         "or fault kills aimed at partitions/rounds no cell ever runs"
     )
-    version = 1
 
 
 class ScenarioBarrierInfeasible(Rule):
@@ -127,7 +118,6 @@ class ScenarioBarrierInfeasible(Rule):
         "bound when links keep their defaults); conservative sync "
         "would deliver envelopes into a partition's past"
     )
-    version = 1
 
 
 class ScenarioBudgetExceeded(Rule):
@@ -140,7 +130,6 @@ class ScenarioBudgetExceeded(Rule):
         "budget: more cells than the cap, or the measured per-vehicle "
         "event cost summed over every cell tops the cost limit"
     )
-    version = 2
 
 
 SCENARIO_RULE_CLASSES: tuple[type[Rule], ...] = (
@@ -221,7 +210,7 @@ class ScenarioAnalyzer:
             return self.analyze_source(fh.read(), path)
 
     def analyze_source(self, source: str, path: str) -> list[Finding]:
-        """Analyze scenario source text (the cacheable unit)."""
+        """Analyze scenario source text."""
         from ..scenarios.schema import validate
         from ..scenarios.yamlish import ScenarioSyntaxError, parse_text
 
@@ -388,128 +377,3 @@ class ScenarioAnalyzer:
         snippet = lines[line - 1].strip() if 1 <= line <= len(lines) else ""
         return Finding(path=path, line=line, col=1, rule=rule_id,
                        message=message, snippet=snippet)
-
-
-# -- incremental cache ------------------------------------------------------
-
-#: Separate manifest so the Python-file cache and the scenario cache
-#: never invalidate each other on unrelated edits.
-SCENARIO_MANIFEST_NAME = "scenarios.json"
-
-
-@dataclass
-class ScenarioRun:
-    """One (possibly cached) scenario analysis: findings + provenance."""
-
-    findings: list[Finding]
-    analyzed: list[str]
-    replayed: list[str]
-
-
-def _blake(data: bytes) -> str:
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
-
-
-def _tree_digest() -> str:
-    """Digest of this package's Python sources.
-
-    SCN004/005 findings depend on the tree's lookahead proof and on the
-    events its code fires, so any source edit must invalidate cached
-    scenario findings.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    for path in discover_files([_PACKAGE_ROOT]):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        digest.update(os.path.relpath(path, _PACKAGE_ROOT).encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(data)
-        digest.update(b"\0")
-    return digest.hexdigest()
-
-
-class ScenarioCache:
-    """Content-keyed cache for scenario findings (``--cache``).
-
-    A scenario file's findings are a pure function of (its own text,
-    the enabled SCN rule set, the rule catalogue, this package's source
-    tree) -- there are no cross-file dependencies, so the manifest is a
-    flat ``{path: {digest, findings}}`` map under one environment key.
-    Warm replays are byte-identical to a cold run.
-    """
-
-    def __init__(self, cache_dir: str, rule_ids: Iterable[str]):
-        self.cache_dir = cache_dir
-        self.rule_ids = tuple(sorted(rule_ids))
-
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.cache_dir, SCENARIO_MANIFEST_NAME)
-
-    def _env_key(self) -> str:
-        from .cache import CACHE_VERSION, catalogue_fingerprint
-
-        return _blake("|".join([
-            str(CACHE_VERSION),
-            catalogue_fingerprint(),
-            ",".join(self.rule_ids),
-            _tree_digest(),
-        ]).encode("utf-8"))
-
-    def _load(self, env_key: str) -> dict:
-        try:
-            with open(self.manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(manifest, dict) or manifest.get("env") != env_key:
-            return {}
-        files = manifest.get("files")
-        return files if isinstance(files, dict) else {}
-
-    def _save(self, env_key: str, files: dict) -> None:
-        os.makedirs(self.cache_dir, exist_ok=True)
-        with open(self.manifest_path, "w", encoding="utf-8") as fh:
-            json.dump({"env": env_key, "files": files}, fh, sort_keys=True)
-
-    def run(self, files: Sequence[str],
-            analyzer: ScenarioAnalyzer) -> ScenarioRun:
-        """Analyze ``files``, replaying cached findings where possible."""
-        env_key = self._env_key()
-        entries = self._load(env_key)
-        next_entries: dict = {}
-        findings: list[Finding] = []
-        analyzed: list[str] = []
-        replayed: list[str] = []
-        for path in files:
-            with open(path, encoding="utf-8") as fh:
-                source = fh.read()
-            digest = _blake(source.encode("utf-8"))
-            cached = entries.get(path)
-            if (
-                isinstance(cached, dict)
-                and cached.get("digest") == digest
-                and isinstance(cached.get("findings"), list)
-            ):
-                file_findings = [
-                    Finding(**entry) for entry in cached["findings"]
-                ]
-                replayed.append(path)
-            else:
-                file_findings = analyzer.analyze_source(source, path)
-                analyzed.append(path)
-            next_entries[path] = {
-                "digest": digest,
-                "findings": [
-                    {
-                        "path": f.path, "line": f.line, "col": f.col,
-                        "rule": f.rule, "message": f.message,
-                        "snippet": f.snippet,
-                    }
-                    for f in file_findings
-                ],
-            }
-            findings.extend(file_findings)
-        self._save(env_key, next_entries)
-        return ScenarioRun(findings=sorted(findings), analyzed=analyzed,
-                           replayed=replayed)

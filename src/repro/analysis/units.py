@@ -17,9 +17,8 @@ module gives those floats a static *dimension*:
   (``t_s * 1000.0``) never false-positive downstream.
 * **Interprocedural checking.**  Call arguments are checked against the
   callee's parameter units through a project-wide :class:`SignatureIndex`
-  built from cheap, JSON-serializable per-module summaries -- the same
-  summaries the incremental cache (:mod:`.cache`) persists, which is what
-  makes warm runs re-analyze only changed files and their dependents.
+  built from cheap per-module summaries, so the semantic pass
+  (:mod:`.semantic`) summarizes every file before checking any of them.
 
 Rules emitted here:
 
@@ -356,27 +355,6 @@ UNIT_RULE_CLASSES = [UnitMixRule, UnitArgRule, UnitLiteralRule]
 # ---------------------------------------------------------------------------
 
 
-def _unit_to_str(unit: Optional[Unit]) -> Optional[str]:
-    if unit is None:
-        return None
-    dims = ",".join(f"{b}:{e}" for b, e in unit.dims)
-    scale = "?" if unit.scale is None else repr(unit.scale)
-    return f"{dims}|{scale}"
-
-
-def _unit_from_str(text: Optional[str]) -> Optional[Unit]:
-    if text is None:
-        return None
-    dims_part, _, scale_part = text.partition("|")
-    dims: dict[str, int] = {}
-    if dims_part:
-        for item in dims_part.split(","):
-            base, _, exp = item.partition(":")
-            dims[base] = int(exp)
-    scale = None if scale_part == "?" else float(scale_part)
-    return Unit.make(dims, scale)
-
-
 @dataclass
 class FunctionSig:
     """One function's unit-relevant interface."""
@@ -397,14 +375,11 @@ class FunctionSig:
 
 
 class ModuleSummary:
-    """JSON-serializable unit interface of one module.
+    """Unit interface of one module.
 
     This is everything :class:`SignatureIndex` needs to resolve calls into
-    a module *without its AST*: the incremental cache persists summaries so
-    a warm run only re-parses changed files.
+    a module *without its AST*.
     """
-
-    VERSION = 1
 
     def __init__(self, module: str, path: str):
         self.module = module
@@ -414,63 +389,6 @@ class ModuleSummary:
         self.functions: dict[str, FunctionSig] = {}
         #: class qualname -> {"methods": {name: func qual}, "bases": [dotted]}
         self.classes: dict[str, dict] = {}
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.VERSION,
-            "module": self.module,
-            "path": self.path,
-            "imports": self.imports,
-            "is_package": self.is_package,
-            "functions": {
-                qual: {
-                    "name": sig.name,
-                    "lineno": sig.lineno,
-                    "params": [
-                        [pname, _unit_to_str(punit)] for pname, punit in sig.params
-                    ],
-                    "return_unit": _unit_to_str(sig.return_unit),
-                    "return_type": sig.return_type,
-                    "class_name": sig.class_name,
-                    "is_generator": sig.is_generator,
-                }
-                for qual, sig in sorted(self.functions.items())
-            },
-            "classes": {
-                qual: {
-                    "methods": dict(sorted(info["methods"].items())),
-                    "bases": list(info["bases"]),
-                }
-                for qual, info in sorted(self.classes.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModuleSummary":
-        summary = cls(payload["module"], payload["path"])
-        summary.imports = dict(payload.get("imports", {}))
-        summary.is_package = bool(payload.get("is_package", False))
-        for qual, raw in payload.get("functions", {}).items():
-            summary.functions[qual] = FunctionSig(
-                qualname=qual,
-                name=raw["name"],
-                module=payload["module"],
-                lineno=raw["lineno"],
-                params=[
-                    (pname, _unit_from_str(punit))
-                    for pname, punit in raw.get("params", [])
-                ],
-                return_unit=_unit_from_str(raw.get("return_unit")),
-                return_type=raw.get("return_type"),
-                class_name=raw.get("class_name"),
-                is_generator=bool(raw.get("is_generator", False)),
-            )
-        for qual, info in payload.get("classes", {}).items():
-            summary.classes[qual] = {
-                "methods": dict(info.get("methods", {})),
-                "bases": list(info.get("bases", [])),
-            }
-        return summary
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -578,12 +496,9 @@ def summarize_module(
 class SignatureIndex:
     """Project-wide function/class lookup over module summaries.
 
-    Resolution mirrors the PR 3 call graph (import aliases, relative
+    Resolution mirrors :mod:`.callgraph` (import aliases, relative
     imports, package re-exports, class methods through bases) but runs on
-    the serialized summaries, so it works identically whether a module was
-    parsed this run or replayed from the incremental cache.  Every lookup
-    records the consulted module in :attr:`used_modules` -- the dependency
-    edges the cache invalidates on.
+    the module summaries alone.
     """
 
     def __init__(self, summaries: Iterable[ModuleSummary]):
@@ -597,15 +512,6 @@ class SignatureIndex:
             for qual, info in summary.classes.items():
                 self.classes[qual] = info
                 self._class_module[qual] = summary.module
-        #: Modules consulted since the last :meth:`reset_usage`.
-        self.used_modules: set[str] = set()
-
-    def reset_usage(self) -> None:
-        self.used_modules = set()
-
-    def _touch(self, module: Optional[str]) -> None:
-        if module is not None:
-            self.used_modules.add(module)
 
     # -- name resolution ---------------------------------------------------
 
@@ -630,7 +536,6 @@ class SignatureIndex:
         if _depth > 8:
             return None
         if dotted in self.functions or dotted in self.classes:
-            self._touch(dotted.rsplit(".", 1)[0] if "." in dotted else None)
             return dotted
         parts = dotted.split(".")
         for i in range(len(parts) - 1, 0, -1):
@@ -638,7 +543,6 @@ class SignatureIndex:
             summary = self.modules.get(module_name)
             if summary is None:
                 continue
-            self._touch(module_name)
             rest = parts[i:]
             qual = f"{module_name}.{'.'.join(rest)}"
             if qual in self.functions or qual in self.classes:
@@ -673,7 +577,6 @@ class SignatureIndex:
         info = self.classes.get(class_qual)
         if info is None:
             return None
-        self._touch(self._class_module.get(class_qual))
         func_qual = info["methods"].get(method)
         if func_qual is not None:
             return self.functions.get(func_qual)

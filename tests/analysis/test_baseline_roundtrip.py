@@ -79,3 +79,9 @@ def test_strict_warns_on_nonempty_baseline(project, capsys):
 def test_strict_stays_quiet_without_baseline(project, capsys):
     assert main(["dirty.py", "--strict"]) == 1
     assert capsys.readouterr().err == ""
+
+    # Under --strict a malformed baseline counts as no baseline at all.
+    for payload in ("[]", '{"fingerprints": 5}', '{"fingerprints": "abc"}'):
+        (project / ".vdaplint-baseline.json").write_text(payload)
+        assert main(["dirty.py", "--strict"]) == 1
+        assert capsys.readouterr().err == ""

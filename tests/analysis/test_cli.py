@@ -64,6 +64,15 @@ def test_select_and_ignore_filter_rules(tree, capsys):
 
 
 def test_baseline_workflow_grandfathers_then_strict_overrides(tree, capsys):
+    # A malformed baseline is a usage error, and --write-baseline
+    # overwrites it.
+    for payload in ("[]", '{"fingerprints": 5}', '{"fingerprints": "abc"}'):
+        (tree / ".vdaplint-baseline.json").write_text(payload)
+        with pytest.raises(SystemExit) as exc:
+            main(["dirty.py"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
     assert main(["dirty.py", "--write-baseline"]) == 0
     assert os.path.exists(".vdaplint-baseline.json")
     capsys.readouterr()
@@ -97,21 +106,9 @@ def test_syntax_error_exits_one(tree, capsys):
     (tree / "broken.py").write_text("def broken(:\n")
     assert main(["broken.py"]) == 1
     assert "E999" in capsys.readouterr().out
-
-
-def test_parallel_jobs_output_matches_serial(tree, capsys):
-    (tree / "dirty2.py").write_text(DIRTY.replace("time.time", "time.monotonic"))
-    serial_code = main(["."])
-    serial_out = capsys.readouterr().out
-    parallel_code = main([".", "--jobs", "2"])
-    parallel_out = capsys.readouterr().out
-    assert serial_code == parallel_code == 1
-    assert serial_out == parallel_out
-
-
-def test_jobs_zero_means_cpu_count(tree, capsys):
-    assert main(["dirty.py", "--jobs", "0"]) == 1
-    assert "DET001" in capsys.readouterr().out
+    # Semantic rules alone still report the parse failure.
+    assert main(["broken.py", "--select", "UNIT001,UNIT002,RES101"]) == 1
+    assert "E999" in capsys.readouterr().out
 
 
 def test_dump_flags_require_whole_program(tree):

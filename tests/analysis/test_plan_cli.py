@@ -1,8 +1,7 @@
-"""Planner CLI: flag guards, report shape, plan emission, cache warmth.
+"""Planner CLI: flag guards, report shape, plan emission.
 
 Runs ``--plan`` over the annotated fixture corpus (zero-latency seed and
-the clean control) and over the real tree, asserting the JSON report is
-byte-deterministic across cold and warm incremental-cache runs.
+the clean control) and over the real tree.
 """
 
 import json
@@ -101,22 +100,3 @@ class TestPlanRuns:
         )
         assert code == 0
         assert json.loads(out)["findings"] == []
-
-
-class TestPlanCache:
-    def test_warm_cache_output_is_byte_identical(self, capsys, tmp_path):
-        argv = [
-            CLEAN_DIR,
-            "--plan",
-            "--strict",
-            "--format",
-            "json",
-            "--dump-plan",
-            "--cache",
-            "--cache-dir",
-            str(tmp_path / "cache"),
-        ]
-        cold_code, cold_out = run_cli(argv, capsys)
-        warm_code, warm_out = run_cli(argv, capsys)
-        assert cold_code == warm_code == 0
-        assert cold_out == warm_out

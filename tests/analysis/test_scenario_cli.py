@@ -1,8 +1,6 @@
-"""Scenario CLI tier: flag guards, discovery, findings, and cache warmth.
+"""Scenario CLI tier: flag guards, discovery, and findings.
 
-Runs ``--scenarios`` over temp scenario files and the shipped corpus,
-asserting output is byte-deterministic across cold and warm
-incremental-cache runs.
+Runs ``--scenarios`` over temp scenario files and the shipped corpus.
 """
 
 import json
@@ -11,11 +9,7 @@ import os
 import pytest
 
 from repro.analysis import main
-from repro.analysis.scenario import (
-    ScenarioAnalyzer,
-    ScenarioCache,
-    discover_scenario_files,
-)
+from repro.analysis.scenario import discover_scenario_files
 
 SHIPPED = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir, "scenarios"
@@ -131,35 +125,3 @@ class TestFindings:
         report = json.loads(out)
         rules = {f["rule"] for f in report["findings"]}
         assert {"SCN001", "SCN002"} <= rules
-
-
-class TestCache:
-    def test_warm_run_replays_byte_identically(self, tmp_path, capsys):
-        scen_dir = tmp_path / "scen"
-        scen_dir.mkdir()
-        (scen_dir / "bad.yaml").write_text(BAD_DOC, encoding="utf-8")
-        (scen_dir / "ok.yaml").write_text(CLEAN_DOC, encoding="utf-8")
-        cache_dir = str(tmp_path / "cache")
-        argv = [
-            str(scen_dir), "--scenarios", "--strict",
-            "--cache", "--cache-dir", cache_dir,
-        ]
-        cold_code, cold_out = run_cli(argv, capsys)
-        warm_code, warm_out = run_cli(argv, capsys)
-        assert (cold_code, cold_out) == (warm_code, warm_out)
-        assert os.path.exists(os.path.join(cache_dir, "scenarios.json"))
-
-    def test_cache_replays_then_reanalyzes_edits(self, tmp_path):
-        path = tmp_path / "doc.yaml"
-        path.write_text(BAD_DOC, encoding="utf-8")
-        cache = ScenarioCache(str(tmp_path / "cache"), ["SCN001", "SCN002"])
-        analyzer = ScenarioAnalyzer()
-        cold = cache.run([str(path)], analyzer)
-        assert cold.analyzed == [str(path)] and cold.replayed == []
-        warm = cache.run([str(path)], analyzer)
-        assert warm.analyzed == [] and warm.replayed == [str(path)]
-        assert warm.findings == cold.findings
-        path.write_text(CLEAN_DOC, encoding="utf-8")
-        edited = cache.run([str(path)], analyzer)
-        assert edited.analyzed == [str(path)]
-        assert edited.findings == []

@@ -12,8 +12,8 @@ import repro
 from repro.analysis import (
     CommGraph,
     FleetPlanAnalyzer,
-    IncrementalAnalyzer,
     MpAnalyzer,
+    analyze_files,
     build_graph,
     default_rules,
     fleet_rules,
@@ -22,7 +22,6 @@ from repro.analysis import (
     mp_rules,
     scenario_rules,
     semantic_rules,
-    semantic_rules_by_id,
 )
 from repro.analysis.engine import PRAGMA_RE, discover_files
 
@@ -41,11 +40,11 @@ def test_semantic_tier_reports_zero_violations_on_src_repro():
     """UNIT/RES/PROTO must be clean too: every public API carries coherent
     unit suffixes and every sim grant is released on all paths."""
     files = discover_files([repro_source_root()])
-    run = IncrementalAnalyzer([], semantic_rules_by_id(), cache_dir=None).run(files)
+    findings = analyze_files(files, [], semantic_rules())
     rendered = "\n".join(
-        f"{f.location()}: {f.rule} {f.message}" for f in run.findings
+        f"{f.location()}: {f.rule} {f.message}" for f in findings
     )
-    assert not run.findings, (
+    assert not findings, (
         f"semantic analysis found violations in src/repro:\n{rendered}"
     )
 

@@ -14,10 +14,10 @@ import re
 import pytest
 
 from repro.analysis import (
-    IncrementalAnalyzer,
     LintEngine,
+    analyze_files,
     default_rules,
-    semantic_rules_by_id,
+    semantic_rules,
 )
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "unit_fixtures")
@@ -52,9 +52,8 @@ def _expected(case):
     return triples
 
 
-def _semantic_findings(case):
-    analyzer = IncrementalAnalyzer([], semantic_rules_by_id(), cache_dir=None)
-    return analyzer.run(_case_files(case)).findings
+def _semantic_findings(files):
+    return analyze_files(files, [], semantic_rules())
 
 
 def test_corpus_covers_every_semantic_rule():
@@ -74,7 +73,7 @@ def test_corpus_covers_every_semantic_rule():
 def test_findings_match_annotations_exactly(case):
     actual = {
         (os.path.basename(f.path), f.line, f.rule)
-        for f in _semantic_findings(case)
+        for f in _semantic_findings(_case_files(case))
     }
     assert actual == _expected(case)
 
@@ -92,16 +91,37 @@ def test_single_file_rules_miss_every_annotated_site(case):
         assert not (flagged_lines & annotated), path
 
 
-def test_unit002_names_the_callee():
+def test_unit002_names_the_callee(tmp_path):
     findings = [
-        f for f in _semantic_findings("unit002_wrong_arg") if f.rule == "UNIT002"
+        f for f in _semantic_findings(_case_files("unit002_wrong_arg"))
+        if f.rule == "UNIT002"
     ]
     assert findings and all("transmit" in f.message for f in findings)
+
+    # Untyped parameters: the callee's unit comes from its summary alone.
+    (tmp_path / "lib.py").write_text(
+        "def eta(payload_bytes):\n"
+        "    return payload_bytes / 1e6\n"
+    )
+    (tmp_path / "app.py").write_text(
+        "from lib import eta\n"
+        "\n"
+        "def f(window_s):\n"
+        "    return eta(window_s)\n"
+    )
+    findings = _semantic_findings(
+        [str(tmp_path / "app.py"), str(tmp_path / "lib.py")]
+    )
+    assert [(os.path.basename(f.path), f.line, f.rule) for f in findings] == [
+        ("app.py", 4, "UNIT002")
+    ]
+    assert "eta" in findings[0].message
 
 
 def test_res101_carries_request_witness():
     findings = [
-        f for f in _semantic_findings("res101_leak") if f.rule == "RES101"
+        f for f in _semantic_findings(_case_files("res101_leak"))
+        if f.rule == "RES101"
     ]
     assert findings and all("requested at line" in f.message for f in findings)
 
@@ -111,5 +131,4 @@ def test_pragma_suppresses_semantic_findings(tmp_path):
         "def budget(latency_s, payload_bytes):\n"
         "    return latency_s + payload_bytes  # vdaplint: disable=UNIT001\n"
     )
-    analyzer = IncrementalAnalyzer([], semantic_rules_by_id(), cache_dir=None)
-    assert analyzer.run([str(tmp_path / "mix.py")]).findings == []
+    assert _semantic_findings([str(tmp_path / "mix.py")]) == []

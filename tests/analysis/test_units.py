@@ -248,23 +248,3 @@ def test_transparent_builtins_pass_units_through():
         """
     )
     assert [f.rule for f in findings] == ["UNIT001"]
-
-
-def test_summary_roundtrips_through_json_dict():
-    source = textwrap.dedent(
-        """
-        class Link:
-            def eta(self, payload_bytes: float) -> float:
-                return payload_bytes
-
-        def span_s(count):
-            return count * 1.5
-        """
-    )
-    summary = summarize_module(
-        "link.py", source, tree=ast.parse(source), module_name="link"
-    )
-    from repro.analysis.units import ModuleSummary
-
-    clone = ModuleSummary.from_dict(summary.to_dict())
-    assert clone.to_dict() == summary.to_dict()
