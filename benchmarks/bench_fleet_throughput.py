@@ -10,7 +10,7 @@ vehicle-simulation-seconds per wall second.
 The skewed section is the planner's payoff demo: under the ``skewed``
 workload style two vehicles carry 7 service stacks each, and round-robin
 sharding at 4 partitions lands both on partition 0.  The planner
-(``repro.analysis.plan``), balancing per-vehicle kernel event counts
+(``repro.fleet.plan``), balancing per-vehicle kernel event counts
 measured by a short inline probe, isolates each heavy vehicle, which must cut
 the busiest partition's event load (the per-round critical path) by
 >=20% -- asserted on the deterministic per-partition event counts, so
@@ -29,7 +29,7 @@ import time  # vdaplint: disable=DET001
 import pytest
 
 from conftest import persist_report
-from repro.analysis.plan import plan_for_config
+from repro.fleet.plan import plan_for_config
 from repro.fleet import FleetConfig, FleetCoordinator, run_single_process
 from repro.obs import Report
 

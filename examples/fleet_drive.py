@@ -19,12 +19,16 @@ Modes (both are exercised in CI):
     (mid-run crash).  The coordinator respawns the partition from its
     seed, replays its journal, and the run must still match the
     reference when ``--check`` is also given.
+``--plan-out plan.json``
+    Emit a :class:`~repro.fleet.PartitionPlan` for this drive's config
+    (from the flags or ``--scenario``) and exit: greedy-LPT shards
+    balanced on per-vehicle kernel event counts measured by a short
+    inline probe (:func:`repro.fleet.plan.plan_for_config`).
 ``--plan plan.json``
-    Execute a :class:`~repro.fleet.PartitionPlan` emitted by the fleet
-    planner (``python -m repro.analysis --plan --plan-out plan.json``)
-    instead of round-robin shards.  ``--workload skewed`` selects the
-    imbalanced service mix the planner balances; with ``--check`` the
-    planned run must still match the reference byte for byte.
+    Execute such a plan instead of round-robin shards.  ``--workload
+    skewed`` selects the imbalanced service mix the planner balances;
+    with ``--check`` the planned run must still match the reference byte
+    for byte.  A malformed or mismatched plan file exits with a message.
 ``--scenario FILE``
     Compile a scenario document (the ``repro.scenarios`` DSL) into the
     drive config instead of building one from the flags above.  Sweep
@@ -32,6 +36,8 @@ Modes (both are exercised in CI):
     and ``--kill`` still compose on top of the compiled config.
 
 Run:  python examples/fleet_drive.py [--partitions 4] [--check] [--kill 1:3]
+      python examples/fleet_drive.py --workload skewed --plan-out plan.json
+      python examples/fleet_drive.py --workload skewed --plan plan.json --check
       python examples/fleet_drive.py --scenario scenarios/fleet_smoke.yaml --check
 """
 
@@ -46,6 +52,7 @@ from repro.fleet import (
     PartitionPlan,
     run_single_process,
 )
+from repro.fleet.plan import plan_for_config
 from repro.workloads import STYLES
 
 
@@ -74,6 +81,9 @@ def main() -> int:
     parser.add_argument("--plan", metavar="PATH", default=None,
                         help="execute a planner-emitted PartitionPlan JSON "
                              "instead of round-robin shards")
+    parser.add_argument("--plan-out", metavar="PATH", default=None,
+                        help="write a measured-cost PartitionPlan for this "
+                             "config to PATH and exit")
     parser.add_argument("--scenario", metavar="FILE", default=None,
                         help="compile this scenario document into the drive "
                              "config instead of the flags above")
@@ -110,9 +120,17 @@ def main() -> int:
             kill_plan=parse_kill(args.kill) if args.kill else None,
             workload=args.workload,
         )
+    if args.plan_out:
+        plan = plan_for_config(config)
+        plan.save(args.plan_out)
+        print(f"wrote plan {args.plan_out}: shards {plan.shards}")
+        return 0
     if args.plan:
-        plan = PartitionPlan.load(args.plan)
-        config = replace(config, plan=plan.shards_for(config))
+        try:
+            plan = PartitionPlan.load(args.plan)
+            config = replace(config, plan=plan.shards_for(config))
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"--plan {args.plan}: {exc}")
         print(f"executing plan {args.plan}: shards {plan.shards}")
     with FleetCoordinator(config) as coordinator:
         result = coordinator.run()

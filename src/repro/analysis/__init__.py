@@ -22,18 +22,11 @@ property checked on every commit instead of a convention in DESIGN.md:
   resource-protocol checker over ``sim.resources`` grants
   (:mod:`.protocol` -- RES101/RES102/PROTO001), both run by one serial
   pass that parses each file once (:mod:`.semantic`);
-* a **planning** tier (:mod:`.commgraph`, :mod:`.plan`): static
-  extraction of the cross-vehicle communication graph with link
-  latencies recovered by bounded constant propagation + unit inference,
-  a provable cross-partition lookahead, FLEET001-003 barrier-safety
-  rules, and a greedy-LPT partition plan balanced on per-vehicle kernel
-  event counts measured by a short inline probe run (``--plan``);
-* a **scenario** tier (:mod:`.scenario`): SCN001-005 static validation
-  of declarative fleet scenario files (:mod:`repro.scenarios`) --
-  schema, unit suffixes, cross-references, per-cell barrier
-  feasibility re-proved through the planning tier's ConstResolver, and
-  matrix cost budgets priced by the same measured probe
-  (``--scenarios``);
+* a **scenario** tier (:mod:`.scenario`): static validation of
+  declarative fleet scenario files (:mod:`repro.scenarios`) -- schema,
+  unit suffixes and cross-references (SCN001-003), the compiler's
+  per-cell lowering failures (SCN001), and matrix cost budgets priced
+  by the fleet planner's measured probe (SCN005, ``--scenarios``);
 * a **runtime** cross-check (:mod:`.sanitizer`): an opt-in
   ``DeterminismSanitizer`` that hashes the live event trace so two
   same-seed runs can be diffed to the first diverging event;
@@ -41,20 +34,12 @@ property checked on every commit instead of a convention in DESIGN.md:
 
     python -m repro.analysis src/repro --strict
     python -m repro.analysis --whole-program src/repro tests --strict
-    python -m repro.analysis --plan --dump-plan --format json src/repro
+    python -m repro.analysis --scenarios scenarios --strict
     vdaplint --list-rules
 """
 
 from .baseline import Baseline, fingerprint_findings
 from .callgraph import ProjectGraph, build_graph, infer_module_name
-from .commgraph import (
-    COMM_SINKS,
-    CommEdge,
-    CommGraph,
-    CommSinkSpec,
-    ConstResolver,
-    is_latency_name,
-)
 from .dataflow import (
     FLOW_RULE_CLASSES,
     TaintAnalysis,
@@ -74,16 +59,6 @@ from .engine import (
     lint_source,
 )
 from .mp import MP_RULE_CLASSES, MpAnalyzer, mp_rules, mp_rules_by_id
-from .plan import (
-    FLEET_RULE_CLASSES,
-    FleetPlanAnalyzer,
-    emit_plan,
-    fleet_rules,
-    fleet_rules_by_id,
-    parse_fleet_spec,
-    plan_for_config,
-    vehicle_costs,
-)
 from .protocol import PROTOCOL_RULE_CLASSES, ProtocolChecker
 from .reporter import render_json, render_text
 from .rules import RULE_CLASSES, default_rules, rules_by_id
@@ -115,18 +90,11 @@ from .cli import main
 
 __all__ = [
     "Baseline",
-    "COMM_SINKS",
-    "CommEdge",
-    "CommGraph",
-    "CommSinkSpec",
-    "ConstResolver",
     "DeterminismSanitizer",
     "Divergence",
-    "FLEET_RULE_CLASSES",
     "FLOW_RULE_CLASSES",
     "FileContext",
     "Finding",
-    "FleetPlanAnalyzer",
     "LintEngine",
     "MP_RULE_CLASSES",
     "ModuleSummary",
@@ -153,23 +121,17 @@ __all__ = [
     "default_rules",
     "discover_files",
     "discover_scenario_files",
-    "emit_plan",
     "fingerprint_findings",
-    "fleet_rules",
-    "fleet_rules_by_id",
     "flow_rules",
     "flow_rules_by_id",
     "infer_module_name",
-    "is_latency_name",
     "lint_paths",
     "lint_source",
     "main",
     "mp_rules",
     "mp_rules_by_id",
-    "parse_fleet_spec",
     "parse_name_unit",
     "parse_unit_expr",
-    "plan_for_config",
     "render_json",
     "render_text",
     "rules_by_id",
@@ -178,5 +140,4 @@ __all__ = [
     "semantic_rules",
     "semantic_rules_by_id",
     "summarize_module",
-    "vehicle_costs",
 ]

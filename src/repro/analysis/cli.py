@@ -22,17 +22,9 @@ from typing import Optional, Sequence
 
 from .baseline import Baseline, fingerprint_findings
 from .callgraph import build_graph
-from .commgraph import CommGraph
 from .dataflow import TaintAnalysis, WholeProgramAnalyzer, flow_rules, flow_rules_by_id
 from .engine import Rule, discover_files
 from .mp import MpAnalyzer, mp_rules, mp_rules_by_id
-from .plan import (
-    FleetPlanAnalyzer,
-    emit_plan,
-    fleet_rules,
-    fleet_rules_by_id,
-    parse_fleet_spec,
-)
 from .reporter import render_json, render_text
 from .rules import default_rules, rules_by_id
 from .scenario import (
@@ -110,45 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(requires --whole-program)",
     )
     parser.add_argument(
-        "--plan", action="store_true",
-        help=(
-            "also run the fleet planner over the project call graph: "
-            "extract the cross-vehicle communication graph, verify the "
-            "barrier geometry against the provable lookahead (FLEET001-003), "
-            "and emit a partition plan balanced on measured per-vehicle "
-            "event counts"
-        ),
-    )
-    parser.add_argument(
-        "--plan-fleet", metavar="SPEC",
-        help=(
-            "fleet to plan for, as comma-separated key=value items "
-            "(vehicles, partitions, seed, duration, workload), e.g. "
-            "'vehicles=8,partitions=4,seed=17,workload=skewed' "
-            "(requires --plan)"
-        ),
-    )
-    parser.add_argument(
-        "--plan-out", metavar="PATH",
-        help="write the emitted PartitionPlan JSON to PATH (requires --plan)",
-    )
-    parser.add_argument(
-        "--dump-commgraph", action="store_true",
-        help="embed the extracted communication graph (edges, link "
-             "latencies, lookahead proof) in the report (requires --plan)",
-    )
-    parser.add_argument(
-        "--dump-plan", action="store_true",
-        help="embed the emitted partition plan in the report "
-             "(requires --plan)",
-    )
-    parser.add_argument(
         "--scenarios", action="store_true",
         help=(
             "also validate scenario DSL files (.yaml/.yml under the given "
-            "paths): schema/unit/reference checks (SCN001-003) plus the "
-            "graph-backed barrier-feasibility and matrix-budget proofs "
-            "(SCN004-005), with file:line findings"
+            "paths): schema/unit/reference checks (SCN001-003), the "
+            "compiler's per-cell lowering failures (SCN001), and the "
+            "matrix-budget check (SCN005), with file:line findings"
         ),
     )
     parser.add_argument(
@@ -161,18 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _pick_rules(
     select: Optional[str], ignore: Optional[str],
     parser: argparse.ArgumentParser,
-) -> tuple[list[Rule], list[Rule], list[Rule], list[Rule],
-           list[Rule]]:
-    """Split the selection into (per-file, whole-program, semantic, fleet,
+) -> tuple[list[Rule], list[Rule], list[Rule], list[Rule]]:
+    """Split the selection into (per-file, whole-program, semantic,
     scenario)."""
     file_catalogue = rules_by_id()
     flow_catalogue = {**flow_rules_by_id(), **mp_rules_by_id()}
     semantic_catalogue = semantic_rules_by_id()
-    fleet_catalogue = fleet_rules_by_id()
     scenario_catalogue = scenario_rules_by_id()
     catalogue = {
         **file_catalogue, **flow_catalogue, **semantic_catalogue,
-        **fleet_catalogue, **scenario_catalogue,
+        **scenario_catalogue,
     }
 
     def parse_ids(raw: str) -> list[str]:
@@ -186,16 +143,15 @@ def _pick_rules(
         chosen = [catalogue[rule_id] for rule_id in parse_ids(select)]
     else:
         chosen = (default_rules() + flow_rules() + mp_rules()
-                  + semantic_rules() + fleet_rules() + scenario_rules())
+                  + semantic_rules() + scenario_rules())
     if ignore:
         skipped = set(parse_ids(ignore))
         chosen = [rule for rule in chosen if rule.id not in skipped]
     file_rules = [r for r in chosen if r.id in file_catalogue]
     wp_rules = [r for r in chosen if r.id in flow_catalogue]
     semantic_pack = [r for r in chosen if r.id in semantic_catalogue]
-    fleet_pack = [r for r in chosen if r.id in fleet_catalogue]
     scenario_pack = [r for r in chosen if r.id in scenario_catalogue]
-    return file_rules, wp_rules, semantic_pack, fleet_pack, scenario_pack
+    return file_rules, wp_rules, semantic_pack, scenario_pack
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -210,36 +166,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rule.id}  {rule.name} [whole-program]: {rule.description}")
         for rule in semantic_rules():
             print(f"{rule.id}  {rule.name} [semantic]: {rule.description}")
-        for rule in fleet_rules():
-            print(f"{rule.id}  {rule.name} [fleet]: {rule.description}")
         for rule in scenario_rules():
             print(f"{rule.id}  {rule.name} [scenario]: {rule.description}")
         return 0
 
     if (args.dump_callgraph or args.dump_taint) and not args.whole_program:
         parser.error("--dump-callgraph/--dump-taint require --whole-program")
-    if (
-        args.dump_commgraph or args.dump_plan
-        or args.plan_out or args.plan_fleet
-    ) and not args.plan:
-        parser.error(
-            "--dump-commgraph/--dump-plan/--plan-out/--plan-fleet "
-            "require --plan"
-        )
 
-    (file_rules, wp_rules, semantic_pack, fleet_pack,
-     scenario_pack) = _pick_rules(args.select, args.ignore, parser)
+    file_rules, wp_rules, semantic_pack, scenario_pack = _pick_rules(
+        args.select, args.ignore, parser
+    )
     if args.select and wp_rules and not args.whole_program:
         parser.error(
             "whole-program rules selected "
             f"({', '.join(sorted(r.id for r in wp_rules))}) "
             "but --whole-program not given"
-        )
-    if args.select and fleet_pack and not args.plan:
-        parser.error(
-            "fleet planner rules selected "
-            f"({', '.join(sorted(r.id for r in fleet_pack))}) "
-            "but --plan not given"
         )
     if args.select and scenario_pack and not args.scenarios:
         parser.error(
@@ -262,10 +203,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     findings = analyze_files(files, file_rules, semantic_pack)
 
     debug: dict = {}
-    graph = None
-    if args.whole_program or args.plan:
-        graph = build_graph(args.paths)
     if args.whole_program:
+        graph = build_graph(args.paths)
         analyzer = WholeProgramAnalyzer(
             [r for r in wp_rules if not r.id.startswith("MP")]
         )
@@ -277,22 +216,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.dump_taint:
             taint = analyzer.taint or TaintAnalysis(graph).run()
             debug["taint"] = taint.to_debug_dict()
-
-    if args.plan:
-        comm = CommGraph(graph)
-        fleet_analyzer = FleetPlanAnalyzer(graph, fleet_pack)
-        findings = sorted(findings + fleet_analyzer.analyze(comm))
-        try:
-            fleet = parse_fleet_spec(args.plan_fleet) if args.plan_fleet else None
-            plan = emit_plan(graph, fleet=fleet, comm=comm)
-        except ValueError as err:
-            parser.error(str(err))
-        if args.plan_out:
-            plan.save(args.plan_out)
-        if args.dump_commgraph:
-            debug["commgraph"] = comm.to_debug_dict()
-        if args.dump_plan:
-            debug["plan"] = plan.to_dict()
 
     if args.scenarios and scenario_files:
         scenario_findings = ScenarioAnalyzer(scenario_pack).analyze_files(

@@ -4,8 +4,8 @@ The JSON document's top-level keys (``version``, ``files_scanned``,
 ``baselined``, ``stale_baseline``, ``findings`` and the per-finding keys)
 are consumed by CI tooling and pinned by
 ``tests/analysis/test_reporter_schema.py`` -- extend, never rename.
-Debug dumps (``callgraph``, ``taint``, ``commgraph``, ``plan``) appear
-only when requested on the CLI.
+Debug dumps (``callgraph``, ``taint``) appear only when requested on
+the CLI.
 """
 
 from __future__ import annotations

@@ -15,6 +15,9 @@ story to many vehicles across OS processes without giving any of it up:
   respawn from spec, replay to the last committed barrier, prove the
   replay hash-identical;
 * :mod:`repro.fleet.worker` -- the child process entry point and handle;
+* :mod:`repro.fleet.plan` -- measured planning: per-vehicle kernel event
+  counts from a short inline probe, packed into a greedy-LPT
+  :class:`PartitionPlan`;
 * :mod:`repro.fleet.coordinator` -- :class:`FleetCoordinator` (the
   control plane: barriers, deadlines, straggler backoff, failover) and
   :func:`run_single_process`, the unsharded golden reference a

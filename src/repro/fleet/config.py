@@ -73,14 +73,17 @@ def shard_vehicles(
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """A cost-balanced shard assignment, as emitted by ``--plan``.
+    """A cost-balanced shard assignment, as emitted by
+    :func:`repro.fleet.plan.plan_for_config`.
 
     The JSON document the planner writes and :class:`FleetConfig`
     consumes.  ``shards`` is the contract: every vehicle exactly once,
     one (possibly empty) shard per partition.  The remaining fields are
-    provenance -- the costs the partitioner balanced, the lookahead the
-    commgraph proved, the workload the costs assumed -- so an executed
-    plan can be audited against the config it runs under.
+    provenance -- the costs the partitioner balanced, the lookahead and
+    barrier step of the config it planned, the workload the costs
+    assumed -- so an executed plan can be audited against the config it
+    runs under.  :meth:`from_dict` rejects malformed documents with a
+    ``ValueError`` naming the offending field.
     """
 
     vehicles: int
@@ -124,12 +127,46 @@ class PartitionPlan:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_dict(cls, document: dict) -> "PartitionPlan":
+    def from_dict(cls, document: object) -> "PartitionPlan":
+        """Build a plan from its JSON document.
+
+        Raises ``ValueError`` naming the field for anything a plan file
+        cannot be: a non-object document, a version other than 1,
+        missing or non-integer ``vehicles``/``partitions``/shard ids,
+        or non-numeric costs.
+        """
+        if not isinstance(document, dict):
+            raise ValueError(
+                "plan document must be a JSON object, got "
+                f"{type(document).__name__}"
+            )
+        version = document.get("version")
+        if type(version) is not int or version != 1:
+            raise ValueError(f"plan field 'version' must be 1, got {version!r}")
+        shards = document.get("shards")
+        if not isinstance(shards, list) or not all(
+            isinstance(shard, list) for shard in shards
+        ):
+            raise ValueError(
+                "plan field 'shards' must be a list of vehicle-id lists, "
+                f"got {shards!r}"
+            )
+        costs = document.get("costs", [])
+        if not isinstance(costs, list) or not all(
+            isinstance(cost, (int, float)) and not isinstance(cost, bool)
+            for cost in costs
+        ):
+            raise ValueError(
+                f"plan field 'costs' must be a list of numbers, got {costs!r}"
+            )
         return cls(
-            vehicles=document["vehicles"],
-            partitions=document["partitions"],
-            shards=tuple(tuple(s) for s in document["shards"]),
-            costs=tuple(document.get("costs", ())),
+            vehicles=_plan_int(document.get("vehicles"), "vehicles"),
+            partitions=_plan_int(document.get("partitions"), "partitions"),
+            shards=tuple(
+                tuple(_plan_int(v, "shards") for v in shard)
+                for shard in shards
+            ),
+            costs=tuple(costs),
             method=document.get("method", "greedy-lpt"),
             seed=document.get("seed", 0),
             workload=document.get("workload", "uniform"),
@@ -156,6 +193,13 @@ class PartitionPlan:
                     f"has {name}={theirs!r}"
                 )
         return self.shards
+
+
+def _plan_int(value: object, name: str) -> int:
+    """A plan document's integer field (``bool`` is not an integer here)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"plan field {name!r} must be an integer, got {value!r}")
+    return value
 
 
 def validate_shards(shards: Sequence[Sequence[int]], vehicles: int,

@@ -37,7 +37,7 @@ from ..analysis.sanitizer import DeterminismSanitizer
 from ..apps import make_adas_service
 from ..obs.recorder import Collector
 from ..scenario import DriveScenario, ScenarioReport
-from ..sim.core import KernelCheckpoint, Simulator
+from ..sim.core import KernelCheckpoint, SimulationError, Simulator
 from ..topology.world import build_default_world
 from .config import PartitionSpec
 from .transport import Envelope, RoundAck, sort_envelopes
@@ -105,6 +105,13 @@ class V2VBus:
     envelope's due time.  Envelopes addressed to vehicles outside this
     shard are ignored on delivery -- the coordinator fans the same batch
     to every partition in the single-process reference path.
+
+    :meth:`deliver` and :meth:`drain_outbox` are barrier-only: called
+    while the simulator is running (from a sim process or an event
+    callback) they raise, because traffic moved there would bypass the
+    canonical exchange.  A process swallows its own exception, so the
+    first such error is also kept in :attr:`bypass` for
+    :meth:`PartitionRuntime.advance` to re-raise at the barrier.
     """
 
     def __init__(self, sim: Simulator, latency_s: float, local: frozenset[int]):
@@ -119,6 +126,18 @@ class V2VBus:
         self._seq: dict[int, int] = {}
         self.sent = 0
         self.received = 0
+        self.bypass: SimulationError | None = None
+
+    def _require_barrier(self, name: str) -> None:
+        if self.sim.running:
+            error = SimulationError(
+                f"V2VBus.{name}() called while the simulator is running: "
+                "cross-partition traffic must go through the barrier "
+                "exchange in PartitionRuntime.advance"
+            )
+            if self.bypass is None:
+                self.bypass = error
+            raise error
 
     def send(self, src: int, dst: int, payload: Any) -> Envelope:
         """Emit one message at the current sim time (src must be local)."""
@@ -139,6 +158,7 @@ class V2VBus:
 
     def drain_outbox(self) -> tuple[Envelope, ...]:
         """Everything sent since the last barrier, in send order."""
+        self._require_barrier("drain_outbox")
         out, self._outbox = tuple(self._outbox), []
         return out
 
@@ -149,6 +169,7 @@ class V2VBus:
         re-sorted canonically here so scheduling order (and therefore
         equal-time firing order) never depends on the caller.
         """
+        self._require_barrier("deliver")
         count = 0
         for env in sort_envelopes([e for e in inbound if e.dst in self.local]):
             if env.deliver_s < self.sim.now:
@@ -303,6 +324,8 @@ class PartitionRuntime:
             raise RuntimeError("advance() before launch()")
         self.bus.deliver(inbound)
         checkpoint = self.sim.run_to_barrier(barrier_s)
+        if self.bus.bypass is not None:
+            raise self.bus.bypass
         for v in self.spec.vehicle_indices:
             self.hashes[v].record_state(
                 barrier_s,

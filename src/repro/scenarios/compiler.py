@@ -36,7 +36,7 @@ from . import schema
 from .yamlish import MappingNode, ScalarNode, SequenceNode, parse_text
 
 __all__ = ["CompiledCell", "Scenario", "ScenarioError", "build_cell_config",
-           "load_scenario", "compile_text"]
+           "compile_text", "load_scenario", "lower_cells"]
 
 
 class ScenarioError(ValueError):
@@ -206,8 +206,6 @@ def _plan_shards(doc: MappingNode) -> tuple[tuple[int, ...], ...] | None:
 def build_cell_config(doc: MappingNode, cell: schema.CellSpec) -> FleetConfig:
     """Lower one validated matrix cell into a runnable ``FleetConfig``.
 
-    Also the cost probe's entry point: SCN005 budgets price a matrix by
-    building each cell's config exactly as the runner would.
     Raises ``ValueError`` (from ``FleetConfig``) when the cell's merged
     settings are not runnable.
     """
@@ -238,10 +236,33 @@ def build_cell_config(doc: MappingNode, cell: schema.CellSpec) -> FleetConfig:
         kwargs["plan"] = shards
     if style_spec is not None:
         kwargs["style_spec"] = style_spec
-    # Scenario values are data: SCN004 re-proves barrier safety per
-    # document, and FleetConfig validates at runtime -- so this site
-    # must not poison the planner's tree-wide latency proof.
-    return FleetConfig(**kwargs)  # vdaplint: dynamic-config
+    return FleetConfig(**kwargs)
+
+
+def lower_cells(
+    doc: MappingNode,
+) -> tuple[list[CompiledCell], list[schema.Issue]]:
+    """Lower every matrix cell of a validated document.
+
+    Returns the cells that lowered and one SCN001 issue per cell that
+    did not (``FleetConfig`` refused its settings, e.g. a barrier step
+    beyond the link latency).  :func:`compile_text` raises on the
+    issues and the lint pack reports them, so both agree on which cells
+    are not valid fleets.
+    """
+    cells: list[CompiledCell] = []
+    issues: list[schema.Issue] = []
+    for cell in schema.expand_cells(doc):
+        try:
+            config = build_cell_config(doc, cell)
+        except ValueError as exc:
+            issues.append(schema.Issue(
+                line=doc.line, rule="SCN001",
+                message=f"cell `{cell.name}` fails to lower: {exc}",
+            ))
+            continue
+        cells.append(CompiledCell(cell.name, cell.overrides, config))
+    return cells, issues
 
 
 def compile_text(text: str, path: str = "<scenario>") -> Scenario:
@@ -255,18 +276,9 @@ def compile_text(text: str, path: str = "<scenario>") -> Scenario:
     issues = schema.validate(doc)
     if issues:
         raise ScenarioError(path, issues)
-    cells = []
-    for cell in schema.expand_cells(doc):
-        try:
-            config = build_cell_config(doc, cell)
-        except ValueError as exc:
-            raise ScenarioError(path, [
-                schema.Issue(
-                    line=doc.line, rule="SCN001",
-                    message=f"cell `{cell.name}` fails to lower: {exc}",
-                )
-            ]) from exc
-        cells.append(CompiledCell(cell.name, cell.overrides, config))
+    cells, issues = lower_cells(doc)
+    if issues:
+        raise ScenarioError(path, issues)
     budget = doc.get("budget")
     budget_cost = budget_cells = None
     if isinstance(budget, MappingNode):

@@ -9,8 +9,8 @@ matrix cells -- and it reports violations as line-anchored
 turns into findings and the compiler (:mod:`.compiler`) refuses to build
 past.
 
-Three rule families live here (the graph-backed SCN004/SCN005 live in
-the analysis pack, which needs the whole-program call graph):
+Three rule families live here (the lint pack adds the compiler's
+per-cell lowering failures and the SCN005 matrix budget):
 
 * **SCN001** -- schema violations: unknown keys, wrong types, missing
   required fields, and constraint breaches (negative durations,

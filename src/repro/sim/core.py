@@ -397,6 +397,7 @@ class Simulator:
         self._queue: EventQueue = make_queue(queue)
         self._counter = itertools.count()
         self._stopped = False
+        self._running = False
         self._fired = 0
         self._taps: list[Callable[[Event, float], None]] = []
         # Per-run accounting the loop batches and flushes through ``obs``
@@ -411,6 +412,12 @@ class Simulator:
     @property
     def now(self) -> float:
         return self._now
+
+    @property
+    def running(self) -> bool:
+        """True while :meth:`run` or :meth:`step` is firing events, i.e.
+        when the caller is a sim process or an event callback."""
+        return self._running
 
     @property
     def events_fired(self) -> int:
@@ -537,6 +544,7 @@ class Simulator:
         taps = self._taps
         fired = 0
         depths: list[int] = []
+        self._running = True
         try:
             while queue and not self._stopped:
                 when = queue.peek()
@@ -552,6 +560,7 @@ class Simulator:
                         tap(event, when)
                 event._resolve()
         finally:
+            self._running = False
             self._fired += fired
             if record and fired:
                 obs.count("sim.events_fired", fired)
@@ -591,7 +600,11 @@ class Simulator:
         if self._taps:
             for tap in self._taps:
                 tap(event, when)
-        event._resolve()
+        self._running = True
+        try:
+            event._resolve()
+        finally:
+            self._running = False
         if obs.enabled:
             self._flush_pending(obs)
         return self._now

@@ -6,7 +6,7 @@ the PR-6 fleet (one ADAS service everywhere); ``skewed`` gives every
 ``heavy_stride``-th vehicle a stack of services, which is what makes
 round-robin sharding pathological (the heavies land on one partition)
 and cost-balanced plans worth emitting.  Styles carry no cost figures:
-the planner (:func:`repro.analysis.plan.vehicle_costs`) measures what
+the planner (:func:`repro.fleet.plan.vehicle_costs`) measures what
 each vehicle's services cost by running them.
 """
 

@@ -46,7 +46,7 @@ class TestGuards:
     def test_list_rules_includes_the_scenario_tier(self, capsys):
         code, out = run_cli(["--list-rules"], capsys)
         assert code == 0
-        for rule_id in ("SCN001", "SCN002", "SCN003", "SCN004", "SCN005"):
+        for rule_id in ("SCN001", "SCN002", "SCN003", "SCN005"):
             assert rule_id in out
         assert "[scenario]" in out
 

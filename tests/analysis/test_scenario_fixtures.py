@@ -16,13 +16,12 @@ import pytest
 
 from repro.analysis import SKIP_MARKER, ScenarioAnalyzer
 from repro.analysis.scenario import SCENARIO_RULE_CLASSES
+from repro.scenarios import ScenarioError, compile_text
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "scenario_fixtures")
 
 EXPECT_RE = re.compile(r"#\s*expect-scn:\s*([A-Z0-9]+(?:\s*,\s*[A-Z0-9]+)*)")
 
-#: One analyzer for the whole module: the package call graph behind
-#: SCN004/005 is memoized on the instance, so the corpus builds it once.
 _ANALYZER = ScenarioAnalyzer()
 
 
@@ -77,6 +76,23 @@ def test_corpus_exercises_every_rule():
     for path in fixture_files():
         fired.update(rule for _line, rule in analyze(path))
     assert shipped <= fired, f"rules with no firing fixture: {shipped - fired}"
+
+
+def test_lint_reports_every_cell_the_compiler_refuses():
+    """Lint and compile share one lowering path: each failing matrix cell
+    is one finding, and ``compile_text`` raises the same issues."""
+    path = os.path.join(FIXTURE_DIR, "bad_barrier.yaml")
+    findings = _ANALYZER.analyze_file(path)
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(ScenarioError) as err:
+            compile_text(fh.read(), path)
+    assert [(f.line, f.rule, f.message) for f in findings] == [
+        (issue.line, issue.rule, issue.message) for issue in err.value.issues
+    ]
+    assert [f.message.split("`")[1] for f in findings] == [
+        "v2v_latency_s=0.5", "v2v_latency_s=2.0",
+    ]
+    assert all("conservative sync violated" in f.message for f in findings)
 
 
 def test_corpus_is_skip_marked():

@@ -10,13 +10,10 @@ import os
 
 import repro
 from repro.analysis import (
-    CommGraph,
-    FleetPlanAnalyzer,
     MpAnalyzer,
     analyze_files,
     build_graph,
     default_rules,
-    fleet_rules,
     flow_rules,
     lint_paths,
     mp_rules,
@@ -67,7 +64,7 @@ def test_every_pragma_names_a_shipped_rule():
     hides nothing; every pragma must name a live rule id or ``all``."""
     shipped = {"all"}
     for pack in (default_rules(), flow_rules(), mp_rules(), semantic_rules(),
-                 fleet_rules(), scenario_rules()):
+                 scenario_rules()):
         shipped.update(rule.id for rule in pack)
     src_root = repro_source_root()
     repo_root = os.path.dirname(os.path.dirname(src_root))
@@ -85,31 +82,6 @@ def test_every_pragma_names_a_shipped_rule():
                     if rule_id.strip() not in shipped:
                         stale.append(f"{path}:{lineno}: {rule_id.strip()}")
     assert not stale, "pragmas naming unknown rules:\n" + "\n".join(stale)
-
-
-def test_fleet_tier_reports_zero_violations_on_runtime_trees():
-    """FLEET must be clean on every tree the fleet actually runs from:
-    the library, the benchmarks, and the examples.  The barrier geometry
-    is provably safe (lookahead 1.0s from the FleetConfig default) and no
-    sim process reaches a barrier-only delivery entry point."""
-    src_root = repro_source_root()
-    repo_root = os.path.dirname(os.path.dirname(src_root))
-    trees = [
-        src_root,
-        os.path.join(repo_root, "benchmarks"),
-        os.path.join(repo_root, "examples"),
-    ]
-    graph = build_graph(trees)
-    comm = CommGraph(graph)
-    lookahead, reason = comm.lookahead()
-    assert lookahead == 1.0, reason
-    findings = FleetPlanAnalyzer(graph).analyze(comm)
-    rendered = "\n".join(
-        f"{f.location()}: {f.rule} {f.message}" for f in findings
-    )
-    assert not findings, (
-        f"fleet planner found violations in runtime trees:\n{rendered}"
-    )
 
 
 def test_src_repro_needs_no_baseline_entries():

@@ -113,6 +113,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             FleetConfig(**kwargs)
 
+    @pytest.mark.parametrize("latency_s", [0.0, -0.5])
+    def test_non_positive_latency_rejected(self, latency_s):
+        # Zero latency leaves conservative sync no lookahead to advance
+        # by; the rejection must name the latency, not the derived step.
+        with pytest.raises(ValueError, match="v2v latency must be positive"):
+            FleetConfig(vehicles=2, partitions=1, v2v_latency_s=latency_s)
+
 
 class TestNeighbors:
     def test_ring(self):

@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.fleet import FleetConfig, PartitionRuntime, VehicleTraceHash
+from repro.fleet import FleetConfig, PartitionRuntime, V2VBus, VehicleTraceHash
 from repro.fleet.transport import Envelope
+from repro.sim import SimulationError, Simulator
+
+from .misuse_fixtures import greedy_loop
 
 
 def drive(config, partitions):
@@ -84,6 +87,22 @@ class TestAdvanceContract:
         result = runtime.advance(0, 1.0, (foreign,))
         assert runtime.bus.received == 0
         assert result.checkpoint.time == 1.0
+
+    @pytest.mark.parametrize("latency_s", [0.0, -0.5])
+    def test_bus_rejects_non_positive_latency(self, latency_s):
+        with pytest.raises(ValueError, match="V2V latency must be positive"):
+            V2VBus(Simulator(), latency_s=latency_s, local=frozenset({0}))
+
+    def test_process_bypassing_the_barrier_exchange_rejected(
+        self, small_config
+    ):
+        # A sim process that drains and delivers the bus itself would
+        # skip the coordinator's canonical envelope order.
+        runtime = PartitionRuntime(small_config.spec_for(0))
+        runtime.launch()
+        runtime.sim.process(greedy_loop(runtime.sim, runtime.bus))
+        with pytest.raises(SimulationError, match=r"deliver|drain_outbox"):
+            runtime.advance(0, 1.0)
 
     def test_checkpoints_are_monotonic(self, small_config):
         runtime = PartitionRuntime(small_config.spec_for(0))

@@ -119,6 +119,31 @@ def test_process_value_before_completion_raises():
     assert p.value == "done"
 
 
+def test_running_is_true_only_while_events_fire():
+    sim = Simulator()
+    seen = []
+
+    def proc(sim):
+        seen.append(sim.running)
+        yield sim.timeout(1.0)
+        seen.append(sim.running)
+
+    def boom(_event):
+        raise RuntimeError("boom")
+
+    sim.process(proc(sim))
+    assert not sim.running
+    sim.step()
+    assert not sim.running
+    sim.run(until=2.0)
+    assert seen == [True, True]
+    assert not sim.running
+    sim.timeout(1.0).callbacks.append(boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert not sim.running
+
+
 def test_dsf_priority_jumps_device_queue():
     """A safety-critical job submitted later overtakes queued background
     jobs on the contended device."""
