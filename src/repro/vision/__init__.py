@@ -1,6 +1,12 @@
 """Vision substrate: synthetic scenes, lane/vehicle detectors, Table I harness."""
 
-from .cnn_detect import CnnDetector, make_patch_dataset, train_cnn_detector
+from .cnn_detect import (
+    CnnDetector,
+    make_patch_dataset,
+    replay_cnn_training_draws,
+    train_cnn_detector,
+    untrained_cnn_detector,
+)
 from .evaluate import DetectionMetrics, box_iou, evaluate_detector
 from .haar import (
     Detection,
@@ -35,6 +41,7 @@ __all__ = [
     "detect_lanes",
     "plate_quality_to_noise",
     "read_plate",
+    "replay_cnn_training_draws",
     "render_plate",
     "gaussian_blur",
     "hough_lines",
@@ -47,5 +54,6 @@ __all__ = [
     "table1_rows",
     "train_cnn_detector",
     "train_haar_detector",
+    "untrained_cnn_detector",
     "vehicle_patch",
 ]

@@ -18,7 +18,13 @@ from ..nn.zoo import make_tiny_cnn
 from .haar import Detection
 from .image import background_patch, vehicle_patch
 
-__all__ = ["CnnDetector", "train_cnn_detector", "make_patch_dataset"]
+__all__ = [
+    "CnnDetector",
+    "make_patch_dataset",
+    "replay_cnn_training_draws",
+    "train_cnn_detector",
+    "untrained_cnn_detector",
+]
 
 
 def make_patch_dataset(
@@ -129,6 +135,35 @@ def _downsample(patch: np.ndarray, target: int) -> np.ndarray:
     return patch[np.ix_(ys, xs)]
 
 
+def untrained_cnn_detector(patch_size: int = 32, channels: int = 16) -> CnnDetector:
+    """The detector :func:`train_cnn_detector` starts from, before training.
+
+    Its architecture, and so its :meth:`CnnDetector.scan_flops`, is the
+    trained detector's; only the weights differ.
+    """
+    network = make_tiny_cnn(
+        input_shape=(1, patch_size, patch_size), classes=2, channels=channels, seed=1
+    )
+    return CnnDetector(network=network, patch_size=patch_size)
+
+
+def replay_cnn_training_draws(
+    rng: np.random.Generator,
+    patch_size: int = 32,
+    train_count: int = 160,
+    epochs: int = 6,
+) -> None:
+    """Advance ``rng`` exactly as :func:`train_cnn_detector` would, without training.
+
+    Training draws the patch dataset, then one minibatch permutation per
+    epoch; the weights never touch ``rng``.  A caller that needs only the
+    architecture can skip the training yet leave every later draw as it was.
+    """
+    make_patch_dataset(train_count, patch_size, rng)
+    for _epoch in range(epochs):
+        rng.permutation(train_count)
+
+
 def train_cnn_detector(
     patch_size: int = 32,
     train_count: int = 160,
@@ -139,10 +174,8 @@ def train_cnn_detector(
     """Train the patch classifier on synthetic vehicle/background patches."""
     rng = rng or np.random.default_rng(0)
     x, y = make_patch_dataset(train_count, patch_size, rng)
-    network = make_tiny_cnn(
-        input_shape=(1, patch_size, patch_size), classes=2, channels=channels, seed=1
-    )
+    detector = untrained_cnn_detector(patch_size, channels)
     train_classifier(
-        network, x, y, epochs=epochs, batch_size=16, optimizer=SGD(lr=0.05), rng=rng
+        detector.network, x, y, epochs=epochs, batch_size=16, optimizer=SGD(lr=0.05), rng=rng
     )
-    return CnnDetector(network=network, patch_size=patch_size)
+    return detector

@@ -19,6 +19,9 @@ def test_cli_table1(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out
     assert "Lane Detection" in out and "Haar" in out
+    # The committed Table I CNN row (benchmarks/results/table1_algorithms.json).
+    cnn_line = next(line for line in out.splitlines() if "(CNN)" in line)
+    assert "7938.56" in cnn_line
 
 
 def test_cli_fig3(capsys):

@@ -14,6 +14,7 @@ from repro.vision import (
     table1_rows,
     train_cnn_detector,
     train_haar_detector,
+    untrained_cnn_detector,
     vehicle_patch,
 )
 
@@ -100,9 +101,7 @@ def test_haar_scan_ops_analytic_matches_executed():
     detector = train_haar_detector(positives, negatives, rounds=5, rng=rng)
     img, _ = road_scene(width=100, height=80, rng=rng)
     _dets, executed = detector.detect(img, step=2)
-    analytic = detector.scan_ops(100, 80, step=2)
-    # Analytic count uses ceil-grid; executed uses arange -- within 20%.
-    assert executed == pytest.approx(analytic, rel=0.2)
+    assert executed == detector.scan_ops(100, 80, step=2)
 
 
 def test_cnn_detector_separates_patches():
@@ -116,11 +115,26 @@ def test_cnn_detector_separates_patches():
 
 
 def test_cnn_scan_flops_scales_with_area():
-    rng = np.random.default_rng(1)
-    detector = train_cnn_detector(patch_size=32, train_count=40, epochs=1, rng=rng)
+    detector = untrained_cnn_detector(patch_size=32)
     small = detector.scan_flops(160, 120)
     large = detector.scan_flops(640, 480)
     assert large > 10 * small
+
+
+def test_cnn_scan_flops_analytic_matches_executed():
+    detector = untrained_cnn_detector(patch_size=32)
+    img, _ = road_scene(width=160, height=120, rng=np.random.default_rng(0))
+    _dets, executed = detector.detect(img)
+    assert executed == detector.scan_flops(160, 120)
+
+
+def test_cnn_scan_flops_ignore_training():
+    """Table I builds its CNN untrained: the op count reads only the shape."""
+    trained = train_cnn_detector(
+        patch_size=32, train_count=20, epochs=1, channels=20, rng=np.random.default_rng(1)
+    )
+    untrained = untrained_cnn_detector(patch_size=32, channels=20)
+    assert trained.scan_flops(640, 480) == untrained.scan_flops(640, 480)
 
 
 def test_patch_dataset_is_balanced():
