@@ -97,11 +97,11 @@ def hough_lines(
 
     if edge_count:
         cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-        # rho = x cos(theta) + y sin(theta); vectorized over all edges.
-        rhos = xs[:, None] * cos_t[None, :] + ys[:, None] * sin_t[None, :]
-        rho_idx = ((rhos + diag) / rho_resolution).astype(int)
+        # rho = x cos(theta) + y sin(theta), one theta at a time: an
+        # (edges x thetas) table would make memory grow with the scene.
         for t in range(theta_bins):
-            np.add.at(accumulator[t], rho_idx[:, t], 1)
+            rho_idx = ((xs * cos_t[t] + ys * sin_t[t] + diag) / rho_resolution).astype(int)
+            accumulator[t] = np.bincount(rho_idx, minlength=rho_bins)
 
     # Ops: per edge per theta -- 2 multiplies + 1 add + 1 quantize + 1 vote.
     ops = edge_count * theta_bins * 5
