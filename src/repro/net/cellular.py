@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from ..obs.recorder import NULL_RECORDER, Recorder
-from .channel import ExactDraws, gilbert_elliott_for
+from .channel import gilbert_elliott_for
 from .params import LTEParams
 
 __all__ = ["CellularUplink"]
@@ -170,12 +170,21 @@ class CellularUplink:
         channel is retuned once (speed and offered bitrate are constant
         across the batch, so every packet would retune to the same
         parameters), and instrumentation counters are flushed once per
-        batch.  RNG draw order is preserved exactly -- the grant draw and
-        the channel's transition/residual draws are consumed through one
-        :class:`~repro.net.channel.ExactDraws` stream in scalar order, so
-        per-packet outcomes and the final generator state are identical to
-        the scalar path.  (Sole caveat: numpy evaluates the ``z**6``
-        cell-edge term with a different pow kernel than CPython; a 1-ulp
+        batch.  RNG draw order is preserved exactly: one walk of the
+        channel (:meth:`~repro.net.channel.GilbertElliott.step_many`'s
+        walker) takes the packets outside outage in :meth:`send_packet`'s
+        order -- a grant-lottery uniform first where the grant is below
+        the offered bitrate, then the chain's transition uniform and, only
+        if the chain is Good after it, a residual-loss uniform.  Uniforms
+        come in ``rng.random(k)`` blocks, drawn only when the previous one
+        is used up, with ``k`` the packets still to walk (each draws at
+        least once), so no drawn value goes unused.  Good-state packets
+        are decided in bulk runs that stop at a transition draw below
+        ``p_gb``, a grant packet or a block end; those packets and
+        Bad-state ones are stepped one draw at a time.  Per-packet
+        outcomes and the final generator state are identical to the
+        scalar path.  (Sole caveat: numpy evaluates the ``z**6`` cell-edge
+        term with a different pow kernel than CPython; a 1-ulp
         capacity difference could flip a grant decision only when a
         uniform draw lands within 1 ulp of the threshold, which the
         byte-identity gates on the committed drive results check.)
@@ -262,55 +271,18 @@ class CellularUplink:
         channel = self._channel
         channel.retune(stationary, burst_length=params.burst_length(speed_mps))
 
-        # Per-packet decisions: one shared exact-order draw stream for the
-        # grant lottery and the channel's transition/residual draws (the
-        # uplink and its channel share one generator).
-        todo = np.flatnonzero(~outage).tolist()
-        needs_grant_draw = (granted < offered_bitrate_mbps).tolist()
-        drop_probability = (1.0 - granted / offered_bitrate_mbps).tolist()
-        delivered = np.zeros(n, dtype=bool)
-        draws = ExactDraws(self.rng)
-        bad = channel.bad
-        p_gb = channel.p_gb
-        p_bg = channel.p_bg
-        residual = channel.residual_good_loss
-        remaining = len(todo)
-        grant_drops = 0
-        bursts = 0
-        channel_packets = 0
-        channel_losses = 0
-        for i in todo:
-            # Every remaining non-outage packet consumes at least one draw.
-            if needs_grant_draw[i]:
-                if draws.take(remaining) < drop_probability[i]:
-                    grant_drops += 1
-                    remaining -= 1
-                    continue
-            if bad:
-                if draws.take(remaining) < p_bg:
-                    bad = False
-            else:
-                if draws.take(remaining) < p_gb:
-                    bad = True
-                    bursts += 1
-            if bad:
-                lost = True
-            else:
-                lost = draws.take(remaining) < residual
-            remaining -= 1
-            channel_packets += 1
-            if lost:
-                channel_losses += 1
-            else:
-                delivered[i] = True
-        channel.bad = bad
-
+        # Per-packet decisions: the grant lottery and the channel's
+        # transition/residual draws share one generator, so one walk over
+        # the packets outside outage draws them in scalar order.
+        todo = np.flatnonzero(~outage)
+        todo_granted = granted[todo]
+        grant_slots = np.flatnonzero(todo_granted < offered_bitrate_mbps)
+        drop_probability = 1.0 - todo_granted[grant_slots] / offered_bitrate_mbps
+        lost, grant_drops = channel._walk(
+            todo.size, grant_slots.tolist(), drop_probability.tolist()
+        )
         if grant_drops:
             obs.count("net.grant_drops", grant_drops, link="lte")
-        if bursts:
-            obs.count("net.channel_bursts", bursts, link=channel.link)
-        if obs.enabled and channel_packets:
-            obs.count("net.channel_packets", channel_packets, link=channel.link)
-            if channel_losses:
-                obs.count("net.channel_losses", channel_losses, link=channel.link)
+        delivered = np.zeros(n, dtype=bool)
+        delivered[todo] = ~lost
         return delivered

@@ -11,45 +11,14 @@ Two building blocks used throughout the platform:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..obs.recorder import NULL_RECORDER, Recorder
 
-__all__ = ["ExactDraws", "LinkModel", "GilbertElliott", "gilbert_elliott_for"]
-
-
-class ExactDraws:
-    """Uniform draws in blocks, with scalar-stream-exact consumption.
-
-    Batch channel code cannot know up front how many uniforms it will
-    consume (state machines branch on the draws themselves), and drawing
-    too many would leave ``rng`` in a different state than the equivalent
-    sequence of scalar ``rng.random()`` calls -- silently desynchronizing
-    every later consumer of the generator.  ``take(min_remaining)`` refills
-    the buffer with a *proven lower bound* of the draws still to come, so
-    every drawn value is eventually consumed and the generator finishes in
-    exactly the scalar-path state.  (numpy guarantees ``rng.random(n)``
-    yields the same values as ``n`` scalar calls.)
-    """
-
-    __slots__ = ("rng", "_buf", "_pos")
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self._buf = ()
-        self._pos = 0
-
-    def take(self, min_remaining: int) -> float:
-        """Next uniform; ``min_remaining`` counts this draw plus a lower
-        bound on the draws guaranteed to follow it."""
-        if self._pos >= len(self._buf):
-            self._buf = self.rng.random(min_remaining if min_remaining > 1 else 1)
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
+__all__ = ["LinkModel", "GilbertElliott", "gilbert_elliott_for"]
 
 
 @dataclass
@@ -168,45 +137,126 @@ class GilbertElliott:
         generator in exactly the state -- that ``n`` successive
         :meth:`step` calls would, while paying the RNG and instrumentation
         costs once per batch instead of once per packet.  Draw order is
-        preserved via :class:`ExactDraws`: one transition uniform per slot,
-        plus one residual-loss uniform only in the Good state (the scalar
-        path's short-circuit).
+        :meth:`step`'s: one transition uniform per slot, then one
+        residual-loss uniform only if the chain is Good afterwards.
+
+        Uniforms come from ``rng.random(k)`` blocks.  A block is drawn only
+        when the previous one is used up and a draw is due, and ``k``
+        counts the current slot and every slot after it -- a proven lower
+        bound on the draws still to come, since each slot draws at least
+        once.  Every drawn value is therefore consumed and the generator
+        ends exactly where the scalar calls leave it (numpy guarantees
+        ``rng.random(k)`` yields the same values as ``k`` scalar calls).
+
+        Between bursts the slots are decided in bulk: a Good-state slot
+        that stays Good takes exactly a transition and a residual uniform,
+        so a run of them is ``block[pos + 1 : pos + 2 * run : 2] <
+        residual``.  A run stops at the first transition draw below
+        ``p_gb`` (among the block's ``flatnonzero(block < p_gb)``, at
+        positions of ``pos``'s parity) or at the end of the block; that
+        slot, and every Bad-state slot, is stepped one draw at a time.
         """
         if n < 0:
             raise ValueError(f"slot count must be non-negative, got {n}")
-        lost = np.empty(n, dtype=bool)
-        if n == 0:
-            return lost
-        draws = ExactDraws(self.rng)
-        bad = self.bad
+        lost, _ = self._walk(n, [], [])
+        return lost
+
+    def _walk(
+        self,
+        n: int,
+        grant_slots: list[int],
+        grant_drop_probability: list[float],
+    ) -> tuple[np.ndarray, int]:
+        """Walk ``n`` packets through the chain in scalar draw order.
+
+        Returns ``(lost, grant_drops)``: a bool array that is True for
+        every packet not delivered, and how many of those a grant lottery
+        dropped.  Packet ``grant_slots[j]`` (ascending) first draws one
+        uniform against ``grant_drop_probability[j]`` -- the uplink's
+        grant lottery, :meth:`~repro.net.cellular.CellularUplink.send_packet`'s
+        order -- and is dropped without touching the chain if it lands
+        below.  Otherwise it draws as :meth:`step` does.  Blocks and bulk
+        runs are :meth:`step_many`'s; a grant packet also ends a run and
+        is stepped one draw at a time.
+        """
+        rng = self.rng
         p_gb = self.p_gb
         p_bg = self.p_bg
         residual = self.residual_good_loss
+        bad = self.bad
+        lost = np.ones(n, dtype=bool)
+        block = np.empty(0)
+        size = pos = 0
+        # Block positions of draws below p_gb, split by parity.
+        below_p_gb: tuple[list[int], list[int]] = ([], [])
+        grants = [*grant_slots, n]
+        g = 0
+        grant_drops = 0
         bursts = 0
-        for i in range(n):
-            # Every remaining slot consumes at least its transition draw.
-            remaining = n - i
+        i = 0
+
+        def refill() -> None:
+            nonlocal block, size, pos, below_p_gb
+            block = rng.random(n - i)
+            size = n - i
+            pos = 0
+            hits = np.flatnonzero(block < p_gb)
+            odd = (hits & 1).astype(bool)
+            below_p_gb = (hits[~odd].tolist(), hits[odd].tolist())
+
+        while i < n:
+            next_grant = grants[g]
+            if not bad and i < next_grant:
+                if pos == size:
+                    refill()
+                hits = below_p_gb[pos & 1]
+                j = bisect_left(hits, pos)
+                stop = hits[j] if j < len(hits) else size
+                run = min((stop - pos) >> 1, next_grant - i)
+                if run:
+                    lost[i : i + run] = block[pos + 1 : pos + 2 * run : 2] < residual
+                    i += run
+                    pos += 2 * run
+                    continue
+            # One packet, one draw at a time (scalar step order).
+            if i == next_grant:
+                if pos == size:
+                    refill()
+                u = block[pos]
+                pos += 1
+                drop = u < grant_drop_probability[g]
+                g += 1
+                if drop:
+                    grant_drops += 1
+                    i += 1
+                    continue
+            if pos == size:
+                refill()
+            u = block[pos]
+            pos += 1
             if bad:
-                if draws.take(remaining) < p_bg:
+                if u < p_bg:
                     bad = False
-            else:
-                if draws.take(remaining) < p_gb:
-                    bad = True
-                    bursts += 1
-            if bad:
-                lost[i] = True
-            else:
-                lost[i] = draws.take(remaining) < residual
+            elif u < p_gb:
+                bad = True
+                bursts += 1
+            if not bad:
+                if pos == size:
+                    refill()
+                lost[i] = block[pos] < residual
+                pos += 1
+            i += 1
         self.bad = bad
+
         obs = self.obs
         if bursts:
             obs.count("net.channel_bursts", bursts, link=self.link)
-        if obs.enabled:
-            obs.count("net.channel_packets", n, link=self.link)
-            losses = int(lost.sum())
+        if obs.enabled and n > grant_drops:
+            obs.count("net.channel_packets", n - grant_drops, link=self.link)
+            losses = int(lost.sum()) - grant_drops
             if losses:
                 obs.count("net.channel_losses", losses, link=self.link)
-        return lost
+        return lost, grant_drops
 
     def retune(self, loss_rate: float, burst_length: float | None = None) -> None:
         """Update stationary loss rate (and burst length) in place."""

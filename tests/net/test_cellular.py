@@ -1,5 +1,8 @@
 """Unit tests for the cellular uplink model and the drive-stream experiment."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,16 @@ from repro.net import (
     LTEParams,
     mph_to_mps,
     run_drive_stream,
+)
+from repro.obs import Collector
+
+FIG2_RESULTS_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    os.pardir,
+    os.pardir,
+    "benchmarks",
+    "results",
+    "fig2_loss.json",
 )
 
 
@@ -121,3 +134,73 @@ def test_drive_stream_counts_handoffs():
 
 def test_mph_conversion():
     assert mph_to_mps(70) == pytest.approx(31.29, abs=0.01)
+
+
+def test_fig2_rows_match_the_committed_results_exactly():
+    with open(FIG2_RESULTS_PATH) as handle:
+        committed = {row["scenario"]: row for row in json.load(handle)["rows"]}
+    assert len(committed) == 6
+    for mph in (0, 35, 70):
+        for profile in (VIDEO_720P, VIDEO_1080P):
+            result = run_drive_stream(
+                profile, mph, 300.0, rng=np.random.default_rng(42)
+            )
+            label = "Static" if mph == 0 else f"{mph}MPH"
+            pinned = committed[f"{label} {profile.name}"]
+            assert result.packet_loss_rate == pinned["packet"], pinned["scenario"]
+            assert result.frame_loss_rate == pinned["frame"], pinned["scenario"]
+            assert result.handoffs == pinned["handoffs"], pinned["scenario"]
+
+
+def _scalar_sends(uplink, times, positions, speed_mps, offered_mbps):
+    return [
+        uplink.send_packet(t, x, speed_mps, offered_mbps)
+        for t, x in zip(times.tolist(), positions.tolist())
+    ]
+
+
+def _assert_batch_matches_scalar(
+    params, mph, offered_mbps, packets=10_000, batch=slice(None)
+):
+    """``send_packets`` over ``batch`` (scalar sends around it) must leave
+    exactly what one ``send_packet`` per packet leaves."""
+    speed_mps = mph_to_mps(mph)
+    # 60 s of packets from 200 m, near the first cell edge.
+    times = np.arange(packets) * (60.0 / packets)
+    positions = 200.0 + speed_mps * times
+    scalar_obs, batch_obs = Collector(), Collector()
+    scalar = CellularUplink(params, np.random.default_rng(3), obs=scalar_obs)
+    batched = CellularUplink(params, np.random.default_rng(3), obs=batch_obs)
+
+    expected = _scalar_sends(scalar, times, positions, speed_mps, offered_mbps)
+    start, stop, _ = batch.indices(packets)
+    delivered = (
+        _scalar_sends(batched, times[:start], positions[:start], speed_mps, offered_mbps)
+        + batched.send_packets(
+            times[start:stop], positions[start:stop], speed_mps, offered_mbps
+        ).tolist()
+        + _scalar_sends(batched, times[stop:], positions[stop:], speed_mps, offered_mbps)
+    )
+    assert delivered == expected
+    assert batched.handoff_count == scalar.handoff_count
+    assert batched._channel.bad == scalar._channel.bad
+    assert batched.rng.bit_generator.state == scalar.rng.bit_generator.state
+    assert batch_obs.metrics_json() == scalar_obs.metrics_json()
+    assert batch_obs.trace_json() == scalar_obs.trace_json()
+    return batch_obs.snapshot()
+
+
+@pytest.mark.parametrize("mph", [0, 35, 70])
+@pytest.mark.parametrize("offered_mbps", [3.8, 5.8, 9.5])
+def test_send_packets_matches_scalar_sends(mph, offered_mbps):
+    _assert_batch_matches_scalar(LTEParams(), mph, offered_mbps)
+
+
+def test_send_packets_matches_scalar_sends_under_dense_grant_drops():
+    params = LTEParams(grant_ramp_s=30.0, uplink_capacity_mbps=4.0)
+    counters = _assert_batch_matches_scalar(params, 70, 3.8)["counters"]
+    assert counters["net.grant_drops{link=lte}"] > 1_000
+
+
+def test_send_packets_mixes_with_scalar_sends_on_one_uplink():
+    _assert_batch_matches_scalar(LTEParams(), 70, 9.5, batch=slice(3_000, 7_000))
