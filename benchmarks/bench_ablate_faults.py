@@ -17,7 +17,6 @@ because the plan is seed-deterministic, this table reproduces exactly.
 import pytest
 
 from conftest import persist_report
-from repro.analysis import DeterminismSanitizer
 from repro.obs import Report
 from repro.faults import (
     FaultInjector,
@@ -30,6 +29,7 @@ from repro.faults import (
 from repro.hw import WorkloadClass
 from repro.offload import DistributedExecutor, Placement, Task, TaskGraph
 from repro.sim import Simulator
+from repro.sim.sanitizer import DeterminismSanitizer
 from repro.topology import Tier, build_default_world
 
 SEED = 2018

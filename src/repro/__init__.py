@@ -21,12 +21,14 @@ A full-stack, simulation-backed reproduction of Zhang et al., ICDCS 2018:
 * :mod:`repro.workloads` -- workload generators
 * :mod:`repro.scenarios` -- the declarative scenario DSL + compiler
 * :mod:`repro.analysis` -- the ``vdaplint`` determinism & safety linter
+
+Subpackages load on first attribute access (PEP 562), so importing one
+of them pays only for what it imports itself.
 """
 
-__version__ = "1.0.0"
+import importlib
 
-from . import analysis, apps, ddi, edgeos, faults, fleet, hw, libvdap, net, nn, obs, offload
-from . import scenario, scenarios, sim, topology, vcu, vision, workloads
+__version__ = "1.0.0"
 
 __all__ = [
     "__version__",
@@ -50,3 +52,10 @@ __all__ = [
     "vision",
     "workloads",
 ]
+
+
+def __getattr__(name: str):
+    """Import ``repro.<name>`` the first time it is looked up."""
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,9 +27,6 @@ property checked on every commit instead of a convention in DESIGN.md:
   unit suffixes and cross-references (SCN001-003), the compiler's
   per-cell lowering failures (SCN001), and matrix cost budgets priced
   by the fleet planner's measured probe (SCN005, ``--scenarios``);
-* a **runtime** cross-check (:mod:`.sanitizer`): an opt-in
-  ``DeterminismSanitizer`` that hashes the live event trace so two
-  same-seed runs can be diffed to the first diverging event;
 * a CLI with stable exit codes (:mod:`.cli`)::
 
     python -m repro.analysis src/repro --strict
@@ -62,7 +59,6 @@ from .mp import MP_RULE_CLASSES, MpAnalyzer, mp_rules, mp_rules_by_id
 from .protocol import PROTOCOL_RULE_CLASSES, ProtocolChecker
 from .reporter import render_json, render_text
 from .rules import RULE_CLASSES, default_rules, rules_by_id
-from .sanitizer import DeterminismSanitizer, Divergence, TraceRecord
 from .scenario import (
     SCENARIO_RULE_CLASSES,
     ScenarioAnalyzer,
@@ -90,8 +86,6 @@ from .cli import main
 
 __all__ = [
     "Baseline",
-    "DeterminismSanitizer",
-    "Divergence",
     "FLOW_RULE_CLASSES",
     "FileContext",
     "Finding",
@@ -111,7 +105,6 @@ __all__ = [
     "ScenarioAnalyzer",
     "SignatureIndex",
     "TaintAnalysis",
-    "TraceRecord",
     "UNIT_RULE_CLASSES",
     "Unit",
     "UnitChecker",

@@ -13,6 +13,7 @@ excepts, and API001 keeps ``__all__`` honest.
 from __future__ import annotations
 
 import ast
+import os
 from typing import Iterable, Optional
 
 from .engine import FileContext, Rule
@@ -462,9 +463,20 @@ class DunderAllRule(Rule):
             return  # computed __all__; nothing to check statically
         defined = self._defined_names(statements)
         for name in declared:
-            if name not in defined:
+            if name not in defined and not (
+                module == "__init__" and self._is_submodule(ctx.path, name)
+            ):
                 ctx.report(self, dunder_all,
                            f"__all__ declares `{name}` but the module never defines it")
+
+    @staticmethod
+    def _is_submodule(init_path: str, name: str) -> bool:
+        """Whether a package ``__init__``'s ``__all__`` entry names a
+        submodule beside it -- what ``from pkg import *`` then imports."""
+        package = os.path.dirname(init_path)
+        return os.path.isfile(os.path.join(package, f"{name}.py")) or (
+            os.path.isfile(os.path.join(package, name, "__init__.py"))
+        )
 
     @classmethod
     def _requires_dunder_all(cls, module: str, node: ast.Module) -> bool:

@@ -28,11 +28,6 @@ lower_cells` -- the same path ``compile_text`` takes -- and every cell
 ``FleetConfig`` refuses (a barrier step beyond the link latency, say)
 is reported as the compiler's SCN001 lowering finding.  SCN005 prices
 the lowered configs with the cost probe.
-
-The scenarios package imports this package's unit vocabulary, and the
-fleet package imports its sanitizer, so everything from
-``repro.scenarios`` and ``repro.fleet`` is imported lazily inside
-methods.
 """
 
 from __future__ import annotations
@@ -40,6 +35,15 @@ from __future__ import annotations
 import os
 from typing import Iterable, Optional, Sequence
 
+from ..fleet.plan import PROBE_HORIZON_S, vehicle_costs
+from ..scenarios import schema
+from ..scenarios.compiler import lower_cells
+from ..scenarios.yamlish import (
+    MappingNode,
+    ScalarNode,
+    ScenarioSyntaxError,
+    parse_text,
+)
 from .engine import (
     PARSE_ERROR_RULE,
     SKIP_MARKER,
@@ -184,10 +188,6 @@ class ScenarioAnalyzer:
 
     def analyze_source(self, source: str, path: str) -> list[Finding]:
         """Analyze scenario source text."""
-        from ..scenarios.compiler import lower_cells
-        from ..scenarios.schema import validate
-        from ..scenarios.yamlish import ScenarioSyntaxError, parse_text
-
         try:
             doc = parse_text(source, path)
         except ScenarioSyntaxError as exc:
@@ -197,7 +197,7 @@ class ScenarioAnalyzer:
                 source, path, exc.line, PARSE_ERROR_RULE,
                 f"scenario syntax error: {exc.message}",
             )]
-        issues = validate(doc)
+        issues = schema.validate(doc)
         structural = not issues
         if structural:
             cells, issues = lower_cells(doc)
@@ -223,9 +223,6 @@ class ScenarioAnalyzer:
                          configs: Optional[list]) -> list[Finding]:
         """``configs`` holds every cell's lowered config, or ``None``
         when some cell failed to lower (the cost cap is then unpriced)."""
-        from ..scenarios import schema
-        from ..scenarios.yamlish import MappingNode, ScalarNode
-
         budget = doc.get("budget")
         if not isinstance(budget, MappingNode):
             return []
@@ -261,8 +258,6 @@ class ScenarioAnalyzer:
     def _matrix_cost(configs: list) -> float:
         """Expected kernel events of the whole matrix: each cell's measured
         probe events, scaled from the probe horizon to the run duration."""
-        from ..fleet.plan import PROBE_HORIZON_S, vehicle_costs
-
         return sum(
             sum(vehicle_costs(config)) * config.duration_s / PROBE_HORIZON_S
             for config in configs

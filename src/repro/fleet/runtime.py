@@ -14,7 +14,7 @@ Determinism is enforced at two grains:
   and the canonical envelope order, so they are *partition-invariant*: a
   4-partition fleet must match a single-process run vehicle for vehicle.
 * **The kernel trace hash** (via
-  :class:`~repro.analysis.sanitizer.DeterminismSanitizer`) covers every
+  :class:`~repro.sim.sanitizer.DeterminismSanitizer`) covers every
   event the partition's loop fires.  It differs between partitionings
   (different kernels, different event sets) but must be *replay-stable*:
   a respawned worker re-fed the same inbound batches must reproduce it
@@ -33,11 +33,11 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..analysis.sanitizer import DeterminismSanitizer
 from ..apps import make_adas_service
 from ..obs.recorder import Collector
 from ..scenario import DriveScenario, ScenarioReport
 from ..sim.core import KernelCheckpoint, SimulationError, Simulator
+from ..sim.sanitizer import DeterminismSanitizer
 from ..topology.world import build_default_world
 from .config import PartitionSpec
 from .transport import Envelope, RoundAck, sort_envelopes

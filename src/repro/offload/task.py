@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..hw.processor import WorkloadClass
 
 __all__ = ["Task", "TaskGraph"]
@@ -40,29 +38,41 @@ class Task:
 
 
 class TaskGraph:
-    """A DAG of tasks with dependency edges."""
+    """A DAG of tasks with dependency edges.
+
+    Tasks and each task's predecessor and successor lists keep insertion
+    order, and :attr:`task_names` is Kahn's algorithm run one generation
+    at a time -- the order ``networkx.topological_sort`` gives.
+    """
 
     def __init__(self, name: str):
         self.name = name
-        self._graph = nx.DiGraph()
+        self._tasks: dict[str, Task] = {}
+        self._succ: dict[str, list[str]] = {}
+        self._pred: dict[str, list[str]] = {}
         self._topo: list[str] | None = None
 
     def add_task(self, task: Task) -> Task:
-        if task.name in self._graph:
+        if task.name in self._tasks:
             raise ValueError(f"duplicate task {task.name!r}")
-        self._graph.add_node(task.name, task=task)
+        self._tasks[task.name] = task
+        self._succ[task.name] = []
+        self._pred[task.name] = []
         self._topo = None
         return task
 
     def add_edge(self, producer: str, consumer: str) -> None:
         for name in (producer, consumer):
-            if name not in self._graph:
+            if name not in self._tasks:
                 raise KeyError(f"unknown task {name!r}")
         # The graph is acyclic before the edge, so producer->consumer closes
         # a cycle iff consumer already reaches producer.
         if producer == consumer or self._reaches(consumer, producer):
             raise ValueError(f"edge {producer}->{consumer} creates a cycle")
-        self._graph.add_edge(producer, consumer)
+        if consumer in self._succ[producer]:
+            return
+        self._succ[producer].append(consumer)
+        self._pred[consumer].append(producer)
         self._topo = None
 
     def _reaches(self, start: str, goal: str) -> bool:
@@ -75,16 +85,25 @@ class TaskGraph:
             if node in seen:
                 continue
             seen.add(node)
-            stack.extend(self._graph.successors(node))
+            stack.extend(self._succ[node])
         return False
 
     def task(self, name: str) -> Task:
-        return self._graph.nodes[name]["task"]
+        return self._tasks[name]
 
     @property
     def task_names(self) -> list[str]:
         if self._topo is None:
-            self._topo = list(nx.topological_sort(self._graph))
+            indegree = {name: len(preds) for name, preds in self._pred.items()}
+            order = self.roots
+            # A FIFO over ``order`` visits whole generations in turn, each
+            # in the order its tasks' last predecessor released them.
+            for name in order:
+                for child in self._succ[name]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        order.append(child)
+            self._topo = order
         return list(self._topo)
 
     @property
@@ -92,21 +111,21 @@ class TaskGraph:
         return [self.task(name) for name in self.task_names]
 
     def predecessors(self, name: str) -> list[str]:
-        return list(self._graph.predecessors(name))
+        return list(self._pred[name])
 
     def successors(self, name: str) -> list[str]:
-        return list(self._graph.successors(name))
+        return list(self._succ[name])
 
     @property
     def roots(self) -> list[str]:
-        return [n for n in self._graph.nodes if self._graph.in_degree(n) == 0]
+        return [name for name, preds in self._pred.items() if not preds]
 
     @property
     def sinks(self) -> list[str]:
-        return [n for n in self._graph.nodes if self._graph.out_degree(n) == 0]
+        return [name for name, succ in self._succ.items() if not succ]
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._tasks)
 
     def total_work_gop(self) -> float:
         return sum(task.work_gop for task in self.tasks)

@@ -12,6 +12,8 @@ Layers, bottom-up:
 
 * :mod:`.yamlish` -- the zero-dependency YAML-subset loader whose every
   node remembers its source line (what makes findings point at files);
+* :mod:`.units` -- the unit vocabulary: name suffixes such as ``_s``
+  or ``_mbps`` parsed into a dimension and scale;
 * :mod:`.schema` -- the document schema: field tables, SCN001-003
   validation, deterministic ``sweep:`` cell expansion;
 * :mod:`.compiler` -- lowering into :class:`~repro.fleet.config.

@@ -18,7 +18,7 @@ per-cell lowering failures and the SCN005 matrix budget):
 * **SCN002** -- unit errors: a key whose quantity stem matches a known
   field but whose unit suffix disagrees in dimension or scale
   (``barrier_ms`` for ``barrier_s``, ``v2v_latency_bytes``), resolved
-  through the PR-5 unit vocabulary.
+  through the unit vocabulary of :mod:`.units`.
 * **SCN003** -- dangling cross-references: undefined workload styles,
   plan shards naming unknown/duplicate/unassigned vehicles, fault kills
   aimed at partitions or rounds no matrix cell ever runs.
@@ -35,10 +35,10 @@ import math
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from typing import Optional
 
-from ..analysis.units import Unit, split_name_unit
 from ..fleet.config import FleetConfig
 from ..sim.queues import QUEUE_BACKENDS
 from ..workloads.styles import STYLES
+from .units import Unit, split_name_unit
 from .yamlish import MappingNode, ScalarNode, SequenceNode
 
 __all__ = [

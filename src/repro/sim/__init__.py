@@ -1,4 +1,8 @@
-"""Discrete-event simulation kernel: event loop, processes, resources, RNG."""
+"""Discrete-event simulation kernel: event loop, processes, resources, RNG.
+
+:mod:`.sanitizer` holds the opt-in determinism sanitizer that hashes the
+events this kernel fires through its trace tap.
+"""
 
 from .core import (
     AllOf,

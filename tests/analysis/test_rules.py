@@ -1,6 +1,8 @@
 """Rule-level unit tests: scoping, edge cases, and non-findings."""
 
-from repro.analysis import lint_source
+import os
+
+from repro.analysis import lint_paths, lint_source
 from repro.analysis.rules import UnorderedIterationRule, rules_by_id
 
 
@@ -175,6 +177,41 @@ def test_api001_conditional_definitions_count():
 def test_api001_computed_all_is_skipped():
     source = "import sys\n__all__ = sorted(dir(sys))\n"
     assert lint_with("API001", source, path="pkg/mod.py") == []
+
+
+API001_FIXTURES = os.path.join(os.path.dirname(__file__), "api001_fixtures")
+
+
+def _api001_package(package):
+    """API001 findings on a fixture package's ``__init__`` and the line
+    its ``# expect: API001`` annotation marks (``None`` when clean)."""
+    path = os.path.join(API001_FIXTURES, package, "__init__.py")
+    findings = lint_paths([path], rules=[rules_by_id()["API001"]])
+    with open(path, encoding="utf-8") as fh:
+        expected = [
+            lineno for lineno, text in enumerate(fh, start=1)
+            if "# expect: API001" in text
+        ]
+    return [(f.line, f.message) for f in findings], expected
+
+
+def test_api001_package_all_may_name_its_submodules():
+    findings, expected = _api001_package("lazy_clean")
+    assert findings == [] and expected == []
+
+
+def test_api001_package_all_still_flags_a_ghost_submodule():
+    findings, expected = _api001_package("lazy_ghost")
+    assert findings == [
+        (expected[0], "__all__ declares `ghost` but the module never defines it")
+    ]
+
+
+def test_api001_submodules_count_only_in_package_init():
+    """A plain module's ``__all__`` cannot claim a neighbouring file."""
+    source = "__all__ = ['leaf']\n"
+    path = os.path.join(API001_FIXTURES, "lazy_clean", "other.py")
+    assert rules_of(lint_with("API001", source, path=path)) == ["API001"]
 
 
 def test_api001_star_import_disables_ghost_check():

@@ -1,9 +1,9 @@
 """DeterminismSanitizer: same seed -> same trace, divergence pinpointed."""
 
-from repro.analysis import DeterminismSanitizer
 from repro.apps import make_adas_service
 from repro.scenario import DriveScenario
 from repro.sim import RngRegistry, Simulator
+from repro.sim.sanitizer import DeterminismSanitizer
 
 
 def _toy_run(seed, jitter=0.0, keep_records=True):

@@ -5,13 +5,12 @@ import textwrap
 
 from repro.analysis import parse_name_unit, parse_unit_expr
 from repro.analysis.units import (
-    SUFFIX_UNITS,
     SignatureIndex,
-    Unit,
     UnitChecker,
     summarize_module,
     unit_pragmas,
 )
+from repro.scenarios.units import SUFFIX_UNITS, Unit
 
 
 def _check(source, module="mod", extra=()):

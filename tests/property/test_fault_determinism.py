@@ -10,9 +10,9 @@ storms.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import DeterminismSanitizer
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.sim import Simulator
+from repro.sim.sanitizer import DeterminismSanitizer
 
 PROCESSOR_POOL = ["vehicle/cpu", "vehicle/gpu", "edge/gpu", "cloud/xeon"]
 LINK_POOL = ["edge-vehicle", "cloud-vehicle", "cloud-edge"]
