@@ -111,15 +111,18 @@ def main() -> int:
         print(f"scenario {scenario.name}: cell `{cell.name}` "
               f"({config.vehicles} vehicles, {config.partitions} partitions)")
     else:
-        config = FleetConfig(
-            seed=args.seed,
-            vehicles=args.vehicles,
-            partitions=args.partitions,
-            duration_s=args.duration,
-            barrier_deadline_s=120.0,
-            kill_plan=parse_kill(args.kill) if args.kill else None,
-            workload=args.workload,
-        )
+        try:
+            config = FleetConfig(
+                seed=args.seed,
+                vehicles=args.vehicles,
+                partitions=args.partitions,
+                duration_s=args.duration,
+                barrier_deadline_s=120.0,
+                kill_plan=parse_kill(args.kill) if args.kill else None,
+                workload=args.workload,
+            )
+        except ValueError as exc:
+            raise SystemExit(f"invalid fleet: {exc}")
     if args.plan_out:
         plan = plan_for_config(config)
         plan.save(args.plan_out)

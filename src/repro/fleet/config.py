@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..faults.prockill import KillPlan
-from ..sim.queues import QUEUE_BACKENDS
 from ..workloads.styles import STYLES, WorkloadStyle
 
 __all__ = ["FleetConfig", "PartitionPlan", "PartitionSpec", "shard_vehicles"]
@@ -241,6 +240,13 @@ def validate_shards(shards: Sequence[Sequence[int]], vehicles: int,
             raise ValueError("each shard must list vehicles sorted, once")
 
 
+#: FleetConfig's float fields; each must be finite (``barrier_s`` may be None).
+_FLOAT_FIELDS = (
+    "duration_s", "tick_s", "v2v_latency_s", "barrier_s", "beacon_period_s",
+    "edge_spacing_m", "barrier_deadline_s",
+)
+
+
 @dataclass(frozen=True)
 class FleetConfig:
     """Everything that defines one fleet run (picklable, seed-stamped).
@@ -269,12 +275,6 @@ class FleetConfig:
     )
     start_method: str | None = None
     workload: str = "uniform"
-    #: Event-queue backend each partition kernel runs on (a key of
-    #: ``repro.sim.queues.QUEUE_BACKENDS``).  Backends are pop-for-pop
-    #: identical, so this never changes vehicle hashes -- and
-    #: ``run_single_process`` always uses the ``"heap"`` reference,
-    #: making every fleet-vs-reference hash check a cross-scheduler gate.
-    scheduler: str = "calendar"
     #: Explicit shard assignment (e.g. from a :class:`PartitionPlan`);
     #: ``None`` falls back to round-robin.
     plan: tuple[tuple[int, ...], ...] | None = None
@@ -288,6 +288,10 @@ class FleetConfig:
             raise ValueError("need at least one vehicle")
         if not 1 <= self.partitions <= self.vehicles:
             raise ValueError("partitions must be in [1, vehicles]")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.duration_s <= 0 or self.tick_s <= 0:
             raise ValueError("duration and tick must be positive")
         if self.v2v_latency_s <= 0:
@@ -300,11 +304,6 @@ class FleetConfig:
             raise ValueError(
                 f"unknown workload style {self.workload!r} "
                 f"(have: {', '.join(sorted(STYLES))})"
-            )
-        if self.scheduler not in QUEUE_BACKENDS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r} "
-                f"(have: {', '.join(sorted(QUEUE_BACKENDS))})"
             )
         if self.plan is not None:
             object.__setattr__(

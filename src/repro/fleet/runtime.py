@@ -224,7 +224,7 @@ class PartitionRuntime:
         self.spec = spec
         self.config = spec.config
         self.collector = Collector()
-        self.sim = Simulator(obs=self.collector, queue=self.config.scheduler)
+        self.sim = Simulator(obs=self.collector)
         self.sanitizer = DeterminismSanitizer(self.sim, keep_records=False)
         self.bus = V2VBus(
             self.sim,

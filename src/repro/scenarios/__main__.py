@@ -7,7 +7,7 @@ Usage::
     python -m repro.scenarios run scenarios/skewed_sweep.yaml \\
         --cell 2 --mode processes
 
-``run --check`` re-executes every cell's single-process heap reference
+``run --check`` re-executes every cell's single-process reference
 and compares per-vehicle trace hashes; any divergence exits non-zero.
 Validation failures print the same ``file:line: RULE message`` findings
 ``vdaplint --scenarios`` emits and exit 2.
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run one matrix cell by index (default: all)")
     run.add_argument("--check", action="store_true",
                      help="compare each cell against the single-process "
-                          "heap reference")
+                          "reference")
     return parser
 
 
@@ -65,7 +65,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         print(
             f"  [{index}] {cell.name}: vehicles={config.vehicles} "
             f"partitions={config.partitions} duration={config.duration_s:g}s "
-            f"scheduler={config.scheduler} workload={config.workload}"
+            f"workload={config.workload}"
         )
     return 0
 

@@ -5,7 +5,7 @@ A :class:`~repro.scenarios.compiler.Scenario` is a list of lowered
 through the fleet substrate's three execution modes and (optionally)
 asserts the substrate's correctness contract per cell -- that the
 partitioned run's per-vehicle blake2b trace hashes are byte-identical to
-the single-process heap reference of the same config.
+the single-process reference of the same config.
 
 Modes:
 

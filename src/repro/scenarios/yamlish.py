@@ -14,7 +14,7 @@ Supported grammar (a strict subset of YAML):
 * block sequences ``- item`` (scalar items, nested blocks, or inline
   mapping items ``- key: value`` with aligned continuation keys);
 * flow sequences of scalars ``[1, 2.5, skewed]``;
-* scalars: quoted strings, integers, floats (incl. scientific), the
+* scalars: quoted strings, integers, finite floats (incl. scientific), the
   booleans ``true``/``false``, and ``null``/``~``; anything else is a
   bare string;
 * ``#`` comments (outside quotes) and blank lines.
@@ -27,6 +27,7 @@ than last-wins -- in a scenario file a duplicate key is always a bug.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -336,7 +337,11 @@ class _Parser:
         if _INT_RE.match(text):
             return ScalarNode(int(text), number)
         if _FLOAT_RE.match(text):
-            return ScalarNode(float(text), number)
+            value = float(text)
+            # An overflowing literal (``1e999``) stays a string, like
+            # ``inf``, so the schema reports it as not a number.
+            if math.isfinite(value):
+                return ScalarNode(value, number)
         return ScalarNode(text, number)
 
 

@@ -16,17 +16,15 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .queues import CalendarQueue, EventQueue, HeapQueue, make_queue
+from .queues import HeapQueue
 from .random import RngRegistry
 from .resources import Container, PriorityStore, Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Container",
     "Event",
-    "EventQueue",
     "HeapQueue",
     "Interrupt",
     "KernelCheckpoint",
@@ -39,5 +37,4 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "make_queue",
 ]

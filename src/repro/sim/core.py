@@ -25,7 +25,7 @@ import itertools
 from typing import Any, Callable, Generator, Iterable, NamedTuple, Optional
 
 from ..obs.recorder import NULL_RECORDER, Recorder
-from .queues import EventQueue, make_queue
+from .queues import HeapQueue
 
 __all__ = [
     "Event",
@@ -123,8 +123,8 @@ class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
     def __init__(self, sim: "Simulator", delay_s: float, value: Any = None):
-        if delay_s < 0:
-            raise SimulationError(f"negative timeout delay: {delay_s}")
+        if not delay_s >= 0:
+            raise SimulationError(f"timeout delay must be >= 0, got {delay_s}")
         super().__init__(sim)
         self.delay_s = delay_s
         self._value = value
@@ -366,7 +366,7 @@ class KernelCheckpoint(NamedTuple):
 
 
 class Simulator:
-    """The event loop: a priority queue of (time, priority, seq, event).
+    """The event loop: a binary heap of (time, seq, event).
 
     ``obs`` installs an instrumentation recorder (see :mod:`repro.obs`):
     the kernel then counts events fired and per-process steps, samples
@@ -379,22 +379,11 @@ class Simulator:
     event-trace hashing: each tap is called as ``tap(event, when)`` for
     every event the loop fires, in firing order.  Zero-cost when no tap is
     installed (one truthiness check per event).
-
-    ``queue`` selects the event-queue backend (see :mod:`repro.sim.queues`):
-    ``None`` or ``"heap"`` for the binary-heap reference, ``"calendar"``
-    for the resizing calendar queue, or any :class:`~repro.sim.queues.
-    EventQueue` instance.  Backends are pop-for-pop identical, so the
-    choice affects wall-clock speed only -- never event order, simulated
-    results, or trace hashes.
     """
 
-    def __init__(
-        self,
-        obs: Recorder | None = None,
-        queue: "EventQueue | str | None" = None,
-    ):
+    def __init__(self, obs: Recorder | None = None):
         self._now = 0.0
-        self._queue: EventQueue = make_queue(queue)
+        self._queue = HeapQueue()
         self._counter = itertools.count()
         self._stopped = False
         self._running = False
@@ -483,8 +472,8 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule_event(self, event: Event, delay: float = 0.0, priority: int = 0) -> None:
-        self._queue.push(self._now + delay, priority, next(self._counter), event)
+    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
+        self._queue.push(self._now + delay, next(self._counter), event)
 
     def stop(self) -> None:
         """Halt :meth:`run` after the current event finishes."""
@@ -550,7 +539,7 @@ class Simulator:
                 when = queue.peek()
                 if until is not None and when > until:
                     break
-                event = queue.pop()[3]
+                event = queue.pop()[2]
                 self._now = when
                 fired += 1
                 if record:
@@ -591,7 +580,7 @@ class Simulator:
         """Process exactly one event; returns the new time."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _prio, _seq, event = self._queue.pop()
+        when, _seq, event = self._queue.pop()
         self._now = when
         self._fired += 1
         obs = self.obs

@@ -1,5 +1,6 @@
 """FleetConfig / PartitionSpec geometry and validation."""
 
+import math
 import pickle
 
 import pytest
@@ -108,9 +109,21 @@ class TestValidation:
         {"v2v_latency_s": 0.0},
         {"beacon_period_s": 0.0},
         {"barrier_deadline_s": 0.0},
+        {"tick_s": math.nan},
+        {"beacon_period_s": math.nan},
+        {"barrier_deadline_s": math.nan},
+        {"barrier_s": math.nan},
+        {"duration_s": math.nan},
+        {"duration_s": math.inf},
+        {"v2v_latency_s": math.inf},
+        {"edge_spacing_m": -math.inf},
     ])
     def test_bad_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # A non-finite value is rejected up front, naming its field.
+        field = next((name for name, value in kwargs.items()
+                      if isinstance(value, float) and not math.isfinite(value)),
+                     None)
+        with pytest.raises(ValueError, match=field):
             FleetConfig(**kwargs)
 
     @pytest.mark.parametrize("latency_s", [0.0, -0.5])

@@ -4,8 +4,8 @@ Every other fleet identity gate is relative (fleet vs reference, run vs
 rerun), so a change that moves both sides together still passes them.
 This module pins the hashes themselves: ``golden_hashes.json`` holds the
 per-vehicle trace hash of each corpus entry, and every entry is replayed
-through both the heap-scheduled single-process reference and an inline
-run on four calendar-queue partitions.
+through both the single-process reference and an inline run on four
+partitions.
 
 Re-baseline policy: an *intended* behaviour change regenerates the file
 with ``PYTHONPATH=src python tests/fleet/test_golden_hashes.py
@@ -45,7 +45,7 @@ def load_golden() -> dict:
 
 
 def regenerate() -> None:
-    """Rewrite ``golden_hashes.json`` from the heap reference."""
+    """Rewrite ``golden_hashes.json`` from the single-process reference."""
     document = {}
     for seed, workload, vehicles in CORPUS:
         result = run_single_process(entry_config(seed, workload, vehicles))
@@ -69,9 +69,9 @@ def test_reference_matches_golden(entry):
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: entry_key(*e))
-def test_four_partition_calendar_run_matches_golden(entry):
+def test_four_partition_run_matches_golden(entry):
     expected = load_golden()[entry_key(*entry)]
-    config = replace(entry_config(*entry), partitions=4, scheduler="calendar")
+    config = replace(entry_config(*entry), partitions=4)
     result = run_inline(config)
     assert {str(v): h for v, h in result.vehicle_hashes.items()} == expected
 

@@ -19,12 +19,12 @@ def smoke_scenario():
 
 
 def test_shipped_smoke_scenario_matches_hand_built_config():
-    """The shipped 4-partition calendar scenario compiles to the exact
+    """The shipped 4-partition scenario compiles to the exact
     config a test would build by hand."""
     cell = smoke_scenario().cell(0)
     hand_built = FleetConfig(
         seed=42, vehicles=8, partitions=4, duration_s=12.0,
-        barrier_s=1.0, scheduler="calendar", workload="uniform",
+        barrier_s=1.0, workload="uniform",
         v2v_latency_s=1.0, beacon_period_s=2.0,
     )
     assert cell.config == hand_built
@@ -33,11 +33,11 @@ def test_shipped_smoke_scenario_matches_hand_built_config():
 def test_dsl_trace_hashes_match_python_built_config_both_backends():
     """Per-vehicle blake2b trace hashes from the DSL-compiled config are
     byte-identical to the Python-built config's -- for the 4-partition
-    calendar fleet AND the single-process heap reference."""
+    fleet AND the single-process reference."""
     cell = smoke_scenario().cell(0)
     hand_built = FleetConfig(
         seed=42, vehicles=8, partitions=4, duration_s=12.0,
-        barrier_s=1.0, scheduler="calendar", workload="uniform",
+        barrier_s=1.0, workload="uniform",
         v2v_latency_s=1.0, beacon_period_s=2.0,
     )
     dsl_fleet = run_inline(cell.config)
@@ -46,7 +46,7 @@ def test_dsl_trace_hashes_match_python_built_config_both_backends():
     dsl_reference = run_single_process(cell.config)
     python_reference = run_single_process(hand_built)
     assert dsl_reference.vehicle_hashes == python_reference.vehicle_hashes
-    # The substrate's own contract ties the two backends together.
+    # The substrate's own contract ties the two runs together.
     assert dsl_fleet.vehicle_hashes == dsl_reference.vehicle_hashes
 
 

@@ -109,12 +109,30 @@ def test_effective_vehicles_prefers_the_roster():
     assert effective_vehicles(doc, {"vehicles": 9}) == 2
 
 
+def test_bad_choice_and_overflowing_float_messages():
+    text = (
+        "fleet:\n"
+        "  vehicles: 4\n"
+        "  tick_s: 1e999\n"   # line 3: overflows, so not a number
+        "faults:\n"
+        "  kills:\n"
+        "    - partition: 0\n"
+        "      round: 0\n"
+        "      phase: sideways\n"   # line 8: not a kill phase
+    )
+    messages = {i.line: (i.rule, i.message) for i in validate(parse_text(text))}
+    assert sorted(messages) == [3, 8]
+    assert messages[3][0] == messages[8][0] == "SCN001"
+    assert "`tick_s` in fleet must be a number" in messages[3][1]
+    assert "must be one of on-advance, before-ack" in messages[8][1]
+
+
 def test_config_defaults_track_the_dataclass():
     from repro.fleet.config import FleetConfig
 
     defaults = config_defaults()
     assert defaults["vehicles"] == FleetConfig().vehicles
-    assert defaults["scheduler"] == FleetConfig().scheduler
+    assert defaults["workload"] == FleetConfig().workload
 
 
 def test_issues_sorted_and_deduplicated():

@@ -22,11 +22,14 @@ def test_scalar_types():
         "g: hello world\n"
         "h: 'quoted # not a comment'\n"
         "i: -3\n"
+        "j: 1e999\n"
+        "k: .inf\n"
     )
     values = {key: node.value for key, node in doc.items()}
     assert values == {
         "a": 1, "b": 2.5, "c": True, "d": False, "e": None, "f": None,
         "g": "hello world", "h": "quoted # not a comment", "i": -3,
+        "j": "1e999", "k": ".inf",
     }
     assert isinstance(doc.get("a").value, int)
     assert isinstance(doc.get("b").value, float)

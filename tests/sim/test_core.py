@@ -49,9 +49,11 @@ def test_run_backwards_raises():
 
 
 def test_negative_timeout_raises():
+    # NaN fails every comparison, so it must not slip past a `< 0` check.
     sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.timeout(-1.0)
+    for delay_s in (-1.0, float("nan")):
+        with pytest.raises(SimulationError):
+            sim.timeout(delay_s)
 
 
 def test_process_sequencing_and_return_value():
