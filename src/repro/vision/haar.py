@@ -40,7 +40,8 @@ def integral_image(img: np.ndarray) -> np.ndarray:
 
 
 def rect_sum(ii: np.ndarray, x, y, w, h):
-    """Sum of pixels in [y, y+h) x [x, x+w); broadcasts over arrays."""
+    """Sum of pixels in [y, y+h) x [x, x+w); broadcasts over arrays, and for
+    scalar x, y over a trailing sample axis of ``ii``, shape (H+1, W+1, n)."""
     return ii[y + h, x + w] - ii[y, x + w] - ii[y + h, x] + ii[y, x]
 
 
@@ -70,8 +71,10 @@ class HaarFeature:
     def evaluate(self, ii: np.ndarray, x, y, size: int):
         """Feature response for window(s) at (x, y) of side ``size``.
 
-        x, y may be arrays (vectorized over windows).  Response is
-        normalized by the window area so it is scale-invariant.
+        x, y may be arrays (vectorized over windows), or with scalar x, y
+        ``ii`` may stack integral images on a trailing axis (one response per
+        sample).  Response is normalized by the window area so it is
+        scale-invariant.
         """
         px = (x + self.fx * size).astype(int) if hasattr(x, "astype") else int(x + self.fx * size)
         py = (y + self.fy * size).astype(int) if hasattr(y, "astype") else int(y + self.fy * size)
@@ -252,47 +255,42 @@ def train_haar_detector(
     """AdaBoost over random Haar features on window-sized patches."""
     if not positives or not negatives:
         raise ValueError("need both positive and negative examples")
-    rng = rng or np.random.default_rng(0)
+    if rounds < 1 or candidates < 1:
+        raise ValueError(f"rounds and candidates must be >= 1, got {rounds} and {candidates}")
     patches = positives + negatives
+    for p in patches:
+        if np.shape(p) != (window, window):
+            raise ValueError(f"window={window} needs {window}x{window} patches, got {np.shape(p)}")
+    rng = rng or np.random.default_rng(0)
     labels = np.array([1] * len(positives) + [0] * len(negatives))
     n = len(patches)
     features = _candidate_features(rng, candidates)
 
-    # Precompute feature responses: (n_features, n_samples).
-    iis = [integral_image(p) for p in patches]
-    responses = np.zeros((len(features), n))
-    for fi, feature in enumerate(features):
-        for si, ii in enumerate(iis):
-            responses[fi, si] = feature.evaluate(ii, 0, 0, window)
+    # Responses (n_features, n_samples), from integral images stacked with
+    # the sample axis last.  They never change, so each row is sorted once.
+    stack = np.stack([integral_image(p) for p in patches], axis=-1)
+    responses = np.array([feature.evaluate(stack, 0, 0, window) for feature in features])
+    orders = np.argsort(responses, axis=1)
+    positive = labels[orders] == 1
 
     weights = np.full(n, 1.0 / n)
     chosen: list[WeakClassifier] = []
     for _round in range(rounds):
         weights = weights / weights.sum()
-        best = None  # (error, fi, threshold, polarity)
-        for fi in range(len(features)):
-            values = responses[fi]
-            order = np.argsort(values)
-            sorted_vals = values[order]
-            sorted_labels = labels[order]
-            sorted_weights = weights[order]
-            # Cumulative weighted positives/negatives below each split.
-            w_pos = sorted_weights * (sorted_labels == 1)
-            w_neg = sorted_weights * (sorted_labels == 0)
-            cum_pos = np.concatenate([[0.0], np.cumsum(w_pos)])
-            cum_neg = np.concatenate([[0.0], np.cumsum(w_neg)])
-            total_pos, total_neg = cum_pos[-1], cum_neg[-1]
-            # polarity +1 (predict positive above split): error =
-            # positives below + negatives above.
-            err_plus = cum_pos[:-1] + (total_neg - cum_neg[:-1])
-            err_minus = cum_neg[:-1] + (total_pos - cum_pos[:-1])
-            for errors, polarity in ((err_plus, 1), (err_minus, -1)):
-                idx = int(errors.argmin())
-                err = float(errors[idx])
-                if best is None or err < best[0]:
-                    threshold = sorted_vals[idx] - 1e-9 if idx < n else sorted_vals[-1]
-                    best = (err, fi, float(threshold), polarity)
-        err, fi, threshold, polarity = best
+        sorted_weights = weights[orders]
+        # Cumulative weighted positives/negatives below each split.
+        cum_pos, cum_neg = (np.pad(np.cumsum(sorted_weights * mask, axis=1), ((0, 0), (1, 0)))
+                            for mask in (positive, ~positive))
+        # errors[:, 0]: polarity +1 (predict positive above split), error =
+        # positives below + negatives above; errors[:, 1]: polarity -1.
+        errors = np.stack([cum_pos[:, :-1] + (cum_neg[:, -1:] - cum_neg[:, :-1]),
+                           cum_neg[:, :-1] + (cum_pos[:, -1:] - cum_pos[:, :-1])], axis=1)
+        # The first minimum in row-major order: features, then polarity +1, -1.
+        best = errors.min(axis=2)
+        fi, pi = divmod(int(best.argmin()), 2)
+        err = float(best[fi, pi])
+        threshold = float(responses[fi, orders[fi, errors[fi, pi].argmin()]] - 1e-9)
+        polarity = -1 if pi else 1
         err = min(max(err, 1e-9), 0.4999)
         alpha = 0.5 * np.log((1.0 - err) / err)
         clf = WeakClassifier(features[fi], threshold, polarity, alpha=float(alpha))

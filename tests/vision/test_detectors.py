@@ -1,5 +1,7 @@
 """Tests for Haar and CNN vehicle detectors and the Table I harness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,55 @@ def _patches(n, rng):
 def test_haar_training_validation():
     with pytest.raises(ValueError):
         train_haar_detector([], [np.zeros((24, 24))])
+
+
+@pytest.mark.parametrize(
+    "shapes, kwargs, match",
+    [
+        (((16, 16), (24, 24)), {}, r"window=24 .*\(16, 16\)"),
+        (((24, 24), (40, 40)), {}, r"window=24 .*\(40, 40\)"),
+        (((24, 24), (24, 24)), {"window": 16}, r"window=16 .*\(24, 24\)"),
+        (((24, 24), (24, 24)), {"rounds": 0}, "rounds"),
+        (((24, 24), (24, 24)), {"candidates": 0}, "candidates"),
+    ],
+    ids=["patch-too-small", "patch-too-large", "window-mismatch", "no-rounds", "no-candidates"],
+)
+def test_haar_training_rejects_bad_shapes_and_counts(shapes, kwargs, match):
+    positive, negative = (np.zeros(shape) for shape in shapes)
+    with pytest.raises(ValueError, match=match):
+        train_haar_detector([positive], [negative], **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["two_h", "two_v", "three_h"])
+def test_haar_feature_evaluates_a_sample_stack_like_each_image(kind):
+    """An (h+1, w+1, n) integral-image stack gives each image's own response."""
+    rng = np.random.default_rng(5)
+    iis = [integral_image(rng.random((24, 24))) for _ in range(9)]
+    stack = np.stack(iis, axis=-1)
+    for _ in range(4):
+        fw, fh = rng.uniform(0.3, 0.9), rng.uniform(0.2, 0.6)
+        feature = HaarFeature(kind, rng.uniform(0, 1 - fw), rng.uniform(0, 1 - fh), fw, fh)
+        stacked = feature.evaluate(stack, 0, 0, 24)
+        assert stacked.shape == (9,)
+        assert stacked.tolist() == [feature.evaluate(ii, 0, 0, 24) for ii in iis]
+
+
+def test_table1_haar_cascade_is_pinned():
+    """Every trained threshold and weight, not just the rectangle counts
+    Table I reads, matches the cascade trained as ``table1._train_haar`` does."""
+    rng = np.random.default_rng(0)
+    positives, negatives = _patches(60, rng)
+    detector = train_haar_detector(positives, negatives, rounds=15, rng=rng)
+    digest = hashlib.sha256()
+    for clf in detector.classifiers:
+        f = clf.feature
+        digest.update(
+            f"{f.kind}|{f.fx!r}|{f.fy!r}|{f.fw!r}|{f.fh!r}|{clf.threshold!r}|"
+            f"{clf.polarity}|{clf.alpha!r}\n".encode()
+        )
+    assert digest.hexdigest() == (
+        "bc981556d67a304347a2cd316fa766daf584a3e785d15403f62ef6465234634e"
+    )
 
 
 def test_haar_detector_separates_patches():
