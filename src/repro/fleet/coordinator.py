@@ -32,7 +32,7 @@ from ..obs.report import Report
 from .config import FleetConfig
 from .journal import PartitionJournal
 from .recovery import FleetError, RecoveryPolicy, recv_ack, respawn_and_replay
-from .runtime import PartitionRuntime
+from .runtime import PartitionRuntime, frozen_heap
 from .transport import (
     AdvanceCmd,
     BarrierTimeout,
@@ -339,26 +339,27 @@ def run_inline(config: FleetConfig) -> FleetResult:
     pending: dict[int, list[Envelope]] = {
         p: [] for p in range(config.partitions)
     }
-    for round_index, barrier_s in enumerate(config.barriers()):
-        results = {
-            p: runtimes[p].advance(
-                round_index, barrier_s, tuple(sort_envelopes(pending[p]))
-            )
-            for p in range(config.partitions)
-        }
-        pending = {p: [] for p in range(config.partitions)}
-        for p in sorted(results):
-            for env in results[p].outbound:
-                pending[dst_partition[env.dst]].append(env)
-                stats.envelopes_routed += 1
-        stats.rounds += 1
     vehicle_hashes: dict[int, str] = {}
     vehicle_reports: dict[int, dict[str, Any]] = {}
-    for p, runtime in runtimes.items():
-        vehicle_reports.update(runtime.finalize())
-        vehicle_hashes.update(runtime.vehicle_hashes())
-        stats.events_fired += runtime.sim.events_fired
-        stats.partition_events[p] = runtime.sim.events_fired
+    with frozen_heap():
+        for round_index, barrier_s in enumerate(config.barriers()):
+            results = {
+                p: runtimes[p].advance(
+                    round_index, barrier_s, tuple(sort_envelopes(pending[p]))
+                )
+                for p in range(config.partitions)
+            }
+            pending = {p: [] for p in range(config.partitions)}
+            for p in sorted(results):
+                for env in results[p].outbound:
+                    pending[dst_partition[env.dst]].append(env)
+                    stats.envelopes_routed += 1
+            stats.rounds += 1
+        for p, runtime in runtimes.items():
+            vehicle_reports.update(runtime.finalize())
+            vehicle_hashes.update(runtime.vehicle_hashes())
+            stats.events_fired += runtime.sim.events_fired
+            stats.partition_events[p] = runtime.sim.events_fired
     return FleetResult(
         config=config,
         vehicle_hashes=dict(sorted(vehicle_hashes.items())),
@@ -392,14 +393,15 @@ def run_single_process(config: FleetConfig) -> FleetResult:
     runtime.launch()
     stats = FleetStats()
     inbound: tuple[Envelope, ...] = ()
-    for round_index, barrier_s in enumerate(reference.barriers()):
-        result = runtime.advance(
-            round_index, barrier_s, tuple(sort_envelopes(list(inbound)))
-        )
-        inbound = result.outbound
-        stats.rounds += 1
-        stats.envelopes_routed += len(result.outbound)
-    vehicle_reports = runtime.finalize()
+    with frozen_heap():
+        for round_index, barrier_s in enumerate(reference.barriers()):
+            result = runtime.advance(
+                round_index, barrier_s, tuple(sort_envelopes(list(inbound)))
+            )
+            inbound = result.outbound
+            stats.rounds += 1
+            stats.envelopes_routed += len(result.outbound)
+        vehicle_reports = runtime.finalize()
     stats.events_fired = runtime.sim.events_fired
     stats.partition_events[0] = runtime.sim.events_fired
     return FleetResult(

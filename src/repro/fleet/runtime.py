@@ -29,9 +29,11 @@ of how vehicles are sharded.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from ..apps import make_adas_service
 from ..obs.recorder import Collector
@@ -48,12 +50,30 @@ __all__ = [
     "V2VBus",
     "VehicleTraceHash",
     "fmt_float",
+    "frozen_heap",
 ]
 
 
 def fmt_float(value: float) -> str:
     """Canonical float text for hashing (9 significant digits)."""
     return f"{value:.9g}"
+
+
+@contextmanager
+def frozen_heap() -> Iterator[None]:
+    """Keep the cycle collector off everything built so far.
+
+    Wrap a fleet round loop in this once its partitions are built and
+    launched: ``gc.freeze()`` moves every live object to the permanent
+    generation, so collections triggered by per-tick allocations no
+    longer re-walk the vehicles' worlds.  Exit -- normal, raised or
+    returned -- unfreezes, so the frozen heap never outlives the run.
+    """
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 class VehicleTraceHash:
@@ -223,7 +243,8 @@ class PartitionRuntime:
     def __init__(self, spec: PartitionSpec):
         self.spec = spec
         self.config = spec.config
-        self.collector = Collector()
+        # Metrics only: the partition ships registry state, never a trace.
+        self.collector = Collector(trace=False)
         self.sim = Simulator(obs=self.collector)
         self.sanitizer = DeterminismSanitizer(self.sim, keep_records=False)
         self.bus = V2VBus(

@@ -50,7 +50,7 @@ def partition_worker_main(conn, spec: PartitionSpec) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     pipe = PipeEndpoint(conn)
     try:
-        from .runtime import PartitionRuntime
+        from .runtime import PartitionRuntime, frozen_heap
 
         runtime = PartitionRuntime(spec)
         runtime.launch()
@@ -61,46 +61,47 @@ def partition_worker_main(conn, spec: PartitionSpec) -> None:
                 pid=os.getpid(),
             )
         )
-        while True:
-            try:
-                command = pipe.recv_blocking()
-            except WorkerGone:
-                return  # coordinator went away; nothing left to serve
-            if isinstance(command, AdvanceCmd):
-                pipe.send(Heartbeat(spec.partition, command.round_index))
-                kill = (
-                    spec.kill_plan.kill_for(spec.partition, command.round_index)
-                    if spec.kill_plan is not None
-                    else None
-                )
-                if kill is not None and kill.phase == KillPhase.ON_ADVANCE:
-                    _self_destruct()
-                stall_s = spec.straggle_for(command.round_index)
-                if stall_s > 0:
-                    time.sleep(stall_s)  # vdaplint: disable=DET001,SIM001
-                started = time.perf_counter()  # vdaplint: disable=DET001
-                result = runtime.advance(
-                    command.round_index, command.barrier_s, command.inbound
-                )
-                advance_wall_s = time.perf_counter() - started  # vdaplint: disable=DET001
-                if kill is not None and kill.phase == KillPhase.BEFORE_ACK:
-                    _self_destruct()
-                pipe.send(result.to_ack(advance_wall_s=advance_wall_s))
-            elif isinstance(command, FinishCmd):
-                reports = runtime.finalize()
-                pipe.send(
-                    FinishAck(
-                        partition=spec.partition,
-                        partition_hash=runtime.sanitizer.trace_hash,
-                        vehicle_hashes=runtime.vehicle_hashes(),
-                        events_fired=runtime.sim.events_fired,
-                        metrics=runtime.metrics_snapshot(),
-                        vehicle_reports=reports,
+        with frozen_heap():
+            while True:
+                try:
+                    command = pipe.recv_blocking()
+                except WorkerGone:
+                    return  # coordinator went away; nothing left to serve
+                if isinstance(command, AdvanceCmd):
+                    pipe.send(Heartbeat(spec.partition, command.round_index))
+                    kill = (
+                        spec.kill_plan.kill_for(spec.partition, command.round_index)
+                        if spec.kill_plan is not None
+                        else None
                     )
-                )
-                return
-            else:
-                raise RuntimeError(f"unknown command: {command!r}")
+                    if kill is not None and kill.phase == KillPhase.ON_ADVANCE:
+                        _self_destruct()
+                    stall_s = spec.straggle_for(command.round_index)
+                    if stall_s > 0:
+                        time.sleep(stall_s)  # vdaplint: disable=DET001,SIM001
+                    started = time.perf_counter()  # vdaplint: disable=DET001
+                    result = runtime.advance(
+                        command.round_index, command.barrier_s, command.inbound
+                    )
+                    advance_wall_s = time.perf_counter() - started  # vdaplint: disable=DET001
+                    if kill is not None and kill.phase == KillPhase.BEFORE_ACK:
+                        _self_destruct()
+                    pipe.send(result.to_ack(advance_wall_s=advance_wall_s))
+                elif isinstance(command, FinishCmd):
+                    reports = runtime.finalize()
+                    pipe.send(
+                        FinishAck(
+                            partition=spec.partition,
+                            partition_hash=runtime.sanitizer.trace_hash,
+                            vehicle_hashes=runtime.vehicle_hashes(),
+                            events_fired=runtime.sim.events_fired,
+                            metrics=runtime.metrics_snapshot(),
+                            vehicle_reports=reports,
+                        )
+                    )
+                    return
+                else:
+                    raise RuntimeError(f"unknown command: {command!r}")
     except Exception as exc:  # noqa: BLE001 - report, then die loudly
         try:
             pipe.send(WorkerFailed(partition=spec.partition, error=repr(exc)))

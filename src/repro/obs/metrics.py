@@ -534,9 +534,12 @@ def mergeable_view(snapshot: dict) -> dict:
       vehicle recorded last depends on registry interleaving);
     * histograms -- the :meth:`Histogram.state` fields kept, quantile
       estimates dropped (P-squared is order-sensitive; fleet partitions
-      ship states and never compute estimates);
-    * ``sim.queue_depth`` dropped entirely (the shared queue's depth is a
-      property of the partitioning, not the workload).
+      ship states and never compute estimates).
+
+    The kernel's ``sim.queue_depth`` samples are not partition-invariant
+    (the shared queue's depth is a property of the partitioning), so
+    only a tracing recorder takes them; fleet partitions record metrics
+    only and never ship that series.
 
     Two runs of the same fleet at different partition counts must produce
     byte-identical mergeable views -- that equality is asserted in CI.
@@ -545,16 +548,12 @@ def mergeable_view(snapshot: dict) -> dict:
     for key, value in snapshot.get("counters", {}).items():
         out["counters"][key] = _quantize(value)
     for key, gauge in snapshot.get("gauges", {}).items():
-        if key.startswith("sim.queue_depth"):
-            continue
         out["gauges"][key] = {
             "min": _quantize(gauge["min"]),
             "max": _quantize(gauge["max"]),
             "sets": gauge["sets"],
         }
     for key, hist in snapshot.get("histograms", {}).items():
-        if key.startswith("sim.queue_depth"):
-            continue
         out["histograms"][key] = {
             "count": hist["count"],
             "sum": _quantize(hist["sum"]),

@@ -9,6 +9,10 @@ per hook -- and hooks that would have to *compute* something to record
 (e.g. scan the DDI backlog) guard on ``enabled`` and skip the work
 entirely.  Installing a :class:`Collector` turns the same call sites into
 a metric registry + span tracer, with JSON exporters for both.
+``Collector(trace=False)`` records metrics only: its span hooks do
+nothing and :attr:`Recorder.tracing` is False, so the kernel also skips
+its per-event queue-depth samples.  Fleet partitions use it, because they
+ship mergeable metric state and nothing else.
 
 The single-wiring-point pattern: hand one Collector to
 ``Simulator(obs=...)`` (or ``DriveScenario(observe=...)``) and every
@@ -48,6 +52,8 @@ class Recorder:
 
     #: False on the null sink: lets call sites skip costly data gathering.
     enabled = False
+    #: False when spans are dropped: lets call sites skip trace-only work.
+    tracing = False
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the time source spans are stamped from (sim clock)."""
@@ -86,16 +92,24 @@ NULL_RECORDER = Recorder()
 
 
 class Collector(Recorder):
-    """A live recorder: metric registry + span tracer + exporters."""
+    """A live recorder: metric registry + span tracer + exporters.
+
+    ``trace=False`` leaves the tracer out: spans, async spans and
+    instants are dropped, and there is no trace to export.
+    """
 
     enabled = True
 
-    def __init__(self, clock: Callable[[], float] | None = None):
+    def __init__(
+        self, clock: Callable[[], float] | None = None, trace: bool = True
+    ):
         self.registry = MetricRegistry()
-        self.tracer = SpanTracer(clock)
+        self.tracing = trace
+        self.tracer = SpanTracer(clock) if trace else None
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
-        self.tracer.clock = clock
+        if self.tracer is not None:
+            self.tracer.clock = clock
 
     def count(self, name: str, n: float = 1.0, **labels) -> None:
         self.registry.counter(name, **labels).inc(n)
@@ -112,16 +126,20 @@ class Collector(Recorder):
         if len(values):
             self.registry.histogram(name, **labels).observe_many(values)
 
-    def span(self, name: str, track: str = "main", **args) -> Span:
+    def span(self, name: str, track: str = "main", **args) -> Span | _NullSpan:
+        if self.tracer is None:
+            return _NULL_SPAN
         return self.tracer.span(name, track=track, **args)
 
     def async_span(
         self, name: str, start_s: float, end_s: float, track: str = "async", **args
     ) -> None:
-        self.tracer.async_span(name, start_s, end_s, track=track, **args)
+        if self.tracer is not None:
+            self.tracer.async_span(name, start_s, end_s, track=track, **args)
 
     def instant(self, name: str, ts: float | None = None, track: str = "main", **args) -> None:
-        self.tracer.instant(name, ts=ts, track=track, **args)
+        if self.tracer is not None:
+            self.tracer.instant(name, ts=ts, track=track, **args)
 
     # -- export ------------------------------------------------------------
 
@@ -135,6 +153,8 @@ class Collector(Recorder):
 
     def trace_json(self, indent: int | None = None) -> str:
         """Stable Chrome ``trace_event`` JSON (open in Perfetto)."""
+        if self.tracer is None:
+            raise RuntimeError("this collector records metrics only: no trace")
         return self.tracer.to_json(indent=indent)
 
     def write(self, directory: str) -> tuple[str, str]:

@@ -198,10 +198,11 @@ class Process(Event):
         sim = self.sim
         obs = sim.obs
         if obs.enabled:
-            obs.async_span(
-                self.name, self._spawned_at, sim.now,
-                track="sim.process", ok=ok,
-            )
+            if obs.tracing:
+                obs.async_span(
+                    self.name, self._spawned_at, sim.now,
+                    track="sim.process", ok=ok,
+                )
             name = self.short_name
             pending = sim._pending_completions
             pending[name] = pending.get(name, 0) + 1
@@ -267,21 +268,15 @@ class Process(Event):
 
 
 class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
+    """Base for AnyOf / AllOf composite events.
+
+    A condition succeeds with ``{index: value}`` of its processed, ok
+    children and fails with the first failing child's exception.
+    """
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self.events = list(events)
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.processed:
-                self._on_child(event)
-            else:
-                event.callbacks.append(self._on_child)
-        if not self.triggered and self._check():
-            self.succeed(self._results())
 
     def _results(self) -> dict:
         return {
@@ -290,31 +285,61 @@ class _Condition(Event):
             if evt.processed and evt._exception is None
         }
 
+
+class AnyOf(_Condition):
+    """Fires when any constituent event has fired."""
+
+    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+        super().__init__(sim, events)
+        if not self.events:
+            self.succeed({})
+            return
+        for event in self.events:
+            if event.processed:
+                self._on_child(event)
+            else:
+                event.callbacks.append(self._on_child)
+
     def _on_child(self, event: Event) -> None:
         if self.triggered:
             return
         if event._exception is not None:
             self.fail(event._exception)
             return
-        if self._check():
-            self.succeed(self._results())
-
-    def _check(self) -> bool:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires when any constituent event has fired."""
-
-    def _check(self) -> bool:
-        return any(evt.processed and evt.ok for evt in self.events)
+        self.succeed(self._results())
 
 
 class AllOf(_Condition):
-    """Fires when all constituent events have fired."""
+    """Fires when all constituent events have fired.
 
-    def _check(self) -> bool:
-        return all(evt.processed and evt.ok for evt in self.events)
+    Counts the distinct children still to fire rather than rescanning the
+    list on every callback.  A child listed twice fires once, so it is
+    counted and called back once.
+    """
+
+    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+        super().__init__(sim, events)
+        waiting: dict[int, Event] = {}
+        for event in self.events:
+            if not event.processed:
+                waiting[id(event)] = event
+            elif event._exception is not None and not self.triggered:
+                self.fail(event._exception)
+        self._waiting = len(waiting)
+        for event in waiting.values():
+            event.callbacks.append(self._on_child)
+        if not self.triggered and not self._waiting:
+            self.succeed(self._results())
+
+    def _on_child(self, event: Event) -> None:
+        self._waiting -= 1
+        if self.triggered:
+            return
+        if event._exception is not None:
+            self.fail(event._exception)
+            return
+        if not self._waiting:
+            self.succeed(self._results())
 
 
 class Race(Event):
@@ -369,8 +394,10 @@ class Simulator:
     """The event loop: a binary heap of (time, seq, event).
 
     ``obs`` installs an instrumentation recorder (see :mod:`repro.obs`):
-    the kernel then counts events fired and per-process steps, samples
-    queue depth, and spans every process lifetime onto the trace.  The
+    the kernel then counts events fired and per-process steps and, when
+    the recorder traces, samples queue depth and spans every process
+    lifetime onto the trace.  A metrics-only recorder (a fleet
+    partition's) gets neither, because nothing downstream reads them.  The
     default is the shared no-op recorder, which costs one predicate per
     event.  Subsystems holding a simulator reference record through
     ``sim.obs``, so installing one collector instruments all of them.
@@ -519,16 +546,18 @@ class Simulator:
         Returns the simulation time at exit.  ``until`` is an absolute time;
         the clock is advanced to it even if no event lands exactly there.
 
-        Kernel accounting (events fired, queue-depth samples, per-process
-        step counts) is accumulated in locals and flushed to ``obs`` once
-        at exit: the resulting metric values are exactly what per-event
-        recording would produce, without per-event recorder calls.
+        Kernel accounting (events fired, per-process step counts and, on
+        a tracing recorder, queue-depth samples) is accumulated in locals
+        and flushed to ``obs`` once at exit: the resulting metric values
+        are exactly what per-event recording would produce, without
+        per-event recorder calls.
         """
         if until is not None and until < self._now:
             raise SimulationError(f"cannot run backwards: until={until} < now={self._now}")
         self._stopped = False
         obs = self.obs
         record = obs.enabled
+        sample_depth = record and obs.tracing
         queue = self._queue
         taps = self._taps
         fired = 0
@@ -542,7 +571,7 @@ class Simulator:
                 event = queue.pop()[2]
                 self._now = when
                 fired += 1
-                if record:
+                if sample_depth:
                     depths.append(len(queue))
                 if taps:
                     for tap in taps:
@@ -553,7 +582,8 @@ class Simulator:
             self._fired += fired
             if record and fired:
                 obs.count("sim.events_fired", fired)
-                obs.observe_batch("sim.queue_depth", depths)
+                if sample_depth:
+                    obs.observe_batch("sim.queue_depth", depths)
             if record:
                 self._flush_pending(obs)
         if until is not None and not self._stopped:

@@ -70,6 +70,10 @@ class Resource:
     def release(self, request: _Request) -> None:
         if request in self.users:
             self.users.remove(request)
+            # A grant's value is the request itself (``req = yield
+            # res.request()``); dropping it here leaves no reference cycle
+            # for the cycle collector once the slot is handed back.
+            request._value = None
         else:
             # Cancelling a queued request is allowed (e.g. on interrupt).
             self._waiting = [

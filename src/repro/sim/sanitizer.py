@@ -91,9 +91,17 @@ class DeterminismSanitizer:
         print(san.trace_hash)        # identical across same-seed runs
         div = san.diff(other_san)    # None, or the first divergent event
 
-    ``keep_records=False`` keeps only the rolling hash (O(1) memory) for
-    long soak runs where a pass/fail bit is enough.
+    ``keep_records=False`` keeps only the rolling hash (bounded memory)
+    for long soak runs where a pass/fail bit is enough.
+
+    Trace lines are buffered and folded into the hash in batches -- at
+    most :attr:`FOLD_LINES` at a time and on every read -- rather than
+    one ``update`` per event.  BLAKE2 is streaming, so the digest is the
+    one a per-line fold gives.
     """
+
+    #: Buffered trace lines that force a fold into the hash.
+    FOLD_LINES = 4096
 
     def __init__(self, sim: Any, keep_records: bool = True):
         self.sim = sim
@@ -102,6 +110,7 @@ class DeterminismSanitizer:
         self.event_count = 0
         self.rng_counts: dict[tuple[str, str], int] = {}
         self._hash = hashlib.blake2b(digest_size=16)
+        self._lines: list[str] = []
         self._watched: list[tuple[Any, Any]] = []
         sim.add_trace_tap(self._record)
         self._attached = True
@@ -114,10 +123,18 @@ class DeterminismSanitizer:
         name = getattr(event, "name", "") or ""
         kind = type(event).__name__
         # The f-string *is* the hashed trace line -- it cannot be hoisted.
-        line = f"{seq}|{when!r}|{kind}|{name}\n"
-        self._hash.update(line.encode())
+        lines = self._lines
+        lines.append(f"{seq}|{when!r}|{kind}|{name}\n")
+        if len(lines) >= self.FOLD_LINES:
+            self._fold()
         if self.keep_records:
             self.records.append(TraceRecord(seq=seq, time=when, kind=kind, name=name))
+
+    def _fold(self) -> None:
+        """Hash every buffered trace line in one update."""
+        if self._lines:
+            self._hash.update("".join(self._lines).encode())
+            self._lines.clear()
 
     # -- rng watching ------------------------------------------------------
 
@@ -148,7 +165,8 @@ class DeterminismSanitizer:
 
     @property
     def trace_hash(self) -> str:
-        """Hex digest of everything recorded so far (rolling, O(1) state)."""
+        """Hex digest of everything recorded so far (rolling state)."""
+        self._fold()
         return self._hash.copy().hexdigest()
 
     def diff(self, other: "DeterminismSanitizer") -> Optional[Divergence]:

@@ -67,7 +67,6 @@ class DSF:
         self.energy = EnergyMeter()
         self._queued_seconds: dict[str, float] = {}  # device -> backlog estimate
         self._rr_counter = 0
-        self.completed_jobs: list[JobResult] = []
         # Per-task exec/wait/FLOP samples accumulate here and fold into the
         # recorder once per sim step (kernel flush hook), not per task.
         self._accounting = TaskAccounting(prefix="vcu")
@@ -128,7 +127,6 @@ class DSF:
             )
         yield self.sim.all_of(list(task_done_events.values()))
         result.finished_at = self.sim.now
-        self.completed_jobs.append(result)
         return result
 
     def _run_task(self, graph, name, priority, done_events, result):

@@ -1,5 +1,9 @@
 """DeterminismSanitizer: same seed -> same trace, divergence pinpointed."""
 
+import hashlib
+
+import pytest
+
 from repro.apps import make_adas_service
 from repro.scenario import DriveScenario
 from repro.sim import RngRegistry, Simulator
@@ -124,3 +128,35 @@ def test_full_drive_injected_nondeterminism_is_pinpointed():
     # the drive differs before t=3.0, so the sanitizer localizes the
     # exact event whose timing changed.
     assert min(divergence.left.time, divergence.right.time) == 3.0
+
+
+@pytest.mark.parametrize("fold_lines", [DeterminismSanitizer.FOLD_LINES, 1, 3])
+def test_buffered_digest_equals_a_per_line_fold(monkeypatch, fold_lines):
+    monkeypatch.setattr(DeterminismSanitizer, "FOLD_LINES", fold_lines)
+    sim = Simulator()
+    sanitizer = DeterminismSanitizer(sim)
+    for k in range(4):
+        sim.process(_ticker(sim, 0.3 * (k + 1)), name=f"ticker-{k}")
+
+    def per_line_fold():
+        digest = hashlib.blake2b(digest_size=16)
+        for record in sanitizer.records:
+            digest.update(
+                f"{record.seq}|{record.time!r}|{record.kind}|{record.name}\n"
+                .encode()
+            )
+        return digest.hexdigest()
+
+    reads = []
+    for until in (0.0, 0.5, 1.7, 4.0):
+        sim.run(until=until)
+        reads.append((sanitizer.event_count, sanitizer.trace_hash))
+        assert reads[-1][1] == per_line_fold()
+    sim.run()
+    assert sanitizer.summary()["trace_hash"] == per_line_fold()
+    assert sanitizer.event_count > reads[-1][0] > reads[1][0] > 0
+
+
+def _ticker(sim, period_s):
+    for _ in range(12):
+        yield sim.timeout(period_s)

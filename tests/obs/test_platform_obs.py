@@ -39,6 +39,7 @@ def test_scenario_wires_one_collector_across_subsystems():
     assert any(k.startswith("vcu.tasks_completed") for k in snap["counters"])
     assert any(k.startswith("scenario.invocations") for k in snap["counters"])
     assert "scenario.dsrc_mbps" in snap["histograms"]
+    assert "sim.queue_depth" in snap["histograms"]
     assert snap["gauges"]["scenario.vehicle_energy_j"]["last"] > 0
     # The kernel exported process lifetimes as async span pairs.
     phases = {e["ph"] for e in collector.tracer.events}

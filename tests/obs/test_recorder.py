@@ -83,3 +83,45 @@ def test_collector_write_exports_both_artifacts(tmp_path):
         with open(path, "rb") as fh:
             raw = fh.read()
         assert raw.endswith(b"\n") and not raw.endswith(b"\n\n")
+
+
+def test_metrics_only_collector_drops_spans_and_has_no_trace():
+    import pytest
+
+    collector = Collector(trace=False)
+    assert collector.enabled is True and collector.tracing is False
+    assert Collector().tracing is True and NULL_RECORDER.tracing is False
+    collector.bind_clock(lambda: 2.0)
+    collector.count("jobs")
+    collector.async_span("p", 0.0, 1.0)
+    collector.instant("mark")
+    with pytest.raises(ValueError):
+        with collector.span("s"):
+            raise ValueError("must propagate")
+    assert collector.tracer is None
+    assert collector.snapshot()["counters"]["jobs"] == 1.0
+    with pytest.raises(RuntimeError, match="metrics only"):
+        collector.trace_json()
+
+
+def test_kernel_samples_queue_depth_only_for_a_tracing_recorder():
+    from repro.sim import Simulator
+
+    def run(collector):
+        sim = Simulator(obs=collector)
+
+        def proc(sim):
+            for _ in range(3):
+                yield sim.timeout(1.0)
+
+        sim.process(proc(sim), name="proc")
+        sim.run()
+        return collector.snapshot()
+
+    traced = run(Collector())
+    lean = run(Collector(trace=False))
+    assert "sim.queue_depth" in traced["histograms"]
+    assert "sim.queue_depth" not in lean["histograms"]
+    # Every other kernel series is recorded the same either way.
+    assert lean["counters"] == traced["counters"]
+    assert lean["counters"]["sim.events_fired"] > 0

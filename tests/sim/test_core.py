@@ -270,6 +270,112 @@ def test_all_of_empty_fires_immediately():
     sim = Simulator()
     cond = sim.all_of([])
     assert cond.triggered
+    sim.run()
+    assert cond.value == {}
+
+
+def test_all_of_children_processed_at_construction():
+    sim = Simulator()
+    done = [sim.timeout(1.0, value="a"), sim.timeout(2.0, value="b")]
+    sim.run()
+    cond = sim.all_of(done)
+    assert cond.triggered
+    mixed = sim.all_of([done[1], sim.timeout(1.0, value="c")])
+    assert not mixed.triggered
+    sim.run()
+    assert cond.value == {0: "a", 1: "b"}
+    assert mixed.value == {0: "b", 1: "c"}
+
+
+def test_all_of_counts_a_repeated_child_once():
+    sim = Simulator()
+    twice = sim.timeout(2.0, value="x")
+    other = sim.timeout(1.0, value="y")
+    cond = sim.all_of([twice, other, twice])
+    # One callback for the repeated child, one for the other.
+    assert twice.callbacks == [cond._on_child]
+    sim.run()
+    assert cond.value == {0: "x", 1: "y", 2: "x"}
+
+
+def test_all_of_fails_on_first_child_failure_while_others_pend():
+    sim = Simulator()
+    failing = sim.event()
+    slow = sim.timeout(5.0, value="late")
+    cond = sim.all_of([slow, failing])
+    seen = []
+
+    def waiter(sim):
+        try:
+            yield cond
+        except ValueError as err:
+            seen.append((sim.now, str(err)))
+
+    def breaker(sim):
+        yield sim.timeout(1.0)
+        failing.fail(ValueError("boom"))
+
+    sim.process(waiter(sim))
+    sim.process(breaker(sim))
+    sim.run()
+    assert seen == [(1.0, "boom")]
+    assert not cond.ok and slow.processed
+
+
+def test_all_of_fails_on_a_child_that_failed_before_construction():
+    sim = Simulator()
+    failed = sim.event().fail(KeyError("gone"))
+    sim.run()
+    cond = sim.all_of([sim.timeout(1.0), failed])
+    assert cond.triggered and not cond.ok
+
+
+class _RescanAllOf:
+    """The rescanning AllOf the kernel replaced, as a test oracle: it
+    checks every child on every callback and builds its result from the
+    processed, ok children."""
+
+    def __init__(self, sim, events):
+        self.events = list(events)
+        self.result = None
+        self.fired_at = None
+        self.sim = sim
+        for event in self.events:
+            if event.processed:
+                self._on_child(event)
+            else:
+                event.callbacks.append(self._on_child)
+        self._on_child(None)
+
+    def _on_child(self, _event):
+        if self.result is None and all(e.processed and e.ok for e in self.events):
+            self.result = {
+                i: e._value for i, e in enumerate(self.events)
+                if e.processed and e._exception is None
+            }
+            self.fired_at = self.sim.now
+
+
+@pytest.mark.parametrize("picks", [
+    (0, 1, 2, 3),
+    (3, 3, 1),
+    (4, 0, 4, 2, 4),
+    (1,),
+    (2, 4, 0, 0, 1, 3),
+])
+def test_all_of_result_matches_the_rescanning_definition(picks):
+    sim = Simulator()
+    pool = [sim.timeout(float(d), value=f"v{d}") for d in (3, 1, 4, 1, 5)]
+    early = sim.timeout(0.5, value="early")
+    sim.run(until=0.75)
+    events = [pool[i] for i in picks] + [early]
+    cond = sim.all_of(events)
+    oracle = _RescanAllOf(sim, events)
+    fired = []
+    cond.callbacks.append(lambda evt: fired.append(sim.now))
+    sim.run()
+    assert cond.value == oracle.result
+    assert fired == [oracle.fired_at]
 
 
 def test_stop_halts_run():

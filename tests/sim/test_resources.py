@@ -227,3 +227,23 @@ def test_container_zero_get_does_not_jump_blocked_getters():
     assert not blocked.triggered and not zero.triggered
     tank.put(2.0)
     assert blocked.triggered and zero.triggered
+
+
+def test_resource_grant_yields_the_request_and_release_drops_it():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    seen = []
+
+    def worker(sim):
+        req = res.request()
+        grant = yield req
+        seen.append(grant is req)
+        yield sim.timeout(1.0)
+        res.release(grant)
+        seen.append(req.value)
+
+    sim.process(worker(sim))
+    sim.run()
+    # The grant's value is the request itself until it is handed back,
+    # so a released request holds no reference to itself.
+    assert seen == [True, None]
