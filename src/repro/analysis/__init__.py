@@ -9,13 +9,6 @@ property checked on every commit instead of a convention in DESIGN.md:
   single-file rule pack encoding the platform invariants (:mod:`.rules`),
   inline suppression pragmas, and a baseline file for grandfathered
   findings (:mod:`.baseline`);
-* a **whole-program** layer: a project-wide symbol table and call graph
-  (:mod:`.callgraph`) feeding an interprocedural nondeterminism taint
-  pass (:mod:`.dataflow`) -- DET101/SIM101/RACE001 catch cross-module
-  violations no single file can show -- and the MP001-003
-  multiprocess-safety rules for the fleet layer (:mod:`.mp`: spawn
-  payload picklability, fork-crossing global writes, pipe-protocol
-  exhaustiveness);
 * a **semantic** tier: a forward abstract interpreter inferring
   physical units from naming conventions and ``# unit:`` pragmas
   (:mod:`.units` -- UNIT001/UNIT002/UNIT003) and a path-sensitive
@@ -30,20 +23,11 @@ property checked on every commit instead of a convention in DESIGN.md:
 * a CLI with stable exit codes (:mod:`.cli`)::
 
     python -m repro.analysis src/repro --strict
-    python -m repro.analysis --whole-program src/repro tests --strict
     python -m repro.analysis --scenarios scenarios --strict
     vdaplint --list-rules
 """
 
 from .baseline import Baseline, fingerprint_findings
-from .callgraph import ProjectGraph, build_graph, infer_module_name
-from .dataflow import (
-    FLOW_RULE_CLASSES,
-    TaintAnalysis,
-    WholeProgramAnalyzer,
-    flow_rules,
-    flow_rules_by_id,
-)
 from .engine import (
     FileContext,
     Finding,
@@ -55,7 +39,6 @@ from .engine import (
     lint_paths,
     lint_source,
 )
-from .mp import MP_RULE_CLASSES, MpAnalyzer, mp_rules, mp_rules_by_id
 from .protocol import PROTOCOL_RULE_CLASSES, ProtocolChecker
 from .reporter import render_json, render_text
 from .rules import RULE_CLASSES, default_rules, rules_by_id
@@ -78,6 +61,7 @@ from .units import (
     SignatureIndex,
     Unit,
     UnitChecker,
+    infer_module_name,
     parse_name_unit,
     parse_unit_expr,
     summarize_module,
@@ -86,16 +70,12 @@ from .cli import main
 
 __all__ = [
     "Baseline",
-    "FLOW_RULE_CLASSES",
     "FileContext",
     "Finding",
     "LintEngine",
-    "MP_RULE_CLASSES",
     "ModuleSummary",
-    "MpAnalyzer",
     "PROTOCOL_RULE_CLASSES",
     "Pragmas",
-    "ProjectGraph",
     "ProtocolChecker",
     "RULE_CLASSES",
     "Rule",
@@ -104,25 +84,18 @@ __all__ = [
     "SKIP_MARKER",
     "ScenarioAnalyzer",
     "SignatureIndex",
-    "TaintAnalysis",
     "UNIT_RULE_CLASSES",
     "Unit",
     "UnitChecker",
-    "WholeProgramAnalyzer",
     "analyze_files",
-    "build_graph",
     "default_rules",
     "discover_files",
     "discover_scenario_files",
     "fingerprint_findings",
-    "flow_rules",
-    "flow_rules_by_id",
     "infer_module_name",
     "lint_paths",
     "lint_source",
     "main",
-    "mp_rules",
-    "mp_rules_by_id",
     "parse_name_unit",
     "parse_unit_expr",
     "render_json",

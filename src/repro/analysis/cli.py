@@ -7,11 +7,9 @@ Exit codes are stable so CI can gate on them:
 * ``2`` -- usage error (unknown rule id, missing path, bad baseline file,
   incoherent flag combinations)
 
-Two analysis passes share the same reporting/baseline/pragma machinery:
-the per-file and semantic rules always run in one serial pass over every
-file, and ``--whole-program`` additionally builds the project call graph
-and runs the interprocedural rule packs (DET101/SIM101/RACE001 and the
-MP001-003 multiprocess-safety checks) over it.
+The per-file and semantic rules run in one serial pass over every
+Python file; ``--scenarios`` additionally validates scenario DSL files.
+Both share the same reporting/baseline/pragma machinery.
 """
 
 from __future__ import annotations
@@ -21,10 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from .baseline import Baseline, fingerprint_findings
-from .callgraph import build_graph
-from .dataflow import TaintAnalysis, WholeProgramAnalyzer, flow_rules, flow_rules_by_id
 from .engine import Rule, discover_files
-from .mp import MpAnalyzer, mp_rules, mp_rules_by_id
 from .reporter import render_json, render_text
 from .rules import default_rules, rules_by_id
 from .scenario import (
@@ -46,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vdaplint",
         description=(
             "AST-based determinism & safety linter for the OpenVDAP "
-            "reproduction: one shared tree walk per file, an optional "
-            "whole-program taint pass over the project call graph, pragma "
+            "reproduction: one shared tree walk per file, a semantic "
+            "unit/resource pass, optional scenario validation, pragma "
             "suppression, and a baseline for grandfathered findings."
         ),
     )
@@ -83,25 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--whole-program", action="store_true",
-        help=(
-            "also build the project-wide call graph and run the "
-            "interprocedural rules (DET101 sim-reachable wall-clock/RNG, "
-            "SIM101 sim-reachable blocking I/O, RACE001 shared-state races, "
-            "MP001-003 fleet multiprocess safety)"
-        ),
-    )
-    parser.add_argument(
-        "--dump-callgraph", action="store_true",
-        help="embed the resolved call graph in the report "
-             "(requires --whole-program)",
-    )
-    parser.add_argument(
-        "--dump-taint", action="store_true",
-        help="embed the per-function taint table in the report "
-             "(requires --whole-program)",
-    )
-    parser.add_argument(
         "--scenarios", action="store_true",
         help=(
             "also validate scenario DSL files (.yaml/.yml under the given "
@@ -120,17 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _pick_rules(
     select: Optional[str], ignore: Optional[str],
     parser: argparse.ArgumentParser,
-) -> tuple[list[Rule], list[Rule], list[Rule], list[Rule]]:
-    """Split the selection into (per-file, whole-program, semantic,
-    scenario)."""
+) -> tuple[list[Rule], list[Rule], list[Rule]]:
+    """Split the selection into (per-file, semantic, scenario)."""
     file_catalogue = rules_by_id()
-    flow_catalogue = {**flow_rules_by_id(), **mp_rules_by_id()}
     semantic_catalogue = semantic_rules_by_id()
     scenario_catalogue = scenario_rules_by_id()
-    catalogue = {
-        **file_catalogue, **flow_catalogue, **semantic_catalogue,
-        **scenario_catalogue,
-    }
+    catalogue = {**file_catalogue, **semantic_catalogue, **scenario_catalogue}
 
     def parse_ids(raw: str) -> list[str]:
         ids = [part.strip() for part in raw.split(",") if part.strip()]
@@ -142,16 +113,14 @@ def _pick_rules(
     if select:
         chosen = [catalogue[rule_id] for rule_id in parse_ids(select)]
     else:
-        chosen = (default_rules() + flow_rules() + mp_rules()
-                  + semantic_rules() + scenario_rules())
+        chosen = default_rules() + semantic_rules() + scenario_rules()
     if ignore:
         skipped = set(parse_ids(ignore))
         chosen = [rule for rule in chosen if rule.id not in skipped]
     file_rules = [r for r in chosen if r.id in file_catalogue]
-    wp_rules = [r for r in chosen if r.id in flow_catalogue]
     semantic_pack = [r for r in chosen if r.id in semantic_catalogue]
     scenario_pack = [r for r in chosen if r.id in scenario_catalogue]
-    return file_rules, wp_rules, semantic_pack, scenario_pack
+    return file_rules, semantic_pack, scenario_pack
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -162,26 +131,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         for rule in default_rules():
             print(f"{rule.id}  {rule.name}: {rule.description}")
-        for rule in flow_rules() + mp_rules():
-            print(f"{rule.id}  {rule.name} [whole-program]: {rule.description}")
         for rule in semantic_rules():
             print(f"{rule.id}  {rule.name} [semantic]: {rule.description}")
         for rule in scenario_rules():
             print(f"{rule.id}  {rule.name} [scenario]: {rule.description}")
         return 0
 
-    if (args.dump_callgraph or args.dump_taint) and not args.whole_program:
-        parser.error("--dump-callgraph/--dump-taint require --whole-program")
-
-    file_rules, wp_rules, semantic_pack, scenario_pack = _pick_rules(
+    file_rules, semantic_pack, scenario_pack = _pick_rules(
         args.select, args.ignore, parser
     )
-    if args.select and wp_rules and not args.whole_program:
-        parser.error(
-            "whole-program rules selected "
-            f"({', '.join(sorted(r.id for r in wp_rules))}) "
-            "but --whole-program not given"
-        )
     if args.select and scenario_pack and not args.scenarios:
         parser.error(
             "scenario rules selected "
@@ -201,21 +159,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"no such path: {err.args[0]}")
 
     findings = analyze_files(files, file_rules, semantic_pack)
-
-    debug: dict = {}
-    if args.whole_program:
-        graph = build_graph(args.paths)
-        analyzer = WholeProgramAnalyzer(
-            [r for r in wp_rules if not r.id.startswith("MP")]
-        )
-        mp_analyzer = MpAnalyzer([r for r in wp_rules if r.id.startswith("MP")])
-        findings = sorted(findings + analyzer.analyze_graph(graph)
-                          + mp_analyzer.analyze_graph(graph))
-        if args.dump_callgraph:
-            debug["callgraph"] = graph.to_debug_dict()
-        if args.dump_taint:
-            taint = analyzer.taint or TaintAnalysis(graph).run()
-            debug["taint"] = taint.to_debug_dict()
 
     if args.scenarios and scenario_files:
         scenario_findings = ScenarioAnalyzer(scenario_pack).analyze_files(
@@ -267,7 +210,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     render = render_json if args.format == "json" else render_text
     print(render(findings, files_scanned=len(files) + len(scenario_files),
                  baselined=baselined_count,
-                 stale=stale_count, debug=debug or None))
+                 stale=stale_count))
     return 1 if findings else 0
 
 

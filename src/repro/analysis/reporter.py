@@ -4,14 +4,12 @@ The JSON document's top-level keys (``version``, ``files_scanned``,
 ``baselined``, ``stale_baseline``, ``findings`` and the per-finding keys)
 are consumed by CI tooling and pinned by
 ``tests/analysis/test_reporter_schema.py`` -- extend, never rename.
-Debug dumps (``callgraph``, ``taint``) appear only when requested on
-the CLI.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .engine import Finding
 
@@ -23,7 +21,6 @@ def render_text(
     files_scanned: int = 0,
     baselined: int = 0,
     stale: int = 0,
-    debug: Optional[dict] = None,
 ) -> str:
     """One ``path:line:col: RULE message`` line per finding plus a summary."""
     lines = [
@@ -42,10 +39,6 @@ def render_text(
             "re-run --write-baseline to garbage-collect]"
         )
     lines.append(summary)
-    if debug:
-        for section in sorted(debug):
-            lines.append(f"-- {section} --")
-            lines.append(json.dumps(debug[section], indent=2, sort_keys=True))
     return "\n".join(lines)
 
 
@@ -54,7 +47,6 @@ def render_json(
     files_scanned: int = 0,
     baselined: int = 0,
     stale: int = 0,
-    debug: Optional[dict] = None,
 ) -> str:
     """A stable JSON document: counts plus one object per finding."""
     payload = {
@@ -74,6 +66,4 @@ def render_json(
             for finding in sorted(findings)
         ],
     }
-    if debug:
-        payload.update(debug)
     return json.dumps(payload, indent=2)

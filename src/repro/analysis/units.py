@@ -35,6 +35,7 @@ Rules emitted here:
 from __future__ import annotations
 
 import ast
+import os
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -45,7 +46,6 @@ from ..scenarios.units import (
     parse_name_unit,
     parse_unit_expr,
 )
-from .callgraph import infer_module_name
 from .engine import FileContext, Finding, Rule
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "ModuleSummary",
     "SignatureIndex",
     "UnitChecker",
+    "infer_module_name",
     "parse_name_unit",
     "parse_unit_expr",
     "summarize_module",
@@ -196,6 +197,26 @@ def _param_nodes(node: ast.AST) -> list[ast.arg]:
     return list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
 
 
+def infer_module_name(path: str) -> str:
+    """Dotted module name for ``path``, walking up through ``__init__.py``.
+
+    ``src/repro/sim/core.py`` -> ``repro.sim.core`` (``src`` has no
+    ``__init__.py``); a standalone file maps to its stem.  Package
+    ``__init__`` files map to the package itself (``repro.sim``).
+    """
+    full = os.path.abspath(path)
+    directory, filename = os.path.split(full)
+    stem = os.path.splitext(filename)[0]
+    parts: list[str] = [] if stem == "__init__" else [stem]
+    while os.path.isfile(os.path.join(directory, "__init__.py")):
+        parent, package = os.path.split(directory)
+        if not package or parent == directory:
+            break
+        parts.append(package)
+        directory = parent
+    return ".".join(reversed(parts)) or stem
+
+
 def summarize_module(
     path: str, source: str, tree: Optional[ast.Module] = None,
     module_name: Optional[str] = None,
@@ -266,9 +287,9 @@ def summarize_module(
 class SignatureIndex:
     """Project-wide function/class lookup over module summaries.
 
-    Resolution mirrors :mod:`.callgraph` (import aliases, relative
-    imports, package re-exports, class methods through bases) but runs on
-    the module summaries alone.
+    Resolution follows import aliases, relative imports, package
+    re-exports and class methods through bases, on the module summaries
+    alone.
     """
 
     def __init__(self, summaries: Iterable[ModuleSummary]):

@@ -10,17 +10,18 @@ crashed container would (no cleanup, no farewell; the pipe goes EOF).
 
 :class:`WorkerHandle` is the parent-side view: the OS process, the pipe
 endpoint, and respawn bookkeeping.  :func:`spawn_worker` prefers the
-``fork`` start method (cheap, and the spec is already picklable for the
-``spawn`` fallback).
+``fork`` start method (cheap); it refuses a spec that does not pickle,
+so the ``spawn`` fallback receives the same specs.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import pickle
 import signal
 import time  # vdaplint: disable=DET001
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..faults.prockill import KillPhase
 from .config import PartitionSpec
@@ -150,14 +151,35 @@ def _context(start_method: str | None) -> mp.context.BaseContext:
     return mp.get_context(start_method)
 
 
+def _require_picklable(spec: PartitionSpec) -> None:
+    """Refuse a spec that could not reach a ``spawn``-started worker.
+
+    ``fork`` would hand it over without pickling, so the check runs for
+    every start method: a spec works everywhere or nowhere.
+    """
+    for item in fields(spec):
+        value = getattr(spec, item.name)
+        try:
+            pickle.dumps(value)
+        except Exception as exc:
+            raise TypeError(
+                f"partition {spec.partition} spec does not pickle: "
+                f"{item.name} ({type(value).__name__}) cannot cross to a "
+                f"worker process ({exc})"
+            ) from exc
+
+
 def spawn_worker(
     spec: PartitionSpec, start_method: str | None = None
 ) -> WorkerHandle:
     """Start one partition worker process and return its handle.
 
-    The caller still has to receive the worker's :class:`Hello` (build
-    failures surface as :class:`WorkerGone` on that first receive).
+    Raises :class:`TypeError`, before any process starts, if ``spec``
+    does not pickle.  The caller still has to receive the worker's
+    :class:`Hello` (build failures surface as :class:`WorkerGone` on that
+    first receive).
     """
+    _require_picklable(spec)
     ctx = _context(start_method if start_method is not None
                    else spec.config.start_method)
     parent_conn, child_conn = ctx.Pipe(duplex=True)

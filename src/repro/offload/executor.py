@@ -291,7 +291,7 @@ class DistributedExecutor:
                     return
                 # Commutative counter bump: atomic within one event, same
                 # total whatever order task processes fire in.
-                result.retries += 1  # vdaplint: disable=RACE001
+                result.retries += 1
                 yield sim.timeout(retry.delay_s(attempt))
                 attempt += 1
                 if attempt >= retry.same_tier_attempts:
@@ -299,7 +299,7 @@ class DistributedExecutor:
                     if new_tier != tier:
                         tier = new_tier
                         # Same: order-insensitive counter increment.
-                        result.replacements += 1  # vdaplint: disable=RACE001
+                        result.replacements += 1
             except TaskFailure as fail:
                 done[name].fail(fail)
                 return

@@ -1,7 +1,9 @@
 """Runtime determinism sanitizer: the dynamic half of the contract check.
 
-Static analysis proves the *code* cannot reach nondeterminism sources;
-this module checks the *execution*.  A :class:`DeterminismSanitizer`
+The file-local lint rules flag direct wall-clock and global-RNG reads
+where they are written, and the golden per-vehicle trace hashes pin what
+a seeded fleet run must produce; this module checks the *execution* and
+finds where two runs part.  A :class:`DeterminismSanitizer`
 wraps a live :class:`~repro.sim.core.Simulator` and records, for every
 event the loop fires, a :class:`TraceRecord` of (sequence number, sim
 time, event kind, process name) folded into a rolling BLAKE2 hash.  Two

@@ -111,41 +111,25 @@ def test_syntax_error_exits_one(tree, capsys):
     assert "E999" in capsys.readouterr().out
 
 
-def test_dump_flags_require_whole_program(tree):
-    for flag in ("--dump-callgraph", "--dump-taint"):
+def test_whole_program_flags_are_usage_errors(tree):
+    for flag in ("--whole-program", "--dump-callgraph", "--dump-taint"):
         with pytest.raises(SystemExit) as exc:
             main(["clean.py", flag])
         assert exc.value.code == 2
 
 
 def test_flow_rule_selection_requires_whole_program(tree):
-    with pytest.raises(SystemExit) as exc:
-        main(["clean.py", "--select", "DET101"])
-    assert exc.value.code == 2
+    # The whole-program and MP rules are gone; selecting one is a usage error.
+    for rule_id in ("DET101", "SIM101", "RACE001", "MP001", "MP002", "MP003"):
+        with pytest.raises(SystemExit) as exc:
+            main(["clean.py", "--select", rule_id])
+        assert exc.value.code == 2
 
 
-def test_list_rules_tags_whole_program_pack(capsys):
+def test_list_rules_tags_three_packs(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET101", "SIM101", "RACE001"):
-        assert rule_id in out
-    assert "[whole-program]" in out
-
-
-def test_whole_program_cli_flags_fixture_corpus(capsys):
-    corpus = os.path.join(
-        os.path.dirname(__file__), "wp_fixtures", "det101_clock_helper"
-    )
-    assert main([corpus, "--whole-program", "--select", "DET101",
-                 "--strict", "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert {f["rule"] for f in payload["findings"]} == {"DET101"}
-
-
-def test_whole_program_debug_dumps_land_in_json(tree, capsys):
-    assert main(["dirty.py", "--whole-program", "--format", "json",
-                 "--dump-callgraph", "--dump-taint", "--strict"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert "callgraph" in payload and "taint" in payload
-    assert "dirty.f" in payload["callgraph"]["functions"]
-    assert "wall-clock" in payload["taint"].get("dirty.f", [])
+    assert "[semantic]" in out and "[scenario]" in out
+    assert "[whole-program]" not in out
+    for rule_id in ("DET101", "SIM101", "RACE001", "MP001", "MP002", "MP003"):
+        assert rule_id not in out

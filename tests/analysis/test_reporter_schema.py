@@ -41,18 +41,6 @@ def test_json_finding_keys_are_pinned():
     assert entry["rule"] == "DET001"
 
 
-def test_json_debug_sections_are_additive():
-    payload = json.loads(
-        render_json(
-            [],
-            debug={"callgraph": {"edges": {}}, "taint": {"m.f": ["wall-clock"]}},
-        )
-    )
-    # Debug dumps extend the payload; the pinned keys survive untouched.
-    assert {"version", "findings", "callgraph", "taint"} <= set(payload)
-    assert payload["taint"]["m.f"] == ["wall-clock"]
-
-
 def test_text_reporter_summarizes_stale_fingerprints():
     out = render_text([FINDING], files_scanned=1, baselined=2, stale=3)
     assert "1 finding in 1 file" in out

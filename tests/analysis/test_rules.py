@@ -45,6 +45,27 @@ def test_det002_flags_aliased_numpy_random_module():
     assert rules_of(lint_with("DET002", source)) == ["DET002"]
 
 
+def test_det_rules_fire_where_a_helper_hides_the_source():
+    """A helper that wraps the wall clock or the global RNG is flagged at
+    the raw read, whatever module later calls it."""
+    source = (
+        "import random\n"
+        "import time\n\n\n"
+        "def raw_stamp():\n"
+        "    return time.time()\n\n\n"
+        "def stamp():\n"
+        "    return raw_stamp()\n\n\n"
+        "def jitter():\n"
+        "    return random.random()\n"
+    )
+    findings = lint_source(
+        source, rules=[rules_by_id()["DET001"], rules_by_id()["DET002"]]
+    )
+    assert [(f.rule, f.line) for f in findings] == [
+        ("DET001", 6), ("DET002", 14),
+    ]
+
+
 # -- DET003 ----------------------------------------------------------------
 
 

@@ -10,13 +10,9 @@ import os
 
 import repro
 from repro.analysis import (
-    MpAnalyzer,
     analyze_files,
-    build_graph,
     default_rules,
-    flow_rules,
     lint_paths,
-    mp_rules,
     scenario_rules,
     semantic_rules,
 )
@@ -46,25 +42,11 @@ def test_semantic_tier_reports_zero_violations_on_src_repro():
     )
 
 
-def test_mp_tier_reports_zero_violations_on_src_repro():
-    """MP001-003 must be clean too: every spawn payload pickles, worker
-    code writes no fork-crossing globals, and the pipe protocol is
-    exhaustive."""
-    findings = MpAnalyzer().analyze_graph(build_graph([repro_source_root()]))
-    rendered = "\n".join(
-        f"{f.location()}: {f.rule} {f.message}" for f in findings
-    )
-    assert not findings, (
-        f"mp analysis found violations in src/repro:\n{rendered}"
-    )
-
-
 def test_every_pragma_names_a_shipped_rule():
     """A suppression for a rule that no longer ships is dead weight and
     hides nothing; every pragma must name a live rule id or ``all``."""
     shipped = {"all"}
-    for pack in (default_rules(), flow_rules(), mp_rules(), semantic_rules(),
-                 scenario_rules()):
+    for pack in (default_rules(), semantic_rules(), scenario_rules()):
         shipped.update(rule.id for rule in pack)
     src_root = repro_source_root()
     repo_root = os.path.dirname(os.path.dirname(src_root))

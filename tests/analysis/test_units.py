@@ -3,7 +3,7 @@
 import ast
 import textwrap
 
-from repro.analysis import parse_name_unit, parse_unit_expr
+from repro.analysis import infer_module_name, parse_name_unit, parse_unit_expr
 from repro.analysis.units import (
     SignatureIndex,
     UnitChecker,
@@ -247,3 +247,17 @@ def test_transparent_builtins_pass_units_through():
         """
     )
     assert [f.rule for f in findings] == ["UNIT001"]
+
+
+def test_infer_module_name_walks_packages(tmp_path):
+    def write(rel):
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("")
+        return str(path)
+
+    write("pkg/__init__.py")
+    init = write("pkg/sub/__init__.py")
+    assert infer_module_name(write("pkg/sub/mod.py")) == "pkg.sub.mod"
+    assert infer_module_name(init) == "pkg.sub"
+    assert infer_module_name(write("script.py")) == "script"

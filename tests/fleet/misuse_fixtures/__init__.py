@@ -1,9 +1,4 @@
-"""Deliberately broken fleet code for the runtime guards to reject.
-
-The corpus holds a ``.vdaplint-skip`` marker: the whole-program lint
-rightly flags these processes (RACE001 on the bus they misuse), and the
-tree must stay strict-clean.
-"""
+"""Deliberately broken fleet code for the runtime guards to reject."""
 
 __all__ = ["greedy_loop"]
 

@@ -27,7 +27,12 @@ GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_hashes.json")
 
 #: (seed, workload, vehicles) for every corpus entry.
-CORPUS = [(0, workload, 8) for workload in ("uniform", "skewed")]
+CORPUS = [
+    (seed, workload, vehicles)
+    for seed in (0, 1, 2)
+    for workload in ("uniform", "skewed")
+    for vehicles in (8, 32)
+]
 
 
 def entry_config(seed: int, workload: str, vehicles: int) -> FleetConfig:
