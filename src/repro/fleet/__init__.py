@@ -18,10 +18,12 @@ story to many vehicles across OS processes without giving any of it up:
 * :mod:`repro.fleet.plan` -- measured planning: per-vehicle kernel event
   counts from a short inline probe, packed into a greedy-LPT
   :class:`PartitionPlan`;
-* :mod:`repro.fleet.coordinator` -- :class:`FleetCoordinator` (the
-  control plane: barriers, deadlines, straggler backoff, failover) and
+* :mod:`repro.fleet.coordinator` -- the one barrier exchange, hosted
+  by :class:`FleetCoordinator` (worker processes: deadlines, straggler
+  backoff, failover) or by :func:`run_inline` (in-process runtimes);
   :func:`run_single_process`, the unsharded golden reference a
-  partitioned run must match hash for hash.
+  partitioned run must match hash for hash, is ``run_inline`` on one
+  partition.
 """
 
 from .config import FleetConfig, PartitionPlan, PartitionSpec, shard_vehicles

@@ -273,7 +273,6 @@ class FleetConfig:
     straggle_s: tuple[tuple[tuple[int, int], float], ...] = field(
         default_factory=tuple
     )
-    start_method: str | None = None
     workload: str = "uniform"
     #: Explicit shard assignment (e.g. from a :class:`PartitionPlan`);
     #: ``None`` falls back to round-robin.
@@ -385,13 +384,6 @@ class FleetConfig:
         return tuple(
             sorted({(index - 1) % self.vehicles, (index + 1) % self.vehicles})
         )
-
-    def straggle_for(self, partition: int, round_index: int) -> float:
-        """Injected wall-clock stall for one (partition, round), if any."""
-        for (part, rnd), seconds in self.straggle_s:
-            if part == partition and rnd == round_index:
-                return seconds
-        return 0.0
 
     def spec_for(self, partition: int) -> "PartitionSpec":
         """The spec handed to one worker process."""

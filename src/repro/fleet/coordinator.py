@@ -1,22 +1,27 @@
-"""Fleet coordinator: conservative time sync over N partition workers.
+"""Fleet coordinator: one conservative time-sync exchange, two hosts.
 
-The :class:`FleetCoordinator` is the control plane of the crash-tolerant
-substrate.  Per time-sync round it (1) sends every worker an
-:class:`~repro.fleet.transport.AdvanceCmd` carrying the inbound envelopes
-due on that shard, journalling the batch first, (2) collects acks under a
-wall-clock barrier deadline, classifying silence as *straggler*
-(heartbeat seen: wait again with backoff) or *crash* (pipe EOF: respawn
-from seed and replay the journal via :mod:`repro.fleet.recovery`), and
-(3) commits each ack's kernel trace hash and routes its outbound
-envelopes to the destination shards for the next round.
+:func:`_exchange` is the barrier exchange every fleet mode runs: per
+round it sends each partition an :class:`~repro.fleet.transport.
+AdvanceCmd` carrying the envelopes routed to it, collects each
+:class:`~repro.fleet.transport.RoundAck` and routes its outbound
+envelopes to their destination partitions; after the last barrier it
+merges every partition's :class:`~repro.fleet.transport.FinishAck` into
+one :class:`FleetResult`.  Modes differ only in where partitions live:
 
-:func:`run_single_process` is the golden reference: the same config, the
-same barrier exchange, one in-process runtime hosting every vehicle.
-Because all V2V traffic routes through the barriers in both modes, a
-partitioned run must reproduce the reference's per-vehicle trace hashes
-and merged mergeable-view metrics exactly -- that equality is the
-substrate's correctness contract and is asserted in CI, with and without
-a worker killed mid-run.
+* :class:`FleetCoordinator` -- worker processes behind pipes.  It
+  journals each batch before sending it, collects acks under a
+  wall-clock barrier deadline, classifying silence as *straggler*
+  (heartbeat seen: wait again with backoff) or *crash* (pipe EOF:
+  respawn from seed and replay the journal via
+  :mod:`repro.fleet.recovery`), and commits each ack's kernel trace hash.
+* :func:`run_inline` -- in-process runtimes, advanced as sent.
+  :func:`run_single_process`, the golden reference, is ``run_inline``
+  with every vehicle on one partition.
+
+A partitioned run must therefore reproduce the reference's per-vehicle
+trace hashes and merged mergeable-view metrics exactly -- the
+substrate's correctness contract, asserted in CI with and without a
+worker killed mid-run.
 
 Use the coordinator as a context manager: exit terminates and joins every
 worker (KeyboardInterrupt included), so no orphan processes survive.
@@ -25,13 +30,18 @@ worker (KeyboardInterrupt included), so no orphan processes survive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Protocol
 
 from ..obs.metrics import merge_many, mergeable_view
 from ..obs.report import Report
 from .config import FleetConfig
 from .journal import PartitionJournal
-from .recovery import FleetError, RecoveryPolicy, recv_ack, respawn_and_replay
+from .recovery import (
+    FleetError,
+    RecoveryPolicy,
+    recv_expected,
+    respawn_and_replay,
+)
 from .runtime import PartitionRuntime, frozen_heap
 from .transport import (
     AdvanceCmd,
@@ -39,11 +49,10 @@ from .transport import (
     Envelope,
     FinishAck,
     FinishCmd,
-    Heartbeat,
     Hello,
+    RoundAck,
     WorkerFailed,
     WorkerGone,
-    sort_envelopes,
 )
 from .worker import WorkerHandle, spawn_worker
 
@@ -138,6 +147,65 @@ class FleetResult:
         return report
 
 
+class _PartitionHost(Protocol):
+    """Where a run's partitions live: the only thing modes differ in."""
+
+    def send_advance(self, partition: int, cmd: AdvanceCmd) -> None:
+        """Hand one partition its round command."""
+
+    def await_ack(self, partition: int, cmd: AdvanceCmd) -> RoundAck:
+        """That partition's ack for ``cmd``'s round."""
+
+    def finish(self, partition: int) -> FinishAck:
+        """End the partition; its final report."""
+
+
+def _exchange(
+    config: FleetConfig, host: _PartitionHost, stats: FleetStats
+) -> FleetResult:
+    """Run every barrier round of ``config`` over ``host``'s partitions,
+    then merge their final reports: routing, stats and the merge, once.
+    """
+    partitions = range(config.partitions)
+    dst_partition = {
+        v: p for p, shard in enumerate(config.shards()) for v in shard
+    }
+    pending: dict[int, list[Envelope]] = {p: [] for p in partitions}
+    for round_index, barrier_s in enumerate(config.barriers()):
+        commands = {
+            p: AdvanceCmd(round_index, barrier_s, tuple(pending[p]))
+            for p in partitions
+        }
+        for p in partitions:
+            host.send_advance(p, commands[p])
+        pending = {p: [] for p in partitions}
+        for p in partitions:
+            ack = host.await_ack(p, commands[p])
+            stats.partition_busy_s[p] = (
+                stats.partition_busy_s.get(p, 0.0) + ack.advance_wall_s
+            )
+            for env in ack.outbound:
+                pending[dst_partition[env.dst]].append(env)
+            stats.envelopes_routed += len(ack.outbound)
+        stats.rounds += 1
+    finishes = [host.finish(p) for p in partitions]
+    vehicle_hashes: dict[int, str] = {}
+    vehicle_reports: dict[int, dict[str, Any]] = {}
+    for ack in finishes:
+        vehicle_hashes.update(ack.vehicle_hashes)
+        vehicle_reports.update(ack.vehicle_reports)
+        stats.events_fired += ack.events_fired
+        stats.partition_events[ack.partition] = ack.events_fired
+    return FleetResult(
+        config=config,
+        vehicle_hashes=dict(sorted(vehicle_hashes.items())),
+        partition_hashes={ack.partition: ack.partition_hash for ack in finishes},
+        vehicle_reports=dict(sorted(vehicle_reports.items())),
+        metrics=mergeable_view(merge_many([ack.metrics for ack in finishes])),
+        stats=stats,
+    )
+
+
 class FleetCoordinator:
     """Drives a partitioned fleet run end to end; owns the worker pool."""
 
@@ -150,11 +218,6 @@ class FleetCoordinator:
         self.workers: dict[int, WorkerHandle] = {}
         self.journals = {
             p: PartitionJournal(p) for p in range(config.partitions)
-        }
-        self._dst_partition = {
-            v: p
-            for p, shard in enumerate(config.shards())
-            for v in shard
         }
         self._finished = False
 
@@ -208,9 +271,13 @@ class FleetCoordinator:
         self.stats.rounds_replayed += len(journal.committed_entries())
         return handle
 
-    # -- the round protocol ------------------------------------------------
+    # -- the exchange's process host ---------------------------------------
 
-    def _send_advance(self, partition: int, cmd: AdvanceCmd) -> None:
+    def send_advance(self, partition: int, cmd: AdvanceCmd) -> None:
+        """Journal one round's batch, then send it to the worker."""
+        self.journals[partition].record_advance(
+            cmd.round_index, cmd.barrier_s, cmd.inbound
+        )
         try:
             self.workers[partition].pipe.send(cmd)
         except WorkerGone:
@@ -218,14 +285,16 @@ class FleetCoordinator:
             self._recover(partition)
             self.workers[partition].pipe.send(cmd)
 
-    def _await_ack(self, partition: int, cmd: AdvanceCmd):
-        """Collect one round's ack, surviving stragglers and crashes."""
+    def await_ack(self, partition: int, cmd: AdvanceCmd) -> RoundAck:
+        """Collect and commit one round's ack, surviving stragglers and
+        crashes."""
         deadline = self.config.barrier_deadline_s
         straggler_waits = 0
         while True:
             handle = self.workers[partition]
             try:
-                return recv_ack(handle.pipe, deadline, cmd.round_index)
+                ack = recv_expected(handle.pipe, deadline, RoundAck)
+                break
             except BarrierTimeout:
                 if straggler_waits < self.policy.straggler_retries:
                     straggler_waits += 1
@@ -241,21 +310,18 @@ class FleetCoordinator:
             self.workers[partition].pipe.send(cmd)
             deadline = self.config.barrier_deadline_s
             straggler_waits = 0
+        if ack.round_index != cmd.round_index:
+            raise FleetError(
+                f"ack for round {ack.round_index}, expected {cmd.round_index}"
+            )
+        self.journals[partition].commit(cmd.round_index, ack.partition_hash)
+        return ack
 
-    def _collect_finish(self, partition: int) -> FinishAck:
-        handle = self.workers[partition]
-        handle.pipe.send(FinishCmd())
-        while True:
-            message = handle.pipe.recv(self.config.barrier_deadline_s)
-            if isinstance(message, Heartbeat):
-                continue
-            if isinstance(message, WorkerFailed):
-                raise FleetError(
-                    f"partition {partition} failed at finish: {message.error}"
-                )
-            if not isinstance(message, FinishAck):
-                raise FleetError(f"expected FinishAck, got {message!r}")
-            return message
+    def finish(self, partition: int) -> FinishAck:
+        """Order one worker to report, and receive its final report."""
+        pipe = self.workers[partition].pipe
+        pipe.send(FinishCmd())
+        return recv_expected(pipe, self.config.barrier_deadline_s, FinishAck)
 
     # -- entry point -------------------------------------------------------
 
@@ -265,150 +331,59 @@ class FleetCoordinator:
             raise RuntimeError("a coordinator runs exactly once")
         self._finished = True
         self._spawn_all()
-        pending: dict[int, list[Envelope]] = {
-            p: [] for p in range(self.config.partitions)
-        }
-        for round_index, barrier_s in enumerate(self.config.barriers()):
-            commands: dict[int, AdvanceCmd] = {}
-            for p in range(self.config.partitions):
-                inbound = tuple(sort_envelopes(pending[p]))
-                self.journals[p].record_advance(round_index, barrier_s, inbound)
-                cmd = AdvanceCmd(round_index, barrier_s, inbound)
-                commands[p] = cmd
-                self._send_advance(p, cmd)
-            pending = {p: [] for p in range(self.config.partitions)}
-            for p in range(self.config.partitions):
-                ack = self._await_ack(p, commands[p])
-                self.journals[p].commit(round_index, ack.partition_hash)
-                self.stats.partition_busy_s[p] = (
-                    self.stats.partition_busy_s.get(p, 0.0)
-                    + ack.advance_wall_s
-                )
-                for env in ack.outbound:
-                    pending[self._dst_partition[env.dst]].append(env)
-                    self.stats.envelopes_routed += 1
-            self.stats.rounds += 1
-        finishes = {
-            p: self._collect_finish(p) for p in range(self.config.partitions)
-        }
+        result = _exchange(self.config, self, self.stats)
         self.shutdown()
-        return self._merge(finishes)
+        return result
 
-    def _merge(self, finishes: dict[int, FinishAck]) -> FleetResult:
-        vehicle_hashes: dict[int, str] = {}
-        vehicle_reports: dict[int, dict[str, Any]] = {}
-        for p, ack in finishes.items():
-            vehicle_hashes.update(ack.vehicle_hashes)
-            vehicle_reports.update(ack.vehicle_reports)
-            self.stats.events_fired += ack.events_fired
-            self.stats.partition_events[p] = ack.events_fired
-        merged = mergeable_view(
-            merge_many([finishes[p].metrics for p in sorted(finishes)])
+
+class _InlineHost:
+    """Every partition as a :class:`PartitionRuntime` in this process."""
+
+    def __init__(self, config: FleetConfig):
+        self.runtimes = [
+            PartitionRuntime(config.spec_for(p).disarmed())
+            for p in range(config.partitions)
+        ]
+        for runtime in self.runtimes:
+            runtime.launch()
+        self.acks: dict[int, RoundAck] = {}
+
+    def send_advance(self, partition: int, cmd: AdvanceCmd) -> None:
+        result = self.runtimes[partition].advance(
+            cmd.round_index, cmd.barrier_s, cmd.inbound
         )
-        return FleetResult(
-            config=self.config,
-            vehicle_hashes=dict(sorted(vehicle_hashes.items())),
-            partition_hashes={
-                p: finishes[p].partition_hash for p in sorted(finishes)
-            },
-            vehicle_reports=dict(sorted(vehicle_reports.items())),
-            metrics=merged,
-            stats=self.stats,
-        )
+        self.acks[partition] = result.to_ack()
+
+    def await_ack(self, partition: int, cmd: AdvanceCmd) -> RoundAck:
+        return self.acks.pop(partition)
+
+    def finish(self, partition: int) -> FinishAck:
+        return self.runtimes[partition].finish()
 
 
 def run_inline(config: FleetConfig) -> FleetResult:
     """A partitioned run without processes: N runtimes, one thread.
 
-    Drives the exact coordinator round protocol -- journal-order
-    delivery, canonical envelope sort, per-round routing -- but hosts
-    every :class:`PartitionRuntime` in this process.  No fault injection
-    and no recovery, so it is the cheap way to exercise *shard geometry*
-    (plans, uneven and empty shards) against the single-process
-    reference; the process-level path stays covered by the coordinator.
+    Runs the same barrier exchange as the coordinator but hosts every
+    :class:`PartitionRuntime` in this process, under ``frozen_heap()``.
+    No fault injection and no recovery, so it is the cheap way to
+    exercise *shard geometry* (plans, uneven and empty shards) against
+    the single-process reference; the process-level path stays covered
+    by the coordinator.
     """
-    shards = config.shards()
-    dst_partition = {v: p for p, shard in enumerate(shards) for v in shard}
-    runtimes = {
-        p: PartitionRuntime(config.spec_for(p).disarmed())
-        for p in range(config.partitions)
-    }
-    stats = FleetStats()
-    for runtime in runtimes.values():
-        runtime.launch()
-    pending: dict[int, list[Envelope]] = {
-        p: [] for p in range(config.partitions)
-    }
-    vehicle_hashes: dict[int, str] = {}
-    vehicle_reports: dict[int, dict[str, Any]] = {}
+    host = _InlineHost(config)
     with frozen_heap():
-        for round_index, barrier_s in enumerate(config.barriers()):
-            results = {
-                p: runtimes[p].advance(
-                    round_index, barrier_s, tuple(sort_envelopes(pending[p]))
-                )
-                for p in range(config.partitions)
-            }
-            pending = {p: [] for p in range(config.partitions)}
-            for p in sorted(results):
-                for env in results[p].outbound:
-                    pending[dst_partition[env.dst]].append(env)
-                    stats.envelopes_routed += 1
-            stats.rounds += 1
-        for p, runtime in runtimes.items():
-            vehicle_reports.update(runtime.finalize())
-            vehicle_hashes.update(runtime.vehicle_hashes())
-            stats.events_fired += runtime.sim.events_fired
-            stats.partition_events[p] = runtime.sim.events_fired
-    return FleetResult(
-        config=config,
-        vehicle_hashes=dict(sorted(vehicle_hashes.items())),
-        partition_hashes={
-            p: runtimes[p].sanitizer.trace_hash for p in sorted(runtimes)
-        },
-        vehicle_reports=dict(sorted(vehicle_reports.items())),
-        metrics=mergeable_view(
-            merge_many(
-                [runtimes[p].metrics_snapshot() for p in sorted(runtimes)]
-            )
-        ),
-        stats=stats,
-    )
+        return _exchange(config, host, FleetStats())
 
 
 def run_single_process(config: FleetConfig) -> FleetResult:
     """The unsharded golden reference for ``config`` (no processes).
 
-    Hosts every vehicle on one in-process runtime and drives the same
-    barrier exchange the coordinator uses, so its per-vehicle hashes and
-    mergeable-view metrics are the ground truth a partitioned run of the
-    same config must reproduce exactly.
+    :func:`run_inline` with every vehicle on one partition: its
+    per-vehicle hashes and mergeable-view metrics are the ground truth a
+    partitioned run of the same config must reproduce exactly.  ``plan``
+    is shard geometry, not behaviour, so it is dropped with the faults.
     """
-    # ``plan`` is shard geometry, not behaviour: the reference collapses
-    # to one partition, so any explicit plan must be dropped with it.
-    reference = replace(
-        config, partitions=1, plan=None, kill_plan=None, straggle_s=(),
-    )
-    runtime = PartitionRuntime(reference.spec_for(0))
-    runtime.launch()
-    stats = FleetStats()
-    inbound: tuple[Envelope, ...] = ()
-    with frozen_heap():
-        for round_index, barrier_s in enumerate(reference.barriers()):
-            result = runtime.advance(
-                round_index, barrier_s, tuple(sort_envelopes(list(inbound)))
-            )
-            inbound = result.outbound
-            stats.rounds += 1
-            stats.envelopes_routed += len(result.outbound)
-        vehicle_reports = runtime.finalize()
-    stats.events_fired = runtime.sim.events_fired
-    stats.partition_events[0] = runtime.sim.events_fired
-    return FleetResult(
-        config=reference,
-        vehicle_hashes=dict(sorted(runtime.vehicle_hashes().items())),
-        partition_hashes={0: runtime.sanitizer.trace_hash},
-        vehicle_reports=vehicle_reports,
-        metrics=mergeable_view(merge_many([runtime.metrics_snapshot()])),
-        stats=stats,
+    return run_inline(
+        replace(config, partitions=1, plan=None, kill_plan=None, straggle_s=())
     )

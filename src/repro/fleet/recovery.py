@@ -23,6 +23,7 @@ more than ``max_respawns`` times fails the fleet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .config import PartitionSpec
 from .journal import PartitionJournal
@@ -36,7 +37,9 @@ from .transport import (
 )
 from .worker import WorkerHandle, spawn_worker
 
-__all__ = ["FleetError", "RecoveryPolicy", "recv_ack", "respawn_and_replay"]
+__all__ = ["FleetError", "RecoveryPolicy", "recv_expected", "respawn_and_replay"]
+
+T = TypeVar("T")
 
 
 class FleetError(RuntimeError):
@@ -64,12 +67,12 @@ class RecoveryPolicy:
             raise ValueError("straggler backoff must be >= 1.0")
 
 
-def recv_ack(pipe: PipeEndpoint, deadline_s: float, round_index: int) -> RoundAck:
-    """Receive the :class:`RoundAck` for one round, skipping heartbeats.
+def recv_expected(pipe: PipeEndpoint, deadline_s: float, kind: type[T]) -> T:
+    """Receive the next ``kind`` message from a worker, skipping heartbeats.
 
-    Raises :class:`FleetError` on a protocol breach or a worker-reported
-    failure; :class:`WorkerGone` / :class:`BarrierTimeout` propagate from
-    the pipe for the caller's recovery logic.
+    Raises :class:`FleetError` on a worker-reported failure or on any
+    other message type; :class:`WorkerGone` / :class:`BarrierTimeout`
+    propagate from the pipe for the caller's recovery logic.
     """
     while True:
         message = pipe.recv(deadline_s)
@@ -79,12 +82,8 @@ def recv_ack(pipe: PipeEndpoint, deadline_s: float, round_index: int) -> RoundAc
             raise FleetError(
                 f"partition {message.partition} failed: {message.error}"
             )
-        if not isinstance(message, RoundAck):
-            raise FleetError(f"expected RoundAck, got {message!r}")
-        if message.round_index != round_index:
-            raise FleetError(
-                f"ack for round {message.round_index}, expected {round_index}"
-            )
+        if not isinstance(message, kind):
+            raise FleetError(f"expected {kind.__name__}, got {message!r}")
         return message
 
 
@@ -114,7 +113,12 @@ def respawn_and_replay(
             handle.pipe.send(
                 AdvanceCmd(entry.round_index, entry.barrier_s, entry.inbound)
             )
-            ack = recv_ack(handle.pipe, deadline_s, entry.round_index)
+            ack = recv_expected(handle.pipe, deadline_s, RoundAck)
+            if ack.round_index != entry.round_index:
+                raise FleetError(
+                    f"ack for round {ack.round_index}, "
+                    f"expected {entry.round_index}"
+                )
             journal.verify_replay(entry.round_index, ack.partition_hash)
             # ack.outbound intentionally dropped: those envelopes were
             # routed to the other partitions before the crash.

@@ -22,9 +22,10 @@ Determinism is enforced at two grains:
 
 The canonical-order rule: **all** V2V traffic -- including messages whose
 receiver lives on the same partition -- routes through the barrier
-exchange and is sorted by ``(deliver_s, dst, src, seq)`` before delivery
-scheduling.  That single sort point is what makes event order independent
-of how vehicles are sharded.
+exchange and is sorted by ``(deliver_s, dst, src, seq)`` in
+:meth:`V2VBus.deliver`, the single sort point, before delivery
+scheduling.  Callers hand over batches in any order; that one sort is
+what makes event order independent of how vehicles are sharded.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ..sim.core import KernelCheckpoint, SimulationError, Simulator
 from ..sim.sanitizer import DeterminismSanitizer
 from ..topology.world import build_default_world
 from .config import PartitionSpec
-from .transport import Envelope, RoundAck, sort_envelopes
+from .transport import Envelope, FinishAck, RoundAck, sort_envelopes
 
 __all__ = [
     "PartitionRuntime",
@@ -120,11 +121,10 @@ class V2VBus:
     """Cross-vehicle messaging for one partition, barrier-exchanged.
 
     :meth:`send` queues an envelope for the *coordinator* regardless of
-    where the receiver lives; :meth:`deliver` schedules an inbound batch
-    (already canonically sorted) onto the shard's simulator at each
+    where the receiver lives; :meth:`deliver` sorts an inbound batch
+    canonically and schedules it onto the shard's simulator at each
     envelope's due time.  Envelopes addressed to vehicles outside this
-    shard are ignored on delivery -- the coordinator fans the same batch
-    to every partition in the single-process reference path.
+    shard are ignored on delivery.
 
     :meth:`deliver` and :meth:`drain_outbox` are barrier-only: called
     while the simulator is running (from a sim process or an event
@@ -186,8 +186,8 @@ class V2VBus:
         """Schedule an inbound batch; returns how many were local.
 
         Must be called with the clock parked at a barrier.  The batch is
-        re-sorted canonically here so scheduling order (and therefore
-        equal-time firing order) never depends on the caller.
+        sorted canonically here, and only here, so scheduling order (and
+        therefore equal-time firing order) never depends on the caller.
         """
         self._require_barrier("deliver")
         count = 0
@@ -237,8 +237,9 @@ class RoundResult:
 
 
 class PartitionRuntime:
-    """The in-process half of a fleet worker (also runs coordinator-side
-    for the single-process golden reference)."""
+    """The in-process half of a fleet worker (also hosted directly by
+    :func:`~repro.fleet.coordinator.run_inline` and the single-process
+    golden reference)."""
 
     def __init__(self, spec: PartitionSpec):
         self.spec = spec
@@ -369,12 +370,13 @@ class PartitionRuntime:
 
     # -- completion --------------------------------------------------------
 
-    def finalize(self) -> dict[int, dict[str, Any]]:
-        """Complete every scenario; returns JSON-friendly vehicle reports."""
-        out: dict[int, dict[str, Any]] = {}
+    def finish(self) -> FinishAck:
+        """Complete every scenario and report the partition: the one way a
+        partition ends, in a worker process or in-process."""
+        reports: dict[int, dict[str, Any]] = {}
         for v in self.spec.vehicle_indices:
             report = self.scenarios[v].finalize()
-            out[v] = {
+            reports[v] = {
                 "label": self.config.vehicle_label(v),
                 "vehicle_energy_j": report.vehicle_energy_j,
                 "services": {
@@ -388,7 +390,14 @@ class PartitionRuntime:
                 },
                 "v2v_records": self.hashes[v].records,
             }
-        return out
+        return FinishAck(
+            partition=self.spec.partition,
+            partition_hash=self.sanitizer.trace_hash,
+            vehicle_hashes=self.vehicle_hashes(),
+            events_fired=self.sim.events_fired,
+            metrics=self.metrics_snapshot(),
+            vehicle_reports=reports,
+        )
 
     def metrics_snapshot(self) -> dict:
         """The partition collector's mergeable metric state.

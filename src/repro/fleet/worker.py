@@ -27,7 +27,6 @@ from ..faults.prockill import KillPhase
 from .config import PartitionSpec
 from .transport import (
     AdvanceCmd,
-    FinishAck,
     FinishCmd,
     Heartbeat,
     Hello,
@@ -89,17 +88,7 @@ def partition_worker_main(conn, spec: PartitionSpec) -> None:
                         _self_destruct()
                     pipe.send(result.to_ack(advance_wall_s=advance_wall_s))
                 elif isinstance(command, FinishCmd):
-                    reports = runtime.finalize()
-                    pipe.send(
-                        FinishAck(
-                            partition=spec.partition,
-                            partition_hash=runtime.sanitizer.trace_hash,
-                            vehicle_hashes=runtime.vehicle_hashes(),
-                            events_fired=runtime.sim.events_fired,
-                            metrics=runtime.metrics_snapshot(),
-                            vehicle_reports=reports,
-                        )
-                    )
+                    pipe.send(runtime.finish())
                     return
                 else:
                     raise RuntimeError(f"unknown command: {command!r}")
@@ -180,8 +169,7 @@ def spawn_worker(
     first receive).
     """
     _require_picklable(spec)
-    ctx = _context(start_method if start_method is not None
-                   else spec.config.start_method)
+    ctx = _context(start_method)
     parent_conn, child_conn = ctx.Pipe(duplex=True)
     process = ctx.Process(
         target=partition_worker_main,

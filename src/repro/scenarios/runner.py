@@ -2,20 +2,20 @@
 
 A :class:`~repro.scenarios.compiler.Scenario` is a list of lowered
 :class:`~repro.fleet.config.FleetConfig` cells; this module runs them
-through the fleet substrate's three execution modes and (optionally)
-asserts the substrate's correctness contract per cell -- that the
-partitioned run's per-vehicle blake2b trace hashes are byte-identical to
-the single-process reference of the same config.
+through the fleet substrate's one barrier exchange in any of three modes
+and (optionally) asserts the substrate's correctness contract per cell
+-- that the partitioned run's per-vehicle blake2b trace hashes are
+byte-identical to the single-process reference of the same config.
 
-Modes:
+The modes differ only in where the partitions live:
 
-* ``inline`` -- :func:`~repro.fleet.coordinator.run_inline`: the full
-  round protocol with every partition runtime hosted in-process (the
-  default; exercises shard geometry without process spawn cost);
+* ``inline`` -- :func:`~repro.fleet.coordinator.run_inline`: every
+  partition runtime hosted in-process (the default; exercises shard
+  geometry without process spawn cost);
 * ``processes`` -- :class:`~repro.fleet.coordinator.FleetCoordinator`:
   real worker processes, fault plans armed;
 * ``reference`` -- :func:`~repro.fleet.coordinator.run_single_process`:
-  the golden single-partition reference itself.
+  the golden reference, ``run_inline`` with one partition.
 """
 
 from __future__ import annotations

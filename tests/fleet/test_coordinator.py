@@ -1,7 +1,8 @@
 """Coordinator end-to-end: equality, recovery, stragglers, clean shutdown.
 
-These tests spawn real worker processes.  Configs stay tiny (4 vehicles,
-a few barriers) so each run is well under a second of work per process.
+These tests spawn real worker processes.  Configs run at the size the
+process benchmark runs (32 vehicles) over a few barriers, so crash
+recovery and straggler failover are exercised under load.
 """
 
 from dataclasses import replace
@@ -14,13 +15,14 @@ from repro.fleet import (
     FleetCoordinator,
     FleetError,
     RecoveryPolicy,
+    run_inline,
     run_single_process,
 )
 
 
 @pytest.fixture(scope="module")
 def config():
-    return FleetConfig(seed=5, vehicles=4, partitions=2, duration_s=5.0,
+    return FleetConfig(seed=5, vehicles=32, partitions=2, duration_s=5.0,
                        barrier_deadline_s=60.0)
 
 
@@ -43,6 +45,24 @@ class TestEquality:
             result = coordinator.run()
         assert result.vehicle_hashes == reference.vehicle_hashes
         assert result.metrics == reference.metrics
+
+    @pytest.mark.parametrize("shape", [
+        {},
+        {"partitions": 4, "workload": "skewed"},
+    ], ids=["uniform-2", "skewed-4"])
+    def test_inline_and_processes_agree_on_the_whole_result(self, config,
+                                                            shape):
+        shaped = replace(config, **shape)
+        inline = run_inline(shaped)
+        with FleetCoordinator(shaped) as coordinator:
+            result = coordinator.run()
+        for name in ("partition_hashes", "vehicle_hashes", "vehicle_reports",
+                     "metrics"):
+            assert getattr(result, name) == getattr(inline, name), name
+        for name in ("rounds", "envelopes_routed", "events_fired",
+                     "partition_events"):
+            assert (getattr(result.stats, name)
+                    == getattr(inline.stats, name)), name
 
     def test_report_renders(self, config, reference):
         text = reference.report().to_text()

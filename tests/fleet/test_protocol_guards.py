@@ -15,15 +15,17 @@ import pytest
 
 from repro.fleet import (
     AdvanceCmd,
+    FinishAck,
     FinishCmd,
     FleetConfig,
     FleetCoordinator,
     FleetError,
     Hello,
     PipeEndpoint,
+    RoundAck,
     WorkerFailed,
 )
-from repro.fleet.recovery import recv_ack
+from repro.fleet.recovery import recv_expected
 from repro.fleet.worker import partition_worker_main, spawn_worker
 
 DEADLINE_S = 30.0
@@ -64,7 +66,7 @@ def test_round_ack_wait_refuses_another_message_by_name(config):
         handle.pipe.send(FinishCmd())  # answered with a FinishAck
         with pytest.raises(FleetError,
                            match=r"expected RoundAck, got FinishAck\("):
-            recv_ack(handle.pipe, DEADLINE_S, round_index=0)
+            recv_expected(handle.pipe, DEADLINE_S, RoundAck)
     finally:
         handle.terminate()
 
@@ -73,10 +75,11 @@ def test_finish_wait_refuses_another_message_by_name(config):
     with FleetCoordinator(config) as coordinator:
         coordinator._spawn_all()
         # The round's Heartbeat is skipped; its unread RoundAck is not.
-        coordinator.workers[0].pipe.send(AdvanceCmd(0, config.barriers()[0]))
+        pipe = coordinator.workers[0].pipe
+        pipe.send(AdvanceCmd(0, config.barriers()[0]))
         with pytest.raises(FleetError,
                            match=r"expected FinishAck, got RoundAck\("):
-            coordinator._collect_finish(0)
+            recv_expected(pipe, DEADLINE_S, FinishAck)
 
 
 def _closure_payload():

@@ -6,8 +6,9 @@ replay -- to exactly the per-vehicle event-trace hashes an uncrashed run
 produces.  Hypothesis sweeps the crash point; the reference run is
 computed once per process (same config every example).
 
-Each example spawns real worker processes, so the fleet is kept tiny
-(4 vehicles, 2 partitions, 4 barriers) and the example budget small.
+Each example spawns real worker processes, so the example budget stays
+small; the fleet runs at the process benchmark's size (32 vehicles, 2
+partitions) over 4 barriers, so recovery is exercised under load.
 """
 
 from dataclasses import replace
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from repro.faults import KillPhase, KillPlan
 from repro.fleet import FleetConfig, FleetCoordinator, run_single_process
 
-BASE = FleetConfig(seed=21, vehicles=4, partitions=2, duration_s=4.0,
+BASE = FleetConfig(seed=21, vehicles=32, partitions=2, duration_s=4.0,
                    barrier_deadline_s=60.0)
 BARRIER_COUNT = len(BASE.barriers())
 
