@@ -1,16 +1,21 @@
 """In-vehicle services: diagnostics, ADAS, infotainment, AMBER search, V2V collab."""
 
-from .adas import AdasAlert, AdasFrameReport, AdasService, make_adas_service
-from .amber import (
-    AmberSearchService,
-    PlateSighting,
-    SearchHit,
-    generate_sightings,
-    make_amber_service,
-)
-from .collab import CollabReport, CollabVehicle, Platoon
-from .diagnostics import DiagnosticsService, Fault, Prediction
-from .infotainment import BitrateLadder, PlaybackReport, StreamingSession
+from typing import TYPE_CHECKING
+
+from .. import _lazy_exports
+
+if TYPE_CHECKING:
+    from .adas import AdasAlert, AdasFrameReport, AdasService, make_adas_service
+    from .amber import (
+        AmberSearchService,
+        PlateSighting,
+        SearchHit,
+        generate_sightings,
+        make_amber_service,
+    )
+    from .collab import CollabReport, CollabVehicle, Platoon
+    from .diagnostics import DiagnosticsService, Fault, Prediction
+    from .infotainment import BitrateLadder, PlaybackReport, StreamingSession
 
 __all__ = [
     "AdasAlert",
@@ -32,3 +37,5 @@ __all__ = [
     "make_adas_service",
     "make_amber_service",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__)

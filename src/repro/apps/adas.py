@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..edgeos.service import Pipeline, PolymorphicService
 from ..topology.nodes import Tier
 from ..vcu.profiles import QoSClass
-from ..vision.cnn_detect import CnnDetector
-from ..vision.haar import Detection, HaarDetector, non_max_suppression
-from ..vision.lane import detect_lanes
 from ..workloads.services import adas_frame_graph
+
+if TYPE_CHECKING:
+    from ..vision.cnn_detect import CnnDetector
+    from ..vision.haar import Detection, HaarDetector
 
 __all__ = ["AdasAlert", "AdasFrameReport", "AdasService", "make_adas_service"]
 
@@ -79,6 +81,9 @@ class AdasService:
 
     def analyze(self, frame: np.ndarray, detect_step: int = 4) -> AdasFrameReport:
         """Run lane + vehicle detection on one frame and raise alerts."""
+        from ..vision.haar import non_max_suppression
+        from ..vision.lane import detect_lanes
+
         height, width = frame.shape
         lane = detect_lanes(frame)
         raw_detections, haar_ops = self.haar.detect(frame, step=detect_step)

@@ -1,17 +1,22 @@
 """DDI: driving data integrator (collectors, two-tier store, service API)."""
 
-from .can import EV_POWERTRAIN, CanCollector, CanFrame, CanMessageSpec, CanSignal
-from .collectors import (
-    Collector,
-    OBDCollector,
-    SocialCollector,
-    TrafficCollector,
-    WeatherCollector,
-)
-from .diskdb import DiskDB, Record
-from .memdb import CacheStats, MemDB
-from .service import DDIService, DownloadResult
-from .uplink import CloudDataServer, MigrationStats, UplinkMigrator
+from typing import TYPE_CHECKING
+
+from .. import _lazy_exports
+
+if TYPE_CHECKING:
+    from .can import EV_POWERTRAIN, CanCollector, CanFrame, CanMessageSpec, CanSignal
+    from .collectors import (
+        Collector,
+        OBDCollector,
+        SocialCollector,
+        TrafficCollector,
+        WeatherCollector,
+    )
+    from .diskdb import DiskDB, Record
+    from .memdb import CacheStats, MemDB
+    from .service import DDIService, DownloadResult
+    from .uplink import CloudDataServer, MigrationStats, UplinkMigrator
 
 __all__ = [
     "CacheStats",
@@ -34,3 +39,5 @@ __all__ = [
     "TrafficCollector",
     "WeatherCollector",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__)

@@ -31,6 +31,7 @@ Resilience extensions (paper SIII-A's unreliable environment):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..offload.placement import (
     CompiledPlacement,
@@ -39,7 +40,9 @@ from ..offload.placement import (
 )
 from ..topology.world import World
 from .service import Pipeline, PolymorphicService, ServiceState
-from .watchdog import HealthWatchdog
+
+if TYPE_CHECKING:
+    from .watchdog import HealthWatchdog
 
 __all__ = ["PipelineChoice", "ElasticManager"]
 

@@ -17,9 +17,12 @@ behalf of every component the injector currently reports as up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..faults.injector import FaultInjector
 from ..sim.core import Simulator
+
+if TYPE_CHECKING:
+    from ..faults.injector import FaultInjector
 
 __all__ = ["ComponentHealth", "HealthWatchdog"]
 

@@ -10,18 +10,23 @@ the simulation -- OS worker processes hosting fleet partitions
 (:mod:`repro.fleet`) -- with seed-deterministic SIGKILL schedules.
 """
 
-from .injector import (
-    CLOUD_KEY,
-    FaultInjector,
-    collector_key,
-    link_key,
-    processor_key,
-    service_key,
-    world_fault_targets,
-)
-from .plan import DEFAULT_RATES, FaultEvent, FaultKind, FaultPlan, FaultRates
-from .prockill import KillPhase, KillPlan, WorkerKill
-from .resilience import BreakerState, CircuitBreaker, CircuitOpenError, RetryPolicy
+from typing import TYPE_CHECKING
+
+from .. import _lazy_exports
+
+if TYPE_CHECKING:
+    from .injector import (
+        CLOUD_KEY,
+        FaultInjector,
+        collector_key,
+        link_key,
+        processor_key,
+        service_key,
+        world_fault_targets,
+    )
+    from .plan import DEFAULT_RATES, FaultEvent, FaultKind, FaultPlan, FaultRates
+    from .prockill import KillPhase, KillPlan, WorkerKill
+    from .resilience import BreakerState, CircuitBreaker, CircuitOpenError, RetryPolicy
 
 __all__ = [
     "BreakerState",
@@ -44,3 +49,5 @@ __all__ = [
     "service_key",
     "world_fault_targets",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__)

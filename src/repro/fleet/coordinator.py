@@ -29,11 +29,11 @@ worker (KeyboardInterrupt included), so no orphan processes survive.
 
 from __future__ import annotations
 
+import time  # vdaplint: disable=DET001
 from dataclasses import dataclass, field, replace
-from typing import Any, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 from ..obs.metrics import merge_many, mergeable_view
-from ..obs.report import Report
 from .config import FleetConfig
 from .journal import PartitionJournal
 from .recovery import (
@@ -55,6 +55,9 @@ from .transport import (
     WorkerGone,
 )
 from .worker import WorkerHandle, spawn_worker
+
+if TYPE_CHECKING:
+    from ..obs.report import Report
 
 __all__ = [
     "FleetCoordinator",
@@ -122,6 +125,8 @@ class FleetResult:
 
     def report(self) -> Report:
         """A unified :class:`~repro.obs.report.Report` of the run."""
+        from ..obs.report import Report
+
         report = Report(
             "fleet_run",
             f"{self.config.vehicles} vehicles / {self.config.partitions} "
@@ -349,10 +354,12 @@ class _InlineHost:
         self.acks: dict[int, RoundAck] = {}
 
     def send_advance(self, partition: int, cmd: AdvanceCmd) -> None:
+        started = time.perf_counter()  # vdaplint: disable=DET001
         result = self.runtimes[partition].advance(
             cmd.round_index, cmd.barrier_s, cmd.inbound
         )
-        self.acks[partition] = result.to_ack()
+        advance_wall_s = time.perf_counter() - started  # vdaplint: disable=DET001
+        self.acks[partition] = result.to_ack(advance_wall_s=advance_wall_s)
 
     def await_ack(self, partition: int, cmd: AdvanceCmd) -> RoundAck:
         return self.acks.pop(partition)

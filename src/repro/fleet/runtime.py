@@ -33,7 +33,7 @@ from __future__ import annotations
 import gc
 import hashlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..apps import make_adas_service
@@ -220,18 +220,14 @@ class RoundResult:
     outbound: tuple[Envelope, ...]
     checkpoint: KernelCheckpoint
     partition_hash: str
-    vehicle_hashes: dict[int, str] = field(default_factory=dict)
 
     def to_ack(self, advance_wall_s: float = 0.0) -> RoundAck:
-        """The wire form a worker sends back to the coordinator."""
+        """The wire form a partition sends back to the exchange."""
         return RoundAck(
             round_index=self.round_index,
             barrier_s=self.barrier_s,
             outbound=self.outbound,
             partition_hash=self.partition_hash,
-            vehicle_hashes=self.vehicle_hashes,
-            events_fired=self.checkpoint.events_fired,
-            queue_depth=self.checkpoint.queue_depth,
             advance_wall_s=advance_wall_s,
         )
 
@@ -361,7 +357,6 @@ class PartitionRuntime:
             outbound=self.bus.drain_outbox(),
             checkpoint=checkpoint,
             partition_hash=self.sanitizer.trace_hash,
-            vehicle_hashes=self.vehicle_hashes(),
         )
 
     def vehicle_hashes(self) -> dict[int, str]:

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import time  # vdaplint: disable=DET001
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from multiprocessing.connection import Connection
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "AdvanceCmd",
@@ -116,19 +117,17 @@ class RoundAck:
     """Worker reply: the round committed on its side.
 
     ``partition_hash`` is the kernel event-trace hash after this barrier
-    (replay-identity evidence); ``vehicle_hashes`` are the per-vehicle
-    domain-event hashes (partition-invariant equality evidence).
+    (replay-identity evidence).  Per-vehicle hashes and event counts
+    travel once, in the :class:`FinishAck`.
     """
 
     round_index: int
     barrier_s: float
     outbound: tuple[Envelope, ...]
     partition_hash: str
-    vehicle_hashes: dict[int, str]
-    events_fired: int
-    queue_depth: int
-    #: Wall-clock seconds the worker spent inside ``advance`` this round
-    #: (diagnostic only -- never hashed, so plans stay trace-invariant).
+    #: Wall-clock seconds the partition spent inside ``advance`` this
+    #: round (diagnostic only -- never hashed, so plans stay
+    #: trace-invariant).
     advance_wall_s: float = 0.0
 
 

@@ -16,12 +16,12 @@ so the ``spawn`` fallback receives the same specs.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import pickle
 import signal
 import time  # vdaplint: disable=DET001
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 from ..faults.prockill import KillPhase
 from .config import PartitionSpec
@@ -34,6 +34,9 @@ from .transport import (
     WorkerFailed,
     WorkerGone,
 )
+
+if TYPE_CHECKING:
+    import multiprocessing as mp
 
 __all__ = ["WorkerHandle", "partition_worker_main", "spawn_worker"]
 
@@ -133,6 +136,8 @@ class WorkerHandle:
 
 
 def _context(start_method: str | None) -> mp.context.BaseContext:
+    import multiprocessing as mp
+
     if start_method is None:
         start_method = (
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"

@@ -1,21 +1,26 @@
 """Neural-network substrate: layers, training, compression, transfer, zoo."""
 
-from .compress import CompressionReport, deep_compress, kmeans_1d, measure, prune, quantize
-from .layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU
-from .network import Sequential, cross_entropy, softmax
-from .train import SGD, Adam, TrainResult, train_classifier
-from .transfer import freeze_masks, transfer_learn
-from .zoo import (
-    INCEPTION_V3,
-    MOBILENET_V1,
-    RESNET50,
-    SPEC_REGISTRY,
-    TINY_FACE,
-    YOLO_V2,
-    ModelSpec,
-    make_mlp,
-    make_tiny_cnn,
-)
+from typing import TYPE_CHECKING
+
+from .. import _lazy_exports
+
+if TYPE_CHECKING:
+    from .compress import CompressionReport, deep_compress, kmeans_1d, measure, prune, quantize
+    from .layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU
+    from .network import Sequential, cross_entropy, softmax
+    from .train import SGD, Adam, TrainResult, train_classifier
+    from .transfer import freeze_masks, transfer_learn
+    from .zoo import (
+        INCEPTION_V3,
+        MOBILENET_V1,
+        RESNET50,
+        SPEC_REGISTRY,
+        TINY_FACE,
+        YOLO_V2,
+        ModelSpec,
+        make_mlp,
+        make_tiny_cnn,
+    )
 
 __all__ = [
     "CompressionReport",
@@ -50,3 +55,5 @@ __all__ = [
     "train_classifier",
     "transfer_learn",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__)

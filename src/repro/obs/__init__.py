@@ -23,23 +23,28 @@ path: declared columns, ``to_text()`` for the committed tables,
 ``to_json()`` for machine-readable artifacts.
 """
 
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    P2Quantile,
-    Summary,
-    Timeline,
-    diff_snapshots,
-    merge_many,
-    merge_snapshots,
-    mergeable_view,
-)
-from .recorder import NULL_RECORDER, Collector, Recorder
-from .report import Column, Report
-from .trace import Span, SpanTracer
+from typing import TYPE_CHECKING
+
+from .. import _lazy_exports
+
+if TYPE_CHECKING:
+    from .metrics import (
+        DEFAULT_BUCKETS,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricRegistry,
+        P2Quantile,
+        Summary,
+        Timeline,
+        diff_snapshots,
+        merge_many,
+        merge_snapshots,
+        mergeable_view,
+    )
+    from .recorder import NULL_RECORDER, Collector, Recorder
+    from .report import Column, Report
+    from .trace import Span, SpanTracer
 
 __all__ = [
     "Collector",
@@ -62,3 +67,5 @@ __all__ = [
     "merge_snapshots",
     "mergeable_view",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__)

@@ -15,24 +15,26 @@ gaps), which is what drives pipeline switching during the drive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ddi.collectors import OBDCollector
-from .ddi.diskdb import DiskDB
-from .ddi.service import DDIService
 from .edgeos.elastic import ElasticManager
 from .edgeos.service import PolymorphicService
 from .edgeos.sharing import DataSharingBus
 from .obs.metrics import Summary, Timeline
 from .obs.recorder import Recorder
-from .offload.executor import DistributedExecutor
 from .offload.task import TaskGraph
 from .topology.nodes import Tier
 from .topology.world import World, build_default_world
 from .sim.core import Simulator
 from .vcu.dsf import DSF
 from .vcu.mhep import MHEP
+
+if TYPE_CHECKING:
+    from .ddi.service import DDIService
+    from .offload.executor import DistributedExecutor
 
 __all__ = [
     "ServiceReport",
@@ -130,11 +132,13 @@ class DriveScenario:
         for processor in self.world.vehicle.processors:
             self.mhep.register(processor)
         self.dsf = DSF(self.sim, self.mhep)
-        self.executor = DistributedExecutor(self.sim, self.world)
         self.manager = ElasticManager()
         self.sharing = DataSharingBus()
         self.ddi: DDIService | None = None
         if ddi_root is not None:
+            from .ddi.diskdb import DiskDB
+            from .ddi.service import DDIService
+
             self.ddi = DDIService(lambda: self.sim.now, DiskDB(ddi_root))
         self._services: list[PolymorphicService] = []
         self._periods: dict[str, float] = {}
@@ -152,7 +156,18 @@ class DriveScenario:
         """Wire an OBD collector to the scenario's DDI (requires ddi_root)."""
         if self.ddi is None:
             raise RuntimeError("scenario built without a DDI root")
+        from .ddi.collectors import OBDCollector
+
         self.ddi.attach_collector(OBDCollector(profile=profile, rng=self.rng))
+
+    @cached_property
+    def executor(self) -> DistributedExecutor:
+        """The executor ``execute_distributed`` runs each invocation on,
+        built on first use: an executor holds no state until it is
+        submitted to, and drives that run on-board never touch it."""
+        from .offload.executor import DistributedExecutor
+
+        return DistributedExecutor(self.sim, self.world)
 
     # -- coverage-driven link quality ------------------------------------------
 

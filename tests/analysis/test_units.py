@@ -239,6 +239,43 @@ def test_unit002_keyword_argument():
     assert [f.rule for f in findings] == ["UNIT002"]
 
 
+def test_unit002_resolves_a_lazy_package_reexport():
+    # A lazy package lists its re-exports under ``if TYPE_CHECKING:``;
+    # the index still follows them to the defining submodule.
+    sources = {
+        ("mod", "mod.py"): """
+            from pkg import eta
+
+            def f(window_s):
+                return eta(window_s)
+            """,
+        ("pkg", "pkg/__init__.py"): """
+            from typing import TYPE_CHECKING
+
+            if TYPE_CHECKING:
+                from .lib import eta
+
+            __all__ = ["eta"]
+            """,
+        ("pkg.lib", "pkg/lib.py"): """
+            def eta(payload_bytes):
+                return payload_bytes / 1e6
+            """,
+    }
+    summaries = []
+    for (name, path), text in sources.items():
+        text = textwrap.dedent(text)
+        summaries.append(summarize_module(path, text, tree=ast.parse(text),
+                                          module_name=name))
+    index = SignatureIndex(summaries)
+    assert index.resolve_qualname("pkg.eta") == "pkg.lib.eta"
+    source = textwrap.dedent(sources[("mod", "mod.py")])
+    findings = UnitChecker(index).check_module(
+        summaries[0], source, ast.parse(source)
+    )
+    assert [f.rule for f in findings] == ["UNIT002"]
+
+
 def test_transparent_builtins_pass_units_through():
     findings = _check(
         """

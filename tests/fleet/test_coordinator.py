@@ -64,6 +64,16 @@ class TestEquality:
             assert (getattr(result.stats, name)
                     == getattr(inline.stats, name)), name
 
+    def test_inline_run_reports_busy_time_outside_every_hash(self, config,
+                                                             reference):
+        inline = run_inline(config)
+        shards = config.shards()
+        assert shards[0] and shards[1]
+        for partition in range(config.partitions):
+            assert inline.stats.partition_busy_s[partition] > 0.0, partition
+        assert inline.vehicle_hashes == reference.vehicle_hashes
+        assert inline.metrics == reference.metrics
+
     def test_report_renders(self, config, reference):
         text = reference.report().to_text()
         assert "cav-000" in text

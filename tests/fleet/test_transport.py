@@ -56,8 +56,7 @@ class TestProtocolMessages:
         Heartbeat(partition=0, round_index=2),
         AdvanceCmd(round_index=3, barrier_s=4.0, inbound=(env(),)),
         RoundAck(round_index=3, barrier_s=4.0, outbound=(env(),),
-                 partition_hash="abc", vehicle_hashes={1: "h"},
-                 events_fired=10, queue_depth=2),
+                 partition_hash="abc", advance_wall_s=0.5),
     ])
     def test_picklable(self, message):
         assert pickle.loads(pickle.dumps(message)) == message
