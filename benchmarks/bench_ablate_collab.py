@@ -68,4 +68,4 @@ def test_collaboration_sweep(benchmark):
     # ...and with platoon size at high overlap.
     high = [s for _sz, o, _r, s in rows if o == 0.9]
     assert high == sorted(high)
-    assert max(s for *_x, s in rows) > 0.4
+    assert max(s for *_x, s in rows) >= 0.69, "up to 70 % saved (5 vehicles, 90 % overlap)"

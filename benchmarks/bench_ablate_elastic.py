@@ -90,6 +90,7 @@ def test_elastic_adaptivity(benchmark):
     for name, row in stats.items():
         if name != "elastic":
             assert elastic[1] <= row[1], f"elastic must not violate more than {name}"
+    assert elastic[1] == 0, "elastic meets the deadline on every tick"
     assert elastic[2] > 2, "the drive forces multiple pipeline switches"
     # Elastic achieves (near-)best mean latency among all policies.
     best_pinned = min(row[0] for name, row in stats.items() if name != "elastic")

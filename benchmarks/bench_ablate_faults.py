@@ -14,8 +14,6 @@ resilient executor must strictly beat fail-fast on completions -- and
 because the plan is seed-deterministic, this table reproduces exactly.
 """
 
-import pytest
-
 from conftest import persist_report
 from repro.obs import Report
 from repro.faults import (
@@ -155,4 +153,3 @@ def test_resilience_ablation(benchmark):
     # Deterministic: the same plan replays to the same numbers.
     assert run_drive(plan, resilient=True) == on
     assert on["deadline_hits"] >= off["deadline_hits"]
-    assert on["mean_latency_s"] == pytest.approx(on["mean_latency_s"])

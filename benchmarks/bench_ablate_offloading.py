@@ -68,6 +68,7 @@ def test_offloading_architectures(benchmark):
     vdap = table["dynamic-vdap"]
     # The paper's qualitative claims:
     assert vdap[3] == len(STANDARD_MIX), "the dynamic strategy meets every deadline"
+    assert (local[3], cloud[3]) == (3, 3), "each single-tier strategy misses one deadline"
     assert vdap[0] < cloud[0], "edge beats the WAN on latency"
     assert vdap[2] < local[2], "offloading spares vehicle energy"
     assert local[1] == 0.0, "local-only uses no uplink"

@@ -61,3 +61,4 @@ def test_pbeam_compression_sweep(benchmark):
     # At the default operating point the gain is real.
     default = rows[2]
     assert default[4] > default[3]
+    assert default[4] == 1.0, "the personalized model fits the outlier driver"

@@ -10,6 +10,8 @@ window, predicts when the leak will cross the fault threshold -- the
 Run:  python examples/diagnostics_session.py
 """
 
+import tempfile
+
 import numpy as np
 
 from repro.apps import DiagnosticsService
@@ -26,9 +28,15 @@ class Clock:
 
 
 def main() -> None:
+    # A fresh store per run, so a rerun prints the same record counts.
+    with tempfile.TemporaryDirectory(prefix="openvdap-diagnostics-") as root:
+        session(root)
+
+
+def session(ddi_root: str) -> None:
     rng = np.random.default_rng(4)
     clock = Clock()
-    ddi = DDIService(clock, DiskDB("/tmp/openvdap-diagnostics"), cache_ttl_s=120.0)
+    ddi = DDIService(clock, DiskDB(ddi_root), cache_ttl_s=120.0)
     profile = urban_profile(3600.0, rng)
     ddi.attach_collector(OBDCollector(profile=profile, rng=rng))
     ddi.attach_collector(WeatherCollector(rng=rng))

@@ -11,10 +11,8 @@ property checked on every commit instead of a convention in DESIGN.md:
   findings (:mod:`.baseline`);
 * a **semantic** tier: a forward abstract interpreter inferring
   physical units from naming conventions and ``# unit:`` pragmas
-  (:mod:`.units` -- UNIT001/UNIT002/UNIT003) and a path-sensitive
-  resource-protocol checker over ``sim.resources`` grants
-  (:mod:`.protocol` -- RES101/RES102/PROTO001), both run by one serial
-  pass that parses each file once (:mod:`.semantic`);
+  (:mod:`.units` -- UNIT001/UNIT002/UNIT003), run by one serial pass
+  that parses each file once (:mod:`.semantic`);
 * a **scenario** tier (:mod:`.scenario`): static validation of
   declarative fleet scenario files (:mod:`repro.scenarios`) -- schema,
   unit suffixes and cross-references (SCN001-003), the compiler's
@@ -39,7 +37,6 @@ from .engine import (
     lint_paths,
     lint_source,
 )
-from .protocol import PROTOCOL_RULE_CLASSES, ProtocolChecker
 from .reporter import render_json, render_text
 from .rules import RULE_CLASSES, default_rules, rules_by_id
 from .scenario import (
@@ -74,9 +71,7 @@ __all__ = [
     "Finding",
     "LintEngine",
     "ModuleSummary",
-    "PROTOCOL_RULE_CLASSES",
     "Pragmas",
-    "ProtocolChecker",
     "RULE_CLASSES",
     "Rule",
     "SCENARIO_RULE_CLASSES",

@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based determinism & safety linter for the OpenVDAP "
             "reproduction: one shared tree walk per file, a semantic "
-            "unit/resource pass, optional scenario validation, pragma "
+            "units pass, optional scenario validation, pragma "
             "suppression, and a baseline for grandfathered findings."
         ),
     )

@@ -1,13 +1,13 @@
 """The semantic pass driver: one serial pass over every file.
 
-The semantic pass glues :mod:`.units` and :mod:`.protocol` together:
+The semantic pass runs :mod:`.units` over a whole file set:
 
 1. read and parse every file once, summarizing each module's unit
    interface,
 2. build the project-wide :class:`~.units.SignatureIndex` from those
    summaries (cross-module UNIT002 resolves calls through it),
-3. run the file-level lint pack plus the unit and protocol checkers on
-   each parsed file.
+3. run the file-level lint pack plus the unit checker on each parsed
+   file.
 
 Files that fail to read or parse are reported as E999 and take no part
 in the index.
@@ -25,7 +25,6 @@ from .engine import (
     Pragmas,
     Rule,
 )
-from .protocol import PROTOCOL_RULE_CLASSES, ProtocolChecker
 from .units import (
     UNIT_RULE_CLASSES,
     SignatureIndex,
@@ -40,7 +39,7 @@ __all__ = [
     "semantic_rules_by_id",
 ]
 
-SEMANTIC_RULE_CLASSES = UNIT_RULE_CLASSES + PROTOCOL_RULE_CLASSES
+SEMANTIC_RULE_CLASSES = UNIT_RULE_CLASSES
 
 
 def semantic_rules() -> list[Rule]:
@@ -60,9 +59,7 @@ def analyze_files(files: Sequence[str], file_rules: Sequence[Rule],
     Returns the pragma-filtered findings of both packs in sorted order.
     """
     engine = LintEngine(file_rules)
-    rules = list(semantic_rules)
-    unit_rules = {r.id: r for r in rules if r.id.startswith("UNIT")}
-    protocol_rules = {r.id: r for r in rules if not r.id.startswith("UNIT")}
+    unit_rules = {r.id: r for r in semantic_rules}
 
     findings: list[Finding] = []
     parsed = []
@@ -88,15 +85,11 @@ def analyze_files(files: Sequence[str], file_rules: Sequence[Rule],
     index = SignatureIndex(summary for *_, summary in parsed)
     for path, source, tree, summary in parsed:
         findings.extend(engine.lint_parsed(path, source, tree))
-        semantic: list[Finding] = []
         if unit_rules:
             checker = UnitChecker(index, rules=unit_rules)
-            semantic.extend(checker.check_module(summary, source, tree))
-        if protocol_rules:
-            checker = ProtocolChecker(rules=protocol_rules)
-            semantic.extend(checker.check_module(summary, source, tree))
-        pragmas = Pragmas(source)
-        findings.extend(
-            f for f in semantic if not pragmas.suppressed(f.line, f.rule)
-        )
+            pragmas = Pragmas(source)
+            findings.extend(
+                f for f in checker.check_module(summary, source, tree)
+                if not pragmas.suppressed(f.line, f.rule)
+            )
     return sorted(findings)

@@ -135,7 +135,7 @@ class FleetResult:
         report.add_column("vehicle", 10)
         report.add_column("trace_hash", 18)
         report.add_column("energy_j", 12, fmt=".1f")
-        report.add_column("invocations", 12)
+        report.add_column("invocations", 12, fmt="d")
         for vehicle in sorted(self.vehicle_hashes):
             info = self.vehicle_reports.get(vehicle, {})
             services = info.get("services", {})

@@ -37,7 +37,9 @@ class Resource:
     """Finite-capacity server pool with an optional priority queue.
 
     Requests are granted in (priority, arrival) order; lower priority value
-    is served first.  ``release`` must be passed the granted request token.
+    is served first.  ``release`` must be passed the granted request token
+    (or a still-queued one, which cancels it); releasing any other token
+    raises :class:`SimulationError`.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1):
@@ -75,10 +77,18 @@ class Resource:
             # for the cycle collector once the slot is handed back.
             request._value = None
         else:
-            # Cancelling a queued request is allowed (e.g. on interrupt).
-            self._waiting = [
+            # Cancelling a queued request is allowed (e.g. on interrupt);
+            # a token this resource neither holds nor queues is a double
+            # or stray release.
+            waiting = [
                 entry for entry in self._waiting if entry[2] is not request
             ]
+            if len(waiting) == len(self._waiting):
+                raise SimulationError(
+                    f"release of {request!r}, which is neither held nor queued "
+                    f"(count={self.count}, capacity={self.capacity})"
+                )
+            self._waiting = waiting
             heapq.heapify(self._waiting)
         self._grant()
 

@@ -18,6 +18,14 @@ DIRTY = (
 )
 
 
+#: Rules that no longer ship: the whole-program tier, the MP pack, and the
+#: resource-protocol checker (the sim kernel enforces grant/yield/release).
+RETIRED_RULE_IDS = (
+    "DET101", "SIM101", "RACE001", "MP001", "MP002", "MP003",
+    "RES101", "RES102", "PROTO001",
+)
+
+
 @pytest.fixture
 def tree(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -107,7 +115,7 @@ def test_syntax_error_exits_one(tree, capsys):
     assert main(["broken.py"]) == 1
     assert "E999" in capsys.readouterr().out
     # Semantic rules alone still report the parse failure.
-    assert main(["broken.py", "--select", "UNIT001,UNIT002,RES101"]) == 1
+    assert main(["broken.py", "--select", "UNIT001,UNIT002"]) == 1
     assert "E999" in capsys.readouterr().out
 
 
@@ -119,8 +127,9 @@ def test_whole_program_flags_are_usage_errors(tree):
 
 
 def test_flow_rule_selection_requires_whole_program(tree):
-    # The whole-program and MP rules are gone; selecting one is a usage error.
-    for rule_id in ("DET101", "SIM101", "RACE001", "MP001", "MP002", "MP003"):
+    # The whole-program, MP and resource-protocol rules are gone;
+    # selecting one is a usage error.
+    for rule_id in RETIRED_RULE_IDS:
         with pytest.raises(SystemExit) as exc:
             main(["clean.py", "--select", rule_id])
         assert exc.value.code == 2
@@ -131,5 +140,5 @@ def test_list_rules_tags_three_packs(capsys):
     out = capsys.readouterr().out
     assert "[semantic]" in out and "[scenario]" in out
     assert "[whole-program]" not in out
-    for rule_id in ("DET101", "SIM101", "RACE001", "MP001", "MP002", "MP003"):
+    for rule_id in RETIRED_RULE_IDS:
         assert rule_id not in out

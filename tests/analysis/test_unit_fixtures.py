@@ -1,9 +1,9 @@
-"""Unit/protocol corpus: each semantic rule catches a seeded cross-module bug.
+"""Unit corpus: each semantic rule catches a seeded cross-module bug.
 
 Each directory under ``unit_fixtures/`` is a miniature multi-module
-project with one class of bug the UNIT/RES/PROTO tier must catch.  Lines
-carry ``# expect-unit: RULE`` or ``# expect-res: RULE`` annotations; the
-semantic tier must report exactly those (file, line, rule) triples --
+project with one class of bug the UNIT tier must catch.  Lines carry
+``# expect-unit: RULE`` annotations; the semantic tier must report
+exactly those (file, line, rule) triples --
 and the PR 2 single-file rule pack must report *nothing* at those
 coordinates, which is the point.
 """
@@ -27,7 +27,7 @@ CASES = sorted(
     if os.path.isdir(os.path.join(FIXTURE_DIR, name))
 )
 EXPECT_RE = re.compile(
-    r"#\s*expect-(?:unit|res):\s*([A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*)"
+    r"#\s*expect-unit:\s*([A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*)"
 )
 
 
@@ -59,14 +59,7 @@ def _semantic_findings(files):
 def test_corpus_covers_every_semantic_rule():
     assert CASES == sorted(CASES)
     fired = {rule for case in CASES for (_, _, rule) in _expected(case)}
-    assert fired == {
-        "UNIT001",
-        "UNIT002",
-        "UNIT003",
-        "RES101",
-        "RES102",
-        "PROTO001",
-    }
+    assert fired == {"UNIT001", "UNIT002", "UNIT003"}
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -116,14 +109,6 @@ def test_unit002_names_the_callee(tmp_path):
         ("app.py", 4, "UNIT002")
     ]
     assert "eta" in findings[0].message
-
-
-def test_res101_carries_request_witness():
-    findings = [
-        f for f in _semantic_findings(_case_files("res101_leak"))
-        if f.rule == "RES101"
-    ]
-    assert findings and all("requested at line" in f.message for f in findings)
 
 
 def test_pragma_suppresses_semantic_findings(tmp_path):

@@ -78,6 +78,18 @@ class TestEquality:
         text = reference.report().to_text()
         assert "cav-000" in text
         assert "rounds: 5" in text
+        lines = text.split("\n")
+        assert lines[1].split() == ["vehicle", "trace_hash", "energy_j",
+                                    "invocations"]
+        # Every column stays a separate field: energy and invocations
+        # must not run together.
+        info = reference.vehicle_reports[0]
+        label, _, energy, invocations = lines[2].split()
+        assert label == info["label"]
+        assert energy == f"{info['vehicle_energy_j']:.1f}"
+        assert int(invocations) == sum(
+            s["invocations"] for s in info["services"].values()
+        )
 
 
 class TestCrashRecovery:

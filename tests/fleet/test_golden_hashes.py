@@ -5,7 +5,8 @@ rerun), so a change that moves both sides together still passes them.
 This module pins the hashes themselves: ``golden_hashes.json`` holds the
 per-vehicle trace hash of each corpus entry, and every entry is replayed
 through both the single-process reference and an inline run on four
-partitions.
+partitions.  Every partition of those runs must also finish with no DSF
+grant held or queued (the ``audited_partitions`` fixture).
 
 Re-baseline policy: an *intended* behaviour change regenerates the file
 with ``PYTHONPATH=src python tests/fleet/test_golden_hashes.py
@@ -67,18 +68,20 @@ def test_corpus_covers_every_entry():
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: entry_key(*e))
-def test_reference_matches_golden(entry):
+def test_reference_matches_golden(entry, audited_partitions):
     expected = load_golden()[entry_key(*entry)]
     result = run_single_process(entry_config(*entry))
     assert {str(v): h for v, h in result.vehicle_hashes.items()} == expected
+    assert audited_partitions == [0]
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: entry_key(*e))
-def test_four_partition_run_matches_golden(entry):
+def test_four_partition_run_matches_golden(entry, audited_partitions):
     expected = load_golden()[entry_key(*entry)]
     config = replace(entry_config(*entry), partitions=4)
     result = run_inline(config)
     assert {str(v): h for v, h in result.vehicle_hashes.items()} == expected
+    assert sorted(audited_partitions) == [0, 1, 2, 3]
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ from repro.hw import catalog
 from repro.scenario import DriveScenario
 from repro.topology import SpeedProfile, build_default_world
 
+from ..grants import outstanding_grants
+
 
 def scenario(tmp_path=None, **kwargs):
     world = build_default_world(
@@ -48,6 +50,7 @@ def test_drive_produces_consistent_report(tmp_path):
     s.add_service(make_amber_service(deadline_s=3.0), period_s=5.0)
     s.attach_obd(SpeedProfile([(0.0, 15.0)]))
     report = s.run(120.0)
+    assert outstanding_grants(s) == 0
 
     adas = report.service("adas-perception")
     amber = report.service("amber-search")
@@ -68,6 +71,7 @@ def test_coverage_gaps_force_onboard_or_hang(tmp_path):
     s = scenario(tmp_path)
     s.add_service(make_adas_service(deadline_s=0.6), period_s=1.0)
     report = s.run(120.0)
+    assert outstanding_grants(s) == 0
     timeline = report.service("adas-perception").pipeline_timeline
     values = set(timeline.values)
     # In gaps the service runs on board (or hangs); near RSUs it offloads.
@@ -81,6 +85,7 @@ def test_deadline_misses_counted_against_service_deadline(tmp_path):
     # manager hangs the service instead, so invocations stay at zero.
     s.add_service(make_adas_service(deadline_s=1e-6), period_s=1.0)
     report = s.run(30.0)
+    assert outstanding_grants(s) == 0
     svc = report.service("adas-perception")
     assert svc.invocations == 0
     assert svc.hung_ticks >= 29
@@ -93,6 +98,7 @@ def test_distributed_execution_mode_records_real_latencies(tmp_path):
     s = scenario(execute_distributed=True)
     s.add_service(make_adas_service(deadline_s=0.8), period_s=1.0)
     report = s.run(60.0)
+    assert outstanding_grants(s) == 0
     svc = report.service("adas-perception")
     assert svc.executed_latency.count > 0
     # Executed latency accounts everything the analytic model does, plus
@@ -104,4 +110,25 @@ def test_default_mode_does_not_record_executed_latency(tmp_path):
     s = scenario()
     s.add_service(make_adas_service(deadline_s=0.8), period_s=1.0)
     report = s.run(30.0)
+    assert outstanding_grants(s) == 0
     assert report.service("adas-perception").executed_latency.count == 0
+
+
+@pytest.mark.parametrize("owner", ["dsf-device", "executor-slot"])
+def test_grant_audit_reports_a_leaked_grant(owner):
+    """A process that takes a grant and never releases it leaves the slot
+    held after the run; the audit reports it."""
+    s = scenario()
+    if owner == "dsf-device":
+        slot = s.mhep.online_devices[0].resource
+    else:
+        slot = s.executor._processor_slot("vehicle", "leaky")
+
+    def run(sim, pool, service_s):
+        grant = pool.request()
+        yield grant
+        yield sim.timeout(service_s)
+
+    s.sim.process(run(s.sim, slot, 1.0))
+    s.sim.run()
+    assert outstanding_grants(s) == 1

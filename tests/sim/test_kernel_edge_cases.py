@@ -91,6 +91,29 @@ def test_interrupt_while_waiting_on_resource_detaches_cleanly():
     assert res.count == 0
 
 
+def test_yielding_a_non_event_fails_the_process():
+    """A process must yield kernel events: a bare value or a bare ``yield``
+    fails it with SimulationError at the offending step."""
+    sim = Simulator()
+
+    def sampler(sim, period_s):
+        while sim.now < 10.0:
+            yield sim.timeout(period_s)
+            yield period_s * 2.0
+
+    def beacon(sim):
+        yield sim.timeout(1.0)
+        yield
+
+    procs = [sim.process(sampler(sim, 0.5)), sim.process(beacon(sim))]
+    sim.run()
+    assert sim.now == 1.0  # vdaplint: disable=FLT001
+    for proc in procs:
+        assert not proc.ok
+        with pytest.raises(SimulationError, match="yielded non-event"):
+            _ = proc.value
+
+
 def test_zero_delay_timeout_fires_at_current_time():
     sim = Simulator()
     times = []

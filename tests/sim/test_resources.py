@@ -168,7 +168,7 @@ def test_priority_store_orders_items():
 
 
 def test_resource_double_release_is_a_noop():
-    """Releasing the same token twice must not free a second slot."""
+    """Releasing the same token twice raises and frees no second slot."""
     sim = Simulator()
     res = Resource(sim, capacity=1)
     holder = res.request()
@@ -176,10 +176,34 @@ def test_resource_double_release_is_a_noop():
     waiter_b = res.request()
     sim.run()
     res.release(holder)
-    res.release(holder)  # vdaplint: disable=RES102 -- exercising the no-op
+    with pytest.raises(SimulationError,
+                       match=r"neither held nor queued \(count=1, capacity=1\)"):
+        res.release(holder)
     sim.run()
     assert waiter_a.triggered and not waiter_b.triggered
     assert res.count == 1 and res.queue_length == 1
+
+
+def test_process_releasing_its_grant_twice_fails():
+    """The second release after a try/finally hand-back fails the process;
+    the slot is free exactly once."""
+    sim = Simulator()
+    charger = Resource(sim, capacity=1)
+
+    def cycle(sim, charger, dwell_s):
+        grant = charger.request()
+        try:
+            yield grant
+            yield sim.timeout(dwell_s)
+        finally:
+            charger.release(grant)
+        charger.release(grant)
+
+    proc = sim.process(cycle(sim, charger, 1.0))
+    sim.run()
+    with pytest.raises(SimulationError, match="neither held nor queued"):
+        _ = proc.value
+    assert charger.count == 0 and charger.queue_length == 0
 
 
 def test_resource_release_before_grant_unwinds_queue_accounting():
