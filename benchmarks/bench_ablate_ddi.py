@@ -72,3 +72,6 @@ def test_ddi_cache_sweep(benchmark, tmp_path):
     assert latencies == sorted(latencies, reverse=True), "higher hit rate, lower latency"
     # The architectural claim: the cache tier pays for itself.
     assert latencies[-1] < 0.020 / 2, "two-tier beats disk-only by >2x at long TTL"
+    # The numbers EXPERIMENTS.md states, to the precision it states them.
+    assert (round(hit_rates[0], 2), round(hit_rates[-1], 2)) == (0.26, 1.00)
+    assert (round(latencies[0] * 1e3, 1), round(latencies[-1] * 1e3, 1)) == (14.9, 0.2)

@@ -73,3 +73,7 @@ def test_dsf_policies(benchmark):
     assert makespans["eft"] < makespans["round-robin"], (
         "heterogeneity-aware matching beats blind spreading"
     )
+    # The numbers EXPERIMENTS.md states, to the precision it states them.
+    assert {policy: round(m, 1) for policy, m in makespans.items()} == {
+        "eft": 1.9, "fastest": 3.0, "round-robin": 6.7,
+    }

@@ -62,8 +62,7 @@ def run_drive():
         else:
             latencies.append(choice.evaluation.latency_s)
             violations += choice.evaluation.latency_s > DEADLINE_S
-    switch_count = sum(1 for c in manager.switch_log if c.switched)
-    stats["elastic"] = (float(np.mean(latencies)), violations, switch_count)
+    stats["elastic"] = (float(np.mean(latencies)), violations, manager.switches)
     return stats
 
 
@@ -95,3 +94,9 @@ def test_elastic_adaptivity(benchmark):
     # Elastic achieves (near-)best mean latency among all policies.
     best_pinned = min(row[0] for name, row in stats.items() if name != "elastic")
     assert elastic[0] <= best_pinned * 1.05
+    # The numbers EXPERIMENTS.md states, to the precision it states them.
+    assert (round(elastic[0] * 1e3), elastic[1], elastic[2]) == (345, 0, 14)
+    onboard = stats["pinned:onboard"]
+    assert (round(onboard[0] * 1e3, 1), onboard[1]) == (412.5, 0)
+    assert [row[1] for name, row in stats.items()
+            if name.startswith("pinned:") and name != "pinned:onboard"] == [390, 390]

@@ -87,3 +87,8 @@ def test_energy_and_range(benchmark):
     assert v100[0] > 10 * offload[0]
     assert v100[3] > 0.1  # tenths of km per driving hour
     assert offload[3] < 0.05
+    # The numbers EXPERIMENTS.md states, to the precision it states them.
+    assert (round(v100[0] / 1e3), round(v100[3], 2)) == (671, 1.16)
+    assert (round(offload[0] / 1e3), round(offload[3], 3)) == (1, 0.002)
+    assert round(by_label["Jetson TX2 on board"][2], 1) == 3.3
+    assert round(by_label["i7 CPU on board"][2], 1) == 2.4

@@ -76,3 +76,6 @@ def test_layersplit_crossover(benchmark):
     assert all(cut in (0, 7) for _bw, cut in inception)
     # ...while the speech encoder exhibits genuine partial splits.
     assert any(0 < cut < 5 for _bw, cut in speech)
+    # The cuts EXPERIMENTS.md states, bandwidth by bandwidth.
+    assert inception == [(27.0, 0), (10.0, 0), (5.0, 7), (1.0, 7), (0.1, 7)]
+    assert speech == [(27.0, 2), (10.0, 3), (5.0, 3), (1.0, 5), (0.1, 5)]

@@ -73,3 +73,6 @@ def test_offloading_architectures(benchmark):
     assert vdap[2] < local[2], "offloading spares vehicle energy"
     assert local[1] == 0.0, "local-only uses no uplink"
     assert vdap[1] <= cloud[1], "deadline-aware placement never ships more than cloud-only"
+    # The numbers EXPERIMENTS.md states, to the precision it states them.
+    assert round(local[2]) == 36 and round(cloud[0], 1) == 3.5
+    assert (round(vdap[1] / 1e3), round(vdap[2], 1)) == (400, 9.6)

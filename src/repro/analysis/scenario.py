@@ -7,27 +7,26 @@ suppression and baselines -- but the rules are about fleet experiments,
 not ASTs:
 
 * **SCN001** -- schema violations: unknown keys/sections, wrong types,
-  missing required fields, constraint breaches (negative durations,
-  ``partitions > vehicles`` in some matrix cell, roster/count drift);
+  missing required fields, roster/count drift, and every value
+  ``FleetConfig`` refuses in some matrix cell (a negative duration,
+  ``partitions > vehicles``, a barrier step beyond the link latency);
 * **SCN002** -- unit-dimension/scale errors: a key whose quantity stem
   matches a schema field but whose suffix disagrees (``barrier_ms`` for
   ``barrier_s``, ``v2v_latency_bytes``), via the shared unit vocabulary;
 * **SCN003** -- dangling cross-references: undefined workload styles,
-  plan shards naming unknown/duplicate/unassigned vehicle ids, fault
-  kills aimed at partitions or rounds no matrix cell ever runs;
+  plan shards ``FleetConfig`` refuses (unknown, duplicate or unassigned
+  vehicle ids), fault kills aimed at partitions or rounds no matrix
+  cell ever runs;
 * **SCN005** -- matrix cost budget: the expanded ``sweep:`` matrix
   exceeds a declared ``budget:`` -- either the plain cell-count cap or
   the kernel events every cell is expected to fire, priced from the
   fleet planner's measured per-vehicle probe (:func:`~repro.fleet.plan.
   vehicle_costs`).
 
-SCN001-003 are pure document checks delegated to
-:mod:`repro.scenarios.schema`.  A structurally clean document is then
-lowered cell by cell through :func:`repro.scenarios.compiler.
-lower_cells` -- the same path ``compile_text`` takes -- and every cell
-``FleetConfig`` refuses (a barrier step beyond the link latency, say)
-is reported as the compiler's SCN001 lowering finding.  SCN005 prices
-the lowered configs with the cost probe.
+SCN001-003 come from :func:`repro.scenarios.compiler.lower_cells` --
+the same path ``compile_text`` takes: the schema's document checks,
+then every ``FleetConfig`` refusal of every cell, anchored at the key
+behind it.  SCN005 prices the lowered configs with the cost probe.
 """
 
 from __future__ import annotations
@@ -162,12 +161,11 @@ def discover_scenario_files(paths: Iterable[str]) -> list[str]:
 class ScenarioAnalyzer:
     """Run the SCN pack over scenario files.
 
-    SCN001-003 come straight from :func:`repro.scenarios.schema.
-    validate`.  Only a structurally clean document is lowered (via
-    :func:`repro.scenarios.compiler.lower_cells`, reporting one SCN001
-    finding per cell that fails) and priced by SCN005 with the measured
-    cost probe.  Findings honor the same ``# vdaplint:`` pragmas as the
-    AST packs -- scenario files take them as YAML comments.
+    SCN001-003 come straight from :func:`repro.scenarios.compiler.
+    lower_cells`.  SCN005 checks the cell cap when the document checks
+    pass, and prices the matrix with the measured cost probe when every
+    cell lowered too.  Findings honor the same ``# vdaplint:`` pragmas
+    as the AST packs -- scenario files take them as YAML comments.
     """
 
     def __init__(self, rules: Optional[Iterable[Rule]] = None):
@@ -197,18 +195,15 @@ class ScenarioAnalyzer:
                 source, path, exc.line, PARSE_ERROR_RULE,
                 f"scenario syntax error: {exc.message}",
             )]
-        issues = schema.validate(doc)
-        structural = not issues
-        if structural:
-            cells, issues = lower_cells(doc)
+        cells, issues = lower_cells(doc)
         findings = [
             self._finding(source, path, issue.line, issue.rule,
                           issue.message)
             for issue in issues if issue.rule in self.rules
         ]
-        if structural and "SCN005" in self.rules:
-            # Price the matrix only when every cell lowered: a failing
-            # cell already carries its own finding.
+        if "SCN005" in self.rules and all(issue.cell for issue in issues):
+            # The cap needs clean document checks; the cost needs every
+            # cell lowered (a failing cell carries its own finding).
             configs = None if issues else [cell.config for cell in cells]
             findings.extend(self._budget_overruns(source, path, doc, configs))
         pragmas = Pragmas(source)

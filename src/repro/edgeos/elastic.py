@@ -85,7 +85,8 @@ class ElasticManager:
         self.switch_margin = switch_margin
         self.degrade_before_hang = degrade_before_hang
         self._services: dict[str, PolymorphicService] = {}
-        self.switch_log: list[PipelineChoice] = []
+        #: Decisions that changed a service's pipeline (hang-ups included).
+        self.switches = 0
         # (service, pipeline) -> (graph_factory, world, compiled plan).
         # Retune re-scores every pipeline every tick against a structurally
         # constant graph; the compiled plan re-reads only live link state.
@@ -248,7 +249,8 @@ class ElasticManager:
                     service=service.name, pipeline=None, evaluation=None,
                     switched=previous is not None, hung=True,
                 )
-        self.switch_log.append(choice)
+        if choice.switched:
+            self.switches += 1
         return choice
 
     def retune(

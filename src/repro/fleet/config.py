@@ -27,7 +27,27 @@ import numpy as np
 from ..faults.prockill import KillPlan
 from ..workloads.styles import STYLES, WorkloadStyle
 
-__all__ = ["FleetConfig", "PartitionPlan", "PartitionSpec", "shard_vehicles"]
+__all__ = [
+    "ConfigError", "FleetConfig", "PartitionPlan", "PartitionSpec",
+    "barrier_count", "shard_vehicles",
+]
+
+
+class ConfigError(ValueError):
+    """A refused :class:`FleetConfig`, naming the field behind each refusal.
+
+    ``problems`` holds one ``(field, message)`` pair per refusal;
+    ``str()`` joins the messages with ``"; "``.
+    """
+
+    def __init__(self, problems: Sequence[tuple[str, str]]):
+        self.problems = tuple(problems)
+        super().__init__("; ".join(message for _field, message in self.problems))
+
+
+def barrier_count(duration_s: float, step_s: float) -> int:
+    """Barrier rounds a run of ``duration_s`` takes at step ``step_s``."""
+    return max(1, math.ceil(duration_s / step_s - 1e-9))
 
 
 def shard_vehicles(
@@ -207,16 +227,18 @@ def validate_shards(shards: Sequence[Sequence[int]], vehicles: int,
 
     Violations name the offending vehicle ids (unknown, duplicated, or
     unassigned) so a mis-sharded plan fails loudly at load time instead
-    of silently dropping or double-running vehicles.
+    of silently dropping or double-running vehicles.  One ``ValueError``
+    carries every violation, joined with ``"; "``.
     """
+    problems = []
     if len(shards) != partitions:
-        raise ValueError(
+        problems.append(
             f"plan has {len(shards)} shards for {partitions} partitions"
         )
     assigned = [v for shard in shards for v in shard]
     unknown = sorted({v for v in assigned if not 0 <= v < vehicles})
     if unknown:
-        raise ValueError(
+        problems.append(
             f"plan names unknown vehicle ids {unknown} "
             f"(valid ids are 0..{vehicles - 1})"
         )
@@ -225,26 +247,33 @@ def validate_shards(shards: Sequence[Sequence[int]], vehicles: int,
     for vehicle in assigned:
         (duplicates if vehicle in seen else seen).add(vehicle)
     if duplicates:
-        raise ValueError(
+        problems.append(
             f"plan assigns vehicle ids {sorted(duplicates)} to more than "
             "one shard"
         )
     missing = sorted(set(range(vehicles)) - seen)
-    if missing:
-        raise ValueError(
+    # An unknown id is usually a typo for a missing one: report it alone.
+    if missing and not unknown:
+        problems.append(
             f"plan leaves vehicle ids {missing} unassigned "
             f"(every one of the {vehicles} vehicles needs a shard)"
         )
-    for shard in shards:
-        if list(shard) != sorted(set(shard)):
-            raise ValueError("each shard must list vehicles sorted, once")
+    if not duplicates and any(
+        list(shard) != sorted(shard) for shard in shards
+    ):
+        problems.append("each shard must list vehicles sorted, once")
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
-#: FleetConfig's float fields; each must be finite (``barrier_s`` may be None).
-_FLOAT_FIELDS = (
-    "duration_s", "tick_s", "v2v_latency_s", "barrier_s", "beacon_period_s",
-    "edge_spacing_m", "barrier_deadline_s",
-)
+#: FleetConfig's float fields, each finite and positive (``barrier_s``
+#: may be None), with the words a refusal names them by.
+_FLOAT_FIELDS = {
+    "duration_s": "duration", "tick_s": "tick",
+    "v2v_latency_s": "v2v latency", "barrier_s": "barrier step",
+    "beacon_period_s": "beacon period", "edge_spacing_m": "edge spacing",
+    "barrier_deadline_s": "barrier deadline",
+}
 
 
 @dataclass(frozen=True)
@@ -255,6 +284,10 @@ class FleetConfig:
     largest step conservative sync allows.  ``barrier_deadline_s`` is a
     **wall-clock** budget per barrier: a worker that misses it is a
     straggler (retried once with backoff), then failed over.
+
+    This class is the only judge of a fleet's values: construction
+    raises one :class:`ConfigError` listing every refusal under its
+    field, which is how a scenario finding lands on the key behind it.
     """
 
     seed: int = 0
@@ -283,40 +316,53 @@ class FleetConfig:
     style_spec: WorkloadStyle | None = None
 
     def __post_init__(self):
-        if self.vehicles < 1:
-            raise ValueError("need at least one vehicle")
-        if not 1 <= self.partitions <= self.vehicles:
-            raise ValueError("partitions must be in [1, vehicles]")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.duration_s <= 0 or self.tick_s <= 0:
-            raise ValueError("duration and tick must be positive")
-        if self.v2v_latency_s <= 0:
-            raise ValueError("v2v latency must be positive")
-        if self.beacon_period_s <= 0:
-            raise ValueError("beacon period must be positive")
-        if self.barrier_deadline_s <= 0:
-            raise ValueError("barrier deadline must be positive")
-        if self.style_spec is None and self.workload not in STYLES:
-            raise ValueError(
-                f"unknown workload style {self.workload!r} "
-                f"(have: {', '.join(sorted(STYLES))})"
-            )
         if self.plan is not None:
             object.__setattr__(
                 self, "plan", tuple(tuple(shard) for shard in self.plan)
             )
-            validate_shards(self.plan, self.vehicles, self.partitions)
+        problems: list[tuple[str, str]] = []
+        if self.vehicles < 1:
+            problems.append(
+                ("vehicles", f"need at least one vehicle, got {self.vehicles}")
+            )
+        elif not 1 <= self.partitions <= self.vehicles:
+            problems.append((
+                "partitions",
+                f"partitions must be in [1, {self.vehicles}], "
+                f"got {self.partitions}",
+            ))
+        for name, words in _FLOAT_FIELDS.items():
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                problems.append((name, f"{name} must be finite, got {value}"))
+            elif value is not None and value <= 0:
+                problems.append((name, f"{words} must be positive, got {value}"))
+        if self.edge_count < 1:
+            problems.append(
+                ("edge_count", f"need at least one edge node, got {self.edge_count}")
+            )
+        if self.style_spec is None and self.workload not in STYLES:
+            problems.append(("workload", (
+                f"unknown workload style {self.workload!r} "
+                f"(have: {', '.join(sorted(STYLES))})"
+            )))
+        # The plan and conservative sync read fields checked above; a
+        # refused input would only restate its own problem.
+        refused = {name for name, _message in problems}
+        if self.plan is not None and not refused & {"vehicles", "partitions"}:
+            try:
+                validate_shards(self.plan, self.vehicles, self.partitions)
+            except ValueError as exc:
+                problems.append(("plan", str(exc)))
         step = self.barrier_step_s
-        if step <= 0:
-            raise ValueError("barrier step must be positive")
-        if step > self.lookahead_s + 1e-12:
-            raise ValueError(
+        if not refused & {"barrier_s", "v2v_latency_s"} \
+                and step > self.lookahead_s + 1e-12:
+            problems.append(("barrier_s", (
                 f"conservative sync violated: barrier step {step} exceeds "
                 f"derived lookahead {self.lookahead_s} (min V2V link latency)"
-            )
+            )))
+        if problems:
+            raise ConfigError(problems)
 
     # -- derived geometry --------------------------------------------------
 
@@ -333,7 +379,7 @@ class FleetConfig:
     def barriers(self) -> list[float]:
         """The barrier times: ``step, 2*step, ..., duration`` (inclusive)."""
         step = self.barrier_step_s
-        count = max(1, math.ceil(self.duration_s / step - 1e-9))
+        count = barrier_count(self.duration_s, step)
         times = [step * k for k in range(1, count)]
         times.append(self.duration_s)
         return times

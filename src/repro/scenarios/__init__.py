@@ -14,10 +14,13 @@ Layers, bottom-up:
   node remembers its source line (what makes findings point at files);
 * :mod:`.units` -- the unit vocabulary: name suffixes such as ``_s``
   or ``_mbps`` parsed into a dimension and scale;
-* :mod:`.schema` -- the document schema: field tables, SCN001-003
-  validation, deterministic ``sweep:`` cell expansion;
+* :mod:`.schema` -- the document schema: field tables, the checks a
+  document alone can fail, deterministic ``sweep:`` cell expansion;
 * :mod:`.compiler` -- lowering into :class:`~repro.fleet.config.
-  FleetConfig` cells (byte-identical traces to hand-built configs);
+  FleetConfig` cells (byte-identical traces to hand-built configs),
+  with each ``FleetConfig`` refusal anchored at its key;
+  :func:`validate` returns the schema's and the lowering's issues
+  together;
 * :mod:`.runner` -- matrix execution through the fleet substrate, with
   per-cell reference hash checks.
 
@@ -31,9 +34,10 @@ from .compiler import (
     ScenarioError,
     compile_text,
     load_scenario,
+    validate,
 )
 from .runner import CellOutcome, MODES, run_cell, run_matrix
-from .schema import Issue, validate
+from .schema import Issue
 from .yamlish import (
     MappingNode,
     ScalarNode,

@@ -10,7 +10,8 @@ Usage::
 ``run --check`` re-executes every cell's single-process reference
 and compares per-vehicle trace hashes; any divergence exits non-zero.
 Validation failures print the same ``file:line: RULE message`` findings
-``vdaplint --scenarios`` emits and exit 2.
+``vdaplint --scenarios`` emits and exit 2, as does a ``--cell`` index
+the matrix does not have.
 """
 
 from __future__ import annotations
@@ -73,10 +74,12 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.file)
     if args.cell is not None:
-        outcomes = [
-            run_cell(scenario.cell(args.cell), mode=args.mode,
-                     check=args.check)
-        ]
+        try:
+            cell = scenario.cell(args.cell)
+        except IndexError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        outcomes = [run_cell(cell, mode=args.mode, check=args.check)]
     else:
         outcomes = run_matrix(scenario, mode=args.mode, check=args.check)
     failed = 0

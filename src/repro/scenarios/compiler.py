@@ -1,4 +1,4 @@
-"""Scenario compiler: validated documents -> runnable ``FleetConfig``\\ s.
+"""Scenario compiler: documents -> runnable ``FleetConfig``\\ s, or issues.
 
 The lowering contract is deliberately boring: every scalar field in
 ``fleet:`` and ``links:`` is a :class:`~repro.fleet.config.FleetConfig`
@@ -18,10 +18,16 @@ On top of that the compiler lowers:
 * ``sweep:`` axes into the deterministic cell matrix (axes sorted by
   key, values in document order).
 
-A document with schema issues never compiles: :func:`load_scenario`
-raises :class:`ScenarioError` carrying the same line-anchored issues the
-lint pack reports, so scenario errors surface as findings either way --
-never as a runtime stack trace halfway into a fleet run.
+:func:`lower_cells` is the one entry point for checking a document:
+it runs the schema's document checks, then lowers every cell, reading
+only the entries the schema accepted.  ``FleetConfig`` is the only
+judge of the lowered values; each problem of its
+:class:`~repro.fleet.config.ConfigError` becomes one issue at the line
+of the key behind it.  A document with any issue never compiles:
+:func:`load_scenario` raises :class:`ScenarioError` carrying the same
+line-anchored issues the lint pack reports, so scenario errors surface
+as findings either way -- never as a runtime stack trace halfway into
+a fleet run.
 """
 
 from __future__ import annotations
@@ -30,13 +36,13 @@ import os
 from dataclasses import dataclass
 
 from ..faults.prockill import KillPhase, KillPlan, WorkerKill
-from ..fleet.config import FleetConfig
+from ..fleet.config import ConfigError, FleetConfig
 from ..workloads.styles import STYLES, WorkloadStyle
 from . import schema
-from .yamlish import MappingNode, ScalarNode, SequenceNode, parse_text
+from .yamlish import MappingNode, ScalarNode, parse_text
 
 __all__ = ["CompiledCell", "Scenario", "ScenarioError", "build_cell_config",
-           "compile_text", "load_scenario", "lower_cells"]
+           "compile_text", "load_scenario", "lower_cells", "validate"]
 
 
 class ScenarioError(ValueError):
@@ -91,123 +97,51 @@ def _scalar(doc: MappingNode, key: str, default):
     return default
 
 
-def _roster_entries(doc: MappingNode) -> list[MappingNode]:
-    roster = doc.get("vehicles")
-    if not isinstance(roster, SequenceNode):
-        return []
-    return [item for item in roster.items if isinstance(item, MappingNode)]
-
-
-def _custom_styles(doc: MappingNode) -> dict[str, int]:
-    """``styles:`` section as ``{id: services}``."""
-    styles = doc.get("styles")
-    out: dict[str, int] = {}
-    if not isinstance(styles, MappingNode):
-        return out
-    for style_id, node in styles.items():
-        if not isinstance(node, MappingNode):
-            continue
-        services = node.get("services")
-        out[style_id] = (
-            int(services.value) if isinstance(services, ScalarNode) else 1
-        )
-    return out
-
-
 def _style_lowering(
     doc: MappingNode, workload: str, vehicles: int,
-) -> tuple[str, WorkloadStyle | None]:
-    """(workload name, style_spec) for one cell.
+) -> WorkloadStyle | None:
+    """The ``style_spec`` of one cell.
 
     Plain scenarios (built-in workload, no roster styling) lower to
-    ``style_spec=None`` so the config stays dataclass-equal to a
-    hand-built one; anything custom gets an explicit service table.
+    ``None`` so the config stays dataclass-equal to a hand-built one;
+    anything custom gets an explicit service table.
     """
-    custom = _custom_styles(doc)
-    entries = _roster_entries(doc)
-    styled = any("style" in e or "services" in e for e in entries)
-    if workload not in custom and not styled:
-        return workload, None
+    custom = schema.custom_styles(doc)
+    roster = schema.roster_entries(doc)
+    if workload not in custom and not any(
+        "style" in entry or "services" in entry for entry in roster.values()
+    ):
+        return None
     table: list[int] = []
-    by_id: dict[int, MappingNode] = {}
-    for entry in entries:
-        id_node = entry.get("id")
-        if isinstance(id_node, ScalarNode) and isinstance(id_node.value, int):
-            by_id[id_node.value] = entry
     for vehicle in range(vehicles):
-        entry = by_id.get(vehicle)
-        services_node = entry.get("services") if entry is not None else None
-        style_node = entry.get("style") if entry is not None else None
-        if isinstance(services_node, ScalarNode) and isinstance(
-            services_node.value, int
-        ):
-            table.append(services_node.value)
-            continue
-        style_name = workload
-        if isinstance(style_node, ScalarNode) and isinstance(
-            style_node.value, str
-        ):
-            style_name = style_node.value
-        if style_name in custom:
-            table.append(custom[style_name])
-        elif style_name in STYLES:
-            table.append(STYLES[style_name].service_count(vehicle))
-        else:
-            table.append(1)
-    return workload, WorkloadStyle(name=workload, service_table=tuple(table))
+        entry = roster.get(vehicle)
+        style = workload if entry is None else _scalar(entry, "style", workload)
+        services = None if entry is None else _scalar(entry, "services", None)
+        if services is None:
+            services = (custom[style] if style in custom
+                        else STYLES[style].service_count(vehicle))
+        table.append(services)
+    return WorkloadStyle(name=workload, service_table=tuple(table))
 
 
 def _kill_plan(doc: MappingNode) -> KillPlan | None:
-    faults = doc.get("faults")
-    if not isinstance(faults, MappingNode):
-        return None
-    kills = faults.get("kills")
-    if not isinstance(kills, SequenceNode) or not kills.items:
-        return None
-    events = []
-    for item in kills.items:
-        if not isinstance(item, MappingNode):
-            continue
-        partition = _scalar(item, "partition", None)
-        round_index = _scalar(item, "round", None)
-        phase = _scalar(item, "phase", KillPhase.ON_ADVANCE)
-        if isinstance(partition, int) and isinstance(round_index, int):
-            events.append(
-                WorkerKill(
-                    partition=partition, barrier_index=round_index,
-                    phase=str(phase),
-                )
-            )
-    return KillPlan(kills=tuple(events)) if events else None
-
-
-def _plan_shards(doc: MappingNode) -> tuple[tuple[int, ...], ...] | None:
-    plan = doc.get("plan")
-    if not isinstance(plan, MappingNode):
-        return None
-    shards_node = plan.get("shards")
-    if not isinstance(shards_node, SequenceNode):
-        return None
-    shards = []
-    for shard_node in shards_node.items:
-        if not isinstance(shard_node, SequenceNode):
-            return None
-        shard = []
-        for entry in shard_node.items:
-            if not isinstance(entry, ScalarNode) or not isinstance(
-                entry.value, int
-            ):
-                return None
-            shard.append(entry.value)
-        shards.append(tuple(shard))
-    return tuple(shards)
+    kills = tuple(
+        WorkerKill(
+            partition=entry.get("partition").value,
+            barrier_index=entry.get("round").value,
+            phase=_scalar(entry, "phase", KillPhase.ON_ADVANCE),
+        )
+        for entry in schema.kill_entries(doc)
+    )
+    return KillPlan(kills=kills) if kills else None
 
 
 def build_cell_config(doc: MappingNode, cell: schema.CellSpec) -> FleetConfig:
-    """Lower one validated matrix cell into a runnable ``FleetConfig``.
+    """Lower one matrix cell into a runnable ``FleetConfig``.
 
-    Raises ``ValueError`` (from ``FleetConfig``) when the cell's merged
-    settings are not runnable.
+    Reads only the entries the schema accepts.  Raises
+    :class:`~repro.fleet.config.ConfigError` when ``FleetConfig``
+    refuses the cell's merged settings.
     """
     values = {
         key: setting.value
@@ -217,52 +151,73 @@ def build_cell_config(doc: MappingNode, cell: schema.CellSpec) -> FleetConfig:
     vehicles = schema.effective_vehicles(doc, values)
     if vehicles is not None:
         values["vehicles"] = vehicles
-    workload = values.get("workload")
-    if not isinstance(workload, str):
-        workload = str(schema.config_defaults().get("workload", "uniform"))
-    workload, style_spec = _style_lowering(
-        doc, workload, values.get("vehicles", 0) or 1
-    )
-    values["workload"] = workload
+    values.setdefault("workload", schema.config_defaults()["workload"])
     kwargs = {
         key: value for key, value in values.items()
         if key in schema.FLEET_FIELDS or key in schema.LINK_FIELDS
     }
-    kill_plan = _kill_plan(doc)
-    if kill_plan is not None:
-        kwargs["kill_plan"] = kill_plan
-    shards = _plan_shards(doc)
-    if shards is not None:
-        kwargs["plan"] = shards
-    if style_spec is not None:
-        kwargs["style_spec"] = style_spec
+    kwargs["kill_plan"] = _kill_plan(doc)
+    kwargs["plan"] = schema.plan_shards(doc)
+    kwargs["style_spec"] = _style_lowering(
+        doc, values["workload"], vehicles or 0
+    )
     return FleetConfig(**kwargs)
+
+
+def _anchor(doc: MappingNode, cell: schema.CellSpec, name: str,
+            axes: dict[str, list[schema.Setting]],
+            base: dict[str, schema.Setting]) -> int:
+    """The line behind one refused field of one cell: the sweep value
+    that made the cell, else the base setting, else ``plan.shards``
+    for the plan, else the document line."""
+    overrides = dict(cell.overrides)
+    if name in overrides:
+        return next(setting.line for setting in axes[name]
+                    if setting.value == overrides[name])
+    if name in base:
+        return base[name].line
+    if name == "plan":
+        return doc.get("plan").key_line("shards")
+    return doc.line
 
 
 def lower_cells(
     doc: MappingNode,
 ) -> tuple[list[CompiledCell], list[schema.Issue]]:
-    """Lower every matrix cell of a validated document.
+    """Check a document and lower every matrix cell of it.
 
-    Returns the cells that lowered and one SCN001 issue per cell that
-    did not (``FleetConfig`` refused its settings, e.g. a barrier step
-    beyond the link latency).  :func:`compile_text` raises on the
-    issues and the lint pack reports them, so both agree on which cells
-    are not valid fleets.
+    Returns the cells that lowered and every issue: the schema's
+    document checks, then one per ``FleetConfig`` refusal per cell,
+    anchored at the key behind it (SCN003 for the plan, SCN001
+    otherwise).  Lowering reads only entries the schema accepted, so a
+    rejected entry carries the schema's issue alone.
     """
+    issues = schema.validate(doc)
     cells: list[CompiledCell] = []
-    issues: list[schema.Issue] = []
+    axes = dict(schema.sweep_axes(doc))
+    base = schema.base_settings(doc)
     for cell in schema.expand_cells(doc):
         try:
             config = build_cell_config(doc, cell)
-        except ValueError as exc:
-            issues.append(schema.Issue(
-                line=doc.line, rule="SCN001",
-                message=f"cell `{cell.name}` fails to lower: {exc}",
-            ))
+        except ConfigError as exc:
+            issues.extend(
+                schema.Issue(
+                    line=_anchor(doc, cell, name, axes, base),
+                    rule="SCN003" if name == "plan" else "SCN001",
+                    message=f"cell `{cell.name}` fails to lower: {message}",
+                    cell=cell.name,
+                )
+                for name, message in exc.problems
+            )
             continue
         cells.append(CompiledCell(cell.name, cell.overrides, config))
-    return cells, issues
+    return cells, sorted(issues)
+
+
+def validate(doc: MappingNode) -> list[schema.Issue]:
+    """Every issue in one parsed scenario document, the schema's and the
+    lowering's together (see :func:`lower_cells`)."""
+    return lower_cells(doc)[1]
 
 
 def compile_text(text: str, path: str = "<scenario>") -> Scenario:
@@ -273,9 +228,6 @@ def compile_text(text: str, path: str = "<scenario>") -> Scenario:
     failures; a returned :class:`Scenario` is runnable.
     """
     doc = parse_text(text, path)
-    issues = schema.validate(doc)
-    if issues:
-        raise ScenarioError(path, issues)
     cells, issues = lower_cells(doc)
     if issues:
         raise ScenarioError(path, issues)

@@ -1,41 +1,46 @@
-"""Scenario document schema: structure, units, and cross-references.
+"""Scenario document schema: what a document alone can get wrong.
 
 This module is the *static semantics* of the scenario DSL.  It knows the
 section layout (``fleet:``, ``links:``, ``styles:``, ``vehicles:``,
-``faults:``, ``plan:``, ``sweep:``, ``budget:``), the type/positivity
-constraints of every field, and how a ``sweep:`` block expands into
-matrix cells -- and it reports violations as line-anchored
-:class:`Issue` records that the lint pack (:mod:`repro.analysis.scenario`)
-turns into findings and the compiler (:mod:`.compiler`) refuses to build
-past.
+``faults:``, ``plan:``, ``sweep:``, ``budget:``), the scalar type of
+every field, and how a ``sweep:`` block expands into matrix cells -- and
+it reports violations as line-anchored :class:`Issue` records.  It does
+not judge a fleet's values: whether a duration is positive, whether a
+cell's partitions fit its vehicles, whether plan shards cover the fleet
+or a barrier step fits the link latency is for
+:class:`~repro.fleet.config.FleetConfig` alone, and the compiler
+(:mod:`.compiler`) anchors each of its refusals at the key behind it.
 
-Three rule families live here (the lint pack adds the compiler's
-per-cell lowering failures and the SCN005 matrix budget):
+Three rule families live here (the compiler adds the per-cell lowering
+refusals, the lint pack the SCN005 matrix budget):
 
-* **SCN001** -- schema violations: unknown keys, wrong types, missing
-  required fields, and constraint breaches (negative durations,
-  ``partitions > vehicles`` in some matrix cell, roster/count mismatch).
+* **SCN001** -- schema violations: unknown keys and sections, wrong
+  scalar types, missing required fields, malformed style, roster, plan,
+  kill and budget entries, roster/count mismatch.
 * **SCN002** -- unit errors: a key whose quantity stem matches a known
   field but whose unit suffix disagrees in dimension or scale
   (``barrier_ms`` for ``barrier_s``, ``v2v_latency_bytes``), resolved
   through the unit vocabulary of :mod:`.units`.
 * **SCN003** -- dangling cross-references: undefined workload styles,
-  plan shards naming unknown/duplicate/unassigned vehicles, fault kills
-  aimed at partitions or rounds no matrix cell ever runs.
+  duplicate roster ids, a plan pinned under a swept fleet size, fault
+  kills aimed at partitions or rounds no matrix cell ever runs.
 
-Field names double as the compiler's :class:`~repro.fleet.config.
-FleetConfig` keyword names, and defaults are read off the dataclass
-itself, so schema and runtime can never drift apart.
+The lowering reads a document only through the accepted-entry views
+below (:func:`base_settings`, :func:`sweep_axes`, :func:`custom_styles`,
+:func:`roster_entries`, :func:`kill_entries`, :func:`plan_shards`), so an
+entry the schema rejected yields exactly one finding: the schema's.
+Field names double as :class:`~repro.fleet.config.FleetConfig` keyword
+names, and defaults are read off the dataclass itself, so schema and
+runtime can never drift apart.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import MISSING, dataclass, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from typing import Optional
 
-from ..fleet.config import FleetConfig
+from ..fleet.config import FleetConfig, barrier_count
 from ..workloads.styles import STYLES
 from .units import Unit, split_name_unit
 from .yamlish import MappingNode, ScalarNode, SequenceNode
@@ -50,8 +55,12 @@ __all__ = [
     "KILL_PHASES",
     "base_settings",
     "config_defaults",
+    "custom_styles",
     "effective_vehicles",
     "expand_cells",
+    "kill_entries",
+    "plan_shards",
+    "roster_entries",
     "sweep_axes",
     "validate",
 ]
@@ -67,6 +76,8 @@ class Issue:
     line: int
     rule: str
     message: str
+    #: The matrix cell that failed to lower; empty for a document issue.
+    cell: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)
@@ -94,22 +105,22 @@ def _table(*specs: FieldSpec) -> dict[str, FieldSpec]:
 #: keyword names verbatim.
 FLEET_FIELDS: dict[str, FieldSpec] = _table(
     FieldSpec("seed", "int"),
-    FieldSpec("vehicles", "int", positive=True),
-    FieldSpec("partitions", "int", positive=True),
-    FieldSpec("duration_s", "float", positive=True),
-    FieldSpec("tick_s", "float", positive=True),
-    FieldSpec("barrier_s", "float", positive=True),
-    FieldSpec("barrier_deadline_s", "float", positive=True),
+    FieldSpec("vehicles", "int"),
+    FieldSpec("partitions", "int"),
+    FieldSpec("duration_s", "float"),
+    FieldSpec("tick_s", "float"),
+    FieldSpec("barrier_s", "float"),
+    FieldSpec("barrier_deadline_s", "float"),
     FieldSpec("workload", "str"),
     FieldSpec("with_services", "bool"),
-    FieldSpec("edge_count", "int", positive=True),
-    FieldSpec("edge_spacing_m", "float", positive=True),
+    FieldSpec("edge_count", "int"),
+    FieldSpec("edge_spacing_m", "float"),
 )
 
 #: ``links:`` section -- V2V/cellular link parameters.
 LINK_FIELDS: dict[str, FieldSpec] = _table(
-    FieldSpec("v2v_latency_s", "float", positive=True),
-    FieldSpec("beacon_period_s", "float", positive=True),
+    FieldSpec("v2v_latency_s", "float"),
+    FieldSpec("beacon_period_s", "float"),
 )
 
 #: Every key a ``sweep:`` axis may name (fleet + links, one namespace).
@@ -131,6 +142,9 @@ _KILL_FIELDS: dict[str, FieldSpec] = _table(
     FieldSpec("phase", "str", choices=KILL_PHASES),
 )
 
+#: Any integer (plan shard ids, kill targets before their sign check).
+_INT = FieldSpec("value", "int")
+
 _BUDGET_FIELDS: dict[str, FieldSpec] = _table(
     FieldSpec("cost", "float", positive=True),
     FieldSpec("cells", "int", positive=True),
@@ -145,9 +159,9 @@ _TOP_SECTIONS: tuple[str, ...] = (
 def config_defaults() -> dict[str, object]:
     """FleetConfig's own field defaults (schema never restates them)."""
     out: dict[str, object] = {}
-    for field in dataclass_fields(FleetConfig):
-        if field.default is not MISSING:
-            out[field.name] = field.default
+    for config_field in dataclass_fields(FleetConfig):
+        if config_field.default is not MISSING:
+            out[config_field.name] = config_field.default
     return out
 
 
@@ -176,40 +190,71 @@ class CellSpec:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_ok(node, spec: FieldSpec) -> bool:
-    """True when ``node`` is a scalar whose value satisfies ``spec``."""
+def _scalar_problem(node, spec: FieldSpec) -> Optional[str]:
+    """Why ``node`` is not a valid ``spec`` value; ``None`` when it is."""
     if not isinstance(node, ScalarNode):
-        return False
+        return f"must be a {spec.kind} scalar, not a block"
     value = node.value
     if spec.kind == "bool":
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    if spec.kind == "int":
-        if not isinstance(value, int):
-            return False
-    elif spec.kind == "float":
-        if not isinstance(value, (int, float)):
-            return False
-    elif spec.kind == "str":
+        return None if isinstance(value, bool) else (
+            f"must be true or false, got {value!r}"
+        )
+    if spec.kind == "str":
         if not isinstance(value, str):
-            return False
+            return f"must be a string, got {value!r}"
         if spec.choices and value not in spec.choices:
-            return False
-        return True
+            return f"must be one of {', '.join(spec.choices)}; got {value!r}"
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"must be a number, got {value!r}"
+    if spec.kind == "int" and not isinstance(value, int):
+        return f"must be an integer, got {value!r}"
     if spec.positive and value <= 0:
-        return False
+        return f"must be positive, got {value!r}"
     if spec.nonnegative and value < 0:
-        return False
-    return True
+        return f"must be non-negative, got {value!r}"
+    return None
+
+
+def _scalar_ok(node, spec: FieldSpec) -> bool:
+    """True when ``node`` is a scalar whose value satisfies ``spec``."""
+    return _scalar_problem(node, spec) is None
+
+
+def _entry_ok(node, table: dict[str, FieldSpec]) -> bool:
+    """True for a mapping entry the schema accepts: known keys only, each
+    well-formed, every required key present."""
+    return isinstance(node, MappingNode) and all(
+        key in table and _scalar_ok(value, table[key])
+        for key, value in node.items()
+    ) and all(spec.name in node for spec in table.values() if spec.required)
+
+
+def custom_styles(doc: MappingNode) -> dict[str, int]:
+    """The ``styles:`` entries the schema accepts, as ``{id: services}``."""
+    styles = doc.get("styles")
+    if not isinstance(styles, MappingNode):
+        return {}
+    return {
+        style_id: node.get("services").value
+        for style_id, node in styles.items()
+        if style_id not in STYLES and _entry_ok(node, _STYLE_FIELDS)
+    }
+
+
+def _names_style(node, styles: dict[str, int]) -> bool:
+    """True when a well-formed style reference names a defined style."""
+    return node.value in STYLES or node.value in styles
 
 
 def base_settings(doc: MappingNode) -> dict[str, Setting]:
     """Well-formed scalar settings from ``fleet:`` + ``links:``.
 
-    Malformed entries are skipped (they already carry SCN001 issues);
-    callers get only values the compiler could actually use.
+    Malformed entries, and a ``workload`` naming no defined style, are
+    skipped (they already carry their issues); callers get only values
+    the compiler could actually use.
     """
+    styles = custom_styles(doc)
     out: dict[str, Setting] = {}
     for section_name, table in (("fleet", FLEET_FIELDS), ("links", LINK_FIELDS)):
         section = doc.get(section_name)
@@ -217,7 +262,9 @@ def base_settings(doc: MappingNode) -> dict[str, Setting]:
             continue
         for key, node in section.items():
             spec = table.get(key)
-            if spec is not None and _scalar_ok(node, spec):
+            if spec is not None and _scalar_ok(node, spec) and (
+                key != "workload" or _names_style(node, styles)
+            ):
                 out[key] = Setting(key, node.value, node.line)
     return out
 
@@ -227,6 +274,7 @@ def sweep_axes(doc: MappingNode) -> list[tuple[str, list[Setting]]]:
     sweep = doc.get("sweep")
     if not isinstance(sweep, MappingNode):
         return []
+    styles = custom_styles(doc)
     axes: list[tuple[str, list[Setting]]] = []
     for key in sorted(sweep.keys()):
         spec = _FLAT_FIELDS.get(key)
@@ -237,6 +285,7 @@ def sweep_axes(doc: MappingNode) -> list[tuple[str, list[Setting]]]:
             Setting(key, item.value, item.line)
             for item in node.items
             if _scalar_ok(item, spec)
+            and (key != "workload" or _names_style(item, styles))
         ]
         if values and len(values) == len(node.items):
             axes.append((key, values))
@@ -279,6 +328,60 @@ def effective_vehicles(doc: MappingNode,
         return len(roster.items)
     count = values.get("vehicles", config_defaults().get("vehicles"))
     return count if isinstance(count, int) and count >= 1 else None
+
+
+def roster_entries(doc: MappingNode) -> dict[int, MappingNode]:
+    """The roster entries the schema accepts, by vehicle id."""
+    roster = doc.get("vehicles")
+    if not isinstance(roster, SequenceNode):
+        return {}
+    styles = custom_styles(doc)
+    return {
+        item.get("id").value: item for item in roster.items
+        if _entry_ok(item, _VEHICLE_FIELDS)
+        and not ("style" in item and "services" in item)
+        and ("style" not in item or _names_style(item.get("style"), styles))
+    }
+
+
+def kill_entries(doc: MappingNode) -> list[MappingNode]:
+    """The ``faults.kills`` entries the schema accepts (a repeated
+    partition/round pair keeps its first entry)."""
+    faults = doc.get("faults")
+    kills = faults.get("kills") if isinstance(faults, MappingNode) else None
+    if not isinstance(kills, SequenceNode):
+        return []
+    accepted: dict[tuple[int, int], MappingNode] = {}
+    for item in kills.items:
+        if _entry_ok(item, _KILL_FIELDS):
+            key = (item.get("partition").value, item.get("round").value)
+            accepted.setdefault(key, item)
+    return list(accepted.values())
+
+
+def plan_shards(doc: MappingNode) -> Optional[tuple[tuple[int, ...], ...]]:
+    """``plan.shards`` when the schema accepts it: integer vehicle-id
+    lists, in a document that sweeps neither fleet size nor partitions."""
+    plan = doc.get("plan")
+    shards = plan.get("shards") if isinstance(plan, MappingNode) else None
+    if not isinstance(shards, SequenceNode) or any(
+        _swept(doc, key) for key in ("partitions", "vehicles")
+    ):
+        return None
+    if not all(
+        isinstance(shard, SequenceNode)
+        and all(_scalar_ok(entry, _INT) for entry in shard.items)
+        for shard in shards.items
+    ):
+        return None
+    return tuple(
+        tuple(entry.value for entry in shard.items) for shard in shards.items
+    )
+
+
+def _swept(doc: MappingNode, key: str) -> bool:
+    sweep = doc.get("sweep")
+    return isinstance(sweep, MappingNode) and key in sweep
 
 
 # ---------------------------------------------------------------------------
@@ -340,67 +443,13 @@ class _Checker:
         )
 
     def check_scalar(self, node, spec: FieldSpec, line: int,
-                     where: str) -> bool:
-        if not isinstance(node, ScalarNode):
+                     where: str) -> None:
+        problem = _scalar_problem(node, spec)
+        if problem is not None:
             self.report(
                 "SCN001", getattr(node, "line", line),
-                f"`{spec.name}` in {where} must be a {spec.kind} scalar, "
-                "not a block",
+                f"`{spec.name}` in {where} {problem}",
             )
-            return False
-        value = node.value
-        if spec.kind == "bool":
-            if not isinstance(value, bool):
-                self.report(
-                    "SCN001", node.line,
-                    f"`{spec.name}` in {where} must be true or false, "
-                    f"got {value!r}",
-                )
-                return False
-            return True
-        if spec.kind == "str":
-            if not isinstance(value, str):
-                self.report(
-                    "SCN001", node.line,
-                    f"`{spec.name}` in {where} must be a string, "
-                    f"got {value!r}",
-                )
-                return False
-            if spec.choices and value not in spec.choices:
-                self.report(
-                    "SCN001", node.line,
-                    f"`{spec.name}` in {where} must be one of "
-                    f"{', '.join(spec.choices)}; got {value!r}",
-                )
-                return False
-            return True
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.report(
-                "SCN001", node.line,
-                f"`{spec.name}` in {where} must be a number, got {value!r}",
-            )
-            return False
-        if spec.kind == "int" and not isinstance(value, int):
-            self.report(
-                "SCN001", node.line,
-                f"`{spec.name}` in {where} must be an integer, "
-                f"got {value!r}",
-            )
-            return False
-        if spec.positive and value <= 0:
-            self.report(
-                "SCN001", node.line,
-                f"`{spec.name}` in {where} must be positive, got {value!r}",
-            )
-            return False
-        if spec.nonnegative and value < 0:
-            self.report(
-                "SCN001", node.line,
-                f"`{spec.name}` in {where} must be non-negative, "
-                f"got {value!r}",
-            )
-            return False
-        return True
 
     def check_mapping_fields(self, mapping: MappingNode,
                              table: dict[str, FieldSpec],
@@ -467,7 +516,6 @@ class _Checker:
         self.check_plan()
         self.check_faults()
         self.check_budget()
-        self.check_cells()
         return sorted(self.issues)
 
     def check_styles(self) -> None:
@@ -615,10 +663,6 @@ class _Checker:
                 if isinstance(item, MappingNode):
                     check_ref(item.get("style"))
 
-    def _swept(self, key: str) -> bool:
-        sweep = self.doc.get("sweep")
-        return isinstance(sweep, MappingNode) and key in sweep
-
     def check_plan(self) -> None:
         plan = self.require_mapping("plan")
         if plan is None:
@@ -645,14 +689,13 @@ class _Checker:
             return
         shards_line = plan.key_line("shards")
         for blocker in ("partitions", "vehicles"):
-            if self._swept(blocker):
+            if _swept(self.doc, blocker):
                 self.report(
                     "SCN003", shards_line,
                     f"plan pins {len(shards_node.items)} shards but "
                     f"`{blocker}` is swept; drop the plan or the axis",
                 )
                 return
-        shards: list[list[int]] = []
         for shard_node in shards_node.items:
             if not isinstance(shard_node, SequenceNode):
                 self.report(
@@ -660,54 +703,13 @@ class _Checker:
                     "each plan shard must be a sequence of vehicle ids",
                 )
                 return
-            shard: list[int] = []
             for entry in shard_node.items:
-                if not (
-                    isinstance(entry, ScalarNode)
-                    and isinstance(entry.value, int)
-                    and not isinstance(entry.value, bool)
-                ):
+                if not _scalar_ok(entry, _INT):
                     self.report(
                         "SCN001", getattr(entry, "line", shard_node.line),
                         "plan shard entries must be integer vehicle ids",
                     )
                     return
-                shard.append(entry.value)
-            shards.append(shard)
-        maps = _cell_value_maps(self.doc)
-        vehicles = effective_vehicles(self.doc, maps[0]) if maps else None
-        if vehicles is None:
-            return
-        partitions = maps[0].get(
-            "partitions", config_defaults().get("partitions")
-        )
-        if isinstance(partitions, int) and len(shards) != partitions:
-            self.report(
-                "SCN003", shards_line,
-                f"plan has {len(shards)} shards for {partitions} "
-                "partitions",
-            )
-        flat = [vehicle for shard in shards for vehicle in shard]
-        unknown = sorted({v for v in flat if not 0 <= v < vehicles})
-        if unknown:
-            self.report(
-                "SCN003", shards_line,
-                f"plan shards name unknown vehicle ids {unknown} "
-                f"(valid ids are 0..{vehicles - 1})",
-            )
-        duplicates = sorted({v for v in flat if flat.count(v) > 1})
-        if duplicates:
-            self.report(
-                "SCN003", shards_line,
-                f"plan shards assign vehicle ids {duplicates} more "
-                "than once",
-            )
-        missing = sorted(set(range(vehicles)) - set(flat))
-        if missing and not unknown:
-            self.report(
-                "SCN003", shards_line,
-                f"plan shards leave vehicle ids {missing} unassigned",
-            )
 
     def _max_over_cells(self, key: str) -> Optional[int]:
         values = [
@@ -729,13 +731,9 @@ class _Checker:
                 step = value_map.get("v2v_latency_s")
             if step is None:
                 step = config_defaults().get("v2v_latency_s")
-            if not isinstance(duration, (int, float)) or not isinstance(
-                step, (int, float)
-            ) or isinstance(duration, bool) or isinstance(step, bool):
-                return None
             if step <= 0 or duration <= 0:
                 return None
-            counts.append(max(1, math.ceil(duration / step - 1e-9)))
+            counts.append(barrier_count(duration, step))
         return max(counts) if counts else None
 
     def check_faults(self) -> None:
@@ -771,22 +769,10 @@ class _Checker:
             self.check_mapping_fields(item, _KILL_FIELDS, "kill entry")
             partition_node = item.get("partition")
             round_node = item.get("round")
-            partition = (
-                partition_node.value
-                if isinstance(partition_node, ScalarNode)
-                and isinstance(partition_node.value, int)
-                and not isinstance(partition_node.value, bool)
-                else None
-            )
-            round_index = (
-                round_node.value
-                if isinstance(round_node, ScalarNode)
-                and isinstance(round_node.value, int)
-                and not isinstance(round_node.value, bool)
-                else None
-            )
-            if partition is None or round_index is None:
+            if not (_scalar_ok(partition_node, _INT)
+                    and _scalar_ok(round_node, _INT)):
                 continue
+            partition, round_index = partition_node.value, round_node.value
             if max_partitions is not None and partition >= max_partitions:
                 self.report(
                     "SCN003", partition_node.line,
@@ -820,43 +806,6 @@ class _Checker:
                 "SCN001", budget.line,
                 "budget must declare `cost:` and/or `cells:`",
             )
-
-    def check_cells(self) -> None:
-        """Per-cell constraint checks (the bad-matrix-cell early warning)."""
-        axes = dict(sweep_axes(self.doc))
-        for cell in expand_cells(self.doc):
-            values = dict(
-                {k: s.value for k, s in base_settings(self.doc).items()},
-                **dict(cell.overrides),
-            )
-            vehicles = effective_vehicles(self.doc, values)
-            partitions = values.get(
-                "partitions", config_defaults().get("partitions")
-            )
-            if not isinstance(vehicles, int) or not isinstance(
-                partitions, int
-            ):
-                continue
-            if partitions > vehicles:
-                line = self._cell_anchor(cell, "partitions", axes)
-                self.report(
-                    "SCN001", line,
-                    f"cell `{cell.name}`: partitions={partitions} exceeds "
-                    f"vehicles={vehicles}",
-                )
-
-    def _cell_anchor(self, cell: CellSpec, key: str,
-                     axes: dict[str, list[Setting]]) -> int:
-        """The line of the axis value (or base setting) behind one cell key."""
-        overridden = dict(cell.overrides)
-        if key in overridden and key in axes:
-            for setting in axes[key]:
-                if setting.value == overridden[key]:
-                    return setting.line
-        base = base_settings(self.doc).get(key)
-        if base is not None:
-            return base.line
-        return self.doc.line
 
 
 def validate(doc: MappingNode) -> list[Issue]:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.faults import KillPhase, KillPlan
 from repro.fleet import FleetConfig, PartitionSpec, shard_vehicles
+from repro.fleet.config import ConfigError
 
 
 class TestShardVehicles:
@@ -125,6 +126,37 @@ class TestValidation:
                      None)
         with pytest.raises(ValueError, match=field):
             FleetConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, fields", [
+        ({"vehicles": 0}, ("vehicles",)),
+        ({"vehicles": 2, "partitions": 3}, ("partitions",)),
+        ({"duration_s": 0.0}, ("duration_s",)),
+        ({"tick_s": -1.0}, ("tick_s",)),
+        ({"duration_s": math.nan}, ("duration_s",)),
+        ({"edge_count": 0}, ("edge_count",)),
+        ({"edge_spacing_m": 0.0}, ("edge_spacing_m",)),
+        ({"edge_spacing_m": -math.inf}, ("edge_spacing_m",)),
+        ({"workload": "chaotic"}, ("workload",)),
+        ({"barrier_s": 1.5}, ("barrier_s",)),
+        ({"barrier_s": -1.0}, ("barrier_s",)),
+        ({"plan": ((0,), (1, 2))}, ("plan",)),
+        # Every refusal is reported, each under its own field...
+        ({"duration_s": -1.0, "beacon_period_s": 0.0},
+         ("duration_s", "beacon_period_s")),
+        ({"edge_count": 0, "edge_spacing_m": -5.0},
+         ("edge_spacing_m", "edge_count")),
+        # ...but a check that reads a refused field is skipped.
+        ({"vehicles": 0, "partitions": 5}, ("vehicles",)),
+        ({"vehicles": 0, "plan": ((0,),)}, ("vehicles",)),
+        ({"v2v_latency_s": 0.0, "barrier_s": 0.5}, ("v2v_latency_s",)),
+    ])
+    def test_refusals_name_their_fields(self, kwargs, fields):
+        with pytest.raises(ConfigError) as err:
+            FleetConfig(**kwargs)
+        assert tuple(name for name, _message in err.value.problems) == fields
+        assert str(err.value) == "; ".join(
+            message for _name, message in err.value.problems
+        )
 
     @pytest.mark.parametrize("latency_s", [0.0, -0.5])
     def test_non_positive_latency_rejected(self, latency_s):

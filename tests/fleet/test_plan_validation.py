@@ -37,6 +37,14 @@ def test_unsorted_shard_rejected():
         validate_shards(((1, 0), (2, 3)), vehicles=4, partitions=2)
 
 
+def test_every_violation_is_named_at_once():
+    with pytest.raises(ValueError, match=(
+        r"unknown vehicle ids \[9\] \(valid ids are 0..3\); "
+        r"plan assigns vehicle ids \[1\] to more than one shard$"
+    )):
+        validate_shards(((0, 1, 9), (1, 2)), vehicles=4, partitions=2)
+
+
 def test_empty_shard_is_allowed():
     validate_shards(((0, 1, 2, 3), ()), vehicles=4, partitions=2)
 

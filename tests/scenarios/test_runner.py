@@ -2,6 +2,8 @@
 same configs built in Python, partitioned and single-process alike."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -91,3 +93,19 @@ def test_crash_recovery_scenario_compiles_with_faults_and_plan():
     assert config.plan == ((0, 1), (2, 3), (4, 5))
     assert config.style_spec is not None
     assert config.style_spec.service_table == (2, 2, 3, 1, 2, 2)
+
+
+
+def test_cli_out_of_range_cell_exits_two_with_one_line():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.scenarios", "run",
+         os.path.join(SCENARIO_DIR, "fleet_smoke.yaml"), "--cell", "7"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "scenario 'fleet-smoke' has 1 cells; cell 7 does not exist\n"
+    )

@@ -91,11 +91,25 @@ def test_base_settings_skip_malformed_entries():
     doc = parse_text(
         "fleet:\n"
         "  vehicles: 4\n"
-        "  duration_s: -1.0\n"
+        "  duration_s: soon\n"
     )
     settings = base_settings(doc)
     assert settings["vehicles"].value == 4
     assert "duration_s" not in settings
+
+
+def test_well_typed_bad_value_is_refused_at_its_line():
+    # -1.0 is a well-typed duration: the schema passes it on, and
+    # FleetConfig's refusal lands on its line.
+    doc = parse_text(
+        "fleet:\n"
+        "  vehicles: 4\n"
+        "  duration_s: -1.0\n"
+    )
+    assert base_settings(doc)["duration_s"].value == -1.0
+    [issue] = validate(doc)
+    assert (issue.line, issue.rule) == (3, "SCN001")
+    assert "duration must be positive, got -1.0" in issue.message
 
 
 def test_effective_vehicles_prefers_the_roster():
