@@ -201,7 +201,7 @@ class ScenarioAnalyzer:
                           issue.message)
             for issue in issues if issue.rule in self.rules
         ]
-        if "SCN005" in self.rules and all(issue.cell for issue in issues):
+        if "SCN005" in self.rules and all(issue.cells for issue in issues):
             # The cap needs clean document checks; the cost needs every
             # cell lowered (a failing cell carries its own finding).
             configs = None if issues else [cell.config for cell in cells]

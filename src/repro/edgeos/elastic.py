@@ -9,11 +9,17 @@ requirement, it can dynamically adjust the pipeline ... If the network
 quality and computation resources cannot support this service, the service
 will be hung up until meeting requirements again."
 
-:class:`ElasticManager.retune` is the periodic re-evaluation: it scores
-every pipeline of every managed service against the current world (whose
-links the caller updates as network quality moves) and switches, hangs or
-resumes accordingly.  This module is where the DEIR *Differentiation*
-property lives -- each service is treated per its own QoS and deadline.
+:class:`ElasticManager.retune` is the periodic re-evaluation: it checks
+every managed service against the current world (whose links the caller
+updates as network quality moves) and switches, hangs or resumes
+accordingly.  A service's pipelines are re-scored only when something the
+decision reads has changed since its last call -- a link's bandwidth, rtt
+or loss, a node's processor set, the health view, the service's state,
+incumbent or deadline, or the manager's policy; an unchanged tick returns
+the previous decision.  Plans are compiled once per (graph factory,
+assignment), so copies of one service share them.  This module is where
+the DEIR *Differentiation* property lives -- each service is treated per
+its own QoS and deadline.
 
 Resilience extensions (paper SIII-A's unreliable environment):
 
@@ -38,6 +44,7 @@ from ..offload.placement import (
     PlacementEvaluation,
     compile_placement,
 )
+from ..topology.nodes import Tier
 from ..topology.world import World
 from .service import Pipeline, PolymorphicService, ServiceState
 
@@ -87,10 +94,13 @@ class ElasticManager:
         self._services: dict[str, PolymorphicService] = {}
         #: Decisions that changed a service's pipeline (hang-ups included).
         self.switches = 0
-        # (service, pipeline) -> (graph_factory, world, compiled plan).
-        # Retune re-scores every pipeline every tick against a structurally
-        # constant graph; the compiled plan re-reads only live link state.
-        self._compiled: dict[tuple[str, str], tuple] = {}
+        # service name -> (world, inputs, choice): the service's last
+        # decision that changed nothing (see :meth:`choose`).
+        self._decisions: dict[str, tuple[World, tuple, PipelineChoice]] = {}
+        # (graph_factory, sorted assignment items) -> (world, compiled
+        # plan).  Services built from one factory share their plans; a
+        # plan re-reads only live link state when evaluated.
+        self._compiled: dict[tuple, tuple[World, CompiledPlacement]] = {}
 
     def register(self, service: PolymorphicService) -> None:
         if service.name in self._services:
@@ -100,8 +110,7 @@ class ElasticManager:
     def unregister(self, name: str) -> PolymorphicService:
         if name not in self._services:
             raise KeyError(f"unknown service {name!r}")
-        for key in [k for k in self._compiled if k[0] == name]:
-            del self._compiled[key]
+        self._decisions.pop(name, None)
         return self._services.pop(name)
 
     def service(self, name: str) -> PolymorphicService:
@@ -133,24 +142,21 @@ class ElasticManager:
     ) -> CompiledPlacement:
         """The (cached) compiled plan for one pipeline of a service.
 
-        Recompiles when the service's graph factory was swapped, the world
-        changed identity, or a resolved node's processor set changed.  The
-        graph is built at most once per call batch via ``graph_cache`` (a
-        one-slot list), since compilation is its only remaining consumer.
+        Plans are keyed by the service's graph factory and the pipeline's
+        tier assignment, not by names, so every service built from one
+        factory shares them.  Recompiles when the world changed identity
+        or a resolved node's processor set changed.  The graph is built at
+        most once per call batch via ``graph_cache`` (a one-slot list),
+        since compilation is its only remaining consumer.
         """
-        key = (service.name, pipeline.name)
+        key = (service.graph_factory, tuple(sorted(pipeline.assignment.items())))
         cached = self._compiled.get(key)
-        if (
-            cached is not None
-            and cached[0] is service.graph_factory
-            and cached[1] is world
-            and cached[2].fresh
-        ):
-            return cached[2]
+        if cached is not None and cached[0] is world and cached[1].fresh:
+            return cached[1]
         if not graph_cache:
             graph_cache.append(service.graph_factory())
         compiled = compile_placement(graph_cache[0], pipeline.placement(), world)
-        self._compiled[key] = (service.graph_factory, world, compiled)
+        self._compiled[key] = (world, compiled)
         return compiled
 
     def evaluate_pipelines(
@@ -194,13 +200,67 @@ class ElasticManager:
                 return previous
         return best_name
 
+    def _inputs(
+        self,
+        service: PolymorphicService,
+        world: World,
+        health: HealthWatchdog | None,
+    ) -> tuple:
+        """Everything a decision reads besides the world's identity.
+
+        Links enter by value (what ``transfer_time`` reads), so in-place
+        writes and wholesale link replacement are both seen; nodes enter
+        by processor-set ``version``.
+        """
+        links = world.links
+        ve, vc, ec = links.vehicle_edge, links.vehicle_cloud, links.edge_cloud
+        edges = world.edges
+        return (
+            ve.bandwidth_mbps, ve.rtt_s, ve.loss_rate,
+            vc.bandwidth_mbps, vc.rtt_s, vc.loss_rate,
+            ec.bandwidth_mbps, ec.rtt_s, ec.loss_rate,
+            world.vehicle.version,
+            edges[0].version if edges else None,
+            world.cloud.version,
+            None if health is None
+            else tuple(health.tier_healthy(tier) for tier in Tier.ALL),
+            service.state, service.active_pipeline, service.deadline_s,
+            service.graph_factory, tuple(service.pipelines),
+            self.goal, self.switch_margin, self.degrade_before_hang,
+        )
+
     def choose(
         self,
         service: PolymorphicService,
         world: World,
         health: HealthWatchdog | None = None,
     ) -> PipelineChoice:
-        """Pick the best pipeline meeting the deadline, or degrade/hang."""
+        """Pick the best pipeline meeting the deadline, or degrade/hang.
+
+        A decision that left the service's state and incumbent as it found
+        them (so it switched nothing and counted no hang) is kept with its
+        inputs; while those inputs stay equal it is returned without
+        re-scoring.  Any other decision has side effects and is always
+        re-derived, so switch counts, ``hang_count``, hysteresis and
+        degraded mode behave exactly as if every call re-scored.
+        """
+        inputs = self._inputs(service, world, health)
+        kept = self._decisions.get(service.name)
+        if kept is not None and kept[0] is world and kept[1] == inputs:
+            return kept[2]
+        state, previous = service.state, service.active_pipeline
+        choice = self._decide(service, world, health)
+        if service.state is state and service.active_pipeline == previous:
+            self._decisions[service.name] = (world, inputs, choice)
+        return choice
+
+    def _decide(
+        self,
+        service: PolymorphicService,
+        world: World,
+        health: HealthWatchdog | None,
+    ) -> PipelineChoice:
+        """Score every pipeline and apply the outcome to ``service``."""
         evaluations = self.evaluate_pipelines(service, world, health=health)
         feasible = {
             name: ev

@@ -187,31 +187,51 @@ def lower_cells(
     """Check a document and lower every matrix cell of it.
 
     Returns the cells that lowered and every issue: the schema's
-    document checks, then one per ``FleetConfig`` refusal per cell,
+    document checks, then one per distinct ``FleetConfig`` refusal,
     anchored at the key behind it (SCN003 for the plan, SCN001
-    otherwise).  Lowering reads only entries the schema accepted, so a
-    rejected entry carries the schema's issue alone.
+    otherwise) and naming the cells it refused.  Lowering reads only
+    entries the schema accepted, so a rejected entry carries the
+    schema's issue alone.
     """
     issues = schema.validate(doc)
     cells: list[CompiledCell] = []
     axes = dict(schema.sweep_axes(doc))
     base = schema.base_settings(doc)
-    for cell in schema.expand_cells(doc):
+    matrix = schema.expand_cells(doc)
+    # (line, rule, message) -> the cells refused for it, in matrix order.
+    refused: dict[tuple[int, str, str], list[str]] = {}
+    for cell in matrix:
         try:
             config = build_cell_config(doc, cell)
         except ConfigError as exc:
-            issues.extend(
-                schema.Issue(
-                    line=_anchor(doc, cell, name, axes, base),
-                    rule="SCN003" if name == "plan" else "SCN001",
-                    message=f"cell `{cell.name}` fails to lower: {message}",
-                    cell=cell.name,
+            for name, message in exc.problems:
+                key = (
+                    _anchor(doc, cell, name, axes, base),
+                    "SCN003" if name == "plan" else "SCN001",
+                    message,
                 )
-                for name, message in exc.problems
-            )
+                refused.setdefault(key, []).append(cell.name)
             continue
         cells.append(CompiledCell(cell.name, cell.overrides, config))
+    issues.extend(
+        schema.Issue(
+            line=line,
+            rule=rule,
+            message=f"{_refused_cells(names, len(matrix))} to lower: {message}",
+            cells=tuple(names),
+        )
+        for (line, rule, message), names in refused.items()
+    )
     return cells, sorted(issues)
+
+
+def _refused_cells(names: list[str], total: int) -> str:
+    """The subject of a lowering finding: its cells, or every cell."""
+    if len(names) == 1:
+        return f"cell `{names[0]}` fails"
+    if len(names) == total:
+        return "every cell fails"
+    return "cells " + ", ".join(f"`{name}`" for name in names) + " fail"
 
 
 def validate(doc: MappingNode) -> list[schema.Issue]:

@@ -76,8 +76,8 @@ class Issue:
     line: int
     rule: str
     message: str
-    #: The matrix cell that failed to lower; empty for a document issue.
-    cell: str = field(default="", compare=False)
+    #: The matrix cells that failed to lower; empty for a document issue.
+    cells: tuple[str, ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,90 @@
+"""Compiled placement plans: shared across service copies, recompiled
+only when a node they resolved changes its processor set."""
+
+import pytest
+
+import repro.edgeos.elastic as elastic
+from repro.apps import make_adas_service
+from repro.edgeos import ElasticManager
+from repro.fleet import FleetConfig, run_inline
+from repro.hw import catalog
+from repro.topology import build_default_world
+
+from .test_elastic import a3_service
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The pipelines compiled so far, one entry per ``compile_placement``."""
+    seen = []
+    real = elastic.compile_placement
+
+    def counting(graph, placement, world):
+        seen.append(dict(placement.assignment))
+        return real(graph, placement, world)
+
+    monkeypatch.setattr(elastic, "compile_placement", counting)
+    return seen
+
+
+def test_service_copies_share_one_plan_per_pipeline(compiles):
+    world = build_default_world()
+    manager = ElasticManager()
+    for copy in range(7):
+        service = make_adas_service(deadline_s=0.6)
+        service.name = f"{service.name}#{copy}"
+        manager.register(service)
+    manager.retune(world)
+    assert len(compiles) == 3
+
+
+def test_a_skewed_fleet_compiles_one_plan_set_per_vehicle(compiles):
+    config = FleetConfig(
+        seed=1, vehicles=128, partitions=1, duration_s=10.0, workload="skewed"
+    )
+    result = run_inline(config)
+    # 320 service copies on 128 vehicles; each vehicle compiles the three
+    # ADAS pipelines once, and nothing recompiles during the drive.
+    copies = sum(config.service_count(v) for v in range(config.vehicles))
+    assert copies == 320
+    assert len(compiles) == 3 * config.vehicles
+    assert len(result.vehicle_hashes) == config.vehicles
+
+
+def test_a_processor_change_recompiles_only_the_plans_that_used_the_node(compiles):
+    world = build_default_world()
+    manager = ElasticManager()
+    service = a3_service(deadline=4.0)
+    manager.register(service)
+    manager.choose(service, world)
+    assert len(compiles) == 3
+
+    def recompiled_after(change):
+        compiles.clear()
+        change()
+        manager.choose(service, world)
+        return sorted(tuple(sorted(set(a.values()))) for a in compiles)
+
+    # No a3 pipeline places work in the cloud.
+    assert recompiled_after(
+        lambda: world.cloud.add_processor(catalog.cloud_server_gpu())
+    ) == []
+    # "offload-all" and "split" resolved the edge; "onboard" did not.
+    assert recompiled_after(
+        lambda: world.edges[0].add_processor(catalog.edge_server_gpu())
+    ) == [("edge",), ("edge", "vehicle")]
+    # "onboard" and "split" resolved the vehicle.
+    assert recompiled_after(
+        lambda: world.vehicle.remove_processor("Intel MNCS (Myriad 2)")
+    ) == [("edge", "vehicle"), ("vehicle",)]
+
+
+def test_unregister_keeps_plans_for_the_next_service_of_that_factory(compiles):
+    world = build_default_world()
+    manager = ElasticManager()
+    manager.register(a3_service(deadline=4.0))
+    manager.retune(world)
+    manager.unregister("kidnapper-search")
+    manager.register(a3_service(deadline=4.0))
+    manager.retune(world)
+    assert len(compiles) == 3

@@ -119,3 +119,43 @@ def test_two_bad_fields_in_one_cell_give_two_findings():
         "  beacon_period_s: 0.0\n"
     )
     assert findings(text) == [(3, "SCN001"), (5, "SCN001")]
+
+
+def messages(text):
+    return [
+        (issue.line, issue.message, issue.cells)
+        for issue in validate(parse_text(text))
+    ]
+
+
+def test_a_base_refusal_under_a_sweep_is_one_finding_for_every_cell():
+    text = (
+        "fleet:\n"
+        "  vehicles: 4\n"
+        "  duration_s: -1.0\n"
+        "sweep:\n"
+        "  seed: [1, 2, 3]\n"
+        "  tick_s: [0.5, 1.0]\n"
+    )
+    ((line, message, cells),) = messages(text)
+    assert line == 3
+    assert message == "every cell fails to lower: duration must be positive, got -1.0"
+    assert len(cells) == 6
+
+
+def test_a_refusal_shared_by_some_cells_names_each_of_them():
+    text = (
+        "fleet:\n"
+        "  vehicles: 4\n"
+        "  barrier_s: 2.5\n"
+        "sweep:\n"
+        "  seed: [1, 2]\n"
+        "  v2v_latency_s: [1.0, 3.0]\n"
+    )
+    ((line, message, cells),) = messages(text)
+    assert line == 3
+    assert message.startswith(
+        "cells `seed=1/v2v_latency_s=1.0`, `seed=2/v2v_latency_s=1.0` "
+        "fail to lower: conservative sync violated"
+    )
+    assert cells == ("seed=1/v2v_latency_s=1.0", "seed=2/v2v_latency_s=1.0")
