@@ -6,9 +6,8 @@ sim kernel's determinism contract.  This package makes that contract a
 property checked on every commit instead of a convention in DESIGN.md:
 
 * a from-scratch, stdlib-``ast`` lint engine (:mod:`.engine`) with a
-  single-file rule pack encoding the platform invariants (:mod:`.rules`),
-  inline suppression pragmas, and a baseline file for grandfathered
-  findings (:mod:`.baseline`);
+  single-file rule pack encoding the platform invariants (:mod:`.rules`)
+  and inline suppression pragmas;
 * a **semantic** tier: a forward abstract interpreter inferring
   physical units from naming conventions and ``# unit:`` pragmas
   (:mod:`.units` -- UNIT001/UNIT002/UNIT003), run by one serial pass
@@ -18,14 +17,14 @@ property checked on every commit instead of a convention in DESIGN.md:
   unit suffixes and cross-references (SCN001-003), the compiler's
   per-cell lowering failures (SCN001), and matrix cost budgets priced
   by the fleet planner's measured probe (SCN005, ``--scenarios``);
-* a CLI with stable exit codes (:mod:`.cli`)::
+* a CLI with stable exit codes (:mod:`.cli`) in which every finding
+  counts::
 
-    python -m repro.analysis src/repro --strict
-    python -m repro.analysis --scenarios scenarios --strict
+    python -m repro.analysis src/repro
+    python -m repro.analysis --scenarios scenarios
     vdaplint --list-rules
 """
 
-from .baseline import Baseline, fingerprint_findings
 from .engine import (
     FileContext,
     Finding,
@@ -66,7 +65,6 @@ from .units import (
 from .cli import main
 
 __all__ = [
-    "Baseline",
     "FileContext",
     "Finding",
     "LintEngine",
@@ -86,7 +84,6 @@ __all__ = [
     "default_rules",
     "discover_files",
     "discover_scenario_files",
-    "fingerprint_findings",
     "infer_module_name",
     "lint_paths",
     "lint_source",

@@ -2,14 +2,16 @@
 
 Exit codes are stable so CI can gate on them:
 
-* ``0`` -- no (non-baselined) findings
+* ``0`` -- no findings
 * ``1`` -- findings reported (including files that fail to parse)
-* ``2`` -- usage error (unknown rule id, missing path, bad baseline file,
+* ``2`` -- usage error (unknown rule id, missing path, unknown flag,
   incoherent flag combinations)
+
+Every finding counts; none is grandfathered.
 
 The per-file and semantic rules run in one serial pass over every
 Python file; ``--scenarios`` additionally validates scenario DSL files.
-Both share the same reporting/baseline/pragma machinery.
+Both share the same reporting and pragma machinery.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .baseline import Baseline, fingerprint_findings
 from .engine import Rule, discover_files
 from .reporter import render_json, render_text
 from .rules import default_rules, rules_by_id
@@ -32,8 +33,6 @@ from .semantic import analyze_files, semantic_rules, semantic_rules_by_id
 
 __all__ = ["build_parser", "main"]
 
-DEFAULT_BASELINE = ".vdaplint-baseline.json"
-
 
 def build_parser() -> argparse.ArgumentParser:
     """The vdaplint argument parser (exposed for --help tests)."""
@@ -42,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based determinism & safety linter for the OpenVDAP "
             "reproduction: one shared tree walk per file, a semantic "
-            "units pass, optional scenario validation, pragma "
-            "suppression, and a baseline for grandfathered findings."
+            "units pass, optional scenario validation and pragma "
+            "suppression."
         ),
     )
     parser.add_argument(
@@ -53,21 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", "-f", choices=("text", "json"), default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, metavar="PATH",
-        help=f"baseline file of grandfathered findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help=(
-            "record all current findings into the baseline file (dropping "
-            "fingerprints that no longer match anything) and exit 0"
-        ),
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="ignore the baseline: every finding counts, grandfathered or not",
     )
     parser.add_argument(
         "--select", metavar="IDS",
@@ -166,51 +150,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         findings = sorted(findings + scenario_findings)
 
-    if args.write_baseline:
-        previous = Baseline()
-        try:
-            previous = Baseline.load(args.baseline)
-        except ValueError:
-            pass  # corrupt old baseline: overwrite it wholesale
-        current = fingerprint_findings(findings)
-        dropped = len(previous.fingerprints - set(current))
-        Baseline(current).save(args.baseline)
-        message = (
-            f"wrote {len(findings)} fingerprint"
-            f"{'s' if len(findings) != 1 else ''} to {args.baseline}"
-        )
-        if dropped:
-            message += f" ({dropped} stale dropped)"
-        print(message)
-        return 0
-
-    baselined_count = 0
-    stale_count = 0
-    if args.strict:
-        try:
-            existing = Baseline.load(args.baseline)
-        except ValueError:
-            existing = Baseline()
-        if len(existing):
-            print(
-                f"vdaplint: warning: --strict ignores the non-empty baseline "
-                f"{args.baseline} ({len(existing)} fingerprints); delete it "
-                "or re-run --write-baseline",
-                file=sys.stderr,
-            )
-    else:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except ValueError as err:
-            parser.error(str(err))
-        stale_count = len(baseline.stale_fingerprints(findings))
-        findings, grandfathered = baseline.partition(findings)
-        baselined_count = len(grandfathered)
-
     render = render_json if args.format == "json" else render_text
-    print(render(findings, files_scanned=len(files) + len(scenario_files),
-                 baselined=baselined_count,
-                 stale=stale_count))
+    print(render(findings, files_scanned=len(files) + len(scenario_files)))
     return 1 if findings else 0
 
 

@@ -56,8 +56,8 @@ SKIP_MARKER = ".vdaplint-skip"
 class Finding:
     """One lint violation: where it is, which rule fired, and why.
 
-    ``snippet`` carries the stripped source line so baselines can
-    fingerprint a finding in a way that survives line-number drift.
+    ``snippet`` carries the stripped source line; the JSON reporter
+    emits it so a consumer can show the offending code.
     """
 
     path: str

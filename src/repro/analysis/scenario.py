@@ -2,8 +2,8 @@
 
 The ``--scenarios`` tier of vdaplint.  Scenario files (the YAML-subset
 DSL of :mod:`repro.scenarios`) get the same treatment as Python source:
-deterministic discovery, line-anchored findings, ``# vdaplint:`` pragma
-suppression and baselines -- but the rules are about fleet experiments,
+deterministic discovery, line-anchored findings and ``# vdaplint:``
+pragma suppression -- but the rules are about fleet experiments,
 not ASTs:
 
 * **SCN001** -- schema violations: unknown keys/sections, wrong types,

@@ -276,9 +276,11 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """P-squared estimate for tracked quantiles, bucket interpolation else."""
+        """P-squared estimate of a tracked quantile (``TRACKED_QUANTILES``)."""
         if q not in TRACKED_QUANTILES:
-            return self.quantile_from_buckets(q)
+            raise ValueError(
+                f"quantile {q} is not tracked; tracked: {TRACKED_QUANTILES}"
+            )
         if self._estimators is None:
             self._estimators = {t: P2Quantile(t) for t in TRACKED_QUANTILES}
         if self._unread:
@@ -289,25 +291,6 @@ class Histogram:
                 for value in samples:
                     add(value)
         return self._estimators[q].value
-
-    def quantile_from_buckets(self, q: float) -> float:
-        """Quantile by linear interpolation inside the owning bucket."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        for i, bucket_count in enumerate(self.bucket_counts):
-            if cumulative + bucket_count >= rank and bucket_count:
-                lower = self.minimum if i == 0 else self.bounds[i - 1]
-                upper = self.maximum if i >= len(self.bounds) else min(
-                    self.bounds[i], self.maximum
-                )
-                fraction = (rank - cumulative) / bucket_count
-                return lower + fraction * max(0.0, upper - lower)
-            cumulative += bucket_count
-        return self.maximum
 
     @property
     def key(self) -> str:
@@ -448,13 +431,17 @@ def diff_snapshots(later: dict, earlier: dict) -> dict:
     return out
 
 
+#: The fields of :meth:`Histogram.state`, in its order.
+_STATE_FIELDS = ("count", "sum", "min", "max", "mean", "buckets", "bounds")
+
+
 def merge_snapshots(a: dict, b: dict) -> dict:
     """Combine snapshots from two runs/registries into one aggregate.
 
     Counters and histogram buckets/counts/sums add; gauges combine min/max
-    and keep ``b``'s last reading; merged histogram quantiles are
-    re-estimated from the combined buckets, because P-squared estimates
-    are not mergeable.  Inputs may be :meth:`MetricRegistry.state` exports
+    and keep ``b``'s last reading.  A merged histogram carries its
+    :meth:`Histogram.state` fields only, because P-squared estimates are
+    not mergeable.  Inputs may be :meth:`MetricRegistry.state` exports
     (what fleet partitions ship), which carry no estimates at all.
     """
     out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
@@ -478,7 +465,8 @@ def merge_snapshots(a: dict, b: dict) -> dict:
         ha = a.get("histograms", {}).get(key)
         hb = b.get("histograms", {}).get(key)
         if ha is None or hb is None:
-            out["histograms"][key] = dict(hb or ha)
+            only = hb or ha
+            out["histograms"][key] = {field: only[field] for field in _STATE_FIELDS}
             continue
         if ha["bounds"] != hb["bounds"]:
             raise ValueError(f"cannot merge histogram {key!r}: bucket layouts differ")
@@ -492,13 +480,6 @@ def merge_snapshots(a: dict, b: dict) -> dict:
             "bounds": list(ha["bounds"]),
         }
         merged["mean"] = merged["sum"] / count if count else 0.0
-        rebuilt = Histogram(name=key, bounds=tuple(ha["bounds"]))
-        rebuilt.bucket_counts = list(merged["buckets"])
-        rebuilt.count = count
-        rebuilt.minimum = merged["min"]
-        rebuilt.maximum = merged["max"]
-        for q in TRACKED_QUANTILES:
-            merged[f"p{int(q * 100)}"] = rebuilt.quantile_from_buckets(q)
         out["histograms"][key] = merged
     return out
 

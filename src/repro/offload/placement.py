@@ -64,72 +64,15 @@ class PlacementEvaluation:
     infeasible_reason: str = ""
 
 
-def _transfer_time(world: World, src_tier: str, dst_tier: str, nbytes: float) -> float:
-    if src_tier == dst_tier or nbytes == 0.0:
-        return 0.0 if src_tier == dst_tier else world.links.between(src_tier, dst_tier).one_way_latency_s
-    return world.links.between(src_tier, dst_tier).transfer_time(nbytes)
-
-
 def evaluate_placement(
     graph: TaskGraph, placement: Placement, world: World
 ) -> PlacementEvaluation:
-    """Critical-path latency plus bandwidth/energy accounting."""
-    placement.validate(graph)
-    meter = EnergyMeter()
-    finish: dict[str, float] = {}
-    uplink_bytes = 0.0
+    """Critical-path latency plus bandwidth/energy accounting.
 
-    for name in graph.task_names:
-        task = graph.task(name)
-        tier = placement.tier_of(name)
-        node = world.node_for_tier(tier)
-        processor = node.best_processor_for(task.workload)
-        if processor is None:
-            return PlacementEvaluation(
-                latency_s=float("inf"),
-                uplink_bytes=0.0,
-                vehicle_energy_j=0.0,
-                feasible=False,
-                # Infeasible arm: the diagnostic only forms when placement fails.
-                infeasible_reason=f"{tier} has no processor for {task.workload.value}",
-            )
-
-        ready = 0.0
-        # Source data originates on the vehicle.
-        if task.source_bytes:
-            ready = _transfer_time(world, Tier.VEHICLE, tier, task.source_bytes)
-            if tier != Tier.VEHICLE:
-                uplink_bytes += task.source_bytes
-        for pred in graph.predecessors(name):
-            pred_task = graph.task(pred)
-            pred_tier = placement.tier_of(pred)
-            arrival = finish[pred] + _transfer_time(
-                world, pred_tier, tier, pred_task.output_bytes
-            )
-            ready = max(ready, arrival)
-            if pred_tier == Tier.VEHICLE and tier != Tier.VEHICLE:
-                uplink_bytes += pred_task.output_bytes
-
-        exec_time = processor.execution_time(task.work_gop, task.workload)
-        finish[name] = ready + exec_time
-        if tier == Tier.VEHICLE:
-            meter.record_busy(processor, exec_time)
-
-    # Results must come back to the vehicle.
-    latency = 0.0
-    for sink in graph.sinks:
-        sink_tier = placement.tier_of(sink)
-        back = _transfer_time(
-            world, sink_tier, Tier.VEHICLE, graph.task(sink).output_bytes
-        )
-        latency = max(latency, finish[sink] + back)
-
-    return PlacementEvaluation(
-        latency_s=latency,
-        uplink_bytes=uplink_bytes,
-        vehicle_energy_j=meter.busy_joules(),
-        feasible=True,
-    )
+    A one-shot :class:`CompiledPlacement`: there is one cost model, and
+    callers that evaluate a placement repeatedly keep the compiled plan.
+    """
+    return CompiledPlacement(graph, placement, world).evaluate()
 
 
 # -- compiled evaluation ----------------------------------------------------
@@ -143,16 +86,15 @@ _OP_TRANSFER = 2   # bytes across a link: read live link state
 class CompiledPlacement:
     """A pre-resolved evaluation plan for one (graph, placement, world).
 
-    Compilation performs every lookup :func:`evaluate_placement` repeats
-    per call -- topological order, tier assignment, best-fit processor
-    selection, link-table resolution, constant execution times, the
-    uplink-byte total and the vehicle energy sum -- and leaves
-    :meth:`evaluate` to re-read only what moves between control ticks:
-    the link objects' live bandwidth/latency state.  The arithmetic runs
-    in exactly the order of the interpreted evaluator, so every float
-    (latency, uplink bytes, energy) is bit-identical to it -- these
-    numbers feed deadline-miss counts and per-vehicle trace hashes, where
-    "close" is not equal.
+    The placement cost model (see the module docstring).  Compilation
+    performs every lookup that does not move between control ticks --
+    topological order, tier assignment, best-fit processor selection,
+    link-table resolution, constant execution times, the uplink-byte
+    total and the vehicle energy sum -- and leaves :meth:`evaluate` to
+    re-read only the link objects' live bandwidth/latency state.  These
+    floats feed deadline-miss counts and per-vehicle trace hashes, where
+    "close" is not equal, so the order of the arithmetic is part of the
+    contract.
 
     A plan goes stale when any node it resolved processors from changes
     its processor set (``Node.version``); callers check :attr:`fresh`

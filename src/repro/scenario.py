@@ -140,7 +140,6 @@ class DriveScenario:
             from .ddi.service import DDIService
 
             self.ddi = DDIService(lambda: self.sim.now, DiskDB(ddi_root))
-        self._services: list[PolymorphicService] = []
         self._periods: dict[str, float] = {}
         self._pending_report: ScenarioReport | None = None
 
@@ -149,7 +148,6 @@ class DriveScenario:
         if period_s <= 0:
             raise ValueError("period must be positive")
         self.manager.register(service)
-        self._services.append(service)
         self._periods[service.name] = period_s
 
     def attach_obd(self, profile) -> None:
@@ -204,9 +202,10 @@ class DriveScenario:
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         report = ScenarioReport(duration_s=duration_s)
-        for service in self._services:
+        services = self.manager.services
+        for service in services:
             report.services[service.name] = ServiceReport(name=service.name)
-        next_invocation = {service.name: 0.0 for service in self._services}
+        next_invocation = {service.name: 0.0 for service in services}
         # (service, pipeline) -> reusable vehicle-share TaskGraph (or None
         # when the pipeline places nothing locally).  The share's task set
         # is a pure function of the pipeline assignment; only the graph
@@ -222,10 +221,11 @@ class DriveScenario:
                 self.world.links.vehicle_edge.bandwidth_mbps = dsrc_mbps
                 if obs.enabled:
                     obs.observe("scenario.dsrc_mbps", dsrc_mbps)
-                # 2. Elastic re-tune.
-                for service in self._services:
+                # 2. Elastic re-tune of the services the manager runs
+                # (compromised, reinstalling and stopped ones sit out).
+                for choice in self.manager.retune(self.world):
+                    service = self.manager.service(choice.service)
                     service_report = report.services[service.name]
-                    choice = self.manager.choose(service, self.world)
                     previous = (
                         service_report.pipeline_timeline.values[-1]
                         if service_report.pipeline_timeline.values else None

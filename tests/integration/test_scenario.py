@@ -3,6 +3,8 @@
 import pytest
 
 from repro.apps import make_adas_service, make_amber_service
+from repro.edgeos import SecurityModule
+from repro.edgeos.service import ServiceState
 from repro.hw import catalog
 from repro.scenario import DriveScenario
 from repro.topology import SpeedProfile, build_default_world
@@ -112,6 +114,32 @@ def test_default_mode_does_not_record_executed_latency(tmp_path):
     report = s.run(30.0)
     assert outstanding_grants(s) == 0
     assert report.service("adas-perception").executed_latency.count == 0
+
+
+def test_compromised_service_sits_out_until_reinstalled():
+    """Elastic control runs only the services the manager manages: a
+    compromised service is neither re-tuned back to running nor invoked,
+    and stays compromised for the security monitor to reinstall."""
+    s = scenario()
+    adas = make_adas_service(deadline_s=0.8)
+    s.add_service(adas, period_s=1.0)
+    security = SecurityModule()
+    seen = {}
+
+    def attack(sim):
+        yield sim.timeout(2.5)
+        security.report_compromise(adas)
+        yield sim.timeout(1.0)
+        seen["state"] = adas.state
+
+    s.sim.process(attack(s.sim))
+    report = s.run(5.0)
+    assert outstanding_grants(s) == 0
+    assert report.service("adas-perception").invocations == 3
+    assert seen["state"] is ServiceState.COMPROMISED
+    assert adas.state is ServiceState.COMPROMISED
+    assert security.monitor([adas]) == ["adas-perception"]
+    assert adas.reinstall_count == 1
 
 
 @pytest.mark.parametrize("owner", ["dsf-device", "executor-slot"])

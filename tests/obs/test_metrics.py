@@ -122,17 +122,6 @@ def test_histogram_default_buckets_cover_platform_latencies():
     assert hist.count == 2 and sum(hist.bucket_counts) == 2
 
 
-def test_histogram_quantile_from_buckets_interpolates():
-    hist = Histogram("h", bounds=(1.0, 2.0, 3.0, 4.0))
-    for value in (0.5, 1.5, 2.5, 3.5):
-        hist.observe(value)
-    q = hist.quantile_from_buckets(0.5)
-    assert 0.5 <= q <= 3.5
-    assert hist.quantile_from_buckets(1.0) == pytest.approx(3.5)
-    with pytest.raises(ValueError):
-        hist.quantile_from_buckets(1.5)
-
-
 def test_p2_quantile_matches_numpy_on_smooth_data():
     rng = np.random.default_rng(0)
     samples = rng.normal(10.0, 2.0, 4000)
@@ -221,10 +210,12 @@ def test_quantile_read_mid_stream_then_more_samples():
     assert hist.quantile(0.95) != first_p95
 
 
-def test_untracked_quantile_reads_buckets():
+def test_untracked_quantile_raises():
     hist = Histogram("h", bounds=(1.0, 2.0, 3.0, 4.0))
     hist.observe_many([0.5, 1.5, 2.5, 3.5])
-    assert hist.quantile(0.75) == hist.quantile_from_buckets(0.75)
+    for q in (0.75, 1.0, 1.5):
+        with pytest.raises(ValueError, match="not tracked"):
+            hist.quantile(q)
 
 
 def test_registry_state_is_snapshot_without_estimates():
@@ -289,10 +280,16 @@ def test_merge_snapshots_round_trip():
                                         + b["histograms"]["lat"]["sum"])
     assert hist["min"] == 0.05 and hist["max"] == 6.0
     assert sum(hist["buckets"]) == 6
-    # Quantiles are re-estimated from the combined buckets.
-    assert hist["p50"] > 0.0
     gauge = merged["gauges"]["depth"]
     assert gauge == {"last": 3.0, "min": 2.0, "max": 3.0, "sets": 2}
+
+
+def test_merged_histograms_carry_no_estimates():
+    snap = _loaded_registry().snapshot()
+    empty = {"counters": {}, "gauges": {}, "histograms": {}}
+    state = _loaded_registry().state()["histograms"]["lat"]
+    for merged in (merge_snapshots(snap, empty), merge_snapshots(snap, snap)):
+        assert set(merged["histograms"]["lat"]) == set(state)
 
 
 def test_merge_disjoint_series_unions():
