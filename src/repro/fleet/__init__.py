@@ -31,6 +31,7 @@ from .coordinator import (
     FleetCoordinator,
     FleetResult,
     FleetStats,
+    RoundTiming,
     run_inline,
     run_single_process,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "ReplayDivergence",
     "RoundAck",
     "RoundResult",
+    "RoundTiming",
     "V2VBus",
     "VehicleTraceHash",
     "WorkerFailed",

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time  # vdaplint: disable=DET001
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Any, NamedTuple, Protocol
 
 from ..obs.metrics import merge_many, mergeable_view
 from .config import FleetConfig
@@ -63,9 +63,25 @@ __all__ = [
     "FleetCoordinator",
     "FleetResult",
     "FleetStats",
+    "RoundTiming",
     "run_inline",
     "run_single_process",
 ]
+
+
+class RoundTiming(NamedTuple):
+    """Where one partition's share of one barrier round went (wall clock).
+
+    ``advance_wall_s`` is what the partition's host measured around its
+    advance (the ack's own figure); ``wait_s`` is how long the exchange
+    then waited for that ack.  A diagnostic only: no hash, artifact or
+    cross-host comparison reads it.
+    """
+
+    round_index: int
+    partition: int
+    advance_wall_s: float
+    wait_s: float
 
 
 @dataclass
@@ -78,17 +94,26 @@ class FleetStats:
     respawns: int = 0
     rounds_replayed: int = 0
     events_fired: int = 0
-    #: Wall-clock seconds each partition spent advancing (diagnostic).
-    partition_busy_s: dict[int, float] = field(default_factory=dict)
     #: Kernel events fired per partition (deterministic load signal).
     partition_events: dict[int, int] = field(default_factory=dict)
+    #: One entry per round and partition, in exchange order (diagnostic).
+    round_timings: list[RoundTiming] = field(default_factory=list)
+
+    @property
+    def partition_busy_s(self) -> dict[int, float]:
+        """Wall-clock seconds each partition spent advancing (diagnostic)."""
+        busy: dict[int, float] = {}
+        for timing in self.round_timings:
+            p = timing.partition
+            busy[p] = busy.get(p, 0.0) + timing.advance_wall_s
+        return busy
 
     def busy_spread_s(self) -> float:
         """Max-minus-min per-partition busy time: the imbalance signal."""
-        if len(self.partition_busy_s) < 2:
+        busy = self.partition_busy_s
+        if len(busy) < 2:
             return 0.0
-        values = self.partition_busy_s.values()
-        return max(values) - min(values)
+        return max(busy.values()) - min(busy.values())
 
     def critical_events(self) -> int:
         """Events on the busiest partition: the per-round critical path.
@@ -185,9 +210,11 @@ def _exchange(
             host.send_advance(p, commands[p])
         pending = {p: [] for p in partitions}
         for p in partitions:
+            started = time.perf_counter()  # vdaplint: disable=DET001
             ack = host.await_ack(p, commands[p])
-            stats.partition_busy_s[p] = (
-                stats.partition_busy_s.get(p, 0.0) + ack.advance_wall_s
+            wait_s = time.perf_counter() - started  # vdaplint: disable=DET001
+            stats.round_timings.append(
+                RoundTiming(round_index, p, ack.advance_wall_s, wait_s)
             )
             for env in ack.outbound:
                 pending[dst_partition[env.dst]].append(env)

@@ -9,6 +9,10 @@ lists and folds them into the recorder once per sim step via
 :meth:`flush` (wired through :meth:`repro.sim.core.Simulator.
 add_flush_hook`).  Counter sums and histogram states are exactly what
 per-task recording would have produced; only the call count changes.
+
+A flush carries a handful of samples per device, too few to pay for a
+numpy batch, so each device's four series are resolved once per
+recorder and the samples are fed to the histograms one by one.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ class TaskAccounting:
       ledger tying scheduled work back to the ``repro.nn`` cost models).
     """
 
-    __slots__ = ("_exec", "_wait", "_gops", "_metric_names")
+    __slots__ = ("_exec", "_wait", "_gops", "_metric_names", "_obs", "_series")
 
     def __init__(self, prefix: str = "vcu"):
         # device -> list of per-task samples (exec and wait stay sample
@@ -44,6 +48,10 @@ class TaskAccounting:
             f"{prefix}.queue_wait_s",
             f"{prefix}.task_gops",
         )
+        # device -> its four series in ``_metric_names`` order, resolved
+        # from ``_obs``; a flush into another recorder resolves afresh.
+        self._obs: Recorder | None = None
+        self._series: dict[str, tuple] = {}
 
     def record(
         self, device: str, exec_s: float, wait_s: float, work_gop: float
@@ -72,13 +80,32 @@ class TaskAccounting:
         """
         if not self._exec:
             return
-        completed, exec_name, wait_name, gops_name = self._metric_names
+        if obs is not self._obs:
+            self._obs = obs
+            self._series = {}
         for device in sorted(self._exec):
+            series = self._series.get(device)
+            if series is None:
+                series = self._series[device] = self._resolve(obs, device)
+            completed, exec_hist, wait_hist, gops = series
             exec_samples = self._exec[device]
-            obs.count(completed, len(exec_samples), device=device)
-            obs.observe_batch(exec_name, exec_samples, device=device)
-            obs.observe_batch(wait_name, self._wait[device], device=device)
-            obs.count(gops_name, self._gops[device], device=device)
+            completed.inc(len(exec_samples))
+            observe = exec_hist.observe
+            for value in exec_samples:
+                observe(value)
+            observe = wait_hist.observe
+            for value in self._wait[device]:
+                observe(value)
+            gops.inc(self._gops[device])
         self._exec.clear()
         self._wait.clear()
         self._gops.clear()
+
+    def _resolve(self, obs: Recorder, device: str) -> tuple:
+        completed, exec_name, wait_name, gops_name = self._metric_names
+        return (
+            obs.counter(completed, device=device),
+            obs.histogram(exec_name, device=device),
+            obs.histogram(wait_name, device=device),
+            obs.counter(gops_name, device=device),
+        )

@@ -326,19 +326,8 @@ class MetricRegistry:
     def __init__(self):
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], object] = {}
 
-    @staticmethod
-    def _labels_key(labels: dict) -> tuple[tuple[str, str], ...]:
-        # Per-event hot path: most series carry zero or one label, where
-        # sorting is a no-op -- skip the generator + sorted() machinery.
-        if not labels:
-            return ()
-        if len(labels) == 1:
-            ((k, v),) = labels.items()
-            return ((str(k), str(v)),)
-        return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
     def _get_or_create(self, kind, name: str, labels: dict, **kwargs):
-        key = (name, self._labels_key(labels))
+        key = (name, tuple(sorted((str(k), str(v)) for k, v in labels.items())))
         metric = self._metrics.get(key)
         if metric is None:
             metric = kind(name=name, labels=key[1], **kwargs)

@@ -14,6 +14,13 @@ nothing and :attr:`Recorder.tracing` is False, so the kernel also skips
 its per-event queue-depth samples.  Fleet partitions use it, because they
 ship mergeable metric state and nothing else.
 
+A record costs one dict lookup: the Collector keeps a cache per metric
+kind keyed by the raw call (name plus label items), in front of the
+registry, which alone creates, canonicalizes and kind-checks a series.
+Hot loops that feed one series many times resolve it once through
+:meth:`Recorder.counter` / :meth:`Recorder.histogram` and call the
+series directly.
+
 The single-wiring-point pattern: hand one Collector to
 ``Simulator(obs=...)`` (or ``DriveScenario(observe=...)``) and every
 subsystem sharing that simulator records into it.
@@ -24,7 +31,7 @@ from __future__ import annotations
 import os
 from typing import Callable
 
-from .metrics import MetricRegistry
+from .metrics import Counter, Gauge, Histogram, MetricRegistry
 from .trace import Span, SpanTracer
 
 __all__ = ["Recorder", "Collector", "NULL_RECORDER"]
@@ -41,6 +48,19 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+
+
+class _NullSeries:
+    """Reusable do-nothing series handle (what the null sink resolves to)."""
+
+    def inc(self, n: float = 1.0) -> None:
+        return None
+
+    def observe(self, value: float) -> None:
+        return None
+
+
+_NULL_SERIES = _NullSeries()
 
 
 class Recorder:
@@ -74,6 +94,16 @@ class Recorder:
         accumulate locally and flush once through this hook.
         """
 
+    def counter(self, name: str, **labels):
+        """The series ``count(name, **labels)`` bumps, as a handle with
+        ``inc(n)``: a hot loop resolves it once (a no-op handle here)."""
+        return _NULL_SERIES
+
+    def histogram(self, name: str, **labels):
+        """The series ``observe(name, value, **labels)`` feeds, as a
+        handle with ``observe(value)`` (a no-op handle here)."""
+        return _NULL_SERIES
+
     def span(self, name: str, track: str = "main", **args):
         """Context manager timing a nested block (no-op here)."""
         return _NULL_SPAN
@@ -96,6 +126,15 @@ class Collector(Recorder):
 
     ``trace=False`` leaves the tracer out: spans, async spans and
     instants are dropped, and there is no trace to export.
+
+    Each record method looks its series up in a per-kind cache keyed by
+    the raw call: ``name`` alone, or the flat tuple ``(name, *labels,
+    *labels.values())`` (its length fixes where the names end).  A miss
+    asks the registry, exactly as an uncached call would, and caches the
+    answer only when every label value is a ``str``: values of other
+    types can compare equal while rendering differently (``1``, ``1.0``,
+    ``True``), so they always take the registry's path.  An unhashable
+    value fails the lookup with ``TypeError`` and takes that path too.
     """
 
     enabled = True
@@ -106,25 +145,54 @@ class Collector(Recorder):
         self.registry = MetricRegistry()
         self.tracing = trace
         self.tracer = SpanTracer(clock) if trace else None
+        self._counters: dict[object, Counter] = {}
+        self._gauges: dict[object, Gauge] = {}
+        self._histograms: dict[object, Histogram] = {}
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         if self.tracer is not None:
             self.tracer.clock = clock
 
+    @staticmethod
+    def _series(cache: dict, create, name: str, labels: dict):
+        """The series ``create(name, **labels)`` names, one dict lookup
+        once cached (see the class docstring for what is cached)."""
+        key = (name, *labels, *labels.values()) if labels else name
+        try:
+            return cache[key]
+        except (KeyError, TypeError):
+            pass
+        metric = create(name, **labels)
+        for value in labels.values():
+            if type(value) is not str:
+                return metric
+        cache[key] = metric
+        return metric
+
     def count(self, name: str, n: float = 1.0, **labels) -> None:
-        self.registry.counter(name, **labels).inc(n)
+        self._series(self._counters, self.registry.counter, name, labels).inc(n)
 
     def gauge(self, name: str, value: float, **labels) -> None:
-        self.registry.gauge(name, **labels).set(value)
+        self._series(self._gauges, self.registry.gauge, name, labels).set(value)
 
     def observe(self, name: str, value: float, **labels) -> None:
-        self.registry.histogram(name, **labels).observe(value)
+        self._series(
+            self._histograms, self.registry.histogram, name, labels
+        ).observe(value)
 
     def observe_batch(self, name: str, values, **labels) -> None:
         # An empty batch must not materialize the series (a sequence of
         # zero observe() calls would not have).
         if len(values):
-            self.registry.histogram(name, **labels).observe_many(values)
+            self.histogram(name, **labels).observe_many(values)
+
+    def counter(self, name: str, **labels) -> Counter:
+        return self._series(self._counters, self.registry.counter, name, labels)
+
+    def histogram(self, name: str, **labels) -> Histogram:
+        return self._series(
+            self._histograms, self.registry.histogram, name, labels
+        )
 
     def span(self, name: str, track: str = "main", **args) -> Span | _NullSpan:
         if self.tracer is None:

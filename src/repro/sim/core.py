@@ -143,17 +143,14 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        #: The name with per-invocation suffixes stripped (label-safe).
+        self.short_name = self.name.split("@", 1)[0]
         self._waiting_on: Optional[Event] = None
         self._spawned_at = sim.now
         # Bootstrap: step the generator at the current time.
         bootstrap = Event(sim)
         bootstrap.callbacks.append(self._step)
         bootstrap.succeed()
-
-    @property
-    def short_name(self) -> str:
-        """The name with per-invocation suffixes stripped (label-safe)."""
-        return self.name.split("@", 1)[0]
 
     @property
     def is_alive(self) -> bool:
@@ -607,7 +604,12 @@ class Simulator:
         return self.checkpoint()
 
     def step(self) -> float:
-        """Process exactly one event; returns the new time."""
+        """Process exactly one event; returns the new time.
+
+        Records what :meth:`run` records for the same event (the event
+        count and, on a tracing recorder, the queue-depth sample), so a
+        schedule's metrics do not depend on which method fired it.
+        """
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
         when, _seq, event = self._queue.pop()
@@ -616,6 +618,8 @@ class Simulator:
         obs = self.obs
         if obs.enabled:
             obs.count("sim.events_fired")
+            if obs.tracing:
+                obs.observe("sim.queue_depth", len(self._queue))
         if self._taps:
             for tap in self._taps:
                 tap(event, when)

@@ -99,7 +99,11 @@ class DeterminismSanitizer:
     Trace lines are buffered and folded into the hash in batches -- at
     most :attr:`FOLD_LINES` at a time and on every read -- rather than
     one ``update`` per event.  BLAKE2 is streaming, so the digest is the
-    one a per-line fold gives.
+    one a per-line fold gives.  Many events share one fire time, so the
+    ``repr`` of the last nonzero float time is kept and reused while it
+    repeats: equal nonzero floats have equal bits, hence equal reprs
+    (``0.0 == -0.0`` and ``5 == 5.0`` do not, so those are formatted
+    afresh).
     """
 
     #: Buffered trace lines that force a fold into the hash.
@@ -113,6 +117,8 @@ class DeterminismSanitizer:
         self.rng_counts: dict[tuple[str, str], int] = {}
         self._hash = hashlib.blake2b(digest_size=16)
         self._lines: list[str] = []
+        self._last_when: Optional[float] = None
+        self._last_when_text = ""
         self._watched: list[tuple[Any, Any]] = []
         sim.add_trace_tap(self._record)
         self._attached = True
@@ -124,9 +130,16 @@ class DeterminismSanitizer:
         self.event_count = seq + 1
         name = getattr(event, "name", "") or ""
         kind = type(event).__name__
-        # The f-string *is* the hashed trace line -- it cannot be hoisted.
+        if when == self._last_when and type(when) is float:
+            when_text = self._last_when_text
+        else:
+            when_text = repr(when)
+            if type(when) is float and when:
+                self._last_when = when
+                self._last_when_text = when_text
+        # The hashed trace line is f"{seq}|{when!r}|{kind}|{name}\n".
         lines = self._lines
-        lines.append(f"{seq}|{when!r}|{kind}|{name}\n")
+        lines.append(f"{seq}|{when_text}|{kind}|{name}\n")
         if len(lines) >= self.FOLD_LINES:
             self._fold()
         if self.keep_records:

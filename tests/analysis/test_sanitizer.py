@@ -160,3 +160,50 @@ def test_buffered_digest_equals_a_per_line_fold(monkeypatch, fold_lines):
 def _ticker(sim, period_s):
     for _ in range(12):
         yield sim.timeout(period_s)
+
+
+def _documented_digest(records):
+    digest = hashlib.blake2b(digest_size=16)
+    for r in records:
+        digest.update(f"{r.seq}|{r.time!r}|{r.kind}|{r.name}\n".encode())
+    return digest.hexdigest()
+
+
+def test_trace_hash_is_the_digest_of_the_documented_lines():
+    sim = Simulator()
+    sanitizer = DeterminismSanitizer(sim, keep_records=True)
+
+    def burst(sim):
+        yield sim.all_of([sim.timeout(1.5) for _ in range(20)])
+
+    for k in range(3):  # consecutive distinct times, from t=0.0 on
+        sim.process(_ticker(sim, 0.1 * (k + 1)), name=f"ticker-{k}")
+    sim.process(burst(sim), name="burst")
+    sim.run()
+    # An int ``until`` leaves an int clock: a zero-delay timeout then
+    # fires at an int time, and an event succeeded next at the equal
+    # float time, so both reprs of one value reach the hash.
+    sim.run(until=int(sim.now) + 2)
+    sim.timeout(0)
+    sim.event().succeed()
+    sim.run()
+    times = [r.time for r in sanitizer.records]
+    assert times.count(0.0) >= 3 and times.count(1.5) >= 20
+    assert {type(t) for t in times} == {int, float}
+    assert sanitizer.trace_hash == _documented_digest(sanitizer.records)
+
+
+def test_trace_tap_formats_every_time_it_cannot_reuse():
+    class Tapped:
+        def add_trace_tap(self, tap):
+            self.tap = tap
+
+    class Named:
+        name = "e"
+
+    sim = Tapped()
+    sanitizer = DeterminismSanitizer(sim, keep_records=True)
+    for when in (0.0, -0.0, 0.0, 2.5, 2.5, 2.5, 2, 2.5, 3.0, 3, 3.0,
+                 float("nan"), float("nan"), 1e-300, 1e-300, -0.0):
+        sim.tap(Named(), when)
+    assert sanitizer.trace_hash == _documented_digest(sanitizer.records)

@@ -63,6 +63,13 @@ class TestEquality:
                      "partition_events"):
             assert (getattr(result.stats, name)
                     == getattr(inline.stats, name)), name
+        # Wall-clock round timing is kept by both hosts, compared by none.
+        for stats in (result.stats, inline.stats):
+            assert [(t.round_index, t.partition)
+                    for t in stats.round_timings] == [
+                (r, p) for r in range(stats.rounds)
+                for p in range(shaped.partitions)
+            ]
 
     def test_inline_run_reports_busy_time_outside_every_hash(self, config,
                                                              reference):
@@ -73,6 +80,28 @@ class TestEquality:
             assert inline.stats.partition_busy_s[partition] > 0.0, partition
         assert inline.vehicle_hashes == reference.vehicle_hashes
         assert inline.metrics == reference.metrics
+
+    @pytest.mark.parametrize("partitions", [1, 3])
+    def test_round_timings_hold_one_entry_per_round_and_partition(
+            self, config, partitions):
+        shaped = replace(config, vehicles=6, partitions=partitions)
+        stats = run_inline(shaped).stats
+        rounds = len(shaped.barriers())
+        assert stats.rounds == rounds > 1
+        assert [(t.round_index, t.partition)
+                for t in stats.round_timings] == [
+            (r, p) for r in range(rounds) for p in range(partitions)
+        ]
+        for timing in stats.round_timings:
+            assert timing.advance_wall_s > 0.0 and timing.wait_s >= 0.0
+        # Busy time is the per-round advances summed per partition.
+        assert stats.partition_busy_s == {
+            p: sum(t.advance_wall_s for t in stats.round_timings
+                   if t.partition == p)
+            for p in range(partitions)
+        }
+        # Timing stays out of the result's hashed and compared parts.
+        assert "round_timings" not in stats.as_dict()
 
     def test_report_renders(self, config, reference):
         text = reference.report().to_text()

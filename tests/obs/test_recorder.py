@@ -125,3 +125,80 @@ def test_kernel_samples_queue_depth_only_for_a_tracing_recorder():
     # Every other kernel series is recorded the same either way.
     assert lean["counters"] == traced["counters"]
     assert lean["counters"]["sim.events_fired"] > 0
+
+
+def test_cached_series_keeps_its_kind():
+    import pytest
+
+    collector = Collector()
+    collector.count("x")
+    collector.count("x")  # now served from the counter cache
+    with pytest.raises(TypeError, match="already registered as Counter"):
+        collector.gauge("x", 1.0)
+    with pytest.raises(TypeError, match="already registered as Counter"):
+        collector.observe("x", 1.0)
+    assert collector.snapshot()["counters"]["x"] == 2.0
+
+
+def test_label_order_lands_on_one_series():
+    collector = Collector()
+    collector.count("x", a=1, b=2)
+    collector.count("x", b=2, a=1)
+    collector.count("x", a="1", b="2")
+    collector.count("x", b="2", a="1")
+    collector.count("x", b="2", a="1")
+    # Same values under other names are other series.
+    collector.count("x", a="2", b="1")
+    collector.count("x", a="1")
+    collector.count("x", b="1")
+    assert collector.snapshot()["counters"] == {
+        "x{a=1,b=2}": 5.0, "x{a=2,b=1}": 1.0, "x{a=1}": 1.0, "x{b=1}": 1.0,
+    }
+
+
+def test_label_values_are_canonicalized_past_the_cache():
+    collector = Collector()
+    for _ in range(2):
+        collector.count("x", k=1)
+        collector.count("x", k="1")
+    # Equal values that render differently stay distinct series.
+    collector.count("x", k=True)
+    collector.count("x", k=1.0)
+    assert collector.snapshot()["counters"] == {
+        "x{k=1}": 4.0, "x{k=True}": 1.0, "x{k=1.0}": 1.0,
+    }
+
+
+def test_unhashable_label_values_take_the_registry_path():
+    collector = Collector()
+    collector.count("x", k=[1])
+    collector.count("x", k="[1]")
+    collector.observe("h", 0.5, k={"a": 1})
+    snap = collector.snapshot()
+    assert snap["counters"] == {"x{k=[1]}": 2.0}
+    assert snap["histograms"]["h{k={'a': 1}}"]["count"] == 1
+
+
+def test_empty_batch_creates_no_series_even_after_caching():
+    collector = Collector()
+    collector.observe_batch("lat", [])
+    assert collector.snapshot()["histograms"] == {}
+    collector.observe_batch("lat", [0.1, 0.2])
+    collector.observe_batch("lat", [])
+    collector.observe_batch("other", [], device="gpu")
+    assert list(collector.snapshot()["histograms"]) == ["lat"]
+    assert collector.snapshot()["histograms"]["lat"]["count"] == 2
+
+
+def test_series_handles_are_the_recorded_series():
+    collector = Collector()
+    collector.counter("jobs", tier="edge").inc(2.0)
+    collector.count("jobs", tier="edge")
+    collector.histogram("lat", device="gpu").observe(0.3)
+    collector.observe("lat", 0.5, device="gpu")
+    snap = collector.snapshot()
+    assert snap["counters"]["jobs{tier=edge}"] == 3.0
+    assert snap["histograms"]["lat{device=gpu}"]["count"] == 2
+    # The null sink hands out do-nothing handles.
+    NULL_RECORDER.counter("jobs").inc(1.0)
+    NULL_RECORDER.histogram("lat").observe(0.1)

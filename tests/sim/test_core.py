@@ -431,3 +431,30 @@ def test_nested_processes_three_deep():
     proc = sim.process(level1(sim))
     sim.run()
     assert proc.value == 113
+
+
+@pytest.mark.parametrize("trace", [True, False], ids=["tracing", "metrics-only"])
+def test_step_records_what_run_records(trace):
+    from repro.obs import Collector
+
+    def schedule(sim):
+        def worker(sim, period_s):
+            for _ in range(4):
+                yield sim.timeout(period_s)
+
+        def joiner(sim):
+            yield sim.all_of([sim.process(worker(sim, p), name=f"w@{p}")
+                              for p in (0.5, 1.0, 1.0)])
+            yield sim.timeout(0.0)
+
+        sim.process(joiner(sim), name="joiner")
+        return sim
+
+    run_collector, step_collector = Collector(trace=trace), Collector(trace=trace)
+    schedule(Simulator(obs=run_collector)).run()
+    stepped = schedule(Simulator(obs=step_collector))
+    while stepped.peek() != float("inf"):
+        stepped.step()
+    assert step_collector.snapshot() == run_collector.snapshot()
+    histograms = run_collector.snapshot()["histograms"]
+    assert ("sim.queue_depth" in histograms) is trace
