@@ -8,10 +8,6 @@ property checked on every commit instead of a convention in DESIGN.md:
 * a from-scratch, stdlib-``ast`` lint engine (:mod:`.engine`) with a
   single-file rule pack encoding the platform invariants (:mod:`.rules`)
   and inline suppression pragmas;
-* a **semantic** tier: a forward abstract interpreter inferring
-  physical units from naming conventions and ``# unit:`` pragmas
-  (:mod:`.units` -- UNIT001/UNIT002/UNIT003), run by one serial pass
-  that parses each file once (:mod:`.semantic`);
 * a **scenario** tier (:mod:`.scenario`): static validation of
   declarative fleet scenario files (:mod:`repro.scenarios`) -- schema,
   unit suffixes and cross-references (SCN001-003), the compiler's
@@ -45,57 +41,27 @@ from .scenario import (
     scenario_rules,
     scenario_rules_by_id,
 )
-from .semantic import (
-    SEMANTIC_RULE_CLASSES,
-    analyze_files,
-    semantic_rules,
-    semantic_rules_by_id,
-)
-from .units import (
-    UNIT_RULE_CLASSES,
-    ModuleSummary,
-    SignatureIndex,
-    Unit,
-    UnitChecker,
-    infer_module_name,
-    parse_name_unit,
-    parse_unit_expr,
-    summarize_module,
-)
 from .cli import main
 
 __all__ = [
     "FileContext",
     "Finding",
     "LintEngine",
-    "ModuleSummary",
     "Pragmas",
     "RULE_CLASSES",
     "Rule",
     "SCENARIO_RULE_CLASSES",
-    "SEMANTIC_RULE_CLASSES",
     "SKIP_MARKER",
     "ScenarioAnalyzer",
-    "SignatureIndex",
-    "UNIT_RULE_CLASSES",
-    "Unit",
-    "UnitChecker",
-    "analyze_files",
     "default_rules",
     "discover_files",
     "discover_scenario_files",
-    "infer_module_name",
     "lint_paths",
     "lint_source",
     "main",
-    "parse_name_unit",
-    "parse_unit_expr",
     "render_json",
     "render_text",
     "rules_by_id",
     "scenario_rules",
     "scenario_rules_by_id",
-    "semantic_rules",
-    "semantic_rules_by_id",
-    "summarize_module",
 ]

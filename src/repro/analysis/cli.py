@@ -9,9 +9,9 @@ Exit codes are stable so CI can gate on them:
 
 Every finding counts; none is grandfathered.
 
-The per-file and semantic rules run in one serial pass over every
-Python file; ``--scenarios`` additionally validates scenario DSL files.
-Both share the same reporting and pragma machinery.
+The per-file rules run in one serial pass over every Python file;
+``--scenarios`` additionally validates scenario DSL files.  Both share
+the same reporting and pragma machinery.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .engine import Rule, discover_files
+from .engine import LintEngine, Rule, discover_files
 from .reporter import render_json, render_text
 from .rules import default_rules, rules_by_id
 from .scenario import (
@@ -29,7 +29,6 @@ from .scenario import (
     scenario_rules,
     scenario_rules_by_id,
 )
-from .semantic import analyze_files, semantic_rules, semantic_rules_by_id
 
 __all__ = ["build_parser", "main"]
 
@@ -40,9 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vdaplint",
         description=(
             "AST-based determinism & safety linter for the OpenVDAP "
-            "reproduction: one shared tree walk per file, a semantic "
-            "units pass, optional scenario validation and pragma "
-            "suppression."
+            "reproduction: one shared tree walk per file, optional "
+            "scenario validation and pragma suppression."
         ),
     )
     parser.add_argument(
@@ -80,12 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _pick_rules(
     select: Optional[str], ignore: Optional[str],
     parser: argparse.ArgumentParser,
-) -> tuple[list[Rule], list[Rule], list[Rule]]:
-    """Split the selection into (per-file, semantic, scenario)."""
+) -> tuple[list[Rule], list[Rule]]:
+    """Split the selection into (per-file, scenario)."""
     file_catalogue = rules_by_id()
-    semantic_catalogue = semantic_rules_by_id()
     scenario_catalogue = scenario_rules_by_id()
-    catalogue = {**file_catalogue, **semantic_catalogue, **scenario_catalogue}
+    catalogue = {**file_catalogue, **scenario_catalogue}
 
     def parse_ids(raw: str) -> list[str]:
         ids = [part.strip() for part in raw.split(",") if part.strip()]
@@ -97,14 +94,13 @@ def _pick_rules(
     if select:
         chosen = [catalogue[rule_id] for rule_id in parse_ids(select)]
     else:
-        chosen = default_rules() + semantic_rules() + scenario_rules()
+        chosen = default_rules() + scenario_rules()
     if ignore:
         skipped = set(parse_ids(ignore))
         chosen = [rule for rule in chosen if rule.id not in skipped]
     file_rules = [r for r in chosen if r.id in file_catalogue]
-    semantic_pack = [r for r in chosen if r.id in semantic_catalogue]
     scenario_pack = [r for r in chosen if r.id in scenario_catalogue]
-    return file_rules, semantic_pack, scenario_pack
+    return file_rules, scenario_pack
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -115,15 +111,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         for rule in default_rules():
             print(f"{rule.id}  {rule.name}: {rule.description}")
-        for rule in semantic_rules():
-            print(f"{rule.id}  {rule.name} [semantic]: {rule.description}")
         for rule in scenario_rules():
             print(f"{rule.id}  {rule.name} [scenario]: {rule.description}")
         return 0
 
-    file_rules, semantic_pack, scenario_pack = _pick_rules(
-        args.select, args.ignore, parser
-    )
+    file_rules, scenario_pack = _pick_rules(args.select, args.ignore, parser)
     if args.select and scenario_pack and not args.scenarios:
         parser.error(
             "scenario rules selected "
@@ -142,7 +134,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except FileNotFoundError as err:
             parser.error(f"no such path: {err.args[0]}")
 
-    findings = analyze_files(files, file_rules, semantic_pack)
+    findings = LintEngine(file_rules).lint_paths(files)
 
     if args.scenarios and scenario_files:
         scenario_findings = ScenarioAnalyzer(scenario_pack).analyze_files(

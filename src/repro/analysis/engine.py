@@ -273,11 +273,6 @@ class LintEngine:
                     message=f"syntax error: {err.msg}",
                 )
             ]
-        return self.lint_parsed(path, source, tree)
-
-    def lint_parsed(self, path: str, source: str,
-                    tree: ast.Module) -> list[Finding]:
-        """Lint an already-parsed module."""
         ctx = FileContext(path, source, tree)
         self._walk(tree, ctx)
         pragmas = Pragmas(source)

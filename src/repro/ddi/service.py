@@ -102,7 +102,7 @@ class DDIService:
         """Keyword (time/location) query: cache first, disk on miss."""
         self.downloads += 1
         # A request is cache-servable when every 10 s bucket in range is hot.
-        bucket_s = 10.0  # unit: s
+        bucket_s = 10.0
         first = int(t0 // bucket_s)
         last = int((t1 - 1e-9) // bucket_s)
         buckets = [f"{stream}:{b}" for b in range(first, last + 1)]

@@ -6,8 +6,7 @@ says which (``deadline_s``, ``tx_bytes``, ``drive_efficiency_wh_per_km``).
 This module turns those suffixes into a :class:`Unit` -- base-dimension
 exponents plus a scale -- so two spellings of one quantity can be
 compared.  The scenario schema uses it to catch ``barrier_ms`` written
-for ``barrier_s`` (SCN002); the ``vdaplint`` unit checker
-(:mod:`repro.analysis.units`) builds its dimension algebra on it.
+for ``barrier_s`` (SCN002).
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
-    "DIMENSIONLESS",
     "SUFFIX_UNITS",
     "Unit",
     "parse_name_unit",
-    "parse_unit_expr",
     "split_name_unit",
 ]
 
@@ -41,60 +38,30 @@ class Unit:
     ``dims`` is a sorted tuple of ``(base, exponent)`` pairs with zero
     exponents elided; two units are *dimension-compatible* when their
     ``dims`` match.  ``scale`` is the magnitude relative to the canonical
-    base unit (seconds, bytes, joules, ops, metres); ``None`` means the
-    scale is unknown (e.g. after multiplying by a bare literal), in which
-    case only the dimension is checked.
+    base unit (seconds, bytes, joules, ops, metres).
     """
 
     dims: tuple[tuple[str, int], ...]
-    scale: Optional[float] = 1.0
+    scale: float = 1.0
 
     @staticmethod
-    def make(dims: dict[str, int], scale: Optional[float] = 1.0) -> "Unit":
+    def make(dims: dict[str, int], scale: float = 1.0) -> "Unit":
         packed = tuple(sorted((k, v) for k, v in dims.items() if v))
         return Unit(packed, scale)
-
-    @property
-    def dimensionless(self) -> bool:
-        return not self.dims
 
     def same_dimension(self, other: "Unit") -> bool:
         return self.dims == other.dims
 
     def same_scale(self, other: "Unit") -> bool:
-        """False only when both scales are known and disagree."""
-        if self.scale is None or other.scale is None:
-            return True
         return abs(self.scale - other.scale) <= 1e-12 * max(
             abs(self.scale), abs(other.scale), 1.0
         )
 
-    def unanchored(self) -> "Unit":
-        """The same dimension with the scale forgotten."""
-        return Unit(self.dims, None)
-
-    def _combine(self, other: "Unit", sign: int) -> "Unit":
+    def div(self, other: "Unit") -> "Unit":
         dims = dict(self.dims)
         for base, exp in other.dims:
-            dims[base] = dims.get(base, 0) + sign * exp
-        if self.scale is None or other.scale is None:
-            scale: Optional[float] = None
-        elif sign > 0:
-            scale = self.scale * other.scale
-        else:
-            scale = self.scale / other.scale if other.scale else None
-        return Unit.make(dims, scale)
-
-    def mul(self, other: "Unit") -> "Unit":
-        return self._combine(other, +1)
-
-    def div(self, other: "Unit") -> "Unit":
-        return self._combine(other, -1)
-
-    def pow(self, exponent: int) -> "Unit":
-        dims = {base: exp * exponent for base, exp in self.dims}
-        scale = None if self.scale is None else self.scale ** exponent
-        return Unit.make(dims, scale)
+            dims[base] = dims.get(base, 0) - exp
+        return Unit.make(dims, self.scale / other.scale)
 
     def render(self) -> str:
         """Human name: a known unit token if one matches, else composed."""
@@ -114,12 +81,9 @@ class Unit:
         text = "*".join(num) or "1"
         if den:
             text += "/" + "/".join(den)
-        if self.scale is not None and self.scale != 1.0:
+        if self.scale != 1.0:
             text += f" (x{self.scale:g})"
         return text
-
-
-DIMENSIONLESS = Unit.make({})
 
 
 def _u(dims: dict[str, int], scale: float = 1.0) -> Unit:
@@ -184,10 +148,9 @@ SUFFIX_UNITS: dict[str, Unit] = {
 }
 
 #: Preferred display name per (dims, scale) -- first token wins.
-_NAMED_UNITS: dict[tuple[tuple[tuple[str, int], ...], Optional[float]], str] = {}
+_NAMED_UNITS: dict[tuple[tuple[tuple[str, int], ...], float], str] = {}
 for _token, _unit in SUFFIX_UNITS.items():
     _NAMED_UNITS.setdefault((_unit.dims, _unit.scale), _token)
-_NAMED_UNITS[(DIMENSIONLESS.dims, 1.0)] = "dimensionless"
 
 
 def parse_name_unit(name: str) -> Optional[Unit]:
@@ -218,46 +181,13 @@ def split_name_unit(name: str) -> tuple[str, Optional[Unit]]:
     for start in range(len(tokens)):
         if start > 0 and tokens[start - 1] == "per":
             return name, None
-        segment = tokens[start:]
-        unit = _parse_segment(segment)
-        if unit is not None:
-            if start == 0 and len(segment) == 1 and len(segment[0]) < 2:
-                return name, None
+        unit = SUFFIX_UNITS.get(tokens[start])
+        if unit is None:
+            continue
+        rest = tokens[start + 1:]
+        while len(rest) >= 2 and rest[0] == "per" and rest[1] in SUFFIX_UNITS:
+            unit = unit.div(SUFFIX_UNITS[rest[1]])
+            rest = rest[2:]
+        if not rest:
             return "_".join(tokens[:start]), unit
     return name, None
-
-
-def _parse_segment(tokens: list[str]) -> Optional[Unit]:
-    if not tokens or tokens[0] not in SUFFIX_UNITS:
-        return None
-    unit = SUFFIX_UNITS[tokens[0]]
-    rest = tokens[1:]
-    while rest:
-        if len(rest) < 2 or rest[0] != "per" or rest[1] not in SUFFIX_UNITS:
-            return None
-        unit = unit.div(SUFFIX_UNITS[rest[1]])
-        rest = rest[2:]
-    return unit
-
-
-def parse_unit_expr(text: str) -> Optional[Unit]:
-    """Parse a ``# unit:`` pragma expression.
-
-    Accepts a suffix expression (``s``, ``mbps``, ``wh_per_km``), a slash
-    form (``wh/km``, ``bytes/s``), or ``1``/``dimensionless``/``none`` for
-    an explicitly unitless quantity.
-    """
-    text = text.strip().lower()
-    if text in ("1", "dimensionless", "none", "unitless"):
-        return DIMENSIONLESS
-    parts = text.split("/")
-    unit: Optional[Unit] = None
-    for i, part in enumerate(parts):
-        sub = _parse_segment(part.split("_"))
-        if sub is None:
-            return None
-        unit = sub if unit is None else unit.div(sub)
-        if i > 0 and unit is None:  # pragma: no cover - defensive
-            return None
-    return unit
-

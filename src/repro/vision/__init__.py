@@ -26,7 +26,7 @@ if TYPE_CHECKING:
     from .image import SceneTruth, background_patch, road_scene, vehicle_patch
     from .lane import LaneResult, detect_lanes, gaussian_blur, hough_lines, sobel_edges
     from .ocr import FONT, plate_quality_to_noise, read_plate, render_plate
-    from .table1 import AlgorithmLatency, default_detectors, table1_rows
+    from .table1 import AlgorithmLatency, table1_rows
 
 __all__ = [
     "AlgorithmLatency",
@@ -41,7 +41,6 @@ __all__ = [
     "SceneTruth",
     "WeakClassifier",
     "background_patch",
-    "default_detectors",
     "FONT",
     "detect_lanes",
     "plate_quality_to_noise",

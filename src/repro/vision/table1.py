@@ -14,23 +14,18 @@ import numpy as np
 
 from ..hw.catalog import aws_vcpu_2_4ghz
 from ..hw.processor import ProcessorModel, WorkloadClass
-from .cnn_detect import (
-    CnnDetector,
-    replay_cnn_training_draws,
-    train_cnn_detector,
-    untrained_cnn_detector,
-)
+from .cnn_detect import CnnDetector, replay_cnn_training_draws, untrained_cnn_detector
 from .haar import HaarDetector, train_haar_detector
 from .image import background_patch, road_scene, vehicle_patch
 from .lane import detect_lanes
 
-__all__ = ["AlgorithmLatency", "table1_rows", "default_detectors"]
+__all__ = ["AlgorithmLatency", "table1_rows"]
 
 FRAME_WIDTH = 640
 FRAME_HEIGHT = 480
 
-# The Table I CNN's shape and training, read both where it is trained
-# (default_detectors) and where its training draws are replayed (table1_rows).
+# The Table I CNN's shape and training recipe: table1_rows builds the CNN
+# untrained from the shape and replays the recipe's training draws.
 CNN_PATCH_SIZE = 32
 CNN_CHANNELS = 20
 CNN_TRAIN_COUNT = 160
@@ -53,27 +48,6 @@ def _train_haar(rng: np.random.Generator) -> HaarDetector:
     return train_haar_detector(positives, negatives, rounds=15, rng=rng)
 
 
-def default_detectors(rng: np.random.Generator | None = None) -> tuple[HaarDetector, CnnDetector]:
-    """Train the detector pair of the Table I benchmark.
-
-    :func:`table1_rows` does not call this: a detector's Table I op count
-    depends only on its architecture, and training the CNN would cost
-    seconds for weights the table never reads.  It builds the CNN
-    untrained and replays the CNN's training draws instead, so it leaves
-    ``rng`` where this function does and its scene is drawn unchanged.
-    """
-    rng = rng or np.random.default_rng(0)
-    haar = _train_haar(rng)
-    cnn = train_cnn_detector(
-        patch_size=CNN_PATCH_SIZE,
-        train_count=CNN_TRAIN_COUNT,
-        epochs=CNN_EPOCHS,
-        channels=CNN_CHANNELS,
-        rng=rng,
-    )
-    return haar, cnn
-
-
 def table1_rows(
     processor: ProcessorModel | None = None,
     haar: HaarDetector | None = None,
@@ -86,12 +60,13 @@ def table1_rows(
     generated scene; the sliding-window detectors use their analytic scan
     counts for the full 640x480 frame.
 
-    A missing detector is made as :func:`default_detectors` makes it,
-    except that the CNN is left untrained: ``scan_flops`` reads only the
-    architecture, which training does not change.  The CNN's training
-    draws are still replayed, and the Haar cascade is still trained, even
-    if only one detector is missing, so the scene is drawn from the same
-    generator state as when both detectors were trained here.
+    A missing Haar cascade is trained from ``rng``.  A missing CNN is
+    left untrained: ``scan_flops`` reads only the architecture, which
+    training does not change, and training it would cost seconds for
+    weights the table never reads.  The CNN's training draws are still
+    replayed, and the Haar cascade is still trained, even if only one
+    detector is missing, so the scene is drawn from the generator state
+    that training both detectors would leave.
     """
     processor = processor or aws_vcpu_2_4ghz()
     rng = rng or np.random.default_rng(0)

@@ -17,11 +17,12 @@ DIRTY = (
 )
 
 
-#: Rules that no longer ship: the whole-program tier, the MP pack, and the
-#: resource-protocol checker (the sim kernel enforces grant/yield/release).
+#: Rules that no longer ship: the whole-program tier, the MP pack, the
+#: resource-protocol checker (the sim kernel enforces grant/yield/release)
+#: and the unit checker (targeted tests catch the unit slips it guarded).
 RETIRED_RULE_IDS = (
     "DET101", "SIM101", "RACE001", "MP001", "MP002", "MP003",
-    "RES101", "RES102", "PROTO001",
+    "RES101", "RES102", "PROTO001", "UNIT001", "UNIT002", "UNIT003",
 )
 
 
@@ -82,8 +83,9 @@ def test_syntax_error_exits_one(tree, capsys):
     (tree / "broken.py").write_text("def broken(:\n")
     assert main(["broken.py"]) == 1
     assert "E999" in capsys.readouterr().out
-    # Semantic rules alone still report the parse failure.
-    assert main(["broken.py", "--select", "UNIT001,UNIT002"]) == 1
+    # A selection that has no rule for the file still reports the parse
+    # failure.
+    assert main(["broken.py", "--select", "API001"]) == 1
     assert "E999" in capsys.readouterr().out
 
 
@@ -106,18 +108,18 @@ def test_grandfathering_flags_are_usage_errors(tree, flags):
 
 
 def test_flow_rule_selection_requires_whole_program(tree):
-    # The whole-program, MP and resource-protocol rules are gone;
-    # selecting one is a usage error.
+    # The whole-program, MP, resource-protocol and unit rules are gone;
+    # selecting one (UNIT001 included) is a usage error.
     for rule_id in RETIRED_RULE_IDS:
         with pytest.raises(SystemExit) as exc:
             main(["clean.py", "--select", rule_id])
         assert exc.value.code == 2
 
 
-def test_list_rules_tags_three_packs(capsys):
+def test_list_rules_tags_two_packs(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "[semantic]" in out and "[scenario]" in out
-    assert "[whole-program]" not in out
+    assert "[scenario]" in out
+    assert "[semantic]" not in out and "[whole-program]" not in out
     for rule_id in RETIRED_RULE_IDS:
         assert rule_id not in out

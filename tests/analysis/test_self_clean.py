@@ -9,13 +9,7 @@ import os
 import tokenize
 
 import repro
-from repro.analysis import (
-    analyze_files,
-    default_rules,
-    lint_paths,
-    scenario_rules,
-    semantic_rules,
-)
+from repro.analysis import default_rules, lint_paths, scenario_rules
 from repro.analysis.engine import PRAGMA_RE, discover_files
 
 
@@ -29,19 +23,6 @@ def test_vdaplint_reports_zero_violations_on_src_repro():
     assert not findings, f"vdaplint found violations in src/repro:\n{rendered}"
 
 
-def test_semantic_tier_reports_zero_violations_on_src_repro():
-    """UNIT must be clean too: every public API carries coherent unit
-    suffixes."""
-    files = discover_files([repro_source_root()])
-    findings = analyze_files(files, [], semantic_rules())
-    rendered = "\n".join(
-        f"{f.location()}: {f.rule} {f.message}" for f in findings
-    )
-    assert not findings, (
-        f"semantic analysis found violations in src/repro:\n{rendered}"
-    )
-
-
 def test_every_pragma_names_a_shipped_rule():
     """A suppression for a rule that no longer ships is dead weight and
     hides nothing; every pragma must name a live rule id or ``all``.
@@ -49,7 +30,7 @@ def test_every_pragma_names_a_shipped_rule():
     Only real comments count: pragma text inside a string literal (a
     test feeding source to the engine) is data, not a suppression."""
     shipped = {"all"}
-    for pack in (default_rules(), semantic_rules(), scenario_rules()):
+    for pack in (default_rules(), scenario_rules()):
         shipped.update(rule.id for rule in pack)
     src_root = repro_source_root()
     repo_root = os.path.dirname(os.path.dirname(src_root))

@@ -210,6 +210,26 @@ def test_service_upload_then_cached_download(tmp_path):
     assert result.modelled_latency_s < 0.001
 
 
+def test_service_download_is_cache_served_only_when_every_10s_bucket_is_hot(
+    tmp_path,
+):
+    clock = FakeClock()
+    service = DDIService(clock, DiskDB(str(tmp_path)))
+    for t in (5.0, 15.0, 25.0):
+        service.upload(rec("obd", t, speed=t))
+    spanning = service.download("obd", 0.0, 30.0)
+    assert spanning.from_cache
+    assert [r.payload["speed"] for r in spanning.records] == [5.0, 15.0, 25.0]
+    middle = service.download("obd", 10.0, 20.0)
+    assert middle.from_cache
+    assert [r.payload["speed"] for r in middle.records] == [15.0]
+    # Bucket [30, 40) never saw an upload, so the range goes to disk.
+    service.upload(rec("obd", 45.0, speed=45.0))
+    gapped = service.download("obd", 20.0, 50.0)
+    assert not gapped.from_cache
+    assert [r.payload["speed"] for r in gapped.records] == [25.0, 45.0]
+
+
 def test_service_download_falls_back_to_disk_after_ttl(tmp_path):
     clock = FakeClock()
     service = DDIService(clock, DiskDB(str(tmp_path)), cache_ttl_s=30.0)

@@ -72,7 +72,7 @@ def test_gpu_beats_cpu_on_dnn_but_not_control():
 
 def test_figure3_catalog_ordering_matches_paper():
     """The paper's Figure 3 speed ranking: V100 < TX2-MaxP < i7 < TX2-MaxQ < MNCS."""
-    work_gop = 11.4  # unit: gop -- Inception v3 forward pass op count
+    work_gop = 11.4  # Inception v3 forward pass op count
     times = {
         label: factory().execution_time(work_gop, WorkloadClass.DNN)
         for label, factory in catalog.FIGURE3_DEVICES

@@ -184,3 +184,22 @@ def test_deadline_accounting():
     proc2 = executor2.submit(graph, edge_placement(graph), deadline_s=1e6)
     sim2.run()
     assert not proc2.value.missed_deadline
+
+    # At the boundary: the deadline is read in the same seconds as the
+    # measured latency, so a budget 0.1% over it is met and 0.1% under
+    # it is missed (a seconds-vs-milliseconds slip fails the first).
+    def run_with(deadline_s):
+        sim3 = Simulator()
+        proc3 = DistributedExecutor(sim3, world).submit(
+            graph, edge_placement(graph), deadline_s=deadline_s
+        )
+        sim3.run()
+        return proc3.value
+
+    latency_s = run_with(None).latency_s
+    assert latency_s > 0
+    above = run_with(latency_s * 1.001)
+    below = run_with(latency_s * 0.999)
+    assert above.latency_s == below.latency_s == latency_s
+    assert not above.missed_deadline
+    assert below.missed_deadline and not below.failed

@@ -80,4 +80,5 @@ def test_probe_link_roundtrip_recovers_truth():
         estimator.probe_link(float(t), truth, probe_bytes=500_000)
     estimate = estimator.estimate(10.0)
     assert estimate.bandwidth_mbps == pytest.approx(27.0, rel=0.15)
+    assert estimate.rtt_s == pytest.approx(0.004)
     assert estimate.loss_rate == pytest.approx(0.01, abs=0.005)
