@@ -2,9 +2,10 @@
 """AMBER-alert search with V2V collaboration.
 
 Three CAVs hunt for a target plate.  With collaboration on, recognized
-candidates are published (under rotating pseudonyms) to a shared
-DSRC-backed topic, and peers skip recognition of candidates someone
+candidates are published (under rotating pseudonyms) to one shared
+data-sharing topic, and peers skip recognition of candidates someone
 already identified -- the compute-saving mechanism of paper SIII-C.
+The topic has no radio range: every member hears every result.
 
 Run:  python examples/amber_platoon.py
 """

@@ -6,6 +6,9 @@ into the DDI's two-tier store.  The diagnostics service evaluates the
 instantaneous trouble-code rules on each record and, from the historical
 window, predicts when the leak will cross the fault threshold -- the
 "quietly analyzes it to predict faults" behaviour of paper SII-A.
+Parked at the end of the drive, the vehicle migrates the session's DDI
+streams over a fixed uplink to the open community data server of paper
+SIV-A and runs one community query against it.
 
 Run:  python examples/diagnostics_session.py
 """
@@ -15,7 +18,17 @@ import tempfile
 import numpy as np
 
 from repro.apps import DiagnosticsService
-from repro.ddi import DDIService, DiskDB, OBDCollector, Record, WeatherCollector
+from repro.ddi import (
+    CloudDataServer,
+    DDIService,
+    DiskDB,
+    OBDCollector,
+    Record,
+    UplinkMigrator,
+    WeatherCollector,
+)
+from repro.edgeos import LocationFuzzer
+from repro.net import LinkModel
 from repro.topology import urban_profile
 
 
@@ -78,6 +91,22 @@ def session(ddi_root: str) -> None:
               f"~{prediction.eta_s / 60:.0f} minutes "
               f"(slope {prediction.slope_per_s * 3600:+.1f}/hour) "
               f"-> schedule service")
+
+    # Paper SIV-A: DDI data is "eventually migrated to a cloud based data
+    # server ... open to the community", locations generalized first.
+    server = CloudDataServer()
+    migrator = UplinkMigrator(ddi.disk, server, ddi.disk.streams, fuzzer=LocationFuzzer())
+    uplink = LinkModel(name="lte-parked", bandwidth_mbps=8.0, rtt_s=0.05)
+    rounds = 0
+    while not migrator.fully_migrated(clock.now + 1.0):
+        migrator.run_round(clock.now + 1.0, uplink)
+        rounds += 1
+    stats = migrator.stats
+    print(f"\nmigrated {stats.records_migrated} {'/'.join(ddi.disk.streams)} records "
+          f"to the cloud in {rounds} rounds "
+          f"({stats.bytes_shipped / 1e3:.0f} kB, {stats.transfer_seconds:.2f} s of uplink)")
+    last_half_hour = server.open_query("obd", 1800.0, 3600.0)
+    print(f"community query (obd, last 30 minutes): {len(last_half_hour)} records")
 
 
 if __name__ == "__main__":

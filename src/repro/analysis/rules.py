@@ -154,6 +154,8 @@ class UnorderedIterationRule(Rule):
 
     def visit_Module(self, node: ast.Module, ctx: FileContext) -> None:
         """Pre-collect names that are provably set-typed in this file."""
+        if self._out_of_scope(ctx):
+            return
         symbols: set[str] = set()
         for inner in ast.walk(node):
             if isinstance(inner, ast.AnnAssign) and self._is_set_annotation(inner.annotation):
@@ -187,8 +189,12 @@ class UnorderedIterationRule(Rule):
         for gen in generators:
             self._check_iterable(gen.iter, ctx)
 
+    def _out_of_scope(self, ctx: FileContext) -> bool:
+        """A ``repro`` subsystem that makes no ordering decisions."""
+        return ctx.subsystem is not None and ctx.subsystem not in self.SCOPE
+
     def _check_iterable(self, iterable: ast.AST, ctx: FileContext) -> None:
-        if ctx.subsystem is not None and ctx.subsystem not in self.SCOPE:
+        if self._out_of_scope(ctx):
             return
         if isinstance(iterable, (ast.Set, ast.SetComp)):
             ctx.report(self, iterable, "iteration over a set literal; wrap in sorted()")

@@ -1,4 +1,4 @@
-"""In-vehicle services: diagnostics, ADAS, infotainment, AMBER search, V2V collab."""
+"""In-vehicle services: diagnostics, ADAS, AMBER search, V2V collab."""
 
 from typing import TYPE_CHECKING
 
@@ -15,24 +15,20 @@ if TYPE_CHECKING:
     )
     from .collab import CollabReport, CollabVehicle, Platoon
     from .diagnostics import DiagnosticsService, Fault, Prediction
-    from .infotainment import BitrateLadder, PlaybackReport, StreamingSession
 
 __all__ = [
     "AdasAlert",
     "AdasFrameReport",
     "AdasService",
     "AmberSearchService",
-    "BitrateLadder",
     "CollabReport",
     "CollabVehicle",
     "DiagnosticsService",
     "Fault",
     "PlateSighting",
-    "PlaybackReport",
     "Platoon",
     "Prediction",
     "SearchHit",
-    "StreamingSession",
     "generate_sightings",
     "make_adas_service",
     "make_amber_service",

@@ -48,19 +48,12 @@ class SearchHit:
 class AmberSearchService:
     """Plate matcher with per-sighting cost accounting.
 
-    Two recognition backends:
-
-    * abstract (default): OCR succeeds iff the sighting's quality clears
-      ``recognition_floor`` -- cheap, deterministic;
-    * ``use_ocr=True``: the plate is *rendered* at a noise level derived
-      from the quality and *read back* by the template-matching OCR of
-      :mod:`repro.vision.ocr`, so misreads emerge from actual pixels.
+    Recognition reads the plate iff the sighting's quality clears
+    ``recognition_floor``: cheap and deterministic.
     """
 
     target_plate: str
     recognition_floor: float = 0.35  # below this quality the OCR fails
-    use_ocr: bool = False
-    ocr_seed: int = 0
     hits: list[SearchHit] = field(default_factory=list)
     sightings_processed: int = 0
     gops_spent: float = 0.0
@@ -68,19 +61,6 @@ class AmberSearchService:
     def __post_init__(self):
         graph = amber_search_graph()
         self._stage_cost = {task.name: task.work_gop for task in graph.tasks}
-        self._ocr_rng = np.random.default_rng(self.ocr_seed)
-
-    def _recognize(self, sighting: PlateSighting) -> str | None:
-        """The recognition stage: what string did the camera read?"""
-        if not self.use_ocr:
-            if sighting.quality < self.recognition_floor:
-                return None
-            return sighting.plate
-        from ..vision.ocr import plate_quality_to_noise, read_plate, render_plate
-
-        noise = plate_quality_to_noise(min(1.0, max(0.0, sighting.quality)))
-        image = render_plate(sighting.plate, noise=noise, rng=self._ocr_rng)
-        return read_plate(image)
 
     def process(self, sighting: PlateSighting) -> SearchHit | None:
         """Run the full pipeline on one sighting."""
@@ -90,19 +70,14 @@ class AmberSearchService:
         # Plate detection and recognition run on every moving candidate.
         self.gops_spent += self._stage_cost["plate-detect"]
         self.gops_spent += self._stage_cost["plate-recognize"]
-        recognized = self._recognize(sighting)
-        if recognized != self.target_plate:
+        # Recognition reads the plate only from a good enough image.
+        if sighting.quality < self.recognition_floor or sighting.plate != self.target_plate:
             return None
         hit = SearchHit(
             time_s=sighting.time_s, position_m=sighting.position_m, plate=sighting.plate
         )
         self.hits.append(hit)
         return hit
-
-    @property
-    def found(self) -> bool:
-        return bool(self.hits)
-
 
 def generate_sightings(
     count: int,

@@ -3,9 +3,11 @@
 "Though the collaboration of vehicles can save computing power by avoiding
 executing unnecessary repeating operations, a collaboration mechanism does
 not exist in the literature" -- this module is that mechanism: vehicles in
-a platoon publish recognized plates (under rotating pseudonyms) to a
-shared DSRC-backed topic; before spending recognition gops on a sighting,
-a vehicle checks whether a peer already recognized that candidate.
+a platoon publish recognized plates (under rotating pseudonyms) to one
+:class:`~repro.edgeos.sharing.DataSharingBus` topic; before spending
+recognition gops on a sighting, a vehicle checks whether a peer already
+recognized that candidate.  The bus has no radio range: every member
+reads every result, as if all were within DSRC range of each other.
 """
 
 from __future__ import annotations

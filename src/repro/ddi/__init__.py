@@ -5,7 +5,6 @@ from typing import TYPE_CHECKING
 from .. import _lazy_exports
 
 if TYPE_CHECKING:
-    from .can import EV_POWERTRAIN, CanCollector, CanFrame, CanMessageSpec, CanSignal
     from .collectors import (
         Collector,
         OBDCollector,
@@ -20,11 +19,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CacheStats",
-    "CanCollector",
-    "CanFrame",
-    "CanMessageSpec",
-    "CanSignal",
-    "EV_POWERTRAIN",
     "CloudDataServer",
     "MigrationStats",
     "UplinkMigrator",

@@ -94,6 +94,3 @@ class MemDB:
         entry = self._data.get(key)
         return entry is not None and entry[0] > self._clock()
 
-    def invalidate(self, key: str) -> bool:
-        self._lru.pop(key, None)
-        return self._data.pop(key, None) is not None

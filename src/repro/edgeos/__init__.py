@@ -8,7 +8,6 @@ if TYPE_CHECKING:
     from .elastic import GOAL_ENERGY, GOAL_LATENCY, ElasticManager, PipelineChoice
     from .firewall import Direction, Firewall, Interface, PacketMeta, Rule
     from .migration import MigrationManager, MigrationOffer, MigrationResult
-    from .pipelines import downward_closed_cuts, generate_pipelines, service_from_graph
     from .privacy import LocationFuzzer, PseudonymManager
     from .security import AttestationError, Container, SecurityModule, TEEEnclave
     from .service import Pipeline, PolymorphicService, ServiceState
@@ -21,9 +20,6 @@ __all__ = [
     "ComponentHealth",
     "Container",
     "DataSharingBus",
-    "downward_closed_cuts",
-    "generate_pipelines",
-    "service_from_graph",
     "Direction",
     "ElasticManager",
     "Firewall",

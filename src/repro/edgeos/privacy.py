@@ -74,6 +74,3 @@ class LocationFuzzer:
         gy = (math.floor(y_m / self.grid_m) + 0.5) * self.grid_m
         return gx, gy
 
-    def error_bound_m(self) -> float:
-        """Worst-case displacement introduced by generalization."""
-        return self.grid_m * math.sqrt(2) / 2.0

@@ -79,6 +79,3 @@ class PolymorphicService:
                 return pipeline
         raise KeyError(f"service {self.name!r} has no pipeline {name!r}")
 
-    @property
-    def is_running(self) -> bool:
-        return self.state is ServiceState.RUNNING

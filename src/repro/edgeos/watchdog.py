@@ -113,11 +113,6 @@ class HealthWatchdog:
         """Snapshot: component name -> liveness."""
         return {name: comp.healthy for name, comp in self._components.items()}
 
-    @property
-    def down_components(self) -> list[str]:
-        """Names of everything currently marked down."""
-        return sorted(n for n, c in self._components.items() if not c.healthy)
-
     # -- simulation wiring -------------------------------------------------
 
     def drive(

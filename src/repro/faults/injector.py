@@ -219,15 +219,6 @@ class FaultInjector:
         """Whether the link between two tiers is inside an outage window."""
         return self.is_down(link_key(a, b))
 
-    def link_quality(self, a: str, b: str) -> float:
-        """Retained bandwidth fraction on a link (1.0 = undegraded)."""
-        factors = self._degrade.get(link_key(a, b))
-        return min(factors) if factors else 1.0
-
-    def service_crashed(self, name: str) -> bool:
-        """Whether a service / pipeline stage is inside a crash window."""
-        return self.is_down(service_key(name))
-
     def collector_down(self, stream: str) -> bool:
         """Whether a DDI collector stream is inside a dropout window."""
         return self.is_down(collector_key(stream))
@@ -235,10 +226,6 @@ class FaultInjector:
     def cloud_unreachable(self) -> bool:
         """Whether the cloud endpoint is currently unreachable."""
         return self.is_down(CLOUD_KEY)
-
-    def active(self) -> dict[str, int]:
-        """Snapshot of currently-down components (key -> active windows)."""
-        return {k: v for k, v in self._down_count.items() if v > 0}
 
     # -- subscription API --------------------------------------------------
 
@@ -262,11 +249,3 @@ class FaultInjector:
         else:
             self._up_waiters.setdefault(key, []).append(event)
         return event
-
-    # -- trace -------------------------------------------------------------
-
-    def trace_text(self) -> str:
-        """Canonical rendering of the realized transition log."""
-        return "\n".join(
-            f"{when:.6f} {transition} {key}" for when, transition, key in self.trace
-        )

@@ -175,40 +175,8 @@ class FaultPlan:
                 t += duration + float(rng.exponential(rate.mtbf_s))
         return cls(seed=seed, horizon_s=horizon_s, events=tuple(events))
 
-    # -- views -------------------------------------------------------------
-
-    def for_target(self, target: str) -> list[FaultEvent]:
-        """All windows hitting one component, in time order."""
-        return [e for e in self.events if e.target == target]
-
-    def for_kind(self, kind: FaultKind) -> list[FaultEvent]:
-        """All windows of one failure mode, in time order."""
-        return [e for e in self.events if e.kind is kind]
-
     def __len__(self) -> int:
         return len(self.events)
-
-    def active_at(
-        self, time_s: float, kind: FaultKind | None = None, target: str | None = None
-    ) -> list[FaultEvent]:
-        """Windows covering ``time_s``, optionally filtered by kind/target.
-
-        This is the clock-free view of the plan: components that are not
-        simulation processes (the per-second elastic retune loop, the
-        uplink migrator's rounds) consult it directly instead of going
-        through the injector.
-        """
-        return [
-            e
-            for e in self.events
-            if e.start_s <= time_s < e.end_s
-            and (kind is None or e.kind is kind)
-            and (target is None or e.target == target)
-        ]
-
-    def is_active_at(self, kind: FaultKind, target: str, time_s: float) -> bool:
-        """Whether one (kind, target) pair is faulty at ``time_s``."""
-        return bool(self.active_at(time_s, kind=kind, target=target))
 
     # -- the determinism contract -----------------------------------------
 

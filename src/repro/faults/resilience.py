@@ -50,11 +50,6 @@ class RetryPolicy:
             raise ValueError("attempt must be non-negative")
         return min(self.max_delay_s, self.base_delay_s * self.multiplier**attempt)
 
-    def delays(self) -> list[float]:
-        """The full backoff schedule (one entry per retry)."""
-        return [self.delay_s(i) for i in range(self.max_attempts - 1)]
-
-
 class BreakerState(enum.Enum):
     """Classic three-state circuit-breaker lifecycle."""
 

@@ -98,8 +98,3 @@ class PartitionJournal:
                 f"recovered run is not event-identical"
             )
 
-    @property
-    def last_committed_round(self) -> int:
-        """Index of the newest committed round, or -1 if none."""
-        committed = self.committed_entries()
-        return committed[-1].round_index if committed else -1

@@ -120,10 +120,6 @@ class WorkerHandle:
     def partition(self) -> int:
         return self.spec.partition
 
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
     def terminate(self, join_s: float = 5.0) -> None:
         """Hard-stop the worker and reap it (idempotent; never raises)."""
         if self.process.is_alive():

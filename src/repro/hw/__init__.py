@@ -1,17 +1,15 @@
-"""Hardware substrate: processor, storage, energy and accounting models."""
+"""Hardware substrate: processor, energy and accounting models."""
 
 from . import catalog
 from .accounting import TaskAccounting
 from .energy import EnergyMeter, EVBattery
 from .processor import ProcessorKind, ProcessorModel, WorkloadClass
-from .storage import SSDModel
 
 __all__ = [
     "EVBattery",
     "EnergyMeter",
     "ProcessorKind",
     "ProcessorModel",
-    "SSDModel",
     "TaskAccounting",
     "WorkloadClass",
     "catalog",

@@ -43,12 +43,6 @@ class EnergyMeter:
     def busy_seconds(self, name: str) -> float:
         return self._busy_seconds.get(name, 0.0)
 
-    def idle_joules(self, processor: ProcessorModel, wall_s: float) -> float:
-        """Idle draw for the fraction of ``wall_s`` seconds the device was free."""
-        busy = self._busy_seconds.get(processor.name, 0.0)
-        idle = max(0.0, wall_s - busy)
-        return processor.idle_watts * idle
-
     def report(self) -> dict[str, float]:
         """Busy joules per device name."""
         return dict(self._busy_joules)
@@ -56,32 +50,13 @@ class EnergyMeter:
 
 @dataclass
 class EVBattery:
-    """Electric-vehicle battery: compute draw trades off against range.
+    """Electric-vehicle battery: compute energy trades off against range.
 
-    ``drive_efficiency_wh_per_km`` is the traction cost; any compute energy
-    drawn shortens the remaining range accordingly.
+    ``drive_efficiency_wh_per_km`` is the traction cost: every joule spent
+    on compute is range the vehicle cannot drive.
     """
 
-    capacity_kwh: float = 75.0
     drive_efficiency_wh_per_km: float = 160.0
-    _drawn_wh: float = 0.0
-
-    def draw(self, joules: float) -> None:
-        if joules < 0:
-            raise ValueError("cannot draw negative energy")
-        wh = joules / 3600.0
-        if self._drawn_wh + wh > self.capacity_kwh * 1000.0:
-            raise ValueError("battery depleted")
-        self._drawn_wh += wh
-
-    @property
-    def remaining_kwh(self) -> float:
-        return self.capacity_kwh - self._drawn_wh / 1000.0
-
-    @property
-    def remaining_range_km(self) -> float:
-        """Range left if all remaining energy went to traction."""
-        return self.remaining_kwh * 1000.0 / self.drive_efficiency_wh_per_km
 
     def range_cost_km(self, joules: float) -> float:
         """Driving range given up by spending ``joules`` on compute."""

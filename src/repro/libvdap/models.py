@@ -105,6 +105,3 @@ class CommonModelLibrary:
             entries = [e for e in entries if e.category == category]
         return entries
 
-    def deployable_on(self, processor: ProcessorModel) -> list[ModelEntry]:
-        """Models whose compressed variants fit the device's memory."""
-        return [e for e in self.list() if e.fits_on(processor, compressed=True)]

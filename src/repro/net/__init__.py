@@ -11,7 +11,7 @@ if TYPE_CHECKING:
     from .estimator import LinkEstimate, LinkEstimator
     from .params import BACKHAUL_PARAMS, DSRC_PARAMS, WIFI_PARAMS, LinkPreset, LTEParams
     from .rtp import DEFAULT_MTU, RTP_HEADER_BYTES, RtpPacket, RtpPacketizer
-    from .streaming import StreamResult, cellular_bandwidth_trace, mph_to_mps, run_drive_stream
+    from .streaming import StreamResult, mph_to_mps, run_drive_stream
     from .video import (
         VIDEO_720P,
         VIDEO_1080P,
@@ -43,7 +43,6 @@ __all__ = [
     "RtpPacket",
     "RtpPacketizer",
     "StreamResult",
-    "cellular_bandwidth_trace",
     "VIDEO_1080P",
     "VIDEO_720P",
     "VideoProfile",

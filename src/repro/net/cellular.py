@@ -171,8 +171,8 @@ class CellularUplink:
         across the batch, so every packet would retune to the same
         parameters), and instrumentation counters are flushed once per
         batch.  RNG draw order is preserved exactly: one walk of the
-        channel (:meth:`~repro.net.channel.GilbertElliott.step_many`'s
-        walker) takes the packets outside outage in :meth:`send_packet`'s
+        loss channel (:meth:`~repro.net.channel.GilbertElliott._walk`)
+        takes the packets outside outage in :meth:`send_packet`'s
         order -- a grant-lottery uniform first where the grant is below
         the offered bitrate, then the chain's transition uniform and, only
         if the chain is Good after it, a residual-loss uniform.  Uniforms

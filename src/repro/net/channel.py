@@ -57,11 +57,6 @@ class LinkModel:
         serialization = nbytes * 8.0 * inflation / (self.bandwidth_mbps * 1e6)
         return self.one_way_latency_s + serialization
 
-    def round_trip_time(self, request_bytes: float, response_bytes: float) -> float:
-        """Request/response exchange time."""
-        return self.transfer_time(request_bytes) + self.transfer_time(response_bytes)
-
-
 class GilbertElliott:
     """Two-state Markov packet-loss channel (Good / Bad).
 
@@ -130,37 +125,6 @@ class GilbertElliott:
                 self.obs.count("net.channel_losses", link=self.link)
         return lost
 
-    def step_many(self, n: int) -> np.ndarray:
-        """Advance ``n`` packet slots at once; returns a bool loss array.
-
-        Produces exactly the losses -- and leaves both the chain *and* the
-        generator in exactly the state -- that ``n`` successive
-        :meth:`step` calls would, while paying the RNG and instrumentation
-        costs once per batch instead of once per packet.  Draw order is
-        :meth:`step`'s: one transition uniform per slot, then one
-        residual-loss uniform only if the chain is Good afterwards.
-
-        Uniforms come from ``rng.random(k)`` blocks.  A block is drawn only
-        when the previous one is used up and a draw is due, and ``k``
-        counts the current slot and every slot after it -- a proven lower
-        bound on the draws still to come, since each slot draws at least
-        once.  Every drawn value is therefore consumed and the generator
-        ends exactly where the scalar calls leave it (numpy guarantees
-        ``rng.random(k)`` yields the same values as ``k`` scalar calls).
-
-        Between bursts the slots are decided in bulk: a Good-state slot
-        that stays Good takes exactly a transition and a residual uniform,
-        so a run of them is ``block[pos + 1 : pos + 2 * run : 2] <
-        residual``.  A run stops at the first transition draw below
-        ``p_gb`` (among the block's ``flatnonzero(block < p_gb)``, at
-        positions of ``pos``'s parity) or at the end of the block; that
-        slot, and every Bad-state slot, is stepped one draw at a time.
-        """
-        if n < 0:
-            raise ValueError(f"slot count must be non-negative, got {n}")
-        lost, _ = self._walk(n, [], [])
-        return lost
-
     def _walk(
         self,
         n: int,
@@ -175,9 +139,27 @@ class GilbertElliott:
         uniform against ``grant_drop_probability[j]`` -- the uplink's
         grant lottery, :meth:`~repro.net.cellular.CellularUplink.send_packet`'s
         order -- and is dropped without touching the chain if it lands
-        below.  Otherwise it draws as :meth:`step` does.  Blocks and bulk
-        runs are :meth:`step_many`'s; a grant packet also ends a run and
-        is stepped one draw at a time.
+        below.  Otherwise it draws as :meth:`step` does: one transition
+        uniform, then one residual-loss uniform only if the chain is Good
+        afterwards.  The walk leaves the chain and the generator exactly
+        where the scalar calls would, while paying the RNG and
+        instrumentation costs once per walk instead of once per packet.
+
+        Uniforms come from ``rng.random(k)`` blocks.  A block is drawn only
+        when the previous one is used up and a draw is due, and ``k``
+        counts the current packet and every packet after it -- a lower
+        bound on the draws still to come, since each packet draws at least
+        once.  Every drawn value is therefore consumed (numpy guarantees
+        ``rng.random(k)`` yields the same values as ``k`` scalar calls).
+
+        Between bursts the packets are decided in bulk: a Good-state packet
+        that stays Good takes exactly a transition and a residual uniform,
+        so a run of them is ``block[pos + 1 : pos + 2 * run : 2] <
+        residual``.  A run stops at the first transition draw below
+        ``p_gb`` (among the block's ``flatnonzero(block < p_gb)``, at
+        positions of ``pos``'s parity), at a grant packet or at the end of
+        the block; that packet, and every Bad-state one, is stepped one
+        draw at a time.
         """
         rng = self.rng
         p_gb = self.p_gb
@@ -283,9 +265,8 @@ def gilbert_elliott_for(
 
     Exposes the full :class:`GilbertElliott` parameter set (it used to
     drop the instrumentation arguments); every in-tree channel -- scalar
-    :meth:`GilbertElliott.step` consumers and the batched
-    :meth:`GilbertElliott.step_many` path alike -- is built through this
-    one entry point.
+    :meth:`GilbertElliott.step` consumers and the uplink's batched walk
+    alike -- is built through this one entry point.
     """
     return GilbertElliott(
         rng,

@@ -28,11 +28,6 @@ class LinkEstimate:
     age_s: float
     samples: int
 
-    @property
-    def confident(self) -> bool:
-        """Enough recent evidence to act on (3+ samples, fresh)."""
-        return self.samples >= 3 and self.age_s <= 10.0
-
     def as_link(self, name: str = "estimated") -> LinkModel:
         """A LinkModel the placement evaluator can consume."""
         return LinkModel(

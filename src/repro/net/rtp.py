@@ -25,11 +25,6 @@ class RtpPacket:
     payload_bytes: int
     marker: bool  # last packet of the frame
 
-    @property
-    def wire_bytes(self) -> int:
-        return self.payload_bytes + RTP_HEADER_BYTES
-
-
 class RtpPacketizer:
     """Splits frames into RTP packets with a monotonic sequence number."""
 

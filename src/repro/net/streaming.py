@@ -17,7 +17,7 @@ from .params import LTEParams
 from .rtp import RtpPacketizer
 from .video import FrameLossAccounting, VideoProfile, VideoStream
 
-__all__ = ["StreamResult", "run_drive_stream", "mph_to_mps", "cellular_bandwidth_trace"]
+__all__ = ["StreamResult", "run_drive_stream", "mph_to_mps"]
 
 MPH_TO_MPS = 0.44704
 
@@ -108,43 +108,3 @@ def run_drive_stream(
         handoffs=uplink.handoff_count,
     )
 
-
-def cellular_bandwidth_trace(
-    speed_mph: float,
-    duration_s: float,
-    params: LTEParams | None = None,
-    rng: np.random.Generator | None = None,
-    probe_bitrate_mbps: float = 6.0,
-    resolution_s: float = 1.0,
-) -> list[tuple[float, float]]:
-    """Per-second effective downlink/uplink throughput while driving.
-
-    Probes the cellular substrate once per ``resolution_s``: the effective
-    rate is the local capacity scaled by the delivery probability of a
-    short packet burst at ``probe_bitrate_mbps``.  The result plugs
-    straight into :class:`repro.apps.infotainment.StreamingSession`, which
-    is how the paper's SII-C claim ("these applications ... present a high
-    requirement on the network bandwidth") becomes measurable QoE.
-    """
-    if params is None:
-        params = LTEParams()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if duration_s <= 0 or resolution_s <= 0:
-        raise ValueError("duration and resolution must be positive")
-    speed_mps = mph_to_mps(speed_mph)
-    uplink = CellularUplink(params, rng)
-    trace: list[tuple[float, float]] = []
-    probe_count = 20
-    t = 0.0
-    while t < duration_s:
-        delivered = 0
-        for i in range(probe_count):
-            pt = t + i * (resolution_s / probe_count)
-            x = speed_mps * pt
-            delivered += uplink.send_packet(pt, x, speed_mps, probe_bitrate_mbps)
-        capacity = uplink.local_capacity_mbps(speed_mps * t)
-        effective = max(0.05, capacity * delivered / probe_count)
-        trace.append((t, float(effective)))
-        t += resolution_s
-    return trace

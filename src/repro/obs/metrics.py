@@ -621,13 +621,6 @@ class Timeline:
     def __len__(self) -> int:
         return len(self.times)
 
-    def value_at(self, time_s: float):
-        """Last value recorded at or before ``time_s``."""
-        if not self.times or time_s < self.times[0]:
-            return None
-        idx = int(np.searchsorted(self.times, time_s, side="right")) - 1
-        return self.values[idx]
-
     def changes(self) -> int:
         """Number of times the value switched."""
         return sum(1 for a, b in zip(self.values, self.values[1:]) if a != b)

@@ -122,10 +122,6 @@ class Report:
         lines.extend(self.notes)
         return "\n".join(lines)
 
-    def to_lines(self) -> list[str]:
-        """The table as a list of lines (what ``write_report`` historically took)."""
-        return self.to_text().split("\n")
-
     def to_json(self, indent: int | None = 2) -> str:
         """Stable JSON: name, title, columns, rows keyed by column, notes."""
         payload = {

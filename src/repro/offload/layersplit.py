@@ -93,11 +93,6 @@ class SplitDecision:
     remote_compute_s: float
     uplink_bytes: float
 
-    @property
-    def all_local(self) -> bool:
-        return self.transfer_s == 0.0 and self.remote_compute_s == 0.0
-
-
 def _compute_time(
     processor: ProcessorModel, gflop: float, workload: WorkloadClass
 ) -> float:

@@ -113,9 +113,6 @@ class TaskGraph:
     def predecessors(self, name: str) -> list[str]:
         return list(self._pred[name])
 
-    def successors(self, name: str) -> list[str]:
-        return list(self._succ[name])
-
     @property
     def roots(self) -> list[str]:
         return [name for name, preds in self._pred.items() if not preds]
@@ -126,9 +123,6 @@ class TaskGraph:
 
     def __len__(self) -> int:
         return len(self._tasks)
-
-    def total_work_gop(self) -> float:
-        return sum(task.work_gop for task in self.tasks)
 
     @classmethod
     def chain(cls, name: str, tasks: list[Task]) -> "TaskGraph":

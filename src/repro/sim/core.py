@@ -472,27 +472,12 @@ class Simulator:
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
     def race(self, *events: Event) -> Race:
         """First-wins composition; yields ``(winner_index, winner_value)``."""
         return Race(self, events)
-
-    def with_timeout(self, event: Event, timeout_s: float) -> Race:
-        """Race ``event`` against a deadline.
-
-        Yields ``(0, value)`` if the event won or ``(1, None)`` if the
-        deadline elapsed first -- the timeout-race every retry loop needs::
-
-            winner, value = yield sim.with_timeout(work, budget_s)
-            if winner == 1:
-                ...  # timed out; back off and retry
-        """
-        return Race(self, (event, self.timeout(timeout_s)))
 
     # -- scheduling --------------------------------------------------------
 

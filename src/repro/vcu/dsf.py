@@ -73,15 +73,6 @@ class DSF:
         self._touched: dict[str, Device] = {}
         sim.add_flush_hook(self._flush_obs)
 
-    # -- control knob (paper: "access interfaces of all computing resources") --
-
-    def acquire(self, device_name: str, priority: int = 0):
-        """Event granting exclusive use of a device (control knob)."""
-        return self.mhep.device(device_name).resource.request(priority=priority)
-
-    def release(self, device_name: str, grant) -> None:
-        self.mhep.device(device_name).resource.release(grant)
-
     # -- dispatch ----------------------------------------------------------------
 
     def _pick_device(self, task) -> Device:

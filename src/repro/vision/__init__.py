@@ -12,7 +12,6 @@ if TYPE_CHECKING:
         train_cnn_detector,
         untrained_cnn_detector,
     )
-    from .evaluate import DetectionMetrics, box_iou, evaluate_detector
     from .haar import (
         Detection,
         HaarDetector,
@@ -25,28 +24,20 @@ if TYPE_CHECKING:
     )
     from .image import SceneTruth, background_patch, road_scene, vehicle_patch
     from .lane import LaneResult, detect_lanes, gaussian_blur, hough_lines, sobel_edges
-    from .ocr import FONT, plate_quality_to_noise, read_plate, render_plate
     from .table1 import AlgorithmLatency, table1_rows
 
 __all__ = [
     "AlgorithmLatency",
     "CnnDetector",
     "Detection",
-    "DetectionMetrics",
-    "box_iou",
-    "evaluate_detector",
     "HaarDetector",
     "HaarFeature",
     "LaneResult",
     "SceneTruth",
     "WeakClassifier",
     "background_patch",
-    "FONT",
     "detect_lanes",
-    "plate_quality_to_noise",
-    "read_plate",
     "replay_cnn_training_draws",
-    "render_plate",
     "gaussian_blur",
     "hough_lines",
     "integral_image",

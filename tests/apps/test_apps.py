@@ -1,4 +1,4 @@
-"""Tests for the application layer: diagnostics, ADAS, infotainment, AMBER, collab."""
+"""Tests for the application layer: diagnostics, ADAS, AMBER, collab."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.apps import (
     DiagnosticsService,
     Platoon,
     PlateSighting,
-    StreamingSession,
     generate_sightings,
     make_adas_service,
     make_amber_service,
@@ -116,39 +115,6 @@ def test_adas_service_schedulable_by_elastic_manager():
     assert not choice.hung
 
 
-# -- infotainment -----------------------------------------------------------------
-
-
-def test_streaming_good_network_plays_high_quality_without_stalls():
-    session = StreamingSession([(0.0, 20.0)])
-    report = session.play(120.0)
-    assert report.rebuffer_events == 0
-    assert report.quality_counts.get("1080p", 0) > report.chunks_played * 0.8
-
-
-def test_streaming_poor_network_degrades_quality():
-    good = StreamingSession([(0.0, 20.0)]).play(120.0)
-    poor = StreamingSession([(0.0, 1.6)]).play(120.0)
-    assert poor.mean_quality_index < good.mean_quality_index
-
-
-def test_streaming_bandwidth_drop_causes_rebuffer_or_downshift():
-    # Collapse to below the lowest rung mid-stream.
-    session = StreamingSession([(0.0, 8.0), (30.0, 0.4)])
-    report = session.play(120.0)
-    assert report.rebuffer_events > 0
-    assert report.quality_counts.get("360p", 0) > 0
-
-
-def test_streaming_validation():
-    with pytest.raises(ValueError):
-        StreamingSession([])
-    with pytest.raises(ValueError):
-        StreamingSession([(0.0, -1.0)])
-    with pytest.raises(ValueError):
-        StreamingSession([(0.0, 5.0)]).play(0.0)
-
-
 # -- AMBER search -------------------------------------------------------------------
 
 
@@ -158,7 +124,7 @@ def test_amber_finds_target_plate():
     sightings = generate_sightings(300, "KIDNAP-1", rng)
     for sighting in sightings:
         service.process(sighting)
-    assert service.found
+    assert service.hits
     assert service.hits[0].plate == "KIDNAP-1"
     assert service.gops_spent > 0
 
@@ -167,7 +133,7 @@ def test_amber_low_quality_sighting_misses():
     service = AmberSearchService(target_plate="KIDNAP-1")
     blurry = PlateSighting(time_s=0.0, position_m=0.0, plate="KIDNAP-1", quality=0.1)
     assert service.process(blurry) is None
-    assert not service.found
+    assert not service.hits
 
 
 def test_amber_wrong_plate_never_matches():
@@ -238,26 +204,3 @@ def test_collaboration_publishes_under_pseudonyms():
         reporter = record.payload["reporter"]
         assert reporter not in ("cav-0", "cav-1")  # raw identity never shared
 
-
-def test_streaming_download_time_integrates_across_knots():
-    """A download starting in a bad second speeds up when the link recovers."""
-    session = StreamingSession([(0.0, 1.0), (2.0, 100.0)])
-    # 10 Mb starting at t=0: 2 s at 1 Mbps (2 Mb) + 0.08 s at 100 Mbps.
-    assert session.download_time(0.0, 10e6) == pytest.approx(2.08)
-
-
-def test_streaming_over_cellular_substrate_degrades_with_speed():
-    """Cross-module: the Fig-2 LTE substrate drives infotainment QoE --
-    streaming that is clean while parked falls apart at highway speed."""
-    from repro.net import cellular_bandwidth_trace
-
-    def qoe(mph):
-        trace = cellular_bandwidth_trace(mph, 300.0,
-                                         rng=np.random.default_rng(5))
-        return StreamingSession(trace).play(240.0)
-
-    parked = qoe(0)
-    highway = qoe(70)
-    assert parked.rebuffer_events == 0
-    assert highway.rebuffer_events > 5
-    assert highway.rebuffer_seconds > parked.rebuffer_seconds

@@ -87,13 +87,6 @@ def test_memdb_contains_does_not_count_stats():
     assert db.stats.hits == 0 and db.stats.misses == 0
 
 
-def test_memdb_invalidate():
-    db = MemDB(FakeClock())
-    db.put("k", 1)
-    assert db.invalidate("k")
-    assert not db.invalidate("k")
-
-
 def test_memdb_validation():
     with pytest.raises(ValueError):
         MemDB(FakeClock(), default_ttl_s=0.0)

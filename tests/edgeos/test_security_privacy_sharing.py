@@ -166,7 +166,8 @@ def test_location_fuzzer_error_bound():
     fuzzer = LocationFuzzer(grid_m=500.0)
     gx, gy = fuzzer.generalize(499.9, 499.9)
     displacement = ((gx - 499.9) ** 2 + (gy - 499.9) ** 2) ** 0.5
-    assert displacement <= fuzzer.error_bound_m() + 1e-9
+    # The worst case is a cell corner: half the cell diagonal away.
+    assert displacement <= 500.0 * 2**0.5 / 2 + 1e-9
 
 
 # -- data sharing -----------------------------------------------------------------

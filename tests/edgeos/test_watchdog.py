@@ -24,7 +24,6 @@ def test_silence_marks_down_heartbeat_revives():
     assert dog.sweep(3.5) == ["tier:edge"]
     assert not dog.healthy("tier:edge")
     assert not dog.tier_healthy(Tier.EDGE)
-    assert dog.down_components == ["tier:edge"]
 
     dog.heartbeat("tier:edge", 5.0)
     assert dog.healthy("tier:edge")

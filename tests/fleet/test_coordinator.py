@@ -181,9 +181,9 @@ class TestLifecycle:
         with coordinator:
             coordinator._spawn_all()
             handles = list(coordinator.workers.values())
-            assert all(h.alive for h in handles)
+            assert all(h.process.is_alive() for h in handles)
         assert coordinator.workers == {}
-        assert all(not h.alive for h in handles)
+        assert all(not h.process.is_alive() for h in handles)
 
     def test_shutdown_mid_run_leaves_no_orphans(self, config):
         coordinator = FleetCoordinator(config)

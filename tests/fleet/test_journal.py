@@ -32,12 +32,10 @@ class TestRecording:
         journal.commit(1, "h1")
         committed = journal.committed_entries()
         assert [e.round_index for e in committed] == [0, 1]
-        assert journal.last_committed_round == 1
 
     def test_empty_journal_has_no_commits(self):
         journal = PartitionJournal(partition=3)
         assert journal.committed_entries() == []
-        assert journal.last_committed_round == -1
 
 
 class TestReplayVerification:

@@ -1,52 +1,8 @@
-"""Unit tests for the SSD model and energy accounting."""
+"""Unit tests for energy accounting and the EV battery."""
 
 import pytest
 
-from repro.hw import EnergyMeter, EVBattery, ProcessorKind, ProcessorModel, SSDModel
-
-
-def test_ssd_requires_a_channel():
-    with pytest.raises(ValueError):
-        SSDModel(channels=0)
-
-
-def test_ssd_read_time_scales_with_size():
-    ssd = SSDModel(channels=4, read_mbps=100.0, base_latency_s=0.0)
-    # 4 channels x 100 MB/s = 400 MB/s -> 400 MB in 1 s.
-    assert ssd.read_time(400e6) == pytest.approx(1.0)
-
-
-def test_ssd_random_access_is_slower():
-    ssd = SSDModel()
-    assert ssd.read_time(1e6, sequential=False) > ssd.read_time(1e6, sequential=True)
-
-
-def test_ssd_write_accounts_space():
-    ssd = SSDModel(capacity_gb=1)
-    ssd.write_time(5e8)
-    assert ssd.used_bytes == pytest.approx(5e8)
-    assert ssd.free_bytes == pytest.approx(5e8)
-
-
-def test_ssd_write_beyond_capacity_raises():
-    ssd = SSDModel(capacity_gb=1)
-    with pytest.raises(ValueError):
-        ssd.write_time(2e9)
-
-
-def test_ssd_delete_releases_space():
-    ssd = SSDModel(capacity_gb=1)
-    ssd.write_time(5e8)
-    ssd.delete(5e8)
-    assert ssd.used_bytes == 0.0
-
-
-def test_ssd_negative_sizes_raise():
-    ssd = SSDModel()
-    with pytest.raises(ValueError):
-        ssd.read_time(-1)
-    with pytest.raises(ValueError):
-        ssd.write_time(-1)
+from repro.hw import EnergyMeter, EVBattery, ProcessorKind, ProcessorModel
 
 
 def _proc(watts=100.0):
@@ -63,31 +19,9 @@ def test_energy_meter_accumulates_busy_joules():
     assert meter.busy_seconds("p") == pytest.approx(3.0)
 
 
-def test_energy_meter_idle_joules():
-    meter = EnergyMeter()
-    proc = _proc(watts=100.0)  # idle = 10 W
-    meter.record_busy(proc, 2.0)
-    # 10 s wall, 2 s busy -> 8 s idle at 10 W.
-    assert meter.idle_joules(proc, wall_s=10.0) == pytest.approx(80.0)
-
-
 def test_energy_meter_negative_time_raises():
     with pytest.raises(ValueError):
         EnergyMeter().record_busy(_proc(), -1.0)
-
-
-def test_battery_draw_reduces_range():
-    battery = EVBattery(capacity_kwh=10.0, drive_efficiency_wh_per_km=100.0)
-    assert battery.remaining_range_km == pytest.approx(100.0)
-    battery.draw(3600.0 * 1000.0)  # 1 kWh
-    assert battery.remaining_kwh == pytest.approx(9.0)
-    assert battery.remaining_range_km == pytest.approx(90.0)
-
-
-def test_battery_depletion_raises():
-    battery = EVBattery(capacity_kwh=0.001)
-    with pytest.raises(ValueError):
-        battery.draw(1e9)
 
 
 def test_battery_range_cost():

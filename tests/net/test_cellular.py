@@ -1,6 +1,7 @@
 """Unit tests for the cellular uplink model and the drive-stream experiment."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -160,17 +161,25 @@ def _scalar_sends(uplink, times, positions, speed_mps, offered_mbps):
 
 
 def _assert_batch_matches_scalar(
-    params, mph, offered_mbps, packets=10_000, batch=slice(None)
+    params, mph, offered_mbps, packets=10_000, batch=slice(None),
+    residual=0.0, start_bad=False, seed=3, in_outage=False,
 ):
     """``send_packets`` over ``batch`` (scalar sends around it) must leave
-    exactly what one ``send_packet`` per packet leaves."""
+    exactly what one ``send_packet`` per packet leaves.  ``residual`` and
+    ``start_bad`` set the loss chain's Good-state loss and first state;
+    ``in_outage`` puts every packet inside a handoff outage."""
     speed_mps = mph_to_mps(mph)
     # 60 s of packets from 200 m, near the first cell edge.
     times = np.arange(packets) * (60.0 / packets)
     positions = 200.0 + speed_mps * times
     scalar_obs, batch_obs = Collector(), Collector()
-    scalar = CellularUplink(params, np.random.default_rng(3), obs=scalar_obs)
-    batched = CellularUplink(params, np.random.default_rng(3), obs=batch_obs)
+    scalar = CellularUplink(params, np.random.default_rng(seed), obs=scalar_obs)
+    batched = CellularUplink(params, np.random.default_rng(seed), obs=batch_obs)
+    for uplink in (scalar, batched):
+        uplink._channel.residual_good_loss = residual
+        uplink._channel.bad = start_bad
+        if in_outage:
+            uplink._outage_until = math.inf
 
     expected = _scalar_sends(scalar, times, positions, speed_mps, offered_mbps)
     start, stop, _ = batch.indices(packets)
@@ -194,6 +203,34 @@ def _assert_batch_matches_scalar(
 @pytest.mark.parametrize("offered_mbps", [3.8, 5.8, 9.5])
 def test_send_packets_matches_scalar_sends(mph, offered_mbps):
     _assert_batch_matches_scalar(LTEParams(), mph, offered_mbps)
+
+
+@pytest.mark.parametrize(
+    "loss_rate,burst_length,residual",
+    [
+        (0.1, 4.0, 0.05),
+        (0.1, 4.0, 0.2),
+        (0.1, 4.0, 0.3),
+        (0.0, 3.0, 0.2),  # p_gb = 0: the chain never leaves Good
+        (0.9, 1.0, 0.0),  # p_gb clamps to 1: every Good slot turns Bad
+    ],
+)
+@pytest.mark.parametrize("start_bad", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, 5000])
+def test_send_packets_walk_matches_scalar_steps(loss_rate, burst_length, residual, start_bad, n):
+    """The bulk channel walk Fig 2 runs keeps ``GilbertElliott.step``'s
+    draw order at the chain's extremes.  Parked 200 m from the mast, the
+    grant covers 3.8 Mbps (no grant lottery) and the channel's loss and
+    burst are exactly ``base_loss`` and ``burst_base_packets``, so every
+    packet is one ``step``.  ``n = 0`` sends three packets inside a handoff
+    outage: the walk takes none of them and must leave the chain as is."""
+    params = LTEParams(
+        base_loss=loss_rate, burst_base_packets=burst_length, congestion_loss_coeff=0.0
+    )
+    _assert_batch_matches_scalar(
+        params, 0, 3.8, packets=n or 3, residual=residual, start_bad=start_bad,
+        seed=5, in_outage=n == 0,
+    )
 
 
 def test_send_packets_matches_scalar_sends_under_dense_grant_drops():

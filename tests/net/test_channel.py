@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.net import GilbertElliott, LinkModel
-from repro.obs import Collector
 
 
 def test_link_validation():
@@ -34,12 +33,6 @@ def test_link_loss_inflates_reliable_transfer():
     assert lossy.transfer_time(1e6, reliable=False) == pytest.approx(
         clean.transfer_time(1e6)
     )
-
-
-def test_link_round_trip_time():
-    link = LinkModel(name="x", bandwidth_mbps=8.0, rtt_s=0.020)
-    expected = link.transfer_time(1e6) + link.transfer_time(2e6)
-    assert link.round_trip_time(1e6, 2e6) == pytest.approx(expected)
 
 
 def test_link_negative_size_raises():
@@ -99,36 +92,3 @@ def test_ge_retune_validation():
         channel.retune(1.5)
     with pytest.raises(ValueError):
         channel.retune(0.1, burst_length=0.0)
-
-
-@pytest.mark.parametrize(
-    "loss_rate, burst_length, residual",
-    [
-        (0.1, 4.0, 0.05),
-        (0.1, 4.0, 0.2),
-        (0.1, 4.0, 0.3),
-        (0.0, 3.0, 0.2),  # p_gb = 0: the chain never leaves Good
-        (0.9, 1.0, 0.0),  # p_gb clamps to 1: every Good slot turns Bad
-    ],
-)
-@pytest.mark.parametrize("start_bad", [False, True])
-@pytest.mark.parametrize("n", [0, 1, 2, 5000])
-def test_step_many_matches_scalar_steps(loss_rate, burst_length, residual, start_bad, n):
-    def channel(obs):
-        ge = GilbertElliott(
-            np.random.default_rng(5),
-            loss_rate=loss_rate,
-            burst_length=burst_length,
-            residual_good_loss=residual,
-            obs=obs,
-        )
-        ge.bad = start_bad
-        return ge
-
-    scalar_obs, batch_obs = Collector(), Collector()
-    scalar, batch = channel(scalar_obs), channel(batch_obs)
-    expected = [scalar.step() for _ in range(n)]
-    assert batch.step_many(n).tolist() == expected
-    assert batch.bad == scalar.bad
-    assert batch.rng.bit_generator.state == scalar.rng.bit_generator.state
-    assert batch_obs.metrics_json() == scalar_obs.metrics_json()

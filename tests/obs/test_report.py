@@ -32,7 +32,7 @@ def test_lines_have_no_trailing_whitespace():
     report.add_column("tail", 12)  # a left-aligned last column pads right
     report.rows.clear()
     report.add_row(name="x", value=0.0, count=0, tail="t")
-    for line in report.to_lines():
+    for line in report.to_text().split("\n"):
         assert line == line.rstrip()
 
 
@@ -48,7 +48,7 @@ def test_string_cell_bypasses_numeric_format():
     report.add_column("ttl", 12, ".0f")
     report.add_row(ttl=5.0)
     report.add_row(ttl="disk only")
-    lines = report.to_lines()
+    lines = report.to_text().split("\n")
     assert lines[-2].endswith("5")
     assert lines[-1] == f"{'disk only':>12s}"
 
@@ -71,7 +71,7 @@ def test_header_defaults_to_key_and_align_follows_fmt():
     report.add_column("word", 6)            # no fmt: left
     report.add_column("num", 6, ".1f")      # fmt: right
     report.add_row(word="ab", num=1.0)
-    header, row = report.to_lines()[1:]
+    header, row = report.to_text().split("\n")[1:]
     assert header == f"{'word':6s}{'num':>6s}"
     assert row == f"{'ab':6s}{1.0:>6.1f}"
 

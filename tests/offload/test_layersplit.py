@@ -58,7 +58,7 @@ def test_strong_vehicle_slow_link_stays_local():
     world.links.vehicle_edge.bandwidth_mbps = 0.05
     decision = best_split(inception_v3_layers(), world, INPUT_BYTES)
     assert decision.cut == len(inception_v3_layers())
-    assert decision.all_local
+    assert decision.transfer_s == 0.0 and decision.remote_compute_s == 0.0
 
 
 def test_split_point_moves_with_bandwidth():

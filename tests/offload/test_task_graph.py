@@ -56,7 +56,6 @@ def shape(graph):
         "roots": graph.roots,
         "sinks": graph.sinks,
         "predecessors": {n: graph.predecessors(n) for n in graph.task_names},
-        "successors": {n: graph.successors(n) for n in graph.task_names},
     }
 
 
@@ -71,12 +70,6 @@ PINNED = {
             "vehicle-detect": ["capture"],
             "fuse-alert": ["lane-detect", "vehicle-detect"],
         },
-        "successors": {
-            "capture": ["lane-detect", "vehicle-detect"],
-            "lane-detect": ["fuse-alert"],
-            "vehicle-detect": ["fuse-alert"],
-            "fuse-alert": [],
-        },
     }),
     "amber": (amber_search_graph, {
         "task_names": ["motion-detect", "plate-detect", "plate-recognize"],
@@ -87,39 +80,30 @@ PINNED = {
             "plate-detect": ["motion-detect"],
             "plate-recognize": ["plate-detect"],
         },
-        "successors": {
-            "motion-detect": ["plate-detect"],
-            "plate-detect": ["plate-recognize"],
-            "plate-recognize": [],
-        },
     }),
     "infotainment": (infotainment_chunk_graph, {
         "task_names": ["decode", "render"],
         "roots": ["decode"],
         "sinks": ["render"],
         "predecessors": {"decode": [], "render": ["decode"]},
-        "successors": {"decode": ["render"], "render": []},
     }),
     "diagnostics": (diagnostics_graph, {
         "task_names": ["aggregate", "fault-predict"],
         "roots": ["aggregate"],
         "sinks": ["fault-predict"],
         "predecessors": {"aggregate": [], "fault-predict": ["aggregate"]},
-        "successors": {"aggregate": ["fault-predict"], "fault-predict": []},
     }),
     "chain": (chain_graph, {
         "task_names": ["x", "y", "z"],
         "roots": ["x"],
         "sinks": ["z"],
         "predecessors": {"x": [], "y": ["x"], "z": ["y"]},
-        "successors": {"x": ["y"], "y": ["z"], "z": []},
     }),
     "diamond": (diamond_graph, {
         "task_names": ["a", "b", "c", "d"],
         "roots": ["a"],
         "sinks": ["d"],
         "predecessors": {"a": [], "b": ["a"], "c": ["a"], "d": ["b", "c"]},
-        "successors": {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": []},
     }),
     "out-of-order": (out_of_order_graph, {
         "task_names": ["root2", "root1", "lone", "mid1", "mid2", "sink"],
@@ -132,14 +116,6 @@ PINNED = {
             "mid1": ["root1"],
             "mid2": ["root2", "root1"],
             "sink": ["mid1", "mid2", "root2"],
-        },
-        "successors": {
-            "root2": ["mid2", "sink"],
-            "root1": ["mid1", "mid2"],
-            "lone": [],
-            "mid1": ["sink"],
-            "mid2": ["sink"],
-            "sink": [],
         },
     }),
 }
@@ -155,8 +131,8 @@ def test_graph_shape_matches_pin(case):
 def test_duplicate_edges_change_nothing(case):
     factory, expected = PINNED[case]
     graph = factory()
-    for producer, consumers in expected["successors"].items():
-        for consumer in consumers:
+    for consumer, producers in expected["predecessors"].items():
+        for producer in producers:
             graph.add_edge(producer, consumer)
     assert shape(graph) == expected
 

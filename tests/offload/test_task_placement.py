@@ -54,7 +54,6 @@ def test_chain_structure():
     assert graph.roots == ["motion"]
     assert graph.sinks == ["recognize"]
     assert graph.task_names == ["motion", "detect", "recognize"]
-    assert graph.total_work_gop() == pytest.approx(3.05)
 
 
 def test_topological_order_respects_dependencies():

@@ -1,13 +1,11 @@
-"""Property-based tests for mobility, privacy, streaming, and OCR."""
+"""Property-based tests for mobility and privacy."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.infotainment import StreamingSession
 from repro.edgeos import LocationFuzzer, PseudonymManager
 from repro.topology import SpeedProfile
-from repro.vision.ocr import read_plate, render_plate
 
 knots_strategy = st.lists(
     st.floats(min_value=0.0, max_value=40.0, allow_nan=False),
@@ -52,26 +50,7 @@ def test_location_fuzzing_error_is_bounded(grid, x, y):
     fuzzer = LocationFuzzer(grid_m=grid)
     gx, gy = fuzzer.generalize(x, y)
     displacement = ((gx - x) ** 2 + (gy - y) ** 2) ** 0.5
-    assert displacement <= fuzzer.error_bound_m() + 1e-6
+    # The worst case is a cell corner: half the cell diagonal away.
+    assert displacement <= grid * 2**0.5 / 2 + 1e-6
     # Idempotence: generalizing a cell centre returns itself.
     assert fuzzer.generalize(gx, gy) == (gx, gy)
-
-
-@given(rates=st.lists(st.floats(min_value=0.5, max_value=50.0,
-                                allow_nan=False), min_size=1, max_size=10),
-       duration=st.floats(min_value=4.0, max_value=240.0, allow_nan=False))
-@settings(max_examples=80, deadline=None)
-def test_streaming_session_always_plays_requested_duration(rates, duration):
-    trace = [(20.0 * i, r) for i, r in enumerate(rates)]
-    report = StreamingSession(trace).play(duration)
-    # Enough chunks were fetched to cover the content.
-    assert report.chunks_played * 4.0 >= duration - 4.0
-    assert report.startup_delay_s > 0.0
-    assert report.rebuffer_seconds >= 0.0
-
-
-@given(text=st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-",
-                    min_size=1, max_size=10))
-@settings(max_examples=150)
-def test_ocr_noiseless_roundtrip_for_any_plate(text):
-    assert read_plate(render_plate(text)) == text

@@ -77,7 +77,7 @@ def test_injector_replay_is_deterministic(seed):
         sanitizer = DeterminismSanitizer(sim)
         injector = FaultInjector(sim, plan)
         sim.run()
-        traces.append(injector.trace_text())
+        traces.append(list(injector.trace))
         sanitizers.append(sanitizer)
     assert traces[0] == traces[1]
     # The runtime sanitizer cross-checks the injector's own trace: the
@@ -92,4 +92,4 @@ def test_injector_replay_is_deterministic(seed):
         FaultKind.CLOUD_UNREACHABLE,
     )
     outages = sum(1 for e in plan.events if e.kind in outage_kinds)
-    assert traces[0].count(" down ") == outages
+    assert sum(1 for _when, transition, _key in traces[0] if transition == "down") == outages

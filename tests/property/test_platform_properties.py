@@ -1,11 +1,10 @@
-"""Property-based tests for the platform layer: offloading, CAN, firewall."""
+"""Property-based tests for the platform layer: offloading, firewall."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ddi.can import CanMessageSpec, CanSignal
 from repro.edgeos import Direction, Firewall, Interface, PacketMeta, Rule
 from repro.hw import WorkloadClass
 from repro.offload import (
@@ -102,32 +101,6 @@ def test_best_split_equals_brute_force_minimum(layers, input_bytes):
             candidate = (local + link.transfer_time(uplink)
                          + link.transfer_time(result_bytes) + remote_s)
         assert decision.latency_s <= candidate + 1e-9
-
-
-# -- CAN codec -------------------------------------------------------------------
-
-can_values = st.fixed_dictionaries({
-    "a": st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-    "b": st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-})
-
-
-@given(values=can_values)
-@settings(max_examples=200)
-def test_can_roundtrip_within_quantization(values):
-    spec = CanMessageSpec(
-        can_id=0x10, name="m",
-        signals=(
-            CanSignal("a", start_bit=0, length=12, scale=0.05),
-            CanSignal("b", start_bit=12, length=12, scale=0.05, offset=-60.0),
-        ),
-    )
-    decoded = spec.decode(spec.encode(values))
-    for name, value in values.items():
-        signal = next(s for s in spec.signals if s.name == name)
-        clamped = min(max(value, signal.offset),
-                      signal.offset + signal.raw_max * signal.scale)
-        assert abs(decoded[name] - clamped) <= signal.scale / 2 + 1e-9
 
 
 # -- firewall ---------------------------------------------------------------------

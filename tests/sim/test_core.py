@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import (
+    AnyOf,
     Interrupt,
     SimulationError,
     Simulator,
@@ -243,7 +244,7 @@ def test_any_of_fires_on_first():
     def proc(sim):
         t1 = sim.timeout(5.0, value="slow")
         t2 = sim.timeout(2.0, value="fast")
-        results = yield sim.any_of([t1, t2])
+        results = yield AnyOf(sim, [t1, t2])
         seen.append((sim.now, results))
 
     sim.process(proc(sim))

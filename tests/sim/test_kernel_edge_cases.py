@@ -4,7 +4,7 @@ import pytest
 
 from repro.hw import WorkloadClass, catalog
 from repro.offload import Task, TaskGraph
-from repro.sim import Resource, SimulationError, Simulator
+from repro.sim import AnyOf, Resource, SimulationError, Simulator
 from repro.vcu import DSF, MHEP
 
 
@@ -15,7 +15,7 @@ def test_any_of_fails_when_a_child_fails_first():
 
     def proc(sim):
         with pytest.raises(RuntimeError):
-            yield sim.any_of([bad, slow])
+            yield AnyOf(sim, [bad, slow])
 
     sim.process(proc(sim))
     bad.fail(RuntimeError("child died"))

@@ -32,7 +32,7 @@ def test_with_timeout_event_wins():
         return 42
 
     def proc(sim):
-        winner, value = yield sim.with_timeout(sim.process(worker(sim)), 10.0)
+        winner, value = yield sim.race(sim.process(worker(sim)), sim.timeout(10.0))
         seen["winner"], seen["value"] = winner, value
 
     sim.process(proc(sim))
@@ -49,7 +49,7 @@ def test_with_timeout_deadline_wins():
         return "too late"
 
     def proc(sim):
-        winner, value = yield sim.with_timeout(sim.process(worker(sim)), 2.0)
+        winner, value = yield sim.race(sim.process(worker(sim)), sim.timeout(2.0))
         seen["winner"], seen["value"] = winner, value
         seen["at"] = sim.now
 

@@ -13,28 +13,29 @@ def platform():
     sim = Simulator()
     mhep = MHEP(sim)
     mhep.register(catalog.intel_i7_6700())
-    return sim, mhep, DSF(sim, mhep)
+    return sim, mhep, mhep.device("Intel i7-6700").resource
 
 
 def test_control_knob_grants_exclusive_device_access():
     """Paper SIV-B2: 'DSF also provides the access interfaces of all
-    computing resources, which we called control knob.'"""
-    sim, mhep, dsf = platform()
+    computing resources, which we called control knob.'  Each registered
+    device's resource is that interface."""
+    sim, _mhep, knob = platform()
     log = []
 
     def holder(sim):
-        grant = dsf.acquire("Intel i7-6700")
+        grant = knob.request()
         yield grant
         log.append(("held", sim.now))
         yield sim.timeout(5.0)
-        dsf.release("Intel i7-6700", grant)
+        knob.release(grant)
 
     def contender(sim):
         yield sim.timeout(1.0)
-        grant = dsf.acquire("Intel i7-6700")
+        grant = knob.request()
         yield grant
         log.append(("contender", sim.now))
-        dsf.release("Intel i7-6700", grant)
+        knob.release(grant)
 
     sim.process(holder(sim))
     sim.process(contender(sim))
@@ -43,21 +44,21 @@ def test_control_knob_grants_exclusive_device_access():
 
 
 def test_control_knob_priority():
-    sim, mhep, dsf = platform()
+    sim, _mhep, knob = platform()
     order = []
 
     def holder(sim):
-        grant = dsf.acquire("Intel i7-6700")
+        grant = knob.request()
         yield grant
         yield sim.timeout(2.0)
-        dsf.release("Intel i7-6700", grant)
+        knob.release(grant)
 
     def requester(sim, tag, priority, delay):
         yield sim.timeout(delay)
-        grant = dsf.acquire("Intel i7-6700", priority=priority)
+        grant = knob.request(priority=priority)
         yield grant
         order.append(tag)
-        dsf.release("Intel i7-6700", grant)
+        knob.release(grant)
 
     sim.process(holder(sim))
     sim.process(requester(sim, "low", 5, 0.5))
@@ -67,9 +68,7 @@ def test_control_knob_priority():
 
 
 def test_unknown_device_raises():
-    _sim, mhep, dsf = platform()
-    with pytest.raises(KeyError):
-        dsf.acquire("Quantum Annealer")
+    _sim, mhep, _knob = platform()
     with pytest.raises(KeyError):
         mhep.device("Quantum Annealer")
 
