@@ -1,12 +1,14 @@
 """Single-pass AST lint engine with a rule registry and pragma suppression.
 
 The engine parses each file once and performs **one** tree walk per file.
-Rules do not walk the AST themselves: they register ``visit_<NodeType>``
-methods, the engine builds a dispatch table mapping node types to the
-interested rules, and every node is offered to each registered handler as
-the shared walk passes over it.  Linting all of ``src/repro`` therefore
-costs one parse plus one traversal per file regardless of how many rules
-are enabled.
+Rules do not walk the AST themselves.  The walk gathers what needs the
+whole file -- its imports, which functions are generators, and whatever
+rules gather through ``collect_<NodeType>`` methods -- and lists the
+nodes in order; then every listed node is offered to each rule's
+``visit_<NodeType>`` handler, by a dispatch table mapping node types to
+the interested rules.  Linting all of ``src/repro`` therefore costs one
+parse plus one traversal per file regardless of how many rules are
+enabled.
 
 Suppression pragmas:
 
@@ -22,6 +24,7 @@ import ast
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
@@ -101,41 +104,49 @@ class Rule:
 
     Subclasses set ``id`` / ``name`` / ``description`` and define
     ``visit_<NodeType>(self, node, ctx)`` methods; the engine discovers
-    those by introspection and calls them from its single shared walk.
-    Rules must be stateless across files -- per-file scratch space lives
-    in :attr:`FileContext.scratch`.
+    those by introspection and calls them once the file's walk is done, so
+    a visitor sees whole-file facts.  ``collect_<NodeType>`` methods run
+    during the walk itself, to gather such facts.  Rules must be stateless
+    across files -- per-file scratch space lives in
+    :attr:`FileContext.scratch`.
     """
 
     id: str = ""
     name: str = ""
     description: str = ""
 
-    def handlers(self) -> dict[type, Callable]:
-        """Map AST node types to this rule's bound visitor methods."""
+    def handlers(self, prefix: str = "visit_") -> dict[type, Callable]:
+        """Map AST node types to this rule's bound ``prefix`` methods."""
         table: dict[type, Callable] = {}
         for attr in dir(self):
-            if not attr.startswith("visit_"):
+            if not attr.startswith(prefix):
                 continue
-            node_type = getattr(ast, attr[len("visit_"):], None)
+            node_type = getattr(ast, attr[len(prefix):], None)
             if node_type is not None and isinstance(node_type, type):
                 table[node_type] = getattr(self, attr)
         return table
 
 
 class FileContext:
-    """Everything a rule can know about the file being linted."""
+    """Everything a rule can know about the file being linted.
+
+    :attr:`imports` and the generator set are filled by the engine's walk.
+    """
 
     def __init__(self, path: str, source: str, tree: ast.Module):
         self.path = path
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
-        self.imports = self._collect_imports(tree)
+        #: Local name -> dotted import target, for :meth:`qualname`.
+        self.imports: dict[str, str] = {}
         #: Per-rule scratch space, reset per file (keyed by rule id).
         self.scratch: dict[str, object] = {}
         self.findings: list[Finding] = []
-        self._func_stack: list[ast.AST] = []
-        self._generator_funcs: set[ast.AST] = self._find_generators(tree)
+        # The innermost def enclosing the node being visited, and the defs
+        # whose own body yields (generator functions).
+        self._scope: Optional[ast.AST] = None
+        self._generator_funcs: set[ast.AST] = set()
 
     # -- derived metadata --------------------------------------------------
 
@@ -144,7 +155,7 @@ class FileContext:
         """Module basename without extension (``uplink``, ``__init__``)."""
         return os.path.splitext(os.path.basename(self.path))[0]
 
-    @property
+    @cached_property
     def subsystem(self) -> Optional[str]:
         """The ``repro`` subpackage this file lives in, if discernible.
 
@@ -166,23 +177,20 @@ class FileContext:
 
     # -- name resolution ---------------------------------------------------
 
-    @staticmethod
-    def _collect_imports(tree: ast.Module) -> dict[str, str]:
-        imports: dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        imports[alias.asname] = alias.name
-                    else:
-                        root = alias.name.split(".")[0]
-                        imports[root] = root
-            elif isinstance(node, ast.ImportFrom):
-                module = "." * node.level + (node.module or "")
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    imports[local] = f"{module}.{alias.name}" if module else alias.name
-        return imports
+    def _add_import(self, node: ast.Import | ast.ImportFrom) -> None:
+        imports = self.imports
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    imports[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    imports[root] = root
+        else:
+            module = "." * node.level + (node.module or "")
+            for alias in node.names:
+                local = alias.asname or alias.name
+                imports[local] = f"{module}.{alias.name}" if module else alias.name
 
     def qualname(self, node: ast.AST) -> Optional[str]:
         """Resolve a Name/Attribute chain through the file's imports.
@@ -203,29 +211,9 @@ class FileContext:
 
     # -- generator / scope tracking ---------------------------------------
 
-    @staticmethod
-    def _find_generators(tree: ast.Module) -> set[ast.AST]:
-        generators: set[ast.AST] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            stack: list[ast.AST] = list(node.body)
-            while stack:
-                inner = stack.pop()
-                if isinstance(inner, (ast.Yield, ast.YieldFrom)):
-                    generators.add(node)
-                    break
-                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                    continue  # yields inside nested functions belong to them
-                stack.extend(ast.iter_child_nodes(inner))
-        return generators
-
     def in_generator(self) -> bool:
         """True when the innermost enclosing def is a generator (sim process)."""
-        for func in reversed(self._func_stack):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return func in self._generator_funcs
-        return False
+        return self._scope in self._generator_funcs
 
     # -- reporting ---------------------------------------------------------
 
@@ -255,9 +243,12 @@ class LintEngine:
     def __init__(self, rules: Sequence[Rule]):
         self.rules = list(rules)
         self._dispatch: dict[type, list[Callable]] = {}
+        self._collect: dict[type, list[Callable]] = {}
         for rule in self.rules:
             for node_type, handler in rule.handlers().items():
                 self._dispatch.setdefault(node_type, []).append(handler)
+            for node_type, handler in rule.handlers("collect_").items():
+                self._collect.setdefault(node_type, []).append(handler)
 
     def lint_source(self, source: str, path: str = "<string>") -> list[Finding]:
         """Lint one unit of source text; returns sorted, pragma-filtered findings."""
@@ -274,7 +265,15 @@ class LintEngine:
                 )
             ]
         ctx = FileContext(path, source, tree)
-        self._walk(tree, ctx)
+        nodes: list[tuple[ast.AST, Optional[ast.AST]]] = []
+        self._walk(tree, ctx, None, None, nodes)
+        dispatch = self._dispatch
+        for node, scope in nodes:
+            handlers = dispatch.get(type(node))
+            if handlers:
+                ctx._scope = scope
+                for handler in handlers:
+                    handler(node, ctx)
         pragmas = Pragmas(source)
         kept = [f for f in ctx.findings if not pragmas.suppressed(f.line, f.rule)]
         return sorted(kept)
@@ -298,17 +297,30 @@ class LintEngine:
             findings.extend(self.lint_file(path))
         return sorted(findings)
 
-    def _walk(self, node: ast.AST, ctx: FileContext) -> None:
-        for handler in self._dispatch.get(type(node), ()):  # single dispatch point
-            handler(node, ctx)
-        is_func = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-        if is_func:
-            ctx._func_stack.append(node)
+    def _walk(self, node: ast.AST, ctx: FileContext, scope: Optional[ast.AST],
+              owner: Optional[ast.AST], nodes: list) -> None:
+        """List ``node`` and its subtree in source order, gathering file
+        facts.  ``scope`` is the innermost enclosing def (lambdas do not
+        count); ``owner`` is the def whose own body this is, which a yield
+        makes a generator (None in a lambda or a def's signature)."""
+        nodes.append((node, scope))
+        kind = type(node)
+        for collect in self._collect.get(kind, ()):
+            collect(node, ctx)
+        if kind is ast.Import or kind is ast.ImportFrom:
+            ctx._add_import(node)
+        elif (kind is ast.Yield or kind is ast.YieldFrom) and owner is not None:
+            ctx._generator_funcs.add(owner)
+        body: set[int] = set()
+        if kind is ast.FunctionDef or kind is ast.AsyncFunctionDef:
+            scope, body = node, set(map(id, node.body))
+        elif kind is ast.Lambda:
+            owner = None
         for child in ast.iter_child_nodes(node):
             child.parent = node  # type: ignore[attr-defined]
-            self._walk(child, ctx)
-        if is_func:
-            ctx._func_stack.pop()
+            if body:
+                owner = node if id(child) in body else None
+            self._walk(child, ctx, scope, owner, nodes)
 
 
 def discover_files(paths: Iterable[str]) -> list[str]:

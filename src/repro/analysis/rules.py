@@ -152,22 +152,22 @@ class UnorderedIterationRule(Rule):
 
     SCOPE = frozenset({"sim", "offload", "edgeos", "faults"})
 
-    def visit_Module(self, node: ast.Module, ctx: FileContext) -> None:
-        """Pre-collect names that are provably set-typed in this file."""
+    def collect_AnnAssign(self, node: ast.AnnAssign, ctx: FileContext) -> None:
+        """Gather names that are provably set-typed in this file."""
+        if self._is_set_annotation(node.annotation):
+            self._add_symbol(node.target, ctx)
+
+    def collect_Assign(self, node: ast.Assign, ctx: FileContext) -> None:
+        if self._is_set_value(node.value):
+            for target in node.targets:
+                self._add_symbol(target, ctx)
+
+    def _add_symbol(self, target: ast.AST, ctx: FileContext) -> None:
         if self._out_of_scope(ctx):
             return
-        symbols: set[str] = set()
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.AnnAssign) and self._is_set_annotation(inner.annotation):
-                name = self._dotted(inner.target)
-                if name:
-                    symbols.add(name)
-            elif isinstance(inner, ast.Assign) and self._is_set_value(inner.value):
-                for target in inner.targets:
-                    name = self._dotted(target)
-                    if name:
-                        symbols.add(name)
-        ctx.scratch[self.id] = symbols
+        name = self._dotted(target)
+        if name:
+            ctx.scratch.setdefault(self.id, set()).add(name)
 
     def visit_For(self, node: ast.For, ctx: FileContext) -> None:
         self._check_iterable(node.iter, ctx)

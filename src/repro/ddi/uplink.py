@@ -7,7 +7,7 @@ data will be open to the community."
 Two pieces:
 
 * :class:`CloudDataServer` -- the community-facing store: ingests record
-  batches, deduplicates, and serves open queries (with the Privacy
+  batches, drops replayed records, and serves open queries (with the Privacy
   module's location generalization already applied on the vehicle side).
 * :class:`UplinkMigrator` -- the vehicle-side background job: drains
   not-yet-migrated DDI records in batches whenever uplink bandwidth is
@@ -18,6 +18,7 @@ Two pieces:
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -38,14 +39,19 @@ class CloudDataServer:
 
     def __init__(self):
         self._records: dict[str, list[Record]] = {}
-        self._seen: set[tuple[str, float, float]] = set()
+        self._seen: set[tuple[str, str]] = set()
         self.batches_ingested = 0
 
     def ingest(self, records: list[Record]) -> int:
-        """Store a batch; returns how many were new (dedup by key)."""
+        """Store a batch; returns how many were new.
+
+        A record is a replay only if stream, time, location and payload
+        all match one already stored; records that merely share a time and
+        place (a raw sample and its corrected copy) are both kept.
+        """
         new = 0
         for record in records:
-            key = (record.stream, record.timestamp, record.x_m)
+            key = (record.stream, record.to_json())
             if key in self._seen:
                 continue
             self._seen.add(key)
@@ -91,8 +97,12 @@ class UplinkMigrator:
     an optional :class:`~repro.faults.resilience.CircuitBreaker` stops the
     migrator from hammering an unreachable cloud -- rounds short-circuit
     while the breaker is open and a single probe batch re-tests the path
-    after the cooldown.  Because the cloud server deduplicates by record
-    key, a batch replayed after a mid-batch crash never double-counts.
+    after the cooldown.  Because the cloud server drops replayed records,
+    a batch replayed after a mid-batch crash never double-counts.
+
+    A batch never splits a timestamp: it takes every record at the last
+    time it reaches, even past ``batch_size``, so the watermark
+    "everything before this time has migrated" skips nothing.
     """
 
     def __init__(
@@ -194,17 +204,23 @@ class UplinkMigrator:
         migrated = 0
         try:
             for stream in self.streams:
-                batch = self.pending(stream, now_s)[: self.batch_size]
+                pending = self.pending(stream, now_s)
+                end = min(self.batch_size, len(pending))
+                # Finish the last time reached (``pending`` is in time order).
+                while (0 < end < len(pending)
+                       and pending[end].timestamp <= pending[end - 1].timestamp):
+                    end += 1
+                batch = pending[:end]
                 if not batch:
                     continue
                 shipped = [self._privatize(record) for record in batch]
                 nbytes = float(sum(len(r.to_json()) for r in shipped))
                 self.server.ingest(shipped)
                 # Acknowledged: only now account and advance the watermark
-                # just past the last shipped record.
+                # just past the last shipped time (all of it shipped).
                 self.stats.transfer_seconds += link.transfer_time(nbytes)
                 self.stats.bytes_shipped += nbytes
-                self._watermark[stream] = batch[-1].timestamp + 1e-9
+                self._watermark[stream] = math.nextafter(batch[-1].timestamp, math.inf)
                 self._persist_watermarks()
                 migrated += len(batch)
                 self.stats.records_migrated += len(batch)

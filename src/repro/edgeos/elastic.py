@@ -16,8 +16,10 @@ accordingly.  A service's pipelines are re-scored only when something the
 decision reads has changed since its last call -- a link's bandwidth, rtt
 or loss, a node's processor set, the health view, the service's state,
 incumbent or deadline, or the manager's policy; an unchanged tick returns
-the previous decision.  Plans are compiled once per (graph factory,
-assignment), so copies of one service share them.  This module is where
+the previous decision.  Plans are compiled once per value -- graph
+factory, assignment and the resolved nodes' processor sets -- into a
+table that every manager on one simulator shares, so a fleet partition's
+vehicles compile each plan once between them.  This module is where
 the DEIR *Differentiation* property lives -- each service is treated per
 its own QoS and deadline.
 
@@ -43,7 +45,9 @@ from ..offload.placement import (
     CompiledPlacement,
     PlacementEvaluation,
     compile_placement,
+    plan_key,
 )
+from ..offload.task import TaskGraph
 from ..topology.nodes import Tier
 from ..topology.world import World
 from .service import Pipeline, PolymorphicService, ServiceState
@@ -97,10 +101,15 @@ class ElasticManager:
         # service name -> (world, inputs, choice): the service's last
         # decision that changed nothing (see :meth:`choose`).
         self._decisions: dict[str, tuple[World, tuple, PipelineChoice]] = {}
-        # (graph_factory, sorted assignment items) -> (world, compiled
-        # plan).  Services built from one factory share their plans; a
-        # plan re-reads only live link state when evaluated.
-        self._compiled: dict[tuple, tuple[World, CompiledPlacement]] = {}
+        # (graph_factory, sorted assignment items) -> (world, resolved
+        # (node, version) pairs, plan): this manager's view of ``memo``,
+        # re-keyed by value when a resolved node's processor set changed.
+        self._compiled: dict[tuple, tuple[World, tuple, CompiledPlacement]] = {}
+        #: Plans by :func:`~repro.offload.placement.plan_key` and task
+        #: graphs by factory, built once and only read after.  A
+        #: :class:`~repro.scenario.DriveScenario` hands every manager its
+        #: simulator's ``memo``, so managers on one kernel share them.
+        self.memo: dict = {}
 
     def register(self, service: PolymorphicService) -> None:
         if service.name in self._services:
@@ -133,30 +142,44 @@ class ElasticManager:
             return True
         return all(health.tier_healthy(tier) for tier in pipeline.assignment.values())
 
+    def task_graph(self, graph_factory) -> TaskGraph:
+        """``graph_factory()``, built once per :attr:`memo` (read-only)."""
+        graph = self.memo.get(graph_factory)
+        if graph is None:
+            graph = self.memo[graph_factory] = graph_factory()
+        return graph
+
     def _compiled_for(
-        self,
-        service: PolymorphicService,
-        pipeline: Pipeline,
-        world: World,
-        graph_cache: list,
+        self, service: PolymorphicService, pipeline: Pipeline, world: World
     ) -> CompiledPlacement:
         """The (cached) compiled plan for one pipeline of a service.
 
-        Plans are keyed by the service's graph factory and the pipeline's
-        tier assignment, not by names, so every service built from one
-        factory shares them.  Recompiles when the world changed identity
-        or a resolved node's processor set changed.  The graph is built at
-        most once per call batch via ``graph_cache`` (a one-slot list),
-        since compilation is its only remaining consumer.
+        Kept per (graph factory, tier assignment) while ``world`` and the
+        versions of the nodes the plan resolved stay put; otherwise looked
+        up by value in :attr:`memo`, and compiled only if no manager
+        sharing it has compiled an equal plan.
         """
         key = (service.graph_factory, tuple(sorted(pipeline.assignment.items())))
         cached = self._compiled.get(key)
-        if cached is not None and cached[0] is world and cached[1].fresh:
-            return cached[1]
-        if not graph_cache:
-            graph_cache.append(service.graph_factory())
-        compiled = compile_placement(graph_cache[0], pipeline.placement(), world)
-        self._compiled[key] = (world, compiled)
+        if (
+            cached is not None
+            and cached[0] is world
+            and all(node.version == seen for node, seen in cached[1])
+        ):
+            return cached[2]
+        placement = pipeline.placement()
+        nodes = tuple(
+            (node, node.version)
+            for node in map(world.node_for_tier, sorted(set(pipeline.assignment.values())))
+        )
+        value = plan_key(service.graph_factory, placement, world)
+        compiled = self.memo.get(value)
+        if compiled is None:
+            compiled = compile_placement(
+                self.task_graph(service.graph_factory), placement, world
+            )
+            self.memo[value] = compiled
+        self._compiled[key] = (world, nodes, compiled)
         return compiled
 
     def evaluate_pipelines(
@@ -170,15 +193,12 @@ class ElasticManager:
         Pipelines placing work on a tier the watchdog marks unhealthy are
         excluded entirely -- failover happens by scoring only survivors.
         """
-        graph_cache: list = []
-        out = {}
-        for pipeline in service.pipelines:
-            if not self._pipeline_healthy(pipeline, health):
-                continue
-            out[pipeline.name] = self._compiled_for(
-                service, pipeline, world, graph_cache
-            ).evaluate()
-        return out
+        links = world.links
+        return {
+            pipeline.name: self._compiled_for(service, pipeline, world).evaluate(links)
+            for pipeline in service.pipelines
+            if self._pipeline_healthy(pipeline, health)
+        }
 
     def _pick(
         self,

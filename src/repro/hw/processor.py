@@ -132,10 +132,16 @@ class ProcessorModel:
         merged = dict(_DEFAULT_EFFICIENCY[self.kind])
         merged.update(self.efficiency)
         self.efficiency = merged
+        # Sustained Gop/s per workload, keyed by the enum's value string:
+        # an enum key would run Enum.__hash__ in Python on every lookup.
+        self._gops = {
+            workload._value_: self.peak_gops * eff
+            for workload, eff in merged.items()
+        }
 
     def effective_gops(self, workload: WorkloadClass) -> float:
         """Sustained throughput for a workload class, in Gop/s."""
-        return self.peak_gops * self.efficiency[workload]
+        return self._gops[workload._value_]
 
     def supports(self, workload: WorkloadClass) -> bool:
         """Whether this device can run the class at all (eff > 0)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hw.energy import EnergyMeter
-from ..topology.nodes import Tier
+from ..topology.nodes import LinkTable, Node, Tier
 from ..topology.world import World
 from .task import TaskGraph
 
@@ -28,6 +28,7 @@ __all__ = [
     "PlacementEvaluation",
     "compile_placement",
     "evaluate_placement",
+    "plan_key",
 ]
 
 
@@ -72,7 +73,7 @@ def evaluate_placement(
     A one-shot :class:`CompiledPlacement`: there is one cost model, and
     callers that evaluate a placement repeatedly keep the compiled plan.
     """
-    return CompiledPlacement(graph, placement, world).evaluate()
+    return CompiledPlacement(graph, placement, world).evaluate(world.links)
 
 
 # -- compiled evaluation ----------------------------------------------------
@@ -91,23 +92,18 @@ class CompiledPlacement:
     topological order, tier assignment, best-fit processor selection,
     link-table resolution, constant execution times, the uplink-byte
     total and the vehicle energy sum -- and leaves :meth:`evaluate` to
-    re-read only the link objects' live bandwidth/latency state.  These
-    floats feed deadline-miss counts and per-vehicle trace hashes, where
-    "close" is not equal, so the order of the arithmetic is part of the
-    contract.
+    read only the live bandwidth/latency state of the link table it is
+    handed.  These floats feed deadline-miss counts and per-vehicle trace
+    hashes, where "close" is not equal, so the order of the arithmetic is
+    part of the contract.
 
-    A plan goes stale when any node it resolved processors from changes
-    its processor set (``Node.version``); callers check :attr:`fresh`
-    before reuse and recompile otherwise.
+    A plan reads nothing of ``world`` after compilation but the processor
+    sets of the nodes its tiers resolve to, so one plan serves every world
+    whose resolved nodes hold equal processors (:func:`plan_key`).
     """
 
     def __init__(self, graph: TaskGraph, placement: Placement, world: World):
         placement.validate(graph)
-        self.world = world
-        self._node_versions = tuple(
-            (world.node_for_tier(tier), world.node_for_tier(tier).version)
-            for tier in sorted({placement.tier_of(n) for n in graph.task_names})
-        )
         self._infeasible: PlacementEvaluation | None = None
         #: Per task, in topo order: (source_op, ((pred_index, op), ...),
         #: exec_time).  An op is (kind, link, nbytes).
@@ -187,16 +183,10 @@ class CompiledPlacement:
             return (_OP_LATENCY, attr, 0.0)
         return (_OP_TRANSFER, attr, nbytes)
 
-    @property
-    def fresh(self) -> bool:
-        """False once any resolved node changed its processor set."""
-        return all(node.version == seen for node, seen in self._node_versions)
-
-    def evaluate(self) -> PlacementEvaluation:
-        """Cost under the links' *current* state (see class docstring)."""
+    def evaluate(self, links: LinkTable) -> PlacementEvaluation:
+        """Cost under the *current* state of ``links`` (see class docstring)."""
         if self._infeasible is not None:
             return self._infeasible
-        links = self.world.links
         finish = [0.0] * len(self._steps)
         for i, (source_op, pred_ops, exec_time) in enumerate(self._steps):
             ready = 0.0
@@ -237,3 +227,29 @@ def compile_placement(
 ) -> CompiledPlacement:
     """Compile ``placement`` for repeated evaluation against ``world``."""
     return CompiledPlacement(graph, placement, world)
+
+
+def plan_key(graph_factory, placement: Placement, world: World) -> tuple:
+    """What a compiled plan is a function of, by value.
+
+    The graph factory, the tier assignment, and the processor-set
+    contents of each node the placement's tiers resolve to (every field
+    of every processor, in node order, since best-fit ties go to the first
+    listed).  Worlds built alike -- a fleet's vehicles -- share one key.
+    """
+    tiers = sorted(set(placement.assignment.values()))
+    return (
+        graph_factory,
+        tuple(sorted(placement.assignment.items())),
+        tuple(_processor_set(world.node_for_tier(tier)) for tier in tiers),
+    )
+
+
+def _processor_set(node: Node) -> tuple:
+    return tuple(
+        (
+            p.name, p.kind, p.peak_gops, p.tdp_watts, p.idle_watts,
+            p.memory_gb, p.launch_overhead_s, tuple(p.efficiency.items()),
+        )
+        for p in node.processors
+    )

@@ -133,6 +133,7 @@ class DriveScenario:
             self.mhep.register(processor)
         self.dsf = DSF(self.sim, self.mhep)
         self.manager = ElasticManager()
+        self.manager.memo = self.sim.memo
         self.sharing = DataSharingBus()
         self.ddi: DDIService | None = None
         if ddi_root is not None:
@@ -280,7 +281,10 @@ class DriveScenario:
                         if key not in local_graphs:
                             # Cache fill: once per (service, pipeline).
                             local_tasks = [
-                                task for task in service.graph_factory().tasks
+                                task
+                                for task in self.manager.task_graph(
+                                    service.graph_factory
+                                ).tasks
                                 if pipeline.assignment[task.name] == Tier.VEHICLE
                             ]
                             share = None

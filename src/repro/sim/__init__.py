@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel: event loop, processes, resources, RNG.
 
 :mod:`.sanitizer` holds the opt-in determinism sanitizer that hashes the
-events this kernel fires through its trace tap.
+events this kernel records in its :class:`~.core.EventTrace`.
 """
 
 from .core import (

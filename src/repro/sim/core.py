@@ -21,7 +21,10 @@ Typical usage::
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import sys
+from array import array
 from typing import Any, Callable, Generator, Iterable, NamedTuple, Optional
 
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -29,6 +32,7 @@ from .queues import HeapQueue
 
 __all__ = [
     "Event",
+    "EventTrace",
     "Timeout",
     "Process",
     "AnyOf",
@@ -63,7 +67,16 @@ class Event:
     after which its callbacks are scheduled on the event loop.  Events carry
     a ``value`` (the result handed to waiters) and may hold an exception if
     they failed.
+
+    ``_label`` is what an :class:`EventTrace` records when it fires:
+    ``"kind|name\\n"``, the kind being the class name (set per subclass).
     """
+
+    _label = "Event|\n"
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._label = f"{cls.__name__}|\n"
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -132,6 +145,17 @@ class Timeout(Event):
         sim._schedule_event(self, delay=delay_s)
 
 
+class _Start:
+    """A process's first step as a bare queue entry, traced as an ``Event``
+    (what the bootstrap used to be), so a start costs no :class:`Event`."""
+
+    __slots__ = ("_resolve",)
+    _label = "Event|\n"
+
+    def __init__(self, resolve: Callable[[], None]):
+        self._resolve = resolve
+
+
 class Process(Event):
     """A running generator; also an event that fires when it finishes.
 
@@ -145,12 +169,11 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         #: The name with per-invocation suffixes stripped (label-safe).
         self.short_name = self.name.split("@", 1)[0]
+        self._label = f"Process|{self.name}\n"
         self._waiting_on: Optional[Event] = None
         self._spawned_at = sim.now
-        # Bootstrap: step the generator at the current time.
-        bootstrap = Event(sim)
-        bootstrap.callbacks.append(self._step)
-        bootstrap.succeed()
+        # Step the generator at the current time, after what is queued.
+        sim._schedule_event(_Start(self._step))
 
     @property
     def is_alive(self) -> bool:
@@ -387,6 +410,54 @@ class KernelCheckpoint(NamedTuple):
     next_event_s: float
 
 
+#: A run() folds its trace every 4096 events (fired & mask == 0).
+_FOLD_MASK = 4095
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+class EventTrace:
+    """The kernel's own record of the events it fires, as packed data.
+
+    The loop appends each fired event's time to :attr:`times` (an
+    ``array('d')``) and its ``_label`` to :attr:`labels`, with no Python
+    call per event.  :meth:`fold`, run at the end of every run()/step()
+    and every 4096 events, hashes the buffers into two streaming BLAKE2b
+    digests -- the times' little-endian IEEE-754 bytes, the label text --
+    and empties them; so the digest covers the order, time bits, kind and
+    name of every event, whenever folds happen.  ``keep`` moves folded
+    events to :attr:`kept` (times, labels) instead of dropping them.
+    """
+
+    def __init__(self, keep: bool = False):
+        self.times = array("d")
+        self.labels: list[str] = []
+        self.kept: tuple[array, list[str]] | None = (array("d"), []) if keep else None
+        self.count = 0  # events folded
+        self._digests = (hashlib.blake2b(digest_size=16), hashlib.blake2b(digest_size=16))
+
+    def fold(self) -> None:
+        """Hash the buffered events and empty the buffers."""
+        times, labels = self.times, self.labels
+        if not times:
+            return
+        if self.kept is not None:
+            self.kept[0].extend(times)
+            self.kept[1].extend(labels)
+        if _BIG_ENDIAN:
+            times.byteswap()
+        self._digests[0].update(times)
+        self._digests[1].update("".join(labels).encode())
+        self.count += len(times)
+        del times[:]
+        labels.clear()
+
+    def hexdigest(self) -> str:
+        """Hex digest of every event recorded so far."""
+        self.fold()
+        times, labels = self._digests
+        return hashlib.blake2b(times.digest() + labels.digest(), digest_size=16).hexdigest()
+
+
 class Simulator:
     """The event loop: a binary heap of (time, seq, event).
 
@@ -399,10 +470,10 @@ class Simulator:
     event.  Subsystems holding a simulator reference record through
     ``sim.obs``, so installing one collector instruments all of them.
 
-    Trace taps (:meth:`add_trace_tap`) are the first-class export hook for
-    event-trace hashing: each tap is called as ``tap(event, when)`` for
-    every event the loop fires, in firing order.  Zero-cost when no tap is
-    installed (one truthiness check per event).
+    An attached :class:`EventTrace` (:meth:`attach_trace`) is the
+    kernel's own record of every event it fires, in firing order, for
+    trace hashing; with none attached the loop pays one ``is None`` test
+    per event.
     """
 
     def __init__(self, obs: Recorder | None = None):
@@ -412,12 +483,16 @@ class Simulator:
         self._stopped = False
         self._running = False
         self._fired = 0
-        self._taps: list[Callable[[Event, float], None]] = []
+        self._trace: EventTrace | None = None
         # Per-run accounting the loop batches and flushes through ``obs``
         # once per run()/step() instead of per event (see _flush_pending).
         self._pending_steps: dict[str, int] = {}
         self._pending_completions: dict[str, int] = {}
         self._flush_hooks: list[Callable[[Recorder], None]] = []
+        #: Values derived once per kernel and shared by every subsystem on
+        #: it (a fleet partition runs all its vehicles on one kernel), e.g.
+        #: compiled placement plans; they live as long as the simulator.
+        self.memo: dict = {}
         self.obs: Recorder = obs if obs is not None else NULL_RECORDER
         if obs is not None:
             obs.bind_clock(lambda: self._now)
@@ -437,20 +512,22 @@ class Simulator:
         """Total events the loop has fired since construction."""
         return self._fired
 
-    # -- trace taps --------------------------------------------------------
+    # -- event trace -------------------------------------------------------
 
-    def add_trace_tap(self, tap: Callable[[Event, float], None]) -> None:
-        """Install a per-fired-event callback ``tap(event, when)``.
+    def attach_trace(self, keep: bool = False) -> EventTrace:
+        """Record every event fired from the next run()/step() on (one
+        trace per simulator; see :class:`EventTrace` for ``keep``)."""
+        if self._trace is not None:
+            raise SimulationError("a trace is already attached")
+        self._trace = EventTrace(keep)
+        return self._trace
 
-        Taps observe the canonical firing order (the determinism
-        contract's event trace); they must not schedule events or mutate
-        simulation state.
-        """
-        self._taps.append(tap)
-
-    def remove_trace_tap(self, tap: Callable[[Event, float], None]) -> None:
-        """Uninstall a previously added tap (ValueError if absent)."""
-        self._taps.remove(tap)
+    def detach_trace(self) -> None:
+        """Stop recording from the next run()/step() on; the detached
+        trace keeps what it holds."""
+        if self._trace is not None:
+            self._trace.fold()
+            self._trace = None
 
     def checkpoint(self) -> KernelCheckpoint:
         """A :class:`KernelCheckpoint` of the loop's current state."""
@@ -541,7 +618,10 @@ class Simulator:
         record = obs.enabled
         sample_depth = record and obs.tracing
         queue = self._queue
-        taps = self._taps
+        trace = self._trace
+        if trace is not None:
+            trace_time = trace.times.append
+            trace_label = trace.labels.append
         fired = 0
         depths: list[int] = []
         self._running = True
@@ -555,12 +635,16 @@ class Simulator:
                 fired += 1
                 if sample_depth:
                     depths.append(len(queue))
-                if taps:
-                    for tap in taps:
-                        tap(event, when)
+                if trace is not None:
+                    trace_time(when)
+                    trace_label(event._label)
+                    if not fired & _FOLD_MASK:
+                        trace.fold()
                 event._resolve()
         finally:
             self._running = False
+            if trace is not None:
+                trace.fold()
             self._fired += fired
             if record and fired:
                 obs.count("sim.events_fired", fired)
@@ -605,14 +689,17 @@ class Simulator:
             obs.count("sim.events_fired")
             if obs.tracing:
                 obs.observe("sim.queue_depth", len(self._queue))
-        if self._taps:
-            for tap in self._taps:
-                tap(event, when)
+        trace = self._trace
+        if trace is not None:
+            trace.times.append(when)
+            trace.labels.append(event._label)
         self._running = True
         try:
             event._resolve()
         finally:
             self._running = False
+            if trace is not None:
+                trace.fold()
         if obs.enabled:
             self._flush_pending(obs)
         return self._now

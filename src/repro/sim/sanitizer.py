@@ -3,30 +3,31 @@
 The file-local lint rules flag direct wall-clock and global-RNG reads
 where they are written, and the golden per-vehicle trace hashes pin what
 a seeded fleet run must produce; this module checks the *execution* and
-finds where two runs part.  A :class:`DeterminismSanitizer`
-wraps a live :class:`~repro.sim.core.Simulator` and records, for every
-event the loop fires, a :class:`TraceRecord` of (sequence number, sim
-time, event kind, process name) folded into a rolling BLAKE2 hash.  Two
-runs of the same seeded scenario must produce identical ``trace_hash``
-values; when they do not, :meth:`DeterminismSanitizer.diff` walks the
-two traces to the **first diverging event**, which is almost always the
-component that smuggled in wall-clock time, an unseeded RNG, or
-hash-order iteration.
+finds where two runs part.  A :class:`DeterminismSanitizer` attaches a
+live :class:`~repro.sim.core.Simulator`'s
+:class:`~repro.sim.core.EventTrace`, in which the kernel records the
+fire time and the ``kind|name`` label of every event it fires, and reads
+it back: a trace hash over those packed arrays and, when records are
+kept, one :class:`TraceRecord` (sequence number, sim time, event kind,
+process name) per event.  Two runs of the same seeded scenario must
+produce identical ``trace_hash`` values; when they do not,
+:meth:`DeterminismSanitizer.diff` finds the **first diverging event**,
+which is almost always the component that smuggled in wall-clock time,
+an unseeded RNG, or hash-order iteration.
 
 RNG discipline is watched the same way: :meth:`watch_rng` wraps a
 :class:`~repro.sim.random.RngRegistry` so every draw increments a
 per-(stream, method) counter -- same seed, same code path => identical
 draw counts, and a drifted counter names the stream that diverged.
 
-The sanitizer is opt-in and zero-cost when absent: it installs a single
-kernel trace tap (:meth:`~repro.sim.core.Simulator.add_trace_tap`) on the
-simulator handed to it and removes it on :meth:`detach` (or
-context-manager exit) -- no per-event wrapper objects are allocated.
+The sanitizer is opt-in and costs nothing per event in Python: the loop
+appends to two arrays, and :meth:`detach` (or context-manager exit)
+stops the recording.
 """
 
 from __future__ import annotations
 
-import hashlib
+from array import array
 from typing import Any, NamedTuple, Optional
 
 __all__ = [
@@ -61,6 +62,21 @@ class Divergence(NamedTuple):
         return f"first divergence at event {self.index}: {left} != {right}"
 
 
+def _bits(times: array) -> array:
+    """The fire times' IEEE-754 bit patterns, one unsigned int each."""
+    bits = array("Q")
+    bits.frombytes(times.tobytes())
+    return bits
+
+
+def _record_at(kept: tuple, seq: int) -> Optional[TraceRecord]:
+    """Event ``seq`` of a kept trace, or None past its end."""
+    times, labels = kept
+    if seq >= len(times):
+        return None
+    return TraceRecord(seq, times[seq], *labels[seq][:-1].split("|", 1))
+
+
 class _CountingRng:
     """Duck-typed RNG proxy that counts draws per method name."""
 
@@ -83,7 +99,7 @@ class _CountingRng:
 
 
 class DeterminismSanitizer:
-    """Records a rolling trace hash of every event a Simulator fires.
+    """Reads the trace hash of every event a Simulator fires.
 
     Usage::
 
@@ -93,63 +109,32 @@ class DeterminismSanitizer:
         print(san.trace_hash)        # identical across same-seed runs
         div = san.diff(other_san)    # None, or the first divergent event
 
-    ``keep_records=False`` keeps only the rolling hash (bounded memory)
-    for long soak runs where a pass/fail bit is enough.
-
-    Trace lines are buffered and folded into the hash in batches -- at
-    most :attr:`FOLD_LINES` at a time and on every read -- rather than
-    one ``update`` per event.  BLAKE2 is streaming, so the digest is the
-    one a per-line fold gives.  Many events share one fire time, so the
-    ``repr`` of the last nonzero float time is kept and reused while it
-    repeats: equal nonzero floats have equal bits, hence equal reprs
-    (``0.0 == -0.0`` and ``5 == 5.0`` do not, so those are formatted
-    afresh).
+    The sanitizer attaches the simulator's
+    :class:`~repro.sim.core.EventTrace` and reads it; the kernel does the
+    recording.  ``keep_records=False`` keeps only the digests (bounded
+    memory) for long soak runs where a pass/fail bit is enough.
     """
-
-    #: Buffered trace lines that force a fold into the hash.
-    FOLD_LINES = 4096
 
     def __init__(self, sim: Any, keep_records: bool = True):
         self.sim = sim
         self.keep_records = keep_records
-        self.records: list[TraceRecord] = []
-        self.event_count = 0
         self.rng_counts: dict[tuple[str, str], int] = {}
-        self._hash = hashlib.blake2b(digest_size=16)
-        self._lines: list[str] = []
-        self._last_when: Optional[float] = None
-        self._last_when_text = ""
         self._watched: list[tuple[Any, Any]] = []
-        sim.add_trace_tap(self._record)
+        self.trace = sim.attach_trace(keep=keep_records)
         self._attached = True
 
-    # -- event recording ---------------------------------------------------
+    @property
+    def event_count(self) -> int:
+        """Events traced so far."""
+        self.trace.fold()
+        return self.trace.count
 
-    def _record(self, event: Any, when: float) -> None:
-        seq = self.event_count
-        self.event_count = seq + 1
-        name = getattr(event, "name", "") or ""
-        kind = type(event).__name__
-        if when == self._last_when and type(when) is float:
-            when_text = self._last_when_text
-        else:
-            when_text = repr(when)
-            if type(when) is float and when:
-                self._last_when = when
-                self._last_when_text = when_text
-        # The hashed trace line is f"{seq}|{when!r}|{kind}|{name}\n".
-        lines = self._lines
-        lines.append(f"{seq}|{when_text}|{kind}|{name}\n")
-        if len(lines) >= self.FOLD_LINES:
-            self._fold()
-        if self.keep_records:
-            self.records.append(TraceRecord(seq=seq, time=when, kind=kind, name=name))
-
-    def _fold(self) -> None:
-        """Hash every buffered trace line in one update."""
-        if self._lines:
-            self._hash.update("".join(self._lines).encode())
-            self._lines.clear()
+    @property
+    def records(self) -> list[TraceRecord]:
+        """Every traced event (empty without ``keep_records``)."""
+        self.trace.fold()
+        kept = self.trace.kept
+        return [] if kept is None else [_record_at(kept, seq) for seq in range(len(kept[0]))]
 
     # -- rng watching ------------------------------------------------------
 
@@ -181,26 +166,30 @@ class DeterminismSanitizer:
     @property
     def trace_hash(self) -> str:
         """Hex digest of everything recorded so far (rolling state)."""
-        self._fold()
-        return self._hash.copy().hexdigest()
+        return self.trace.hexdigest()
 
     def diff(self, other: "DeterminismSanitizer") -> Optional[Divergence]:
         """First divergent event between two recorded traces, or None.
 
         Requires both sides to have kept records; trace-hash-only
-        sanitizers can still be compared via :attr:`trace_hash`.
+        sanitizers can still be compared via :attr:`trace_hash`.  Times
+        are compared by their bits, as the hash sees them.
         """
         if not self.keep_records or not other.keep_records:
             raise ValueError("diff() needs keep_records=True on both sides")
-        for index, (left, right) in enumerate(zip(self.records, other.records)):
-            if left != right:
-                return Divergence(index, left, right)
-        if len(self.records) != len(other.records):
-            index = min(len(self.records), len(other.records))
-            left = self.records[index] if index < len(self.records) else None
-            right = other.records[index] if index < len(other.records) else None
-            return Divergence(index, left, right)
-        return None
+        self.trace.fold()
+        other.trace.fold()
+        left, right = self.trace.kept, other.trace.kept
+        left_bits, right_bits = _bits(left[0]), _bits(right[0])
+        if left_bits == right_bits and left[1] == right[1]:
+            return None
+        common = min(len(left_bits), len(right_bits))
+        index = next(
+            (i for i in range(common)
+             if left_bits[i] != right_bits[i] or left[1][i] != right[1][i]),
+            common,
+        )
+        return Divergence(index, _record_at(left, index), _record_at(right, index))
 
     def summary(self) -> dict[str, Any]:
         """A JSON-friendly digest for bench reports."""
@@ -215,7 +204,7 @@ class DeterminismSanitizer:
     def detach(self) -> None:
         """Restore the simulator (and any watched registries)."""
         if self._attached:
-            self.sim.remove_trace_tap(self._record)
+            self.sim.detach_trace()
             self._attached = False
         while self._watched:
             registry, original_stream = self._watched.pop()

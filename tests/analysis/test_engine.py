@@ -52,16 +52,25 @@ def test_syntax_error_becomes_e999_finding():
 
 
 def test_qualname_resolves_aliases_and_from_imports():
-    tree = ast.parse(
+    resolved = []
+
+    class Probe(Rule):
+        id = "TST003"
+        name = "probe"
+        description = "records each call's resolved name"
+
+        def visit_Call(self, node, ctx):
+            resolved.append(ctx.qualname(node.func))
+
+    # The walk gathers every import before any visitor runs, so a call
+    # above the import that binds its name resolves too.
+    source = (
+        "def late():\n    mono()\n"
         "import numpy as np\nfrom time import monotonic as mono\n"
-        "np.random.seed(0)\nmono()\n"
+        "np.random.seed(0)\n"
     )
-    ctx = FileContext("x.py", "", tree)
-    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
-    assert sorted(filter(None, (ctx.qualname(c.func) for c in calls))) == [
-        "numpy.random.seed",
-        "time.monotonic",
-    ]
+    LintEngine([Probe()]).lint_source(source)
+    assert sorted(resolved) == ["numpy.random.seed", "time.monotonic"]
 
 
 def test_subsystem_detection():

@@ -1,12 +1,14 @@
 """DeterminismSanitizer: same seed -> same trace, divergence pinpointed."""
 
 import hashlib
+import math
+import struct
 
 import pytest
 
 from repro.apps import make_adas_service
 from repro.scenario import DriveScenario
-from repro.sim import RngRegistry, Simulator
+from repro.sim import RngRegistry, SimulationError, Simulator
 from repro.sim.sanitizer import DeterminismSanitizer
 
 
@@ -75,9 +77,11 @@ def test_diff_requires_records_on_both_sides():
 def test_detach_restores_the_simulator():
     sim = Simulator()
     sanitizer = DeterminismSanitizer(sim)
-    assert sim._taps == [sanitizer._record]
+    assert sim._trace is sanitizer.trace
+    with pytest.raises(SimulationError):
+        DeterminismSanitizer(sim)  # one trace per simulator
     sanitizer.detach()
-    assert sim._taps == []
+    assert sim._trace is None
 
 
 def test_context_manager_detaches():
@@ -88,7 +92,7 @@ def test_context_manager_detaches():
 
         sim.process(worker(sim))
         sim.run()
-    assert sim._taps == []
+    assert sim._trace is None
     assert sanitizer.event_count > 0
 
 
@@ -130,43 +134,37 @@ def test_full_drive_injected_nondeterminism_is_pinpointed():
     assert min(divergence.left.time, divergence.right.time) == 3.0
 
 
-@pytest.mark.parametrize("fold_lines", [DeterminismSanitizer.FOLD_LINES, 1, 3])
-def test_buffered_digest_equals_a_per_line_fold(monkeypatch, fold_lines):
-    monkeypatch.setattr(DeterminismSanitizer, "FOLD_LINES", fold_lines)
+def _documented_digest(records):
+    """The trace hash as documented, folded one event at a time."""
+    times = hashlib.blake2b(digest_size=16)
+    labels = hashlib.blake2b(digest_size=16)
+    for r in records:
+        times.update(struct.pack("<d", r.time))
+        labels.update(f"{r.kind}|{r.name}\n".encode())
+    return hashlib.blake2b(times.digest() + labels.digest(), digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("runs", [1, 3, 4096])
+def test_buffered_digest_equals_a_per_line_fold(runs):
+    """Whatever ``run(until=...)`` calls split the drive into (each one a
+    fold, most of 4096 folding nothing), every read equals a fold of one
+    ``kind|name`` line and one time per event."""
     sim = Simulator()
     sanitizer = DeterminismSanitizer(sim)
     for k in range(4):
         sim.process(_ticker(sim, 0.3 * (k + 1)), name=f"ticker-{k}")
-
-    def per_line_fold():
-        digest = hashlib.blake2b(digest_size=16)
-        for record in sanitizer.records:
-            digest.update(
-                f"{record.seq}|{record.time!r}|{record.kind}|{record.name}\n"
-                .encode()
-            )
-        return digest.hexdigest()
-
-    reads = []
-    for until in (0.0, 0.5, 1.7, 4.0):
-        sim.run(until=until)
-        reads.append((sanitizer.event_count, sanitizer.trace_hash))
-        assert reads[-1][1] == per_line_fold()
+    horizon = 12.0
+    for step in range(1, runs + 1):
+        sim.run(until=horizon * step / runs)
+        assert sanitizer.trace_hash == _documented_digest(sanitizer.records)
     sim.run()
-    assert sanitizer.summary()["trace_hash"] == per_line_fold()
-    assert sanitizer.event_count > reads[-1][0] > reads[1][0] > 0
+    assert sanitizer.summary()["trace_hash"] == _documented_digest(sanitizer.records)
+    assert sanitizer.event_count == len(sanitizer.records) > 0
 
 
 def _ticker(sim, period_s):
     for _ in range(12):
         yield sim.timeout(period_s)
-
-
-def _documented_digest(records):
-    digest = hashlib.blake2b(digest_size=16)
-    for r in records:
-        digest.update(f"{r.seq}|{r.time!r}|{r.kind}|{r.name}\n".encode())
-    return digest.hexdigest()
 
 
 def test_trace_hash_is_the_digest_of_the_documented_lines():
@@ -181,29 +179,76 @@ def test_trace_hash_is_the_digest_of_the_documented_lines():
     sim.process(burst(sim), name="burst")
     sim.run()
     # An int ``until`` leaves an int clock: a zero-delay timeout then
-    # fires at an int time, and an event succeeded next at the equal
-    # float time, so both reprs of one value reach the hash.
+    # fires at an int time, recorded as the equal float.
     sim.run(until=int(sim.now) + 2)
     sim.timeout(0)
     sim.event().succeed()
     sim.run()
-    times = [r.time for r in sanitizer.records]
+    records = sanitizer.records
+    times = [r.time for r in records]
     assert times.count(0.0) >= 3 and times.count(1.5) >= 20
-    assert {type(t) for t in times} == {int, float}
-    assert sanitizer.trace_hash == _documented_digest(sanitizer.records)
+    assert {r.kind for r in records} == {"Event", "Timeout", "AllOf", "Process"}
+    assert {r.name for r in records if r.kind == "Process"} == {
+        "ticker-0", "ticker-1", "ticker-2", "burst",
+    }
+    assert sanitizer.trace_hash == _documented_digest(records)
 
 
-def test_trace_tap_formats_every_time_it_cannot_reuse():
-    class Tapped:
-        def add_trace_tap(self, tap):
-            self.tap = tap
+def _schedule(order, names=("a", "b"), delays=(1.0, 1.0)):
+    """The trace hash of two processes that finish at ``delays``,
+    started in ``order``."""
+    sim = Simulator()
+    sanitizer = DeterminismSanitizer(sim, keep_records=False)
 
-    class Named:
-        name = "e"
+    def sleeper(sim, delay):
+        yield sim.timeout(delay)
 
-    sim = Tapped()
-    sanitizer = DeterminismSanitizer(sim, keep_records=True)
-    for when in (0.0, -0.0, 0.0, 2.5, 2.5, 2.5, 2, 2.5, 3.0, 3, 3.0,
-                 float("nan"), float("nan"), 1e-300, 1e-300, -0.0):
-        sim.tap(Named(), when)
-    assert sanitizer.trace_hash == _documented_digest(sanitizer.records)
+    for i in order:
+        sim.process(sleeper(sim, delays[i]), name=names[i])
+    sim.run()
+    return sanitizer.trace_hash
+
+
+def test_swapping_two_same_time_events_changes_the_hash():
+    assert _schedule((0, 1)) == _schedule((0, 1))
+    assert _schedule((0, 1)) != _schedule((1, 0))
+
+
+def test_renaming_one_process_changes_the_hash():
+    assert _schedule((0, 1)) != _schedule((0, 1), names=("a", "c"))
+
+
+def test_moving_one_fire_time_by_one_ulp_changes_the_hash():
+    nudged = (1.0, math.nextafter(1.0, 2.0))
+    assert _schedule((0, 1)) != _schedule((0, 1), delays=nudged)
+
+
+def test_hash_is_independent_of_fold_cadence():
+    """One run(), per-event step()s, uneven run(until=...) chunks and a
+    run long enough to fold inside the loop all hash alike."""
+
+    def build(keep):
+        sim = Simulator()
+        sanitizer = DeterminismSanitizer(sim, keep_records=keep)
+        for k in range(3):
+            sim.process(_ticker(sim, 0.25 * (k + 1)), name=f"ticker-{k}")
+        for i in range(5000):  # > 4096 events at one time: an in-loop fold
+            sim.timeout(2.0)
+        return sim, sanitizer
+
+    sim, whole = build(keep=False)
+    sim.run()
+    expected = whole.trace_hash
+
+    sim, stepped = build(keep=True)
+    while sim.peek() != float("inf"):
+        sim.step()
+    assert stepped.trace_hash == expected
+    assert stepped.event_count == whole.event_count
+
+    sim, chunked = build(keep=False)
+    for until in (0.0, 0.3, 1.99, 2.0, 2.5, 7.0):
+        sim.run(until=until)
+        chunked.trace_hash  # a read mid-drive changes nothing
+    sim.run()
+    assert chunked.trace_hash == expected

@@ -33,6 +33,37 @@ def test_server_ingest_dedup_and_query():
         server.open_query("obd", 5.0, 1.0)
 
 
+def test_server_keeps_distinct_records_that_share_time_and_place():
+    server = CloudDataServer()
+    raw, corrected = rec(5.0, v=1), rec(5.0, v=2)
+    assert server.ingest([raw, corrected]) == 2
+    assert server.ingest([corrected, raw]) == 0  # replays still drop
+    assert server.count("obd") == 2
+
+
+def test_records_sharing_the_last_shipped_time_all_migrate(tmp_path):
+    disk = DiskDB(str(tmp_path / "ddi"))
+    for v in range(3):
+        disk.put(rec(5.0, v=v))
+    server = CloudDataServer()
+    migrator = UplinkMigrator(disk, server, ["obd"], batch_size=2)
+    assert migrator.run_round(10.0, lte()) == 3  # one time is never split
+    assert server.count("obd") == 3
+    assert migrator.fully_migrated(10.0)
+
+
+def test_a_batch_finishes_the_last_time_it_reaches(tmp_path):
+    disk = DiskDB(str(tmp_path / "ddi"))
+    for t, v in ((1.0, 0), (5.0, 1), (5.0, 2), (6.0, 3)):
+        disk.put(rec(t, v=v))
+    server = CloudDataServer()
+    migrator = UplinkMigrator(disk, server, ["obd"], batch_size=2)
+    shipped = [migrator.run_round(10.0, lte()) for _ in range(3)]
+    assert shipped == [3, 1, 0]
+    assert sorted(r.payload["v"] for r in server.open_query("obd", 0.0, 10.0)) == [0, 1, 2, 3]
+    assert migrator.fully_migrated(10.0)
+
+
 def test_migrator_validation(tmp_path):
     with pytest.raises(ValueError):
         UplinkMigrator(loaded_disk(tmp_path), CloudDataServer(), ["obd"],

@@ -87,18 +87,18 @@ def test_four_partition_run_matches_golden(entry, audited_partitions):
 #: Absolute kernel trace pins for two corpus entries, as
 #: ``(seed, workload, vehicles, partitions): (events_fired,
 #: partition_hashes)``.  A partition hash folds every event its kernel
-#: fired (sequence, time, kind, name), so these pin the shared kernel's
+#: fired (order, time bits, kind, name), so these pin the shared kernel's
 #: firing order, which the per-vehicle hashes above do not cover.  An
 #: intended behaviour change updates them by hand from the failure.
 KERNEL_PINS = {
     (0, "uniform", 8, 4): (1199, {
-        0: "ae9bdfcacb158ddf1f172a6474d6cc3c",
-        1: "d307a8b243ba0d769c7e5f97933faba5",
-        2: "5b9134843a4fa1c9c895a8df9d5e490d",
-        3: "fa7d605eb801c47d3a54bb0ffa933c4e",
+        0: "2a3992bd39d22c06e96be05798f08912",
+        1: "36d3a29cfa8c676c647d2ca92151b974",
+        2: "033493bc2327f0f8d59543e7b3813861",
+        3: "c0578232cbfdc6101ff2addee65d6667",
     }),
     (1, "skewed", 32, 1): (9419, {
-        0: "1cd1351483832c012dbe5bb0167c3cc7",
+        0: "b5f99ee826fa5af285c1411ddc8e0863",
     }),
 }
 

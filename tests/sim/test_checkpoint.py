@@ -1,4 +1,4 @@
-"""Kernel fleet hooks: try_interrupt, trace taps, checkpoints, barriers."""
+"""Kernel fleet hooks: try_interrupt, checkpoints, barriers."""
 
 import pytest
 
@@ -61,34 +61,6 @@ def test_supervisor_racing_natural_completion():
     sim.run()
     assert worker.value == "finished"
     assert sup.value is False
-
-
-# -- trace taps -------------------------------------------------------------
-
-def test_trace_tap_sees_every_fired_event_in_order():
-    sim = Simulator()
-    seen = []
-    sim.add_trace_tap(lambda event, when: seen.append(when))
-    sim.timeout(1.0)
-    sim.timeout(3.0)
-    sim.timeout(2.0)
-    sim.run()
-    assert seen == [1.0, 2.0, 3.0]
-    assert sim.events_fired == 3
-
-
-def test_remove_trace_tap():
-    sim = Simulator()
-    seen = []
-    tap = lambda event, when: seen.append(when)  # noqa: E731
-    sim.add_trace_tap(tap)
-    sim.timeout(1.0)
-    sim.run()
-    sim.remove_trace_tap(tap)
-    sim.timeout(1.0)
-    sim.run()
-    assert seen == [1.0]
-    assert sim.events_fired == 2
 
 
 # -- checkpoints and barriers -----------------------------------------------
