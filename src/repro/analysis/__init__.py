@@ -37,7 +37,6 @@ from .rules import RULE_CLASSES, default_rules, rules_by_id
 from .scenario import (
     SCENARIO_RULE_CLASSES,
     ScenarioAnalyzer,
-    discover_scenario_files,
     scenario_rules,
     scenario_rules_by_id,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "ScenarioAnalyzer",
     "default_rules",
     "discover_files",
-    "discover_scenario_files",
     "lint_paths",
     "lint_source",
     "main",

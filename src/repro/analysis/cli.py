@@ -24,8 +24,8 @@ from .engine import LintEngine, Rule, discover_files
 from .reporter import render_json, render_text
 from .rules import default_rules, rules_by_id
 from .scenario import (
+    SCENARIO_EXTENSIONS,
     ScenarioAnalyzer,
-    discover_scenario_files,
     scenario_rules,
     scenario_rules_by_id,
 )
@@ -125,14 +125,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         files = discover_files(args.paths)
+        scenario_files = (discover_files(args.paths, SCENARIO_EXTENSIONS)
+                          if args.scenarios else [])
     except FileNotFoundError as err:
         parser.error(f"no such path: {err.args[0]}")
-    scenario_files: list[str] = []
-    if args.scenarios:
-        try:
-            scenario_files = discover_scenario_files(args.paths)
-        except FileNotFoundError as err:
-            parser.error(f"no such path: {err.args[0]}")
 
     findings = LintEngine(file_rules).lint_paths(files)
 

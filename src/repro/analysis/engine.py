@@ -323,8 +323,11 @@ class LintEngine:
             self._walk(child, ctx, scope, owner, nodes)
 
 
-def discover_files(paths: Iterable[str]) -> list[str]:
-    """Expand files/directories into a sorted list of ``.py`` files.
+def discover_files(paths: Iterable[str],
+                   suffixes: tuple[str, ...] = (".py",)) -> list[str]:
+    """Expand files/directories into a sorted list of the files ending
+    in one of ``suffixes``; a directory holding :data:`SKIP_MARKER` is
+    pruned.
 
     Raises ``FileNotFoundError`` for paths that do not exist so the CLI can
     turn that into a usage error rather than silently linting nothing.
@@ -332,7 +335,7 @@ def discover_files(paths: Iterable[str]) -> list[str]:
     out: list[str] = []
     for path in paths:
         if os.path.isfile(path):
-            if path.endswith(".py"):
+            if path.endswith(suffixes):
                 out.append(path)
         elif os.path.isdir(path):
             # dirnames.sort() pins the walk order deterministically.
@@ -342,7 +345,7 @@ def discover_files(paths: Iterable[str]) -> list[str]:
                     dirnames[:] = []  # do not descend further either
                     continue
                 for fname in sorted(filenames):
-                    if fname.endswith(".py"):
+                    if fname.endswith(suffixes):
                         out.append(os.path.join(dirpath, fname))
         else:
             raise FileNotFoundError(path)

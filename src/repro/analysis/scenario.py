@@ -24,44 +24,34 @@ not ASTs:
   vehicle_costs`).
 
 SCN001-003 come from :func:`repro.scenarios.compiler.lower_cells` --
-the same path ``compile_text`` takes: the schema's document checks,
+the same path ``compile_text`` takes: one schema walk of the document,
 then every ``FleetConfig`` refusal of every cell, anchored at the key
-behind it.  SCN005 prices the lowered configs with the cost probe.
+behind it.  SCN005 reads the budget and the matrix from that walk's
+:class:`~repro.scenarios.schema.Accepted` record, and prices the
+lowered configs with the cost probe.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional, Sequence
 
 from ..fleet.plan import PROBE_HORIZON_S, vehicle_costs
-from ..scenarios import schema
 from ..scenarios.compiler import lower_cells
-from ..scenarios.yamlish import (
-    MappingNode,
-    ScalarNode,
-    ScenarioSyntaxError,
-    parse_text,
-)
-from .engine import (
-    PARSE_ERROR_RULE,
-    SKIP_MARKER,
-    Finding,
-    Pragmas,
-    Rule,
-)
+from ..scenarios.yamlish import ScenarioSyntaxError, parse_text
+from .engine import PARSE_ERROR_RULE, Finding, Pragmas, Rule
 
 __all__ = [
+    "SCENARIO_EXTENSIONS",
     "SCENARIO_RULE_CLASSES",
     "ScenarioAnalyzer",
-    "discover_scenario_files",
     "scenario_rules",
     "scenario_rules_by_id",
 ]
 
 _EPS = 1e-9
 
-#: Scenario files the directory walk picks up.
+#: Scenario files the directory walk picks up (see
+#: :func:`~repro.analysis.engine.discover_files`).
 SCENARIO_EXTENSIONS: tuple[str, ...] = (".yaml", ".yml")
 
 
@@ -131,33 +121,6 @@ def scenario_rules_by_id() -> dict[str, Rule]:
     return {rule.id: rule for rule in scenario_rules()}
 
 
-def discover_scenario_files(paths: Iterable[str]) -> list[str]:
-    """Expand files/directories into a sorted list of scenario files.
-
-    Mirrors :func:`~repro.analysis.engine.discover_files` -- including
-    the ``.vdaplint-skip`` opt-out for fixture corpora -- but collects
-    ``.yaml``/``.yml`` instead of ``.py``.
-    """
-    out: list[str] = []
-    for path in paths:
-        if os.path.isfile(path):
-            if path.endswith(SCENARIO_EXTENSIONS):
-                out.append(path)
-        elif os.path.isdir(path):
-            # dirnames.sort() pins the walk order deterministically.
-            for dirpath, dirnames, filenames in os.walk(path):  # vdaplint: disable=DET004
-                dirnames.sort()
-                if SKIP_MARKER in filenames:
-                    dirnames[:] = []  # do not descend further either
-                    continue
-                for fname in sorted(filenames):
-                    if fname.endswith(SCENARIO_EXTENSIONS):
-                        out.append(os.path.join(dirpath, fname))
-        else:
-            raise FileNotFoundError(path)
-    return sorted(set(out))
-
-
 class ScenarioAnalyzer:
     """Run the SCN pack over scenario files.
 
@@ -195,7 +158,7 @@ class ScenarioAnalyzer:
                 source, path, exc.line, PARSE_ERROR_RULE,
                 f"scenario syntax error: {exc.message}",
             )]
-        cells, issues = lower_cells(doc)
+        cells, issues, accepted = lower_cells(doc)
         findings = [
             self._finding(source, path, issue.line, issue.rule,
                           issue.message)
@@ -205,7 +168,9 @@ class ScenarioAnalyzer:
             # The cap needs clean document checks; the cost needs every
             # cell lowered (a failing cell carries its own finding).
             configs = None if issues else [cell.config for cell in cells]
-            findings.extend(self._budget_overruns(source, path, doc, configs))
+            findings.extend(
+                self._budget_overruns(source, path, accepted, configs)
+            )
         pragmas = Pragmas(source)
         return [
             finding for finding in sorted(set(findings))
@@ -214,35 +179,26 @@ class ScenarioAnalyzer:
 
     # -- SCN005 ------------------------------------------------------------
 
-    def _budget_overruns(self, source: str, path: str, doc,
+    def _budget_overruns(self, source: str, path: str, accepted,
                          configs: Optional[list]) -> list[Finding]:
         """``configs`` holds every cell's lowered config, or ``None``
         when some cell failed to lower (the cost cap is then unpriced)."""
-        budget = doc.get("budget")
-        if not isinstance(budget, MappingNode):
-            return []
         out: list[Finding] = []
-        count = len(schema.expand_cells(doc))
-        cap_node = budget.get("cells")
-        if isinstance(cap_node, ScalarNode) and isinstance(
-            cap_node.value, int
-        ) and not isinstance(cap_node.value, bool):
-            cap = cap_node.value
-            if count > cap:
-                out.append(self._finding(
-                    source, path, budget.key_line("cells"), "SCN005",
-                    f"sweep expands to {count} matrix cells, over "
-                    f"the declared budget of {cap}",
-                ))
-        cost_node = budget.get("cost")
-        if configs is not None and isinstance(cost_node, ScalarNode) \
-                and isinstance(cost_node.value, (int, float)) \
-                and not isinstance(cost_node.value, bool):
-            declared = float(cost_node.value)
+        count = len(accepted.cells())
+        cap = accepted.budget.get("cells")
+        if cap is not None and count > cap.value:
+            out.append(self._finding(
+                source, path, cap.line, "SCN005",
+                f"sweep expands to {count} matrix cells, over "
+                f"the declared budget of {cap.value}",
+            ))
+        cost = accepted.budget.get("cost")
+        if configs is not None and cost is not None:
+            declared = float(cost.value)
             total = self._matrix_cost(configs)
             if total > declared + _EPS:
                 out.append(self._finding(
-                    source, path, budget.key_line("cost"), "SCN005",
+                    source, path, cost.line, "SCN005",
                     f"matrix costs ~{total:.0f} kernel events under the "
                     f"measured cost model ({count} cells), over the "
                     f"declared budget of {declared:g}",

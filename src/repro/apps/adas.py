@@ -16,7 +16,7 @@ import numpy as np
 from ..edgeos.service import Pipeline, PolymorphicService
 from ..topology.nodes import Tier
 from ..vcu.profiles import QoSClass
-from ..workloads.services import adas_frame_graph
+from ..workloads.services import ADAS_TASKS, adas_frame_graph
 
 if TYPE_CHECKING:
     from ..vision.cnn_detect import CnnDetector
@@ -115,10 +115,10 @@ def make_adas_service(deadline_s: float = 0.25) -> PolymorphicService:
     Three pipelines over the per-frame graph: all on board; the heavy CNN
     detection on the XEdge; everything except capture on the edge.
     """
-    names = [t.name for t in adas_frame_graph().tasks]
+    _capture, lane, detect, fuse = ADAS_TASKS
 
     def pipe(mapping: dict[str, str]) -> dict[str, str]:
-        return {name: mapping.get(name, Tier.VEHICLE) for name in names}
+        return {name: mapping.get(name, Tier.VEHICLE) for name in ADAS_TASKS}
 
     return PolymorphicService(
         name="adas-perception",
@@ -127,14 +127,10 @@ def make_adas_service(deadline_s: float = 0.25) -> PolymorphicService:
         graph_factory=adas_frame_graph,
         pipelines=[
             Pipeline("onboard", pipe({})),
-            Pipeline("detect-on-edge", pipe({"vehicle-detect": Tier.EDGE})),
+            Pipeline("detect-on-edge", pipe({detect: Tier.EDGE})),
             Pipeline(
                 "perception-on-edge",
-                pipe({
-                    "lane-detect": Tier.EDGE,
-                    "vehicle-detect": Tier.EDGE,
-                    "fuse-alert": Tier.EDGE,
-                }),
+                pipe({lane: Tier.EDGE, detect: Tier.EDGE, fuse: Tier.EDGE}),
             ),
         ],
     )

@@ -19,11 +19,12 @@ On top of that the compiler lowers:
   key, values in document order).
 
 :func:`lower_cells` is the one entry point for checking a document:
-it runs the schema's document checks, then lowers every cell, reading
-only the entries the schema accepted.  ``FleetConfig`` is the only
-judge of the lowered values; each problem of its
-:class:`~repro.fleet.config.ConfigError` becomes one issue at the line
-of the key behind it.  A document with any issue never compiles:
+one :func:`~repro.scenarios.schema.check` walk reports the document's
+issues and records what it accepted, and every cell is lowered from
+that :class:`~repro.scenarios.schema.Accepted` record alone.
+``FleetConfig`` is the only judge of the lowered values; each problem
+of its :class:`~repro.fleet.config.ConfigError` becomes one issue at
+the line of the key behind it.  A document with any issue never compiles:
 :func:`load_scenario` raises :class:`ScenarioError` carrying the same
 line-anchored issues the lint pack reports, so scenario errors surface
 as findings either way -- never as a runtime stack trace halfway into
@@ -35,11 +36,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..faults.prockill import KillPhase, KillPlan, WorkerKill
 from ..fleet.config import ConfigError, FleetConfig
 from ..workloads.styles import STYLES, WorkloadStyle
 from . import schema
-from .yamlish import MappingNode, ScalarNode, parse_text
+from .yamlish import MappingNode, parse_text
 
 __all__ = ["CompiledCell", "Scenario", "ScenarioError", "build_cell_config",
            "compile_text", "load_scenario", "lower_cells", "validate"]
@@ -90,15 +90,8 @@ class Scenario:
         return self.cells[index]
 
 
-def _scalar(doc: MappingNode, key: str, default):
-    node = doc.get(key)
-    if isinstance(node, ScalarNode) and node.value is not None:
-        return node.value
-    return default
-
-
 def _style_lowering(
-    doc: MappingNode, workload: str, vehicles: int,
+    accepted: schema.Accepted, workload: str, vehicles: int,
 ) -> WorkloadStyle | None:
     """The ``style_spec`` of one cell.
 
@@ -106,17 +99,16 @@ def _style_lowering(
     ``None`` so the config stays dataclass-equal to a hand-built one;
     anything custom gets an explicit service table.
     """
-    custom = schema.custom_styles(doc)
-    roster = schema.roster_entries(doc)
+    custom, roster = accepted.styles, accepted.roster
     if workload not in custom and not any(
         "style" in entry or "services" in entry for entry in roster.values()
     ):
         return None
     table: list[int] = []
     for vehicle in range(vehicles):
-        entry = roster.get(vehicle)
-        style = workload if entry is None else _scalar(entry, "style", workload)
-        services = None if entry is None else _scalar(entry, "services", None)
+        entry = roster.get(vehicle, {})
+        style = entry.get("style", workload)
+        services = entry.get("services")
         if services is None:
             services = (custom[style] if style in custom
                         else STYLES[style].service_count(vehicle))
@@ -124,89 +116,64 @@ def _style_lowering(
     return WorkloadStyle(name=workload, service_table=tuple(table))
 
 
-def _kill_plan(doc: MappingNode) -> KillPlan | None:
-    kills = tuple(
-        WorkerKill(
-            partition=entry.get("partition").value,
-            barrier_index=entry.get("round").value,
-            phase=_scalar(entry, "phase", KillPhase.ON_ADVANCE),
-        )
-        for entry in schema.kill_entries(doc)
-    )
-    return KillPlan(kills=kills) if kills else None
+def build_cell_config(accepted: schema.Accepted,
+                      cell: schema.CellSpec) -> FleetConfig:
+    """Lower one matrix cell of a document's accepted entries into a
+    runnable ``FleetConfig``.
 
-
-def build_cell_config(doc: MappingNode, cell: schema.CellSpec) -> FleetConfig:
-    """Lower one matrix cell into a runnable ``FleetConfig``.
-
-    Reads only the entries the schema accepts.  Raises
-    :class:`~repro.fleet.config.ConfigError` when ``FleetConfig``
+    Raises :class:`~repro.fleet.config.ConfigError` when ``FleetConfig``
     refuses the cell's merged settings.
     """
-    values = {
-        key: setting.value
-        for key, setting in schema.base_settings(doc).items()
-    }
-    values.update(dict(cell.overrides))
-    vehicles = schema.effective_vehicles(doc, values)
-    if vehicles is not None:
-        values["vehicles"] = vehicles
-    values.setdefault("workload", schema.config_defaults()["workload"])
-    kwargs = {
-        key: value for key, value in values.items()
-        if key in schema.FLEET_FIELDS or key in schema.LINK_FIELDS
-    }
-    kwargs["kill_plan"] = _kill_plan(doc)
-    kwargs["plan"] = schema.plan_shards(doc)
-    kwargs["style_spec"] = _style_lowering(
-        doc, values["workload"], vehicles or 0
+    values = accepted.values(cell)
+    values["kill_plan"] = accepted.kill_plan
+    values["plan"] = None if accepted.plan is None else accepted.plan.value
+    values["style_spec"] = _style_lowering(
+        accepted, values["workload"], values["vehicles"]
     )
-    return FleetConfig(**kwargs)
+    return FleetConfig(**values)
 
 
-def _anchor(doc: MappingNode, cell: schema.CellSpec, name: str,
-            axes: dict[str, list[schema.Setting]],
-            base: dict[str, schema.Setting]) -> int:
+def _anchor(doc: MappingNode, accepted: schema.Accepted,
+            cell: schema.CellSpec, name: str) -> int:
     """The line behind one refused field of one cell: the sweep value
     that made the cell, else the base setting, else ``plan.shards``
     for the plan, else the document line."""
     overrides = dict(cell.overrides)
     if name in overrides:
-        return next(setting.line for setting in axes[name]
+        return next(setting.line for setting in accepted.axes[name]
                     if setting.value == overrides[name])
-    if name in base:
-        return base[name].line
+    if name in accepted.base:
+        return accepted.base[name].line
     if name == "plan":
-        return doc.get("plan").key_line("shards")
+        return accepted.plan.line
     return doc.line
 
 
 def lower_cells(
     doc: MappingNode,
-) -> tuple[list[CompiledCell], list[schema.Issue]]:
+) -> tuple[list[CompiledCell], list[schema.Issue], schema.Accepted]:
     """Check a document and lower every matrix cell of it.
 
-    Returns the cells that lowered and every issue: the schema's
-    document checks, then one per distinct ``FleetConfig`` refusal,
+    Returns the cells that lowered, every issue, and the schema's
+    :class:`~repro.scenarios.schema.Accepted` record.  The issues are
+    the schema's, then one per distinct ``FleetConfig`` refusal,
     anchored at the key behind it (SCN003 for the plan, SCN001
     otherwise) and naming the cells it refused.  Lowering reads only
-    entries the schema accepted, so a rejected entry carries the
-    schema's issue alone.
+    the accepted record, so a rejected entry carries the schema's issue
+    alone.
     """
-    issues = schema.validate(doc)
+    issues, accepted = schema.check(doc)
     cells: list[CompiledCell] = []
-    axes = dict(schema.sweep_axes(doc))
-    base = schema.base_settings(doc)
-    matrix = schema.expand_cells(doc)
+    matrix = accepted.cells()
     # (line, rule, message) -> the cells refused for it, in matrix order.
     refused: dict[tuple[int, str, str], list[str]] = {}
     for cell in matrix:
         try:
-            config = build_cell_config(doc, cell)
+            config = build_cell_config(accepted, cell)
         except ConfigError as exc:
             for name, message in exc.problems:
                 key = (
-                    _anchor(doc, cell, name, axes, base),
+                    _anchor(doc, accepted, cell, name),
                     "SCN003" if name == "plan" else "SCN001",
                     message,
                 )
@@ -222,7 +189,7 @@ def lower_cells(
         )
         for (line, rule, message), names in refused.items()
     )
-    return cells, sorted(issues)
+    return cells, sorted(issues), accepted
 
 
 def _refused_cells(names: list[str], total: int) -> str:
@@ -248,24 +215,20 @@ def compile_text(text: str, path: str = "<scenario>") -> Scenario:
     failures; a returned :class:`Scenario` is runnable.
     """
     doc = parse_text(text, path)
-    cells, issues = lower_cells(doc)
+    cells, issues, accepted = lower_cells(doc)
     if issues:
         raise ScenarioError(path, issues)
-    budget = doc.get("budget")
-    budget_cost = budget_cells = None
-    if isinstance(budget, MappingNode):
-        cost = _scalar(budget, "cost", None)
-        cap = _scalar(budget, "cells", None)
-        budget_cost = float(cost) if isinstance(cost, (int, float)) else None
-        budget_cells = cap if isinstance(cap, int) else None
-    default_name = os.path.splitext(os.path.basename(path))[0]
+    cost = accepted.budget.get("cost")
+    cap = accepted.budget.get("cells")
     return Scenario(
-        name=str(_scalar(doc, "name", default_name)),
-        description=str(_scalar(doc, "description", "")),
+        name=accepted.meta.get(
+            "name", os.path.splitext(os.path.basename(path))[0]
+        ),
+        description=accepted.meta.get("description", ""),
         path=path,
         cells=tuple(cells),
-        budget_cost=budget_cost,
-        budget_cells=budget_cells,
+        budget_cost=None if cost is None else float(cost.value),
+        budget_cells=None if cap is None else cap.value,
     )
 
 

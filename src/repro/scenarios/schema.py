@@ -25,9 +25,10 @@ refusals, the lint pack the SCN005 matrix budget):
   duplicate roster ids, a plan pinned under a swept fleet size, fault
   kills aimed at partitions or rounds no matrix cell ever runs.
 
-The lowering reads a document only through the accepted-entry views
-below (:func:`base_settings`, :func:`sweep_axes`, :func:`custom_styles`,
-:func:`roster_entries`, :func:`kill_entries`, :func:`plan_shards`), so an
+:func:`check` walks a document once.  It reports every issue and
+records, in one :class:`Accepted` record, each entry it reported
+nothing against (a reference to a rejected style is rejected with it).
+The lowering and the SCN005 budget check read only that record, so an
 entry the schema rejected yields exactly one finding: the schema's.
 Field names double as :class:`~repro.fleet.config.FleetConfig` keyword
 names, and defaults are read off the dataclass itself, so schema and
@@ -40,33 +41,23 @@ import itertools
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from typing import Optional
 
+from ..faults.prockill import KillPhase, KillPlan, WorkerKill
 from ..fleet.config import FleetConfig, barrier_count
 from ..workloads.styles import STYLES
 from .units import Unit, split_name_unit
 from .yamlish import MappingNode, ScalarNode, SequenceNode
 
 __all__ = [
+    "Accepted",
     "CellSpec",
     "FieldSpec",
     "Issue",
     "Setting",
     "FLEET_FIELDS",
     "LINK_FIELDS",
-    "KILL_PHASES",
-    "base_settings",
+    "check",
     "config_defaults",
-    "custom_styles",
-    "effective_vehicles",
-    "expand_cells",
-    "kill_entries",
-    "plan_shards",
-    "roster_entries",
-    "sweep_axes",
-    "validate",
 ]
-
-#: Fault phases the scheduler understands (see ``repro.faults.prockill``).
-KILL_PHASES: tuple[str, ...] = ("on-advance", "before-ack")
 
 
 @dataclass(frozen=True, order=True)
@@ -139,10 +130,11 @@ _VEHICLE_FIELDS: dict[str, FieldSpec] = _table(
 _KILL_FIELDS: dict[str, FieldSpec] = _table(
     FieldSpec("partition", "int", required=True, nonnegative=True),
     FieldSpec("round", "int", required=True, nonnegative=True),
-    FieldSpec("phase", "str", choices=KILL_PHASES),
+    FieldSpec("phase", "str", choices=KillPhase.ALL),
 )
 
-#: Any integer (plan shard ids, kill targets before their sign check).
+#: Any integer (plan shard ids, roster ids and kill targets before their
+#: sign check).
 _INT = FieldSpec("value", "int")
 
 _BUDGET_FIELDS: dict[str, FieldSpec] = _table(
@@ -181,13 +173,54 @@ class CellSpec:
     name: str
     overrides: tuple[tuple[str, object], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "overrides", tuple(self.overrides))
 
+@dataclass
+class Accepted:
+    """Every entry :func:`check` reported nothing against: all that the
+    lowering and the budget check read of a document."""
 
-# ---------------------------------------------------------------------------
-# value extraction (robust against invalid documents)
-# ---------------------------------------------------------------------------
+    #: ``name:`` and ``description:``.
+    meta: dict[str, str] = field(default_factory=dict)
+    #: ``fleet:`` and ``links:`` settings, by key.
+    base: dict[str, Setting] = field(default_factory=dict)
+    #: ``sweep:`` axes, by key; each keeps every value it lists.
+    axes: dict[str, list[Setting]] = field(default_factory=dict)
+    #: Custom ``styles:``, as ``{style id: services}``.
+    styles: dict[str, int] = field(default_factory=dict)
+    #: How many entries the ``vehicles:`` roster lists (0: no roster).
+    roster_size: int = 0
+    #: Roster entries by vehicle id, as ``{field: value}``.
+    roster: dict[int, dict[str, object]] = field(default_factory=dict)
+    #: ``faults.kills`` as one plan (``None``: no kill).
+    kill_plan: Optional[KillPlan] = None
+    #: ``plan.shards``, at the line of its key.
+    plan: Optional[Setting] = None
+    #: ``budget:`` fields, by key.
+    budget: dict[str, Setting] = field(default_factory=dict)
+
+    def cells(self) -> list[CellSpec]:
+        """Deterministic matrix expansion: axes sorted by key, values in
+        document order, cartesian product in row-major order."""
+        if not self.axes:
+            return [CellSpec("base", ())]
+        axes = [self.axes[key] for key in sorted(self.axes)]
+        cells: list[CellSpec] = []
+        for combo in itertools.product(*axes):
+            overrides = tuple((axis.key, axis.value) for axis in combo)
+            name = "/".join(f"{key}={value}" for key, value in overrides)
+            cells.append(CellSpec(name, overrides))
+        return cells
+
+    def values(self, cell: CellSpec) -> dict[str, object]:
+        """One cell's FleetConfig keywords: the dataclass defaults, then
+        the base settings, then the cell's axis values.  A roster's
+        length, not ``vehicles``, sizes the fleet."""
+        values = config_defaults()
+        values.update((key, base.value) for key, base in self.base.items())
+        values.update(cell.overrides)
+        if self.roster_size:
+            values["vehicles"] = self.roster_size
+        return values
 
 
 def _scalar_problem(node, spec: FieldSpec) -> Optional[str]:
@@ -216,188 +249,21 @@ def _scalar_problem(node, spec: FieldSpec) -> Optional[str]:
     return None
 
 
-def _scalar_ok(node, spec: FieldSpec) -> bool:
-    """True when ``node`` is a scalar whose value satisfies ``spec``."""
-    return _scalar_problem(node, spec) is None
+class _Walk:
+    """One pass over a document.  An entry is accepted when the walk
+    reported nothing while checking it (``reported`` did not move)."""
 
-
-def _entry_ok(node, table: dict[str, FieldSpec]) -> bool:
-    """True for a mapping entry the schema accepts: known keys only, each
-    well-formed, every required key present."""
-    return isinstance(node, MappingNode) and all(
-        key in table and _scalar_ok(value, table[key])
-        for key, value in node.items()
-    ) and all(spec.name in node for spec in table.values() if spec.required)
-
-
-def custom_styles(doc: MappingNode) -> dict[str, int]:
-    """The ``styles:`` entries the schema accepts, as ``{id: services}``."""
-    styles = doc.get("styles")
-    if not isinstance(styles, MappingNode):
-        return {}
-    return {
-        style_id: node.get("services").value
-        for style_id, node in styles.items()
-        if style_id not in STYLES and _entry_ok(node, _STYLE_FIELDS)
-    }
-
-
-def _names_style(node, styles: dict[str, int]) -> bool:
-    """True when a well-formed style reference names a defined style."""
-    return node.value in STYLES or node.value in styles
-
-
-def base_settings(doc: MappingNode) -> dict[str, Setting]:
-    """Well-formed scalar settings from ``fleet:`` + ``links:``.
-
-    Malformed entries, and a ``workload`` naming no defined style, are
-    skipped (they already carry their issues); callers get only values
-    the compiler could actually use.
-    """
-    styles = custom_styles(doc)
-    out: dict[str, Setting] = {}
-    for section_name, table in (("fleet", FLEET_FIELDS), ("links", LINK_FIELDS)):
-        section = doc.get(section_name)
-        if not isinstance(section, MappingNode):
-            continue
-        for key, node in section.items():
-            spec = table.get(key)
-            if spec is not None and _scalar_ok(node, spec) and (
-                key != "workload" or _names_style(node, styles)
-            ):
-                out[key] = Setting(key, node.value, node.line)
-    return out
-
-
-def sweep_axes(doc: MappingNode) -> list[tuple[str, list[Setting]]]:
-    """Well-formed sweep axes, sorted by key (the expansion order)."""
-    sweep = doc.get("sweep")
-    if not isinstance(sweep, MappingNode):
-        return []
-    styles = custom_styles(doc)
-    axes: list[tuple[str, list[Setting]]] = []
-    for key in sorted(sweep.keys()):
-        spec = _FLAT_FIELDS.get(key)
-        node = sweep.get(key)
-        if spec is None or not isinstance(node, SequenceNode):
-            continue
-        values = [
-            Setting(key, item.value, item.line)
-            for item in node.items
-            if _scalar_ok(item, spec)
-            and (key != "workload" or _names_style(item, styles))
-        ]
-        if values and len(values) == len(node.items):
-            axes.append((key, values))
-    return axes
-
-
-def expand_cells(doc: MappingNode) -> list[CellSpec]:
-    """Deterministic matrix expansion: axes sorted by key, values in
-    document order, cartesian product in row-major order."""
-    axes = sweep_axes(doc)
-    if not axes:
-        return [CellSpec("base", ())]
-    cells: list[CellSpec] = []
-    for combo in itertools.product(*(values for _key, values in axes)):
-        overrides = tuple(
-            (key, setting.value)
-            for (key, _values), setting in zip(axes, combo)
-        )
-        name = "/".join(f"{key}={value}" for key, value in overrides)
-        cells.append(CellSpec(name, overrides))
-    return cells
-
-
-def _cell_value_maps(doc: MappingNode) -> list[dict[str, object]]:
-    """Per-cell resolved ``{key: value}`` maps (explicit settings only)."""
-    base = {key: setting.value for key, setting in base_settings(doc).items()}
-    maps: list[dict[str, object]] = []
-    for cell in expand_cells(doc):
-        merged = dict(base)
-        merged.update(dict(cell.overrides))
-        maps.append(merged)
-    return maps
-
-
-def effective_vehicles(doc: MappingNode,
-                       values: dict[str, object]) -> Optional[int]:
-    """Vehicle count for one cell: roster length wins, else ``vehicles``."""
-    roster = doc.get("vehicles")
-    if isinstance(roster, SequenceNode) and roster.items:
-        return len(roster.items)
-    count = values.get("vehicles", config_defaults().get("vehicles"))
-    return count if isinstance(count, int) and count >= 1 else None
-
-
-def roster_entries(doc: MappingNode) -> dict[int, MappingNode]:
-    """The roster entries the schema accepts, by vehicle id."""
-    roster = doc.get("vehicles")
-    if not isinstance(roster, SequenceNode):
-        return {}
-    styles = custom_styles(doc)
-    return {
-        item.get("id").value: item for item in roster.items
-        if _entry_ok(item, _VEHICLE_FIELDS)
-        and not ("style" in item and "services" in item)
-        and ("style" not in item or _names_style(item.get("style"), styles))
-    }
-
-
-def kill_entries(doc: MappingNode) -> list[MappingNode]:
-    """The ``faults.kills`` entries the schema accepts (a repeated
-    partition/round pair keeps its first entry)."""
-    faults = doc.get("faults")
-    kills = faults.get("kills") if isinstance(faults, MappingNode) else None
-    if not isinstance(kills, SequenceNode):
-        return []
-    accepted: dict[tuple[int, int], MappingNode] = {}
-    for item in kills.items:
-        if _entry_ok(item, _KILL_FIELDS):
-            key = (item.get("partition").value, item.get("round").value)
-            accepted.setdefault(key, item)
-    return list(accepted.values())
-
-
-def plan_shards(doc: MappingNode) -> Optional[tuple[tuple[int, ...], ...]]:
-    """``plan.shards`` when the schema accepts it: integer vehicle-id
-    lists, in a document that sweeps neither fleet size nor partitions."""
-    plan = doc.get("plan")
-    shards = plan.get("shards") if isinstance(plan, MappingNode) else None
-    if not isinstance(shards, SequenceNode) or any(
-        _swept(doc, key) for key in ("partitions", "vehicles")
-    ):
-        return None
-    if not all(
-        isinstance(shard, SequenceNode)
-        and all(_scalar_ok(entry, _INT) for entry in shard.items)
-        for shard in shards.items
-    ):
-        return None
-    return tuple(
-        tuple(entry.value for entry in shard.items) for shard in shards.items
-    )
-
-
-def _swept(doc: MappingNode, key: str) -> bool:
-    sweep = doc.get("sweep")
-    return isinstance(sweep, MappingNode) and key in sweep
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-
-class _Checker:
     def __init__(self, doc: MappingNode):
         self.doc = doc
-        self.issues: list[Issue] = []
+        self.issues: set[Issue] = set()
+        self.reported = 0
+        self.accepted = Accepted()
+        self.declared_styles = set(STYLES)
+        self.swept: set[str] = set()
 
     def report(self, rule: str, line: int, message: str) -> None:
-        issue = Issue(line=line, rule=rule, message=message)
-        if issue not in self.issues:
-            self.issues.append(issue)
+        self.reported += 1
+        self.issues.add(Issue(line=line, rule=rule, message=message))
 
     # -- generic field machinery ------------------------------------------
 
@@ -442,32 +308,35 @@ class _Checker:
             f"unknown key `{key}` in {where} (known keys: {known})",
         )
 
-    def check_scalar(self, node, spec: FieldSpec, line: int,
-                     where: str) -> None:
+    def scalar(self, node, spec: FieldSpec, line: int, where: str) -> bool:
+        """Report ``node`` unless it is a valid ``spec`` value."""
         problem = _scalar_problem(node, spec)
         if problem is not None:
             self.report(
                 "SCN001", getattr(node, "line", line),
                 f"`{spec.name}` in {where} {problem}",
             )
+        return problem is None
 
-    def check_mapping_fields(self, mapping: MappingNode,
-                             table: dict[str, FieldSpec],
-                             where: str) -> None:
+    def fields(self, mapping: MappingNode, table: dict[str, FieldSpec],
+               where: str) -> dict[str, Setting]:
+        """Check a mapping against a field table; its valid settings."""
+        out: dict[str, Setting] = {}
         for key, node in mapping.items():
             spec = table.get(key)
             if spec is None:
                 self.unknown_key(key, mapping.key_line(key), table, where)
-                continue
-            self.check_scalar(node, spec, mapping.key_line(key), where)
+            elif self.scalar(node, spec, mapping.key_line(key), where):
+                out[key] = Setting(key, node.value, node.line)
         for spec in table.values():
             if spec.required and spec.name not in mapping:
                 self.report(
                     "SCN001", mapping.line,
                     f"{where} is missing the required field `{spec.name}`",
                 )
+        return out
 
-    def require_mapping(self, key: str) -> Optional[MappingNode]:
+    def mapping(self, key: str) -> Optional[MappingNode]:
         node = self.doc.get(key)
         if node is None:
             return None
@@ -479,9 +348,20 @@ class _Checker:
             return None
         return node
 
-    # -- sections ----------------------------------------------------------
+    def style_ref(self, setting: Setting) -> bool:
+        """Report a reference to an undeclared style; True when it names
+        a built-in or accepted style."""
+        if setting.value not in self.declared_styles:
+            self.report(
+                "SCN003", setting.line,
+                f"undefined workload style `{setting.value}` "
+                f"(known: {', '.join(sorted(self.declared_styles))})",
+            )
+        return setting.value in STYLES or setting.value in self.accepted.styles
 
-    def run(self) -> list[Issue]:
+    # -- sections, in the order their readers need -------------------------
+
+    def run(self) -> None:
         for key in self.doc.keys():
             if key not in _TOP_SECTIONS:
                 self.report(
@@ -491,39 +371,43 @@ class _Checker:
                 )
         for meta in ("name", "description"):
             node = self.doc.get(meta)
-            if node is not None and not (
-                isinstance(node, ScalarNode) and isinstance(node.value, str)
-            ):
+            if node is None:
+                continue
+            if isinstance(node, ScalarNode) and isinstance(node.value, str):
+                self.accepted.meta[meta] = node.value
+            else:
                 self.report(
                     "SCN001", self.doc.key_line(meta),
                     f"`{meta}` must be a string",
                 )
-        fleet = self.require_mapping("fleet")
         if "fleet" not in self.doc:
             self.report(
                 "SCN001", self.doc.line,
                 "scenario is missing the required `fleet:` section",
             )
-        if fleet is not None:
-            self.check_mapping_fields(fleet, FLEET_FIELDS, "fleet")
-        links = self.require_mapping("links")
-        if links is not None:
-            self.check_mapping_fields(links, LINK_FIELDS, "links")
         self.check_styles()
+        for name, table in (("fleet", FLEET_FIELDS), ("links", LINK_FIELDS)):
+            section = self.mapping(name)
+            if section is not None:
+                settings = self.fields(section, table, name)
+                workload = settings.get("workload")
+                if workload is not None and not self.style_ref(workload):
+                    del settings["workload"]
+                self.accepted.base.update(settings)
         self.check_roster()
         self.check_sweep()
-        self.check_style_refs()
         self.check_plan()
         self.check_faults()
         self.check_budget()
-        return sorted(self.issues)
 
     def check_styles(self) -> None:
-        styles = self.require_mapping("styles")
+        styles = self.mapping("styles")
         if styles is None:
             return
+        self.declared_styles.update(styles.keys())
         for style_id, node in styles.items():
             line = styles.key_line(style_id)
+            before = self.reported
             if style_id in STYLES:
                 self.report(
                     "SCN001", line,
@@ -535,8 +419,9 @@ class _Checker:
                     f"style `{style_id}` must be a mapping of style fields",
                 )
                 continue
-            self.check_mapping_fields(node, _STYLE_FIELDS,
-                                      f"style `{style_id}`")
+            settings = self.fields(node, _STYLE_FIELDS, f"style `{style_id}`")
+            if self.reported == before:
+                self.accepted.styles[style_id] = settings["services"].value
 
     def check_roster(self) -> None:
         roster = self.doc.get("vehicles")
@@ -548,6 +433,7 @@ class _Checker:
                 "`vehicles:` must be a sequence of vehicle entries",
             )
             return
+        count = self.accepted.roster_size = len(roster.items)
         seen_ids: dict[int, int] = {}
         for item in roster.items:
             if not isinstance(item, MappingNode):
@@ -556,17 +442,18 @@ class _Checker:
                     "each vehicle entry must be a mapping with an `id`",
                 )
                 continue
-            self.check_mapping_fields(item, _VEHICLE_FIELDS, "vehicle entry")
+            before = self.reported
+            settings = self.fields(item, _VEHICLE_FIELDS, "vehicle entry")
             if "style" in item and "services" in item:
                 self.report(
                     "SCN001", item.key_line("services"),
                     "vehicle entry sets both `style` and `services`; "
                     "pick one",
                 )
+            style = settings.get("style")
+            names_style = style is None or self.style_ref(style)
             id_node = item.get("id")
-            if isinstance(id_node, ScalarNode) and isinstance(
-                id_node.value, int
-            ) and not isinstance(id_node.value, bool):
+            if _scalar_problem(id_node, _INT) is None:
                 vehicle_id = id_node.value
                 if vehicle_id in seen_ids:
                     self.report(
@@ -576,40 +463,39 @@ class _Checker:
                     )
                 else:
                     seen_ids[vehicle_id] = id_node.line
-        count = len(roster.items)
-        expected = set(range(count))
-        stray = sorted(set(seen_ids) - expected)
+            if self.reported == before and names_style \
+                    and settings["id"].value < count:
+                self.accepted.roster[settings["id"].value] = {
+                    key: setting.value for key, setting in settings.items()
+                }
+        stray = sorted(set(seen_ids) - set(range(count)))
         if stray:
             self.report(
                 "SCN003", roster.line,
                 f"roster ids must cover 0..{count - 1}; "
                 f"{stray} are out of range",
             )
-        fleet = self.doc.get("fleet")
-        if isinstance(fleet, MappingNode):
-            declared = fleet.get("vehicles")
-            if isinstance(declared, ScalarNode) and isinstance(
-                declared.value, int
-            ) and declared.value != count:
-                self.report(
-                    "SCN001", declared.line,
-                    f"fleet.vehicles={declared.value} but the roster "
-                    f"lists {count} vehicles",
-                )
+        declared = self.accepted.base.get("vehicles")
+        if declared is not None and declared.value != count:
+            self.report(
+                "SCN001", declared.line,
+                f"fleet.vehicles={declared.value} but the roster "
+                f"lists {count} vehicles",
+            )
 
     def check_sweep(self) -> None:
-        sweep = self.require_mapping("sweep")
+        sweep = self.mapping("sweep")
         if sweep is None:
             return
-        roster = self.doc.get("vehicles")
-        has_roster = isinstance(roster, SequenceNode) and bool(roster.items)
+        self.swept.update(sweep.keys())
         for key, node in sweep.items():
             line = sweep.key_line(key)
             spec = _FLAT_FIELDS.get(key)
             if spec is None:
                 self.unknown_key(key, line, _FLAT_FIELDS, "sweep")
                 continue
-            if key == "vehicles" and has_roster:
+            before = self.reported
+            if key == "vehicles" and self.accepted.roster_size:
                 self.report(
                     "SCN001", line,
                     "`vehicles` cannot be swept when a vehicle roster "
@@ -626,45 +512,17 @@ class _Checker:
                     "SCN001", line,
                     f"sweep axis `{key}` is empty",
                 )
-            for item in node.items:
-                self.check_scalar(item, spec, line, f"sweep axis `{key}`")
-
-    def _styles_available(self) -> set[str]:
-        available = set(STYLES)
-        styles = self.doc.get("styles")
-        if isinstance(styles, MappingNode):
-            available.update(styles.keys())
-        return available
-
-    def check_style_refs(self) -> None:
-        available = self._styles_available()
-
-        def check_ref(node) -> None:
-            if isinstance(node, ScalarNode) and isinstance(node.value, str):
-                if node.value not in available:
-                    self.report(
-                        "SCN003", node.line,
-                        f"undefined workload style `{node.value}` "
-                        f"(known: {', '.join(sorted(available))})",
-                    )
-
-        fleet = self.doc.get("fleet")
-        if isinstance(fleet, MappingNode):
-            check_ref(fleet.get("workload"))
-        sweep = self.doc.get("sweep")
-        if isinstance(sweep, MappingNode):
-            axis = sweep.get("workload")
-            if isinstance(axis, SequenceNode):
-                for item in axis.items:
-                    check_ref(item)
-        roster = self.doc.get("vehicles")
-        if isinstance(roster, SequenceNode):
-            for item in roster.items:
-                if isinstance(item, MappingNode):
-                    check_ref(item.get("style"))
+            values = [
+                Setting(key, item.value, item.line) for item in node.items
+                if self.scalar(item, spec, line, f"sweep axis `{key}`")
+            ]
+            if key == "workload":
+                values = [value for value in values if self.style_ref(value)]
+            if self.reported == before and len(values) == len(node.items):
+                self.accepted.axes[key] = values
 
     def check_plan(self) -> None:
-        plan = self.require_mapping("plan")
+        plan = self.mapping("plan")
         if plan is None:
             return
         for key in plan.keys():
@@ -689,7 +547,7 @@ class _Checker:
             return
         shards_line = plan.key_line("shards")
         for blocker in ("partitions", "vehicles"):
-            if _swept(self.doc, blocker):
+            if blocker in self.swept:
                 self.report(
                     "SCN003", shards_line,
                     f"plan pins {len(shards_node.items)} shards but "
@@ -704,40 +562,35 @@ class _Checker:
                 )
                 return
             for entry in shard_node.items:
-                if not _scalar_ok(entry, _INT):
+                if _scalar_problem(entry, _INT) is not None:
                     self.report(
                         "SCN001", getattr(entry, "line", shard_node.line),
                         "plan shard entries must be integer vehicle ids",
                     )
                     return
+        self.accepted.plan = Setting("shards", tuple(
+            tuple(entry.value for entry in shard.items)
+            for shard in shards_node.items
+        ), shards_line)
 
-    def _max_over_cells(self, key: str) -> Optional[int]:
-        values = [
-            value for value_map in _cell_value_maps(self.doc)
-            for value in [value_map.get(key, config_defaults().get(key))]
-            if isinstance(value, int)
-        ]
-        return max(values) if values else None
-
-    def _max_barrier_rounds(self) -> Optional[int]:
-        """Most barrier rounds any cell runs, when statically known."""
-        counts: list[int] = []
-        for value_map in _cell_value_maps(self.doc):
-            duration = value_map.get(
-                "duration_s", config_defaults().get("duration_s")
-            )
-            step = value_map.get("barrier_s")
+    def _kill_limits(self) -> tuple[int, Optional[int]]:
+        """Most partitions, and most barrier rounds (when statically
+        known), that any matrix cell runs."""
+        partitions: list[int] = []
+        rounds: list[Optional[int]] = []
+        for cell in self.accepted.cells():
+            values = self.accepted.values(cell)
+            partitions.append(values["partitions"])
+            step = values["barrier_s"]
             if step is None:
-                step = value_map.get("v2v_latency_s")
-            if step is None:
-                step = config_defaults().get("v2v_latency_s")
-            if step <= 0 or duration <= 0:
-                return None
-            counts.append(barrier_count(duration, step))
-        return max(counts) if counts else None
+                step = values["v2v_latency_s"]
+            duration = values["duration_s"]
+            rounds.append(barrier_count(duration, step)
+                          if step > 0 and duration > 0 else None)
+        return max(partitions), None if None in rounds else max(rounds)
 
     def check_faults(self) -> None:
-        faults = self.require_mapping("faults")
+        faults = self.mapping("faults")
         if faults is None:
             return
         for key in faults.keys():
@@ -755,9 +608,9 @@ class _Checker:
                 "`faults.kills` must be a sequence of kill entries",
             )
             return
-        max_partitions = self._max_over_cells("partitions")
-        max_rounds = self._max_barrier_rounds()
+        max_partitions, max_rounds = self._kill_limits()
         seen: dict[tuple[int, int], int] = {}
+        accepted: list[WorkerKill] = []
         for item in kills.items:
             if not isinstance(item, MappingNode):
                 self.report(
@@ -766,14 +619,15 @@ class _Checker:
                     "and `round`",
                 )
                 continue
-            self.check_mapping_fields(item, _KILL_FIELDS, "kill entry")
+            before = self.reported
+            settings = self.fields(item, _KILL_FIELDS, "kill entry")
             partition_node = item.get("partition")
             round_node = item.get("round")
-            if not (_scalar_ok(partition_node, _INT)
-                    and _scalar_ok(round_node, _INT)):
+            if _scalar_problem(partition_node, _INT) is not None \
+                    or _scalar_problem(round_node, _INT) is not None:
                 continue
             partition, round_index = partition_node.value, round_node.value
-            if max_partitions is not None and partition >= max_partitions:
+            if partition >= max_partitions:
                 self.report(
                     "SCN003", partition_node.line,
                     f"kill targets partition {partition} but no matrix "
@@ -795,19 +649,36 @@ class _Checker:
                 )
             else:
                 seen[kill_key] = item.line
+            if self.reported == before:
+                phase = settings.get("phase")
+                accepted.append(WorkerKill(
+                    partition=partition,
+                    barrier_index=round_index,
+                    phase=KillPhase.ON_ADVANCE if phase is None
+                    else phase.value,
+                ))
+        if accepted:
+            self.accepted.kill_plan = KillPlan(kills=tuple(accepted))
 
     def check_budget(self) -> None:
-        budget = self.require_mapping("budget")
+        budget = self.mapping("budget")
         if budget is None:
             return
-        self.check_mapping_fields(budget, _BUDGET_FIELDS, "budget")
+        before = self.reported
+        settings = self.fields(budget, _BUDGET_FIELDS, "budget")
         if "cost" not in budget and "cells" not in budget:
             self.report(
                 "SCN001", budget.line,
                 "budget must declare `cost:` and/or `cells:`",
             )
+        if self.reported == before:
+            self.accepted.budget = settings
 
 
-def validate(doc: MappingNode) -> list[Issue]:
-    """All SCN001/SCN002/SCN003 issues in one parsed scenario document."""
-    return _Checker(doc).run()
+def check(doc: MappingNode) -> tuple[list[Issue], Accepted]:
+    """Walk one parsed scenario document once: every SCN001/SCN002/SCN003
+    issue in it, sorted, and the :class:`Accepted` record of each entry
+    none of them is against."""
+    walk = _Walk(doc)
+    walk.run()
+    return sorted(walk.issues), walk.accepted

@@ -17,7 +17,6 @@ from typing import Optional
 __all__ = [
     "SUFFIX_UNITS",
     "Unit",
-    "parse_name_unit",
     "split_name_unit",
 ]
 
@@ -153,23 +152,15 @@ for _token, _unit in SUFFIX_UNITS.items():
     _NAMED_UNITS.setdefault((_unit.dims, _unit.scale), _token)
 
 
-def parse_name_unit(name: str) -> Optional[Unit]:
-    """Unit declared by a name's trailing suffix tokens, if any.
-
-    ``deadline_s`` -> seconds; ``drive_efficiency_wh_per_km`` -> Wh/km;
-    whole-word names (``seconds``, ``joules``) count when >= 2 chars, so a
-    loop index ``s`` or matrix column ``m`` never picks up a unit.
-    """
-    return split_name_unit(name)[1]
-
-
 def split_name_unit(name: str) -> tuple[str, Optional[Unit]]:
     """Split a name into its quantity stem and trailing unit suffix.
 
     ``("v2v_latency", seconds)`` for ``v2v_latency_s``; ``(name, None)``
-    when no suffix parses.  The stem is what scenario key-matching uses
-    to recognize ``barrier_ms`` as a mis-scaled spelling of the
-    ``barrier_s`` field.
+    when no suffix parses; ``drive_efficiency_wh_per_km`` -> Wh/km.
+    Whole-word names (``seconds``, ``joules``) count when >= 2 chars, so
+    a loop index ``s`` or matrix column ``m`` never picks up a unit.
+    The stem is what scenario key-matching uses to recognize
+    ``barrier_ms`` as a mis-scaled spelling of the ``barrier_s`` field.
     """
     tokens = name.lower().split("_")
     if len(tokens) == 1 and len(tokens[0]) < 2:

@@ -13,6 +13,7 @@ from ..hw.processor import WorkloadClass
 from ..offload.task import Task, TaskGraph
 
 __all__ = [
+    "ADAS_TASKS",
     "adas_frame_graph",
     "amber_search_graph",
     "infotainment_chunk_graph",
@@ -23,6 +24,11 @@ __all__ = [
 #: A 640x480x3 camera frame, lightly compressed.
 FRAME_BYTES = 400_000
 
+#: The ADAS frame graph's tasks, in the order the graph lists them.
+ADAS_TASKS: tuple[str, ...] = (
+    "capture", "lane-detect", "vehicle-detect", "fuse-alert",
+)
+
 
 def adas_frame_graph(
     lane_gop: float = 0.022, detect_gop: float = 30.5
@@ -32,18 +38,19 @@ def adas_frame_graph(
     Default costs are the measured op counts of the vision substrate
     (Table I): ~22 Mops of classic CV and ~30 Gops of CNN scan.
     """
+    capture, lane, detect, fuse = ADAS_TASKS
     graph = TaskGraph("adas-frame")
     graph.add_task(
-        Task("capture", 0.001, WorkloadClass.IO, output_bytes=FRAME_BYTES,
+        Task(capture, 0.001, WorkloadClass.IO, output_bytes=FRAME_BYTES,
              source_bytes=FRAME_BYTES)
     )
-    graph.add_task(Task("lane-detect", lane_gop, WorkloadClass.VISION, output_bytes=500))
-    graph.add_task(Task("vehicle-detect", detect_gop, WorkloadClass.DNN, output_bytes=2_000))
-    graph.add_task(Task("fuse-alert", 0.002, WorkloadClass.CONTROL, output_bytes=200))
-    graph.add_edge("capture", "lane-detect")
-    graph.add_edge("capture", "vehicle-detect")
-    graph.add_edge("lane-detect", "fuse-alert")
-    graph.add_edge("vehicle-detect", "fuse-alert")
+    graph.add_task(Task(lane, lane_gop, WorkloadClass.VISION, output_bytes=500))
+    graph.add_task(Task(detect, detect_gop, WorkloadClass.DNN, output_bytes=2_000))
+    graph.add_task(Task(fuse, 0.002, WorkloadClass.CONTROL, output_bytes=200))
+    graph.add_edge(capture, lane)
+    graph.add_edge(capture, detect)
+    graph.add_edge(lane, fuse)
+    graph.add_edge(detect, fuse)
     return graph
 
 

@@ -9,7 +9,8 @@ import os
 import pytest
 
 from repro.analysis import main
-from repro.analysis.scenario import discover_scenario_files
+from repro.analysis.engine import discover_files
+from repro.analysis.scenario import SCENARIO_EXTENSIONS
 
 SHIPPED = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir, "scenarios"
@@ -56,7 +57,7 @@ class TestDiscovery:
         (tmp_path / "a.yaml").write_text(CLEAN_DOC, encoding="utf-8")
         (tmp_path / "b.yml").write_text(CLEAN_DOC, encoding="utf-8")
         (tmp_path / "c.txt").write_text("not a scenario", encoding="utf-8")
-        found = discover_scenario_files([str(tmp_path)])
+        found = discover_files([str(tmp_path)], SCENARIO_EXTENSIONS)
         assert [os.path.basename(p) for p in found] == ["a.yaml", "b.yml"]
 
     def test_skip_marker_prunes_directories(self, tmp_path):
@@ -65,7 +66,7 @@ class TestDiscovery:
         (sub / ".vdaplint-skip").write_text("", encoding="utf-8")
         (sub / "bad.yaml").write_text(BAD_DOC, encoding="utf-8")
         (tmp_path / "good.yaml").write_text(CLEAN_DOC, encoding="utf-8")
-        found = discover_scenario_files([str(tmp_path)])
+        found = discover_files([str(tmp_path)], SCENARIO_EXTENSIONS)
         assert [os.path.basename(p) for p in found] == ["good.yaml"]
 
     def test_missing_path_is_a_usage_error(self, tmp_path):

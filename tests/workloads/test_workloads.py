@@ -84,6 +84,21 @@ def test_adas_graph_fans_out_and_joins():
     assert set(graph.predecessors("fuse-alert")) == {"lane-detect", "vehicle-detect"}
 
 
+def test_adas_service_names_the_graph_tasks_without_building_one(monkeypatch):
+    from repro.apps.adas import make_adas_service
+    from repro.offload.task import TaskGraph
+    from repro.workloads.services import ADAS_TASKS
+
+    assert ADAS_TASKS == tuple(adas_frame_graph().task_names)
+    built = []
+    monkeypatch.setattr(TaskGraph, "add_task",
+                        lambda self, task: built.append(task.name))
+    service = make_adas_service()
+    assert built == []
+    for pipeline in service.pipelines:
+        assert tuple(pipeline.assignment) == ADAS_TASKS
+
+
 def test_standard_mix_deadlines_ordered_by_criticality():
     deadlines = [deadline for _f, deadline in STANDARD_MIX]
     assert deadlines == sorted(deadlines)
