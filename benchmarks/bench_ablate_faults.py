@@ -27,7 +27,6 @@ from repro.faults import (
 from repro.hw import WorkloadClass
 from repro.offload import DistributedExecutor, Placement, Task, TaskGraph
 from repro.sim import Simulator
-from repro.sim.sanitizer import DeterminismSanitizer
 from repro.topology import Tier, build_default_world
 
 SEED = 2018
@@ -74,7 +73,7 @@ def storm_plan() -> FaultPlan:
 def run_drive(plan: FaultPlan, resilient: bool) -> dict:
     world = build_default_world()
     sim = Simulator()
-    sanitizer = DeterminismSanitizer(sim, keep_records=False)
+    trace = sim.attach_trace()
     injector = FaultInjector(sim, plan, world=world)
     executor = DistributedExecutor(
         sim, world, faults=injector, retry=RETRY if resilient else None
@@ -105,7 +104,7 @@ def run_drive(plan: FaultPlan, resilient: bool) -> dict:
             sum(r.latency_s for r in completed) / len(completed)
             if completed else float("nan")
         ),
-        "trace_hash": sanitizer.trace_hash,
+        "trace_hash": trace.hexdigest(),
     }
 
 

@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING
 from ..offload.placement import (
     CompiledPlacement,
     PlacementEvaluation,
-    compile_placement,
     plan_key,
 )
 from ..offload.task import TaskGraph
@@ -175,7 +174,7 @@ class ElasticManager:
         value = plan_key(service.graph_factory, placement, world)
         compiled = self.memo.get(value)
         if compiled is None:
-            compiled = compile_placement(
+            compiled = CompiledPlacement(
                 self.task_graph(service.graph_factory), placement, world
             )
             self.memo[value] = compiled

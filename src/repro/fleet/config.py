@@ -408,7 +408,7 @@ class FleetConfig:
         return f"cav-{index:03d}"
 
     def vehicle_seed(self, index: int) -> int:
-        """Independent per-vehicle seed (same derivation as RngRegistry.fork)."""
+        """Independent per-vehicle seed: ``seed * 1_000_003 + index``."""
         return self.seed * 1_000_003 + index
 
     def vehicle_speed_mps(self, index: int) -> float:

@@ -13,9 +13,9 @@ Determinism is enforced at two grains:
   rolling BLAKE2 digest.  These depend only on the vehicle's own timeline
   and the canonical envelope order, so they are *partition-invariant*: a
   4-partition fleet must match a single-process run vehicle for vehicle.
-* **The kernel trace hash** (via
-  :class:`~repro.sim.sanitizer.DeterminismSanitizer`) covers every
-  event the partition's loop fires.  It differs between partitionings
+* **The kernel trace hash** (the simulator's
+  :class:`~repro.sim.core.EventTrace`) covers every event the
+  partition's loop fires.  It differs between partitionings
   (different kernels, different event sets) but must be *replay-stable*:
   a respawned worker re-fed the same inbound batches must reproduce it
   barrier for barrier.
@@ -40,7 +40,6 @@ from ..apps import make_adas_service
 from ..obs.recorder import Collector
 from ..scenario import DriveScenario, ScenarioReport
 from ..sim.core import KernelCheckpoint, SimulationError, Simulator
-from ..sim.sanitizer import DeterminismSanitizer
 from ..topology.world import build_default_world
 from .config import PartitionSpec
 from .transport import Envelope, FinishAck, RoundAck, sort_envelopes
@@ -240,10 +239,11 @@ class PartitionRuntime:
     def __init__(self, spec: PartitionSpec):
         self.spec = spec
         self.config = spec.config
-        # Metrics only: the partition ships registry state, never a trace.
+        # Metrics only: the partition ships registry state, never spans.
         self.collector = Collector(trace=False)
         self.sim = Simulator(obs=self.collector)
-        self.sanitizer = DeterminismSanitizer(self.sim, keep_records=False)
+        # Its digest is every round's ``partition_hash``.
+        self.trace = self.sim.attach_trace()
         self.bus = V2VBus(
             self.sim,
             latency_s=self.config.v2v_latency_s,
@@ -356,7 +356,7 @@ class PartitionRuntime:
             barrier_s=barrier_s,
             outbound=self.bus.drain_outbox(),
             checkpoint=checkpoint,
-            partition_hash=self.sanitizer.trace_hash,
+            partition_hash=self.trace.hexdigest(),
         )
 
     def vehicle_hashes(self) -> dict[int, str]:
@@ -387,7 +387,7 @@ class PartitionRuntime:
             }
         return FinishAck(
             partition=self.spec.partition,
-            partition_hash=self.sanitizer.trace_hash,
+            partition_hash=self.trace.hexdigest(),
             vehicle_hashes=self.vehicle_hashes(),
             events_fired=self.sim.events_fired,
             metrics=self.metrics_snapshot(),

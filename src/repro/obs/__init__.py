@@ -5,14 +5,14 @@ global RNG, byte-stable exports):
 
 * **Metrics** (:mod:`repro.obs.metrics`) -- a label-aware registry of
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` series with
-  snapshot/diff/merge and stable JSON export.  Histograms keep fixed
+  snapshot/merge and stable JSON export.  Histograms keep fixed
   buckets per sample; their P-squared p50/p95/p99 estimates are replayed
   from a log of unread samples (8 B each) when read, so fleet
   partitions, which ship only mergeable state, never compute them.
   :class:`Summary` and :class:`Timeline` live here.
 * **Tracing** (:mod:`repro.obs.trace`) -- a span tracer stamping sim-time
-  spans (context-manager, decorator, and async-process flavours) and
-  exporting Chrome ``trace_event`` JSON viewable in Perfetto.
+  async spans (one per process lifetime) and instants, and exporting
+  Chrome ``trace_event`` JSON viewable in Perfetto.
 * **Recorder** (:mod:`repro.obs.recorder`) -- the facade the hot layers
   call.  The default :data:`NULL_RECORDER` is a near-zero-cost no-op;
   installing a :class:`Collector` (``Simulator(obs=...)`` or
@@ -37,14 +37,13 @@ if TYPE_CHECKING:
         P2Quantile,
         Summary,
         Timeline,
-        diff_snapshots,
         merge_many,
         merge_snapshots,
         mergeable_view,
     )
     from .recorder import NULL_RECORDER, Collector, Recorder
     from .report import Column, Report
-    from .trace import Span, SpanTracer
+    from .trace import SpanTracer
 
 __all__ = [
     "Collector",
@@ -58,11 +57,9 @@ __all__ = [
     "P2Quantile",
     "Recorder",
     "Report",
-    "Span",
     "SpanTracer",
     "Summary",
     "Timeline",
-    "diff_snapshots",
     "merge_many",
     "merge_snapshots",
     "mergeable_view",

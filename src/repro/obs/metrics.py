@@ -1,13 +1,13 @@
 """Metric primitives and the registry: counters, gauges, histograms.
 
 Everything here is deterministic by construction: no wall clock, no RNG,
-and every export path (snapshot, diff, merge, JSON) iterates metrics in
+and every export path (snapshot, merge, JSON) iterates metrics in
 sorted key order so two identical-seed runs serialize byte-identically.
 
 The registry is label-aware -- ``registry.counter("net.packets",
 link="lte")`` and ``registry.counter("net.packets", link="dsrc")`` are
-distinct series -- and snapshots are plain nested dicts, so they diff and
-merge with ordinary dictionary code (and round-trip through JSON).
+distinct series -- and snapshots are plain nested dicts, so they compare
+and merge with ordinary dictionary code (and round-trip through JSON).
 
 :class:`Summary` and :class:`Timeline` (formerly ``repro.metrics``,
 now fully migrated here) live here too.
@@ -31,7 +31,6 @@ __all__ = [
     "Summary",
     "Timeline",
     "DEFAULT_BUCKETS",
-    "diff_snapshots",
     "merge_snapshots",
     "merge_many",
     "mergeable_view",
@@ -367,7 +366,7 @@ class MetricRegistry:
         return [self._metrics[k] for k in sorted(self._metrics)]
 
     def snapshot(self) -> dict:
-        """Plain-dict view of every series, sorted by key: diffable, mergeable,
+        """Plain-dict view of every series, sorted by key: comparable, mergeable,
         JSON-serializable, and stable across identical runs.  Histograms
         carry their quantile estimates, which replays their unread samples."""
         return self._export(Histogram.to_snapshot)
@@ -394,30 +393,6 @@ class MetricRegistry:
     def to_json(self, indent: int | None = 2) -> str:
         """Stable JSON export of the current snapshot (sorted keys)."""
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-
-def diff_snapshots(later: dict, earlier: dict) -> dict:
-    """What happened between two snapshots of the same registry.
-
-    Counters subtract; histogram counts/sums/buckets subtract (quantile
-    estimates are point-in-time and carried from ``later``); gauges are
-    spot values, so the later reading wins unchanged.
-    """
-    out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-    for key, value in later.get("counters", {}).items():
-        out["counters"][key] = value - earlier.get("counters", {}).get(key, 0.0)
-    out["gauges"] = dict(later.get("gauges", {}))
-    for key, snap in later.get("histograms", {}).items():
-        before = earlier.get("histograms", {}).get(key)
-        merged = dict(snap)
-        if before is not None:
-            merged["count"] = snap["count"] - before["count"]
-            merged["sum"] = snap["sum"] - before["sum"]
-            merged["buckets"] = [
-                a - b for a, b in zip(snap["buckets"], before["buckets"])
-            ]
-        out["histograms"][key] = merged
-    return out
 
 
 #: The fields of :meth:`Histogram.state`, in its order.

@@ -32,22 +32,9 @@ import os
 from typing import Callable
 
 from .metrics import Counter, Gauge, Histogram, MetricRegistry
-from .trace import Span, SpanTracer
+from .trace import SpanTracer
 
 __all__ = ["Recorder", "Collector", "NULL_RECORDER"]
-
-
-class _NullSpan:
-    """Reusable do-nothing context manager (stateless, shared)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class _NullSeries:
@@ -104,10 +91,6 @@ class Recorder:
         handle with ``observe(value)`` (a no-op handle here)."""
         return _NULL_SERIES
 
-    def span(self, name: str, track: str = "main", **args):
-        """Context manager timing a nested block (no-op here)."""
-        return _NULL_SPAN
-
     def async_span(
         self, name: str, start_s: float, end_s: float, track: str = "async", **args
     ) -> None:
@@ -124,8 +107,8 @@ NULL_RECORDER = Recorder()
 class Collector(Recorder):
     """A live recorder: metric registry + span tracer + exporters.
 
-    ``trace=False`` leaves the tracer out: spans, async spans and
-    instants are dropped, and there is no trace to export.
+    ``trace=False`` leaves the tracer out: async spans and instants are
+    dropped, and there is no trace to export.
 
     Each record method looks its series up in a per-kind cache keyed by
     the raw call: ``name`` alone, or the flat tuple ``(name, *labels,
@@ -194,11 +177,6 @@ class Collector(Recorder):
             self._histograms, self.registry.histogram, name, labels
         )
 
-    def span(self, name: str, track: str = "main", **args) -> Span | _NullSpan:
-        if self.tracer is None:
-            return _NULL_SPAN
-        return self.tracer.span(name, track=track, **args)
-
     def async_span(
         self, name: str, start_s: float, end_s: float, track: str = "async", **args
     ) -> None:
@@ -212,7 +190,7 @@ class Collector(Recorder):
     # -- export ------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Current metric snapshot (plain dict; see ``metrics.diff_snapshots``)."""
+        """Current metric snapshot (a plain dict)."""
         return self.registry.snapshot()
 
     def metrics_json(self, indent: int | None = 2) -> str:

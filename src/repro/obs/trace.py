@@ -4,15 +4,13 @@ Spans are stamped from an injected clock (the simulator's, in practice)
 -- never the wall clock -- so a trace is a pure function of the run and
 two identical-seed runs export byte-identical JSON.
 
-Two span flavours map onto the two shapes simulated work takes:
+Two event shapes cover what the platform records:
 
-* **Synchronous spans** (:meth:`SpanTracer.span`, or the
-  :meth:`SpanTracer.traced` decorator): strictly nested within one call
-  stack; exported as complete (``"X"``) events, which Perfetto nests by
-  containment on a track.
 * **Async spans** (:meth:`SpanTracer.async_span`): sim processes overlap
   freely, so each lifetime is exported as a ``"b"``/``"e"`` async pair
   with its own id; Perfetto lays overlapping spans out side by side.
+* **Instants** (:meth:`SpanTracer.instant`): zero-duration markers such
+  as a pipeline switch or a fault.
 
 Open the export at https://ui.perfetto.dev (or chrome://tracing): one
 named track per subsystem, sim seconds on the time axis (exported as
@@ -24,32 +22,10 @@ from __future__ import annotations
 import json
 from typing import Callable
 
-__all__ = ["SpanTracer", "Span"]
+__all__ = ["SpanTracer"]
 
 #: Synthetic process id for the whole platform (one sim = one "process").
 TRACE_PID = 1
-
-
-class Span:
-    """An open synchronous span; close it by exiting the ``with`` block."""
-
-    def __init__(self, tracer: "SpanTracer", name: str, track: str, args: dict):
-        self.tracer = tracer
-        self.name = name
-        self.track = track
-        self.args = args
-        self.start = 0.0
-
-    def __enter__(self) -> "Span":
-        self.start = self.tracer.clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.args = dict(self.args, error=exc_type.__name__)
-        self.tracer.complete(
-            self.name, self.start, self.tracer.clock(), track=self.track, **self.args
-        )
 
 
 class SpanTracer:
@@ -82,43 +58,6 @@ class SpanTracer:
         return tid
 
     # -- recording ---------------------------------------------------------
-
-    def span(self, name: str, track: str = "main", **args) -> Span:
-        """Context manager timing a strictly nested block of work."""
-        return Span(self, name, track, args)
-
-    def traced(self, name: str | None = None, track: str = "main"):
-        """Decorator form of :meth:`span` for whole functions."""
-
-        def wrap(fn):
-            label = name or fn.__name__
-
-            def inner(*a, **kw):
-                with self.span(label, track=track):
-                    return fn(*a, **kw)
-
-            inner.__name__ = fn.__name__
-            inner.__doc__ = fn.__doc__
-            return inner
-
-        return wrap
-
-    def complete(
-        self, name: str, start_s: float, end_s: float, track: str = "main", **args
-    ) -> None:
-        """Record a finished nested span as a complete (``X``) event."""
-        event = {
-            "ph": "X",
-            "pid": TRACE_PID,
-            "tid": self._tid(track),
-            "name": name,
-            "cat": track,
-            "ts": start_s * 1e6,
-            "dur": max(0.0, end_s - start_s) * 1e6,
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
 
     def async_span(
         self, name: str, start_s: float, end_s: float, track: str = "async", **args

@@ -26,7 +26,6 @@ __all__ = [
     "CompiledPlacement",
     "Placement",
     "PlacementEvaluation",
-    "compile_placement",
     "evaluate_placement",
     "plan_key",
 ]
@@ -220,13 +219,6 @@ class CompiledPlacement:
             vehicle_energy_j=self.vehicle_energy_j,
             feasible=True,
         )
-
-
-def compile_placement(
-    graph: TaskGraph, placement: Placement, world: World
-) -> CompiledPlacement:
-    """Compile ``placement`` for repeated evaluation against ``world``."""
-    return CompiledPlacement(graph, placement, world)
 
 
 def plan_key(graph_factory, placement: Placement, world: World) -> tuple:

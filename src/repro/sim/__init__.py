@@ -1,12 +1,12 @@
 """Discrete-event simulation kernel: event loop, processes, resources, RNG.
 
-:mod:`.sanitizer` holds the opt-in determinism sanitizer that hashes the
-events this kernel records in its :class:`~.core.EventTrace`.
+A simulator's :class:`~.core.EventTrace` (``sim.attach_trace()``) is its
+own record of every event it fires: a digest two same-seed runs must
+share and, when kept, the first event where two runs differ.
 """
 
 from .core import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     KernelCheckpoint,
@@ -18,23 +18,19 @@ from .core import (
 )
 from .queues import HeapQueue
 from .random import RngRegistry
-from .resources import Container, PriorityStore, Resource, Store
+from .resources import Resource
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Container",
     "Event",
     "HeapQueue",
     "Interrupt",
     "KernelCheckpoint",
-    "PriorityStore",
     "Process",
     "Race",
     "Resource",
     "RngRegistry",
     "SimulationError",
     "Simulator",
-    "Store",
     "Timeout",
 ]

@@ -25,17 +25,19 @@ import hashlib
 import itertools
 import sys
 from array import array
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, NamedTuple, Optional
 
 from ..obs.recorder import NULL_RECORDER, Recorder
 from .queues import HeapQueue
 
 __all__ = [
+    "Divergence",
     "Event",
     "EventTrace",
     "Timeout",
+    "TraceRecord",
     "Process",
-    "AnyOf",
     "AllOf",
     "Race",
     "Interrupt",
@@ -96,10 +98,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        return self._triggered and self._exception is None
-
-    @property
     def value(self) -> Any:
         if not self._triggered:
             raise SimulationError("event value read before it triggered")
@@ -145,9 +143,11 @@ class Timeout(Event):
         sim._schedule_event(self, delay=delay_s)
 
 
-class _Start:
-    """A process's first step as a bare queue entry, traced as an ``Event``
-    (what the bootstrap used to be), so a start costs no :class:`Event`."""
+class _Call:
+    """A bare queue entry that calls ``_resolve()`` at ``now``, after what
+    is queued, traced as an unnamed ``Event``.  A process's start, its
+    resumption on an already-processed event and an interrupt's delivery
+    each fire one, and none costs an :class:`Event`."""
 
     __slots__ = ("_resolve",)
     _label = "Event|\n"
@@ -172,20 +172,13 @@ class Process(Event):
         self._label = f"Process|{self.name}\n"
         self._waiting_on: Optional[Event] = None
         self._spawned_at = sim.now
-        # Step the generator at the current time, after what is queued.
-        sim._schedule_event(_Start(self._step))
-
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
+        sim._schedule_event(_Call(self._step))
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
-        wake = Event(self.sim)
-        wake.callbacks.append(lambda _evt: self._step_throw(Interrupt(cause)))
-        wake.succeed()
+        self.sim._schedule_event(_Call(partial(self._step_throw, Interrupt(cause))))
 
     def try_interrupt(self, cause: Any = None) -> bool:
         """Interrupt the process if it is still alive; no-op otherwise.
@@ -274,71 +267,32 @@ class Process(Event):
                 SimulationError(f"process {self.name} yielded non-event: {yielded!r}")
             )
             return
+        self._waiting_on = yielded
         if yielded.processed:
-            # Already fired: resume on the next loop iteration at current time.
-            relay = Event(self.sim)
-            relay._triggered = True
-            relay._value = yielded._value
-            relay._exception = yielded._exception
-            relay.callbacks.append(self._step)
-            self.sim._schedule_event(relay)
+            # Already fired: resume with its outcome at the current time.
+            self.sim._schedule_event(_Call(partial(self._relay, yielded)))
         else:
-            self._waiting_on = yielded
             yielded.callbacks.append(self._step)
 
+    def _relay(self, trigger: Event) -> None:
+        # An interrupt delivered since the relay was queued detached the
+        # process; it may be waiting on something else by now.
+        if self._waiting_on is trigger:
+            self._step(trigger)
 
-class _Condition(Event):
-    """Base for AnyOf / AllOf composite events.
 
-    A condition succeeds with ``{index: value}`` of its processed, ok
-    children and fails with the first failing child's exception.
+class AllOf(Event):
+    """Fires when all constituent events have fired.
+
+    Succeeds with ``{index: value}`` of its children and fails with the
+    first failing child's exception.  Counts the distinct children still
+    to fire rather than rescanning the list on every callback.  A child
+    listed twice fires once, so it is counted and called back once.
     """
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self.events = list(events)
-
-    def _results(self) -> dict:
-        return {
-            i: evt._value
-            for i, evt in enumerate(self.events)
-            if evt.processed and evt._exception is None
-        }
-
-
-class AnyOf(_Condition):
-    """Fires when any constituent event has fired."""
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events)
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.processed:
-                self._on_child(event)
-            else:
-                event.callbacks.append(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._exception is not None:
-            self.fail(event._exception)
-            return
-        self.succeed(self._results())
-
-
-class AllOf(_Condition):
-    """Fires when all constituent events have fired.
-
-    Counts the distinct children still to fire rather than rescanning the
-    list on every callback.  A child listed twice fires once, so it is
-    counted and called back once.
-    """
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events)
         waiting: dict[int, Event] = {}
         for event in self.events:
             if not event.processed:
@@ -350,6 +304,13 @@ class AllOf(_Condition):
             event.callbacks.append(self._on_child)
         if not self.triggered and not self._waiting:
             self.succeed(self._results())
+
+    def _results(self) -> dict:
+        return {
+            i: evt._value
+            for i, evt in enumerate(self.events)
+            if evt.processed and evt._exception is None
+        }
 
     def _on_child(self, event: Event) -> None:
         self._waiting -= 1
@@ -365,9 +326,9 @@ class AllOf(_Condition):
 class Race(Event):
     """First-event-wins composition: fires with ``(index, value)``.
 
-    Unlike :class:`AnyOf`, a race identifies *which* constituent fired
-    first, which is what retry loops need to distinguish "work finished"
-    from "deadline elapsed" or "component failed".  If the winning event
+    A race identifies *which* constituent fired first, which is what
+    retry loops need to distinguish "work finished" from "deadline
+    elapsed" or "component failed".  If the winning event
     failed, the race fails with the same exception.  Later events are left
     untouched (a Timeout that loses simply fires into the void).
     """
@@ -415,17 +376,43 @@ _FOLD_MASK = 4095
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
+class TraceRecord(NamedTuple):
+    """One fired event of a kept :class:`EventTrace`."""
+
+    seq: int
+    time: float
+    kind: str
+    name: str
+
+    def text(self) -> str:
+        return f"#{self.seq} t={self.time!r} {self.kind}({self.name})"
+
+
+class Divergence(NamedTuple):
+    """The first point where two traces disagree (None past a trace's end)."""
+
+    index: int
+    left: Optional[TraceRecord]
+    right: Optional[TraceRecord]
+
+    def explain(self) -> str:
+        left = self.left.text() if self.left else "<trace ended>"
+        right = self.right.text() if self.right else "<trace ended>"
+        return f"first divergence at event {self.index}: {left} != {right}"
+
+
 class EventTrace:
     """The kernel's own record of the events it fires, as packed data.
 
     The loop appends each fired event's time to :attr:`times` (an
     ``array('d')``) and its ``_label`` to :attr:`labels`, with no Python
-    call per event.  :meth:`fold`, run at the end of every run()/step()
-    and every 4096 events, hashes the buffers into two streaming BLAKE2b
+    call per event.  :meth:`fold`, run at the end of every run() and
+    every 4096 events, hashes the buffers into two streaming BLAKE2b
     digests -- the times' little-endian IEEE-754 bytes, the label text --
     and empties them; so the digest covers the order, time bits, kind and
     name of every event, whenever folds happen.  ``keep`` moves folded
-    events to :attr:`kept` (times, labels) instead of dropping them.
+    events to :attr:`kept` (times, labels) instead of dropping them, which
+    is what :meth:`diff` compares.
     """
 
     def __init__(self, keep: bool = False):
@@ -457,6 +444,43 @@ class EventTrace:
         times, labels = self._digests
         return hashlib.blake2b(times.digest() + labels.digest(), digest_size=16).hexdigest()
 
+    def diff(self, other: "EventTrace") -> Optional[Divergence]:
+        """The first event where two kept traces differ, or None.
+
+        Times compare by their bits, as the digest sees them.  Traces
+        without ``keep`` can still be compared by :meth:`hexdigest`.
+        """
+        if self.kept is None or other.kept is None:
+            raise ValueError("diff() needs keep=True on both traces")
+        self.fold()
+        other.fold()
+        left, right = self.kept, other.kept
+        left_bits, right_bits = _bits(left[0]), _bits(right[0])
+        if left_bits == right_bits and left[1] == right[1]:
+            return None
+        common = min(len(left_bits), len(right_bits))
+        index = next(
+            (i for i in range(common)
+             if left_bits[i] != right_bits[i] or left[1][i] != right[1][i]),
+            common,
+        )
+        return Divergence(index, _record_at(left, index), _record_at(right, index))
+
+
+def _bits(times: array) -> array:
+    """The fire times' IEEE-754 bit patterns, one unsigned int each."""
+    bits = array("Q")
+    bits.frombytes(times.tobytes())
+    return bits
+
+
+def _record_at(kept: tuple, seq: int) -> Optional[TraceRecord]:
+    """Event ``seq`` of a kept trace, or None past its end."""
+    times, labels = kept
+    if seq >= len(times):
+        return None
+    return TraceRecord(seq, times[seq], *labels[seq][:-1].split("|", 1))
+
 
 class Simulator:
     """The event loop: a binary heap of (time, seq, event).
@@ -480,12 +504,11 @@ class Simulator:
         self._now = 0.0
         self._queue = HeapQueue()
         self._counter = itertools.count()
-        self._stopped = False
         self._running = False
         self._fired = 0
         self._trace: EventTrace | None = None
         # Per-run accounting the loop batches and flushes through ``obs``
-        # once per run()/step() instead of per event (see _flush_pending).
+        # once per run() instead of per event (see _flush_pending).
         self._pending_steps: dict[str, int] = {}
         self._pending_completions: dict[str, int] = {}
         self._flush_hooks: list[Callable[[Recorder], None]] = []
@@ -503,8 +526,8 @@ class Simulator:
 
     @property
     def running(self) -> bool:
-        """True while :meth:`run` or :meth:`step` is firing events, i.e.
-        when the caller is a sim process or an event callback."""
+        """True while :meth:`run` is firing events, i.e. when the caller
+        is a sim process or an event callback."""
         return self._running
 
     @property
@@ -515,19 +538,12 @@ class Simulator:
     # -- event trace -------------------------------------------------------
 
     def attach_trace(self, keep: bool = False) -> EventTrace:
-        """Record every event fired from the next run()/step() on (one
-        trace per simulator; see :class:`EventTrace` for ``keep``)."""
+        """Record every event fired from the next run() on (one trace per
+        simulator, for its lifetime; see :class:`EventTrace` for ``keep``)."""
         if self._trace is not None:
             raise SimulationError("a trace is already attached")
         self._trace = EventTrace(keep)
         return self._trace
-
-    def detach_trace(self) -> None:
-        """Stop recording from the next run()/step() on; the detached
-        trace keeps what it holds."""
-        if self._trace is not None:
-            self._trace.fold()
-            self._trace = None
 
     def checkpoint(self) -> KernelCheckpoint:
         """A :class:`KernelCheckpoint` of the loop's current state."""
@@ -561,10 +577,6 @@ class Simulator:
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         self._queue.push(self._now + delay, next(self._counter), event)
 
-    def stop(self) -> None:
-        """Halt :meth:`run` after the current event finishes."""
-        self._stopped = True
-
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         return self._queue.peek()
@@ -574,7 +586,7 @@ class Simulator:
 
         Subsystems that accumulate per-event observations locally (e.g.
         the DSF's per-task exec/energy accounting) register a hook; the
-        kernel invokes every hook once per :meth:`run` / :meth:`step`,
+        kernel invokes every hook once per :meth:`run`,
         after its own pending accounting, so deferred metrics land in the
         recorder before any post-run export or snapshot.
         """
@@ -600,7 +612,7 @@ class Simulator:
             hook(obs)
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or stop().
+        """Run until the queue drains or ``until`` is reached.
 
         Returns the simulation time at exit.  ``until`` is an absolute time;
         the clock is advanced to it even if no event lands exactly there.
@@ -613,7 +625,6 @@ class Simulator:
         """
         if until is not None and until < self._now:
             raise SimulationError(f"cannot run backwards: until={until} < now={self._now}")
-        self._stopped = False
         obs = self.obs
         record = obs.enabled
         sample_depth = record and obs.tracing
@@ -626,7 +637,7 @@ class Simulator:
         depths: list[int] = []
         self._running = True
         try:
-            while queue and not self._stopped:
+            while queue:
                 when = queue.peek()
                 if until is not None and when > until:
                     break
@@ -652,7 +663,7 @@ class Simulator:
                     obs.observe_batch("sim.queue_depth", depths)
             if record:
                 self._flush_pending(obs)
-        if until is not None and not self._stopped:
+        if until is not None:
             self._now = max(self._now, until)
         return self._now
 
@@ -671,35 +682,3 @@ class Simulator:
             )
         self.run(until=barrier_s)
         return self.checkpoint()
-
-    def step(self) -> float:
-        """Process exactly one event; returns the new time.
-
-        Records what :meth:`run` records for the same event (the event
-        count and, on a tracing recorder, the queue-depth sample), so a
-        schedule's metrics do not depend on which method fired it.
-        """
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _seq, event = self._queue.pop()
-        self._now = when
-        self._fired += 1
-        obs = self.obs
-        if obs.enabled:
-            obs.count("sim.events_fired")
-            if obs.tracing:
-                obs.observe("sim.queue_depth", len(self._queue))
-        trace = self._trace
-        if trace is not None:
-            trace.times.append(when)
-            trace.labels.append(event._label)
-        self._running = True
-        try:
-            event._resolve()
-        finally:
-            self._running = False
-            if trace is not None:
-                trace.fold()
-        if obs.enabled:
-            self._flush_pending(obs)
-        return self._now

@@ -35,7 +35,3 @@ class RngRegistry:
             child = np.random.SeedSequence([self.seed, zlib.crc32(name.encode())])
             self._streams[name] = np.random.default_rng(child)
         return self._streams[name]
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """A new registry whose streams are independent of this one."""
-        return RngRegistry(seed=self.seed * 1_000_003 + salt)

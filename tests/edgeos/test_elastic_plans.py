@@ -19,15 +19,16 @@ from .test_elastic import a3_service
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """The pipelines compiled so far, one entry per ``compile_placement``."""
+    """The pipelines compiled so far, one entry per ``CompiledPlacement``
+    the elastic manager builds."""
     seen = []
-    real = elastic.compile_placement
+    real = elastic.CompiledPlacement
 
     def counting(graph, placement, world):
         seen.append(dict(placement.assignment))
         return real(graph, placement, world)
 
-    monkeypatch.setattr(elastic, "compile_placement", counting)
+    monkeypatch.setattr(elastic, "CompiledPlacement", counting)
     return seen
 
 

@@ -46,8 +46,8 @@ class TestPartitionInvariance:
         h_a, rts_a = drive(small_config, 2)
         h_b, rts_b = drive(small_config, 2)
         assert h_a == h_b
-        assert [r.sanitizer.trace_hash for r in rts_a] == [
-            r.sanitizer.trace_hash for r in rts_b
+        assert [r.trace.hexdigest() for r in rts_a] == [
+            r.trace.hexdigest() for r in rts_b
         ]
 
     def test_different_seed_different_traces(self, small_config):

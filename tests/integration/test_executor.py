@@ -10,7 +10,7 @@ from repro.offload import (
     TaskGraph,
     evaluate_placement,
 )
-from repro.offload.executor import DistributedExecutor
+from repro.offload.executor import DistributedExecutor, TaskFailure
 from repro.sim import Simulator
 from repro.topology import Tier, build_default_world
 
@@ -105,7 +105,9 @@ def test_executor_infeasible_tier_fails_job():
     graph = plate_graph()
     proc = executor.submit(graph, Placement.uniform(graph, Tier.VEHICLE))
     sim.run()
-    assert proc.triggered and not proc.ok
+    assert proc.triggered
+    with pytest.raises(TaskFailure, match="vehicle has no processor"):
+        _ = proc.value
 
 
 def test_executor_agrees_with_dynamic_vdap_choice():

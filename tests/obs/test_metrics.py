@@ -12,7 +12,6 @@ from repro.obs import (
     Histogram,
     MetricRegistry,
     P2Quantile,
-    diff_snapshots,
     merge_snapshots,
 )
 
@@ -246,27 +245,6 @@ def _loaded_registry(extra: float = 0.0) -> MetricRegistry:
     for value in (0.05, 0.5, 5.0):
         hist.observe(value + extra)
     return registry
-
-
-def test_diff_snapshots_subtracts_counters_and_buckets():
-    registry = _loaded_registry()
-    earlier = registry.snapshot()
-    registry.counter("jobs", tier="edge").inc(2)
-    registry.histogram("lat").observe(0.5)
-    registry.gauge("depth").set(9.0)
-    delta = diff_snapshots(registry.snapshot(), earlier)
-    assert delta["counters"]["jobs{tier=edge}"] == 2.0
-    assert delta["histograms"]["lat"]["count"] == 1
-    assert sum(delta["histograms"]["lat"]["buckets"]) == 1
-    # Gauges are spot values: the later reading wins.
-    assert delta["gauges"]["depth"]["last"] == 9.0
-
-
-def test_diff_against_empty_earlier_is_identity_for_counters():
-    registry = _loaded_registry()
-    snap = registry.snapshot()
-    delta = diff_snapshots(snap, {"counters": {}, "gauges": {}, "histograms": {}})
-    assert delta["counters"] == snap["counters"]
 
 
 def test_merge_snapshots_round_trip():

@@ -14,19 +14,7 @@ def test_null_recorder_is_disabled_and_silent():
     recorder.observe("z", 0.5, device="gpu")
     recorder.async_span("p", 0.0, 1.0)
     recorder.instant("i")
-    with recorder.span("nested") as span:
-        with recorder.span("deeper"):
-            pass
-    assert span is not None  # the shared null span is a usable context manager
     assert NULL_RECORDER.enabled is False
-
-
-def test_null_span_swallows_nothing():
-    import pytest
-
-    with pytest.raises(ValueError):
-        with NULL_RECORDER.span("s"):
-            raise ValueError("must propagate")
 
 
 def test_noop_recorder_overhead_is_negligible():
@@ -61,10 +49,10 @@ def test_collector_bind_clock_feeds_tracer():
     times = iter([1.0, 3.5])
     collector = Collector()
     collector.bind_clock(lambda: next(times))
-    with collector.span("step", track="sim"):
-        pass
-    (event,) = [e for e in collector.tracer.events if e["ph"] == "X"]
-    assert event["ts"] == 1e6 and event["dur"] == 2.5e6
+    collector.instant("first", track="sim")
+    collector.instant("second", track="sim")
+    stamps = [e["ts"] for e in collector.tracer.events if e["ph"] == "i"]
+    assert stamps == [1e6, 3.5e6]
 
 
 def test_collector_write_exports_both_artifacts(tmp_path):
@@ -95,9 +83,6 @@ def test_metrics_only_collector_drops_spans_and_has_no_trace():
     collector.count("jobs")
     collector.async_span("p", 0.0, 1.0)
     collector.instant("mark")
-    with pytest.raises(ValueError):
-        with collector.span("s"):
-            raise ValueError("must propagate")
     assert collector.tracer is None
     assert collector.snapshot()["counters"]["jobs"] == 1.0
     with pytest.raises(RuntimeError, match="metrics only"):

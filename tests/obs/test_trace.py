@@ -1,4 +1,4 @@
-"""Span tracer: nesting, async pairs, instants, Chrome-trace JSON schema."""
+"""Span tracer: async pairs, instants, track metadata, Chrome-trace JSON schema."""
 
 import json
 
@@ -16,50 +16,6 @@ class FakeClock:
 
     def __call__(self):
         return self.now
-
-
-def test_nested_spans_emit_complete_events_with_containment():
-    clock = FakeClock()
-    tracer = SpanTracer(clock)
-    with tracer.span("outer", track="vcu"):
-        clock.now = 1.0
-        with tracer.span("inner", track="vcu"):
-            clock.now = 3.0
-        clock.now = 4.0
-    xs = [e for e in tracer.events if e["ph"] == "X"]
-    assert [e["name"] for e in xs] == ["inner", "outer"]  # closed inner-first
-    inner, outer = xs
-    assert outer["ts"] == 0.0 and outer["dur"] == pytest.approx(4e6)
-    assert inner["ts"] == pytest.approx(1e6) and inner["dur"] == pytest.approx(2e6)
-    # Containment: the inner span lies inside the outer one on the same tid.
-    assert inner["tid"] == outer["tid"]
-    assert outer["ts"] <= inner["ts"]
-    assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
-
-
-def test_span_records_exception_type_in_args():
-    tracer = SpanTracer(FakeClock())
-    with pytest.raises(RuntimeError):
-        with tracer.span("doomed"):
-            raise RuntimeError("boom")
-    (event,) = [e for e in tracer.events if e["ph"] == "X"]
-    assert event["args"]["error"] == "RuntimeError"
-
-
-def test_traced_decorator_preserves_name_and_times_calls():
-    clock = FakeClock()
-    tracer = SpanTracer(clock)
-
-    @tracer.traced(track="nn")
-    def infer(x):
-        """Docstring survives."""
-        clock.now += 0.25
-        return x * 2
-
-    assert infer(21) == 42
-    assert infer.__name__ == "infer" and "survives" in infer.__doc__
-    (event,) = [e for e in tracer.events if e["ph"] == "X"]
-    assert event["name"] == "infer" and event["dur"] == pytest.approx(0.25e6)
 
 
 def test_async_spans_pair_begin_end_with_matching_ids():
@@ -86,9 +42,9 @@ def test_instant_uses_clock_unless_given_ts():
 
 def test_track_metadata_emitted_once_per_track():
     tracer = SpanTracer()
-    tracer.complete("a", 0.0, 1.0, track="vcu")
-    tracer.complete("b", 1.0, 2.0, track="vcu")
-    tracer.complete("c", 0.0, 1.0, track="net")
+    tracer.async_span("a", 0.0, 1.0, track="vcu")
+    tracer.instant("b", ts=1.0, track="vcu")
+    tracer.instant("c", ts=0.0, track="net")
     metas = [e for e in tracer.events if e["ph"] == "M"]
     assert [m["args"]["name"] for m in metas] == ["vcu", "net"]
     assert all(m["name"] == "thread_name" for m in metas)
@@ -98,9 +54,7 @@ def test_track_metadata_emitted_once_per_track():
 
 def test_chrome_trace_document_schema():
     tracer = SpanTracer(FakeClock())
-    with tracer.span("work", track="vcu", device="gpu"):
-        pass
-    tracer.async_span("job", 0.0, 1.0)
+    tracer.async_span("job", 0.0, 1.0, track="vcu", device="gpu")
     tracer.instant("mark")
     doc = json.loads(tracer.to_json())
     assert set(doc) == {"traceEvents", "displayTimeUnit"}
@@ -110,8 +64,6 @@ def test_chrome_trace_document_schema():
         assert {"ph", "tid", "name"} <= set(event)
         if event["ph"] != "M":
             assert "ts" in event and "cat" in event
-        if event["ph"] == "X":
-            assert event["dur"] >= 0.0
         if event["ph"] in ("b", "e"):
             assert event["id"].startswith("0x")
 
@@ -120,7 +72,7 @@ def test_trace_json_is_deterministic():
     def build():
         tracer = SpanTracer()
         tracer.async_span("p", 0.5, 1.5, track="t", k="v")
-        tracer.complete("c", 0.0, 0.25, track="t")
+        tracer.async_span("q", 0.0, 0.25, track="t")
         tracer.instant("i", ts=2.0)
         return tracer.to_json()
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.sim import Simulator
-from repro.sim.sanitizer import DeterminismSanitizer
 
 PROCESSOR_POOL = ["vehicle/cpu", "vehicle/gpu", "edge/gpu", "cloud/xeon"]
 LINK_POOL = ["edge-vehicle", "cloud-vehicle", "cloud-edge"]
@@ -71,19 +70,18 @@ def test_injector_replay_is_deterministic(seed):
         cloud=True,
     )
     traces = []
-    sanitizers = []
+    kernel_traces = []
     for _ in range(2):
         sim = Simulator()
-        sanitizer = DeterminismSanitizer(sim)
+        kernel_traces.append(sim.attach_trace(keep=True))
         injector = FaultInjector(sim, plan)
         sim.run()
         traces.append(list(injector.trace))
-        sanitizers.append(sanitizer)
     assert traces[0] == traces[1]
-    # The runtime sanitizer cross-checks the injector's own trace: the
+    # The kernel's event trace cross-checks the injector's own trace: the
     # full event-loop schedule must also be bit-identical across replays.
-    assert sanitizers[0].trace_hash == sanitizers[1].trace_hash
-    assert sanitizers[0].diff(sanitizers[1]) is None
+    assert kernel_traces[0].hexdigest() == kernel_traces[1].hexdigest()
+    assert kernel_traces[0].diff(kernel_traces[1]) is None
     # Every outage onset in the plan appears as a logged down-transition
     # (slowdowns and degradations log under their own labels).
     outage_kinds = (

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, RngRegistry, Simulator, Store
+from repro.sim import Resource, RngRegistry, Simulator
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6,
@@ -82,18 +82,6 @@ def test_resource_never_exceeds_capacity(capacity, durations):
     assert peak[0] <= capacity
     assert done[0] == len(durations)
     assert res.count == 0 and res.queue_length == 0
-
-
-@given(items=st.lists(st.integers(), min_size=0, max_size=50))
-@settings(max_examples=100)
-def test_store_is_lossless_and_fifo(items):
-    sim = Simulator()
-    store = Store(sim)
-    for item in items:
-        store.put(item)
-    received = [store.get() for _ in items]
-    sim.run()
-    assert [event.value for event in received] == items
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31),

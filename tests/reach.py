@@ -23,7 +23,10 @@ the ones no surface ran and, of those, the ones whose name no code
 outside ``tests/`` mentions: no ``Name``, attribute, import alias or
 string constant with that name in ``src``, ``benchmarks``, ``examples``
 or ``perfbench``.  Dunder methods are protocol hooks, so they never count
-as unreferenced.  ``--ran`` prints the functions that did run instead.
+as unreferenced.  Last come the classes none of whose own methods ran,
+with no name filter: a method called ``put`` or ``step`` is named
+somewhere, so only this list shows a whole unreached class.  ``--ran``
+prints the functions that did run instead.
 
 The paper benches rewrite ``benchmarks/results/`` in place, as CI does;
 ``git diff benchmarks/results/`` stays empty on a clean tree.  This is a
@@ -172,18 +175,20 @@ def _package_path(filename: str) -> str:
     return "/".join(parts[start:])
 
 
-def definitions() -> list[tuple[str, int, str, int]]:
-    """(module path, first line, qualified name, body lines) of every def."""
+def definitions() -> list[tuple[str, int, str, int, str | None]]:
+    """(module path, first line, qualified name, body lines, owning class)
+    of every def; the owner is the qualified name of the class whose body
+    holds the def, or None."""
     found = []
     for path in _python_files(PACKAGE):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
         module = _package_path(path)
-        for node, qualname in _defs(tree.body, ""):
+        for node, qualname, owner in _defs(tree.body, "", None):
             # A code object's first line is its first decorator's.
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             body = node.end_lineno - node.body[0].lineno + 1
-            found.append((module, first, qualname, body))
+            found.append((module, first, qualname, body, owner))
     return found
 
 
@@ -192,17 +197,18 @@ def _python_files(root: str) -> list[str]:
                   for name in names if name.endswith(".py"))
 
 
-def _defs(nodes, prefix):
-    """Every def among ``nodes`` and below them, with its qualified name."""
+def _defs(nodes, prefix, owner):
+    """Every def among ``nodes`` and below them, with its qualified name
+    and the class whose body holds it (``owner`` for ``nodes`` itself)."""
     for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qualname = prefix + node.name
-            yield node, qualname
-            yield from _defs(node.body, qualname + ".<locals>.")
+            yield node, qualname, owner
+            yield from _defs(node.body, qualname + ".<locals>.", None)
         elif isinstance(node, ast.ClassDef):
-            yield from _defs(node.body, prefix + node.name + ".")
+            yield from _defs(node.body, prefix + node.name + ".", prefix + node.name)
         else:
-            yield from _defs(ast.iter_child_nodes(node), prefix)
+            yield from _defs(ast.iter_child_nodes(node), prefix, None)
 
 
 def caller_names() -> set[str]:
@@ -244,10 +250,10 @@ def main(argv=None) -> int:
         reached, failed = record(selected, hook_dir, out)
 
     defs = definitions()
-    total_lines = sum(body for *_, body in defs)
+    total_lines = sum(d[3] for d in defs)
     print(f"surfaces: {len(selected)} ({', '.join(label for label, _ in selected)})")
     if args.ran:
-        ran = [(module, qualname) for module, first, qualname, _ in defs
+        ran = [(module, qualname) for module, first, qualname, *_ in defs
                if (module, first) in reached]
         print(f"ran: {len(ran)} of {len(defs)} functions")
         for module, qualname in ran:
@@ -258,7 +264,7 @@ def main(argv=None) -> int:
     print(f"never ran: {len(never)} of {len(defs)} functions, "
           f"{sum(d[3] for d in never)} of {total_lines} body lines")
     by_module = defaultdict(list)
-    for module, first, qualname, body in never:
+    for module, first, qualname, body, _owner in never:
         by_module[module].append(f"{qualname} ({body})")
     for module in sorted(by_module):
         print(f"  {module}: {', '.join(by_module[module])}")
@@ -269,8 +275,19 @@ def main(argv=None) -> int:
                and d[2].rpartition(".")[2] not in names]
     print(f"never ran and unnamed outside tests/: {len(orphans)} functions, "
           f"{sum(d[3] for d in orphans)} body lines")
-    for module, first, qualname, body in orphans:
+    for module, first, qualname, body, _owner in orphans:
         print(f"  {module}:{first} {qualname} ({body})")
+
+    methods = defaultdict(list)
+    for module, first, _qualname, body, owner in defs:
+        if owner is not None:
+            methods[module, owner].append(((module, first) in reached, body))
+    idle = sorted(key for key, rows in methods.items() if not any(ran for ran, _ in rows))
+    print(f"classes none of whose methods ran: {len(idle)}, "
+          f"{sum(body for key in idle for _, body in methods[key])} body lines")
+    for module, owner in idle:
+        rows = methods[module, owner]
+        print(f"  {module}:{owner} ({len(rows)} defs, {sum(b for _, b in rows)} body lines)")
     for label in failed:
         print(f"FAILED surface: {label}")
     return 1 if failed else 0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AnyOf,
     Interrupt,
     SimulationError,
     Simulator,
@@ -179,7 +178,9 @@ def test_yield_non_event_fails_process():
 
     proc = sim.process(bad(sim))
     sim.run()
-    assert proc.triggered and not proc.ok
+    assert proc.triggered
+    with pytest.raises(SimulationError, match="yielded non-event"):
+        _ = proc.value
 
 
 def test_interrupt_delivers_cause():
@@ -235,21 +236,6 @@ def test_interrupted_process_can_continue():
     sim.process(interrupter(sim))
     sim.run()
     assert log == [6.0]
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    seen = []
-
-    def proc(sim):
-        t1 = sim.timeout(5.0, value="slow")
-        t2 = sim.timeout(2.0, value="fast")
-        results = yield AnyOf(sim, [t1, t2])
-        seen.append((sim.now, results))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert seen == [(2.0, {1: "fast"})]
 
 
 def test_all_of_waits_for_every_event():
@@ -320,7 +306,9 @@ def test_all_of_fails_on_first_child_failure_while_others_pend():
     sim.process(breaker(sim))
     sim.run()
     assert seen == [(1.0, "boom")]
-    assert not cond.ok and slow.processed
+    assert slow.processed
+    with pytest.raises(ValueError, match="boom"):
+        _ = cond.value
 
 
 def test_all_of_fails_on_a_child_that_failed_before_construction():
@@ -328,7 +316,9 @@ def test_all_of_fails_on_a_child_that_failed_before_construction():
     failed = sim.event().fail(KeyError("gone"))
     sim.run()
     cond = sim.all_of([sim.timeout(1.0), failed])
-    assert cond.triggered and not cond.ok
+    assert cond.triggered
+    with pytest.raises(KeyError, match="gone"):
+        _ = cond.value
 
 
 class _RescanAllOf:
@@ -349,7 +339,9 @@ class _RescanAllOf:
         self._on_child(None)
 
     def _on_child(self, _event):
-        if self.result is None and all(e.processed and e.ok for e in self.events):
+        if self.result is None and all(
+            e.processed and e._exception is None for e in self.events
+        ):
             self.result = {
                 i: e._value for i, e in enumerate(self.events)
                 if e.processed and e._exception is None
@@ -379,37 +371,6 @@ def test_all_of_result_matches_the_rescanning_definition(picks):
     assert fired == [oracle.fired_at]
 
 
-def test_stop_halts_run():
-    sim = Simulator()
-    fired = []
-
-    def proc(sim):
-        yield sim.timeout(1.0)
-        fired.append(1)
-        sim.stop()
-        yield sim.timeout(1.0)
-        fired.append(2)
-
-    sim.process(proc(sim))
-    sim.run()
-    assert fired == [1]
-    sim.run()
-    assert fired == [1, 2]
-
-
-def test_step_processes_single_event():
-    sim = Simulator()
-    sim.timeout(1.0)
-    sim.timeout(2.0)
-    assert sim.step() == 1.0
-    assert sim.peek() == 2.0
-
-
-def test_step_empty_queue_raises():
-    with pytest.raises(SimulationError):
-        Simulator().step()
-
-
 def test_peek_empty_queue_is_infinite():
     assert Simulator().peek() == float("inf")
 
@@ -434,8 +395,55 @@ def test_nested_processes_three_deep():
     assert proc.value == 113
 
 
+def test_each_resume_fires_one_unnamed_event_entry():
+    """A process's start, its resumption on an already-processed event
+    (with a value or an exception) and an interrupt's delivery each fire
+    exactly one queue entry, traced as an unnamed ``Event``."""
+    sim = Simulator()
+    done = sim.event().succeed("early")
+    failed = sim.event().fail(KeyError("gone"))
+    sim.run()
+    trace = sim.attach_trace(keep=True)
+    seen = []
+
+    def proc(sim):
+        yield sim.timeout(1.0)
+        seen.append((yield done))
+        yield sim.timeout(1.0)
+        try:
+            yield failed
+        except KeyError as err:
+            seen.append(err.args[0])
+        try:
+            yield sim.event()  # never fires
+        except Interrupt as intr:
+            seen.append(intr.cause)
+        return "end"
+
+    target = sim.process(proc(sim), name="p")
+    sim.run()
+    target.interrupt("wake")
+    sim.run()
+    trace.fold()
+    times, labels = trace.kept
+    assert list(zip(times, labels)) == [
+        (0.0, "Event|\n"),  # the start
+        (1.0, "Timeout|\n"),
+        (1.0, "Event|\n"),  # the relay of ``done``
+        (2.0, "Timeout|\n"),
+        (2.0, "Event|\n"),  # the relay of ``failed``
+        (2.0, "Event|\n"),  # the interrupt
+        (2.0, "Process|p\n"),
+    ]
+    assert seen == ["early", "gone", "wake"]
+    assert target.value == "end"
+    assert sim.events_fired == 2 + len(times)
+
+
 @pytest.mark.parametrize("trace", [True, False], ids=["tracing", "metrics-only"])
-def test_step_records_what_run_records(trace):
+def test_chunked_runs_record_what_one_run_records(trace):
+    """Splitting a schedule over run(until=...) calls (each one a flush)
+    records the same metrics as one run() to the end."""
     from repro.obs import Collector
 
     def schedule(sim):
@@ -451,11 +459,12 @@ def test_step_records_what_run_records(trace):
         sim.process(joiner(sim), name="joiner")
         return sim
 
-    run_collector, step_collector = Collector(trace=trace), Collector(trace=trace)
+    run_collector, chunk_collector = Collector(trace=trace), Collector(trace=trace)
     schedule(Simulator(obs=run_collector)).run()
-    stepped = schedule(Simulator(obs=step_collector))
-    while stepped.peek() != float("inf"):
-        stepped.step()
-    assert step_collector.snapshot() == run_collector.snapshot()
+    chunked = schedule(Simulator(obs=chunk_collector))
+    for until in (0.0, 0.5, 0.75, 1.0, 2.0, 3.5):
+        chunked.run(until=until)
+    chunked.run()
+    assert chunk_collector.snapshot() == run_collector.snapshot()
     histograms = run_collector.snapshot()["histograms"]
     assert ("sim.queue_depth" in histograms) is trace

@@ -4,22 +4,8 @@ import pytest
 
 from repro.hw import WorkloadClass, catalog
 from repro.offload import Task, TaskGraph
-from repro.sim import AnyOf, Resource, SimulationError, Simulator
+from repro.sim import Interrupt, Resource, SimulationError, Simulator
 from repro.vcu import DSF, MHEP
-
-
-def test_any_of_fails_when_a_child_fails_first():
-    sim = Simulator()
-    bad = sim.event()
-    slow = sim.timeout(10.0)
-
-    def proc(sim):
-        with pytest.raises(RuntimeError):
-            yield AnyOf(sim, [bad, slow])
-
-    sim.process(proc(sim))
-    bad.fail(RuntimeError("child died"))
-    sim.run()
 
 
 def test_all_of_fails_fast_on_child_failure():
@@ -109,7 +95,7 @@ def test_yielding_a_non_event_fails_the_process():
     sim.run()
     assert sim.now == 1.0  # vdaplint: disable=FLT001
     for proc in procs:
-        assert not proc.ok
+        assert proc.processed
         with pytest.raises(SimulationError, match="yielded non-event"):
             _ = proc.value
 
@@ -156,7 +142,7 @@ def test_running_is_true_only_while_events_fire():
 
     sim.process(proc(sim))
     assert not sim.running
-    sim.step()
+    sim.run(until=0.0)
     assert not sim.running
     sim.run(until=2.0)
     assert seen == [True, True]
@@ -165,6 +151,31 @@ def test_running_is_true_only_while_events_fire():
     with pytest.raises(RuntimeError, match="boom"):
         sim.run()
     assert not sim.running
+
+
+def test_an_interrupt_cancels_a_queued_resume_on_a_processed_event():
+    """An interrupt delivered between yielding an already-processed event
+    and the resumption it queued wins: the stale resumption must not feed
+    that event's value into whatever the process waits on next."""
+    sim = Simulator()
+    done = sim.event().succeed("early")
+    seen = []
+
+    def victim(sim):
+        yield sim.timeout(1.0)
+        try:
+            seen.append(("done", (yield done)))
+        except Interrupt:
+            seen.append(("late", (yield sim.timeout(5.0, value="late")), sim.now))
+
+    def interrupter(sim):
+        yield sim.timeout(1.0)
+        target.interrupt()
+
+    sim.process(interrupter(sim))  # wakes at t=1 before the victim
+    target = sim.process(victim(sim))
+    sim.run()
+    assert seen == [("late", "late", 6.0)]
 
 
 def test_dsf_priority_jumps_device_queue():

@@ -3,7 +3,7 @@
 ``repro.sim.queues.QUEUE_BACKENDS``; every fired event must pass through
 them, or those counters silently read 0."""
 
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 from repro.sim.queues import QUEUE_BACKENDS
 
 
@@ -33,11 +33,21 @@ def test_queue_backend_methods_see_every_event(monkeypatch):
         yield sim.timeout(1.0)
         done.succeed("go")
 
+    def sleeper():
+        yield sim.timeout(1.5)
+        yield done  # processed by now: resumed by a queued entry
+        try:
+            yield sim.timeout(10.0)
+        except Interrupt:
+            pass
+
     sim.process(ticker(1.0))
     sim.process(waiter())
     sim.process(trigger())
+    target = sim.process(sleeper())
+    for until in (0.5, 1.0, 2.5):
+        sim.run(until=until)
+    target.interrupt()
     sim.run()
-    sim.timeout(0.25)
-    sim.step()
 
     assert calls["push"] == calls["pop"] == sim.events_fired > 0

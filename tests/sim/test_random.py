@@ -29,14 +29,3 @@ def test_stream_is_cached_not_restarted():
     fresh = RngRegistry(seed=3).stream("s")
     assert first == fresh.integers(0, 10**9)
     assert second == fresh.integers(0, 10**9)
-
-
-def test_fork_produces_independent_registry():
-    reg = RngRegistry(seed=5)
-    forked = reg.fork(salt=1)
-    a = list(reg.stream("x").integers(0, 10**9, 8))
-    b = list(forked.stream("x").integers(0, 10**9, 8))
-    assert a != b
-    # Forking is itself deterministic.
-    again = RngRegistry(seed=5).fork(salt=1)
-    assert b == list(again.stream("x").integers(0, 10**9, 8))

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Container, Store, PriorityStore."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, PriorityStore, Resource, SimulationError, Simulator, Store
+from repro.sim import Resource, SimulationError, Simulator
 
 
 def test_resource_capacity_validation():
@@ -84,89 +84,6 @@ def test_resource_usage_pattern_in_processes():
     assert spans == [("a", 0.0, 2.0), ("b", 2.0, 4.0)]
 
 
-def test_container_initial_level_validation():
-    with pytest.raises(SimulationError):
-        Container(Simulator(), capacity=5, init=6)
-
-
-def test_container_put_get_levels():
-    sim = Simulator()
-    tank = Container(sim, capacity=10, init=5)
-    tank.get(3)
-    tank.put(6)
-    sim.run()
-    assert tank.level == 8
-
-
-def test_container_get_blocks_until_available():
-    sim = Simulator()
-    tank = Container(sim, capacity=10, init=0)
-    got = tank.get(4)
-    sim.run()
-    assert not got.triggered
-    tank.put(4)
-    sim.run()
-    assert got.triggered and tank.level == 0
-
-
-def test_container_put_blocks_at_capacity():
-    sim = Simulator()
-    tank = Container(sim, capacity=5, init=5)
-    put = tank.put(1)
-    sim.run()
-    assert not put.triggered
-    tank.get(2)
-    sim.run()
-    assert put.triggered and tank.level == 4
-
-
-def test_container_negative_amounts_raise():
-    tank = Container(Simulator(), capacity=5)
-    with pytest.raises(SimulationError):
-        tank.put(-1)
-    with pytest.raises(SimulationError):
-        tank.get(-1)
-
-
-def test_store_put_get_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    store.put("y")
-    g1, g2 = store.get(), store.get()
-    sim.run()
-    assert g1.value == "x" and g2.value == "y"
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = store.get()
-    assert not got.triggered
-    store.put("item")
-    assert got.triggered and got.value == "item"
-
-
-def test_store_capacity_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    store.put("a")
-    blocked = store.put("b")
-    assert not blocked.triggered
-    store.get()
-    assert blocked.triggered and len(store) == 1
-
-
-def test_priority_store_orders_items():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    store.put((3, "low"))
-    store.put((1, "high"))
-    store.put((2, "mid"))
-    got = [store.get().value for _ in range(3)]
-    assert got == [(1, "high"), (2, "mid"), (3, "low")]
-
-
 def test_resource_double_release_is_a_noop():
     """Releasing the same token twice raises and frees no second slot."""
     sim = Simulator()
@@ -232,25 +149,6 @@ def test_resource_priority_grants_survive_cancellation():
     res.release(holder)
     sim.run()
     assert mid.triggered and not worst.triggered
-
-
-def test_container_zero_amount_put_get_succeed_immediately():
-    sim = Simulator()
-    tank = Container(sim, capacity=5.0, init=0.0)
-    assert tank.put(0.0).triggered
-    assert tank.get(0.0).triggered
-    assert tank.level == 0.0
-
-
-def test_container_zero_get_does_not_jump_blocked_getters():
-    """A zero-amount get behind a blocked getter waits its turn (FIFO)."""
-    sim = Simulator()
-    tank = Container(sim, capacity=5.0, init=0.0)
-    blocked = tank.get(2.0)
-    zero = tank.get(0.0)
-    assert not blocked.triggered and not zero.triggered
-    tank.put(2.0)
-    assert blocked.triggered and zero.triggered
 
 
 def test_resource_grant_yields_the_request_and_release_drops_it():

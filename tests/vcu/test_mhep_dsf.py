@@ -111,7 +111,9 @@ def test_dsf_no_capable_device_fails_job():
     mhep.unregister("Jetson TX2 Max-P")
     proc = dsf.submit(dnn_job())
     sim.run()
-    assert proc.triggered and not proc.ok
+    assert proc.triggered
+    with pytest.raises(RuntimeError, match="no online device supports"):
+        _ = proc.value
 
 
 def test_dsf_energy_accounting():
