@@ -20,7 +20,6 @@ never perturbs the windows of existing ones.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 from ..sim.random import RngRegistry
@@ -184,39 +183,3 @@ class FaultPlan:
         """Canonical text rendering; identical seeds => identical bytes."""
         header = f"# fault-plan seed={self.seed} horizon={self.horizon_s:.6f}"
         return "\n".join([header, *(e.trace_line() for e in self.events)])
-
-    def to_json(self) -> str:
-        """Serialize (for persisting a plan next to an experiment's results)."""
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "horizon_s": self.horizon_s,
-                "events": [
-                    {
-                        "kind": e.kind.value,
-                        "target": e.target,
-                        "start_s": e.start_s,
-                        "duration_s": e.duration_s,
-                        "severity": e.severity,
-                    }
-                    for e in self.events
-                ],
-            },
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Inverse of :meth:`to_json`."""
-        obj = json.loads(text)
-        return cls(
-            seed=obj["seed"],
-            horizon_s=obj["horizon_s"],
-            events=tuple(
-                FaultEvent(
-                    FaultKind(e["kind"]), e["target"], e["start_s"],
-                    e["duration_s"], e["severity"],
-                )
-                for e in obj["events"]
-            ),
-        )

@@ -9,8 +9,8 @@ the round; when its round arrives, the worker delivers ``SIGKILL`` to
 itself, exactly the failure a crashed container or OOM-killed worker
 produces (no cleanup, no goodbye message, pipe goes EOF).
 
-Kill plans are data, picklable, and seed-derivable, so a crash experiment
-is as reproducible as a drive: the same plan kills the same worker at the
+Kill plans are picklable data, so a crash experiment is as reproducible
+as a drive: the same plan kills the same worker at the
 same barrier every run, and the coordinator's seed+replay recovery must
 converge to the same event-trace hashes as an unkilled run.
 """
@@ -18,8 +18,6 @@ converge to the same event-trace hashes as an unkilled run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from ..sim.random import RngRegistry
 
 __all__ = ["KillPhase", "WorkerKill", "KillPlan"]
 
@@ -96,31 +94,3 @@ class KillPlan:
     ) -> "KillPlan":
         """Plan exactly one crash (the common test/CI shape)."""
         return cls(kills=(WorkerKill(partition, barrier_index, phase),))
-
-    @classmethod
-    def generate(
-        cls, seed: int, partitions: int, barriers: int, kills: int = 1
-    ) -> "KillPlan":
-        """Draw ``kills`` distinct (partition, barrier, phase) crashes.
-
-        Seed-deterministic via the platform's named-stream registry, so a
-        chaos run is replayable: same seed, same crashes.
-        """
-        if partitions <= 0 or barriers <= 0:
-            raise ValueError("partitions and barriers must be positive")
-        slots = partitions * barriers
-        if not 0 <= kills <= slots:
-            raise ValueError(f"kills must be in [0, {slots}], got {kills}")
-        rng = RngRegistry(seed=seed).stream("fault/worker_kill")
-        chosen = rng.choice(slots, size=kills, replace=False)
-        events = []
-        for slot in sorted(int(s) for s in chosen):
-            phase = KillPhase.ALL[int(rng.integers(len(KillPhase.ALL)))]
-            events.append(
-                WorkerKill(
-                    partition=slot % partitions,
-                    barrier_index=slot // partitions,
-                    phase=phase,
-                )
-            )
-        return cls(kills=tuple(events))

@@ -37,7 +37,7 @@ from .coordinator import (
 )
 from .journal import JournalEntry, PartitionJournal, ReplayDivergence
 from .recovery import FleetError, RecoveryPolicy, respawn_and_replay
-from .runtime import PartitionRuntime, RoundResult, V2VBus, VehicleTraceHash
+from .runtime import PartitionRuntime, V2VBus, VehicleTraceHash
 from .transport import (
     AdvanceCmd,
     BarrierTimeout,
@@ -76,7 +76,6 @@ __all__ = [
     "RecoveryPolicy",
     "ReplayDivergence",
     "RoundAck",
-    "RoundResult",
     "RoundTiming",
     "V2VBus",
     "VehicleTraceHash",

@@ -72,8 +72,8 @@ __all__ = [
 class RoundTiming(NamedTuple):
     """Where one partition's share of one barrier round went (wall clock).
 
-    ``advance_wall_s`` is what the partition's host measured around its
-    advance (the ack's own figure); ``wait_s`` is how long the exchange
+    ``advance_wall_s`` is what the partition measured inside its advance
+    (the ack's own figure); ``wait_s`` is how long the exchange
     then waited for that ack.  A diagnostic only: no hash, artifact or
     cross-host comparison reads it.
     """
@@ -381,12 +381,9 @@ class _InlineHost:
         self.acks: dict[int, RoundAck] = {}
 
     def send_advance(self, partition: int, cmd: AdvanceCmd) -> None:
-        started = time.perf_counter()  # vdaplint: disable=DET001
-        result = self.runtimes[partition].advance(
+        self.acks[partition] = self.runtimes[partition].advance(
             cmd.round_index, cmd.barrier_s, cmd.inbound
         )
-        advance_wall_s = time.perf_counter() - started  # vdaplint: disable=DET001
-        self.acks[partition] = result.to_ack(advance_wall_s=advance_wall_s)
 
     def await_ack(self, partition: int, cmd: AdvanceCmd) -> RoundAck:
         return self.acks.pop(partition)

@@ -32,21 +32,20 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import time  # vdaplint: disable=DET001
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..apps import make_adas_service
 from ..obs.recorder import Collector
 from ..scenario import DriveScenario, ScenarioReport
-from ..sim.core import KernelCheckpoint, SimulationError, Simulator
+from ..sim.core import SimulationError, Simulator
 from ..topology.world import build_default_world
 from .config import PartitionSpec
 from .transport import Envelope, FinishAck, RoundAck, sort_envelopes
 
 __all__ = [
     "PartitionRuntime",
-    "RoundResult",
     "V2VBus",
     "VehicleTraceHash",
     "fmt_float",
@@ -210,27 +209,6 @@ class V2VBus:
             self.on_receive(env)
 
 
-@dataclass(frozen=True)
-class RoundResult:
-    """What one barrier round produced on one partition."""
-
-    round_index: int
-    barrier_s: float
-    outbound: tuple[Envelope, ...]
-    checkpoint: KernelCheckpoint
-    partition_hash: str
-
-    def to_ack(self, advance_wall_s: float = 0.0) -> RoundAck:
-        """The wire form a partition sends back to the exchange."""
-        return RoundAck(
-            round_index=self.round_index,
-            barrier_s=self.barrier_s,
-            outbound=self.outbound,
-            partition_hash=self.partition_hash,
-            advance_wall_s=advance_wall_s,
-        )
-
-
 class PartitionRuntime:
     """The in-process half of a fleet worker (also hosted directly by
     :func:`~repro.fleet.coordinator.run_inline` and the single-process
@@ -336,12 +314,13 @@ class PartitionRuntime:
         round_index: int,
         barrier_s: float,
         inbound: tuple[Envelope, ...] = (),
-    ) -> RoundResult:
-        """Deliver ``inbound``, simulate to ``barrier_s``, report the round."""
+    ) -> RoundAck:
+        """Deliver ``inbound``, simulate to ``barrier_s``, ack the round."""
         if not self._launched:
             raise RuntimeError("advance() before launch()")
+        started = time.perf_counter()  # vdaplint: disable=DET001
         self.bus.deliver(inbound)
-        checkpoint = self.sim.run_to_barrier(barrier_s)
+        self.sim.run(until=barrier_s)
         if self.bus.bypass is not None:
             raise self.bus.bypass
         for v in self.spec.vehicle_indices:
@@ -351,12 +330,12 @@ class PartitionRuntime:
                 self._vehicle_misses(v),
                 self.scenarios[v].dsf.energy.busy_joules(),
             )
-        return RoundResult(
+        return RoundAck(
             round_index=round_index,
             barrier_s=barrier_s,
             outbound=self.bus.drain_outbox(),
-            checkpoint=checkpoint,
             partition_hash=self.trace.hexdigest(),
+            advance_wall_s=time.perf_counter() - started,  # vdaplint: disable=DET001
         )
 
     def vehicle_hashes(self) -> dict[int, str]:

@@ -7,8 +7,8 @@ spawning anything.  The flow per time-sync round:
 1. coordinator -> worker: :class:`AdvanceCmd` (target barrier + the
    inbound :class:`Envelope` batch this partition must deliver),
 2. worker -> coordinator: :class:`RoundAck` (outbound envelopes produced
-   during the round, the kernel trace hash after the barrier, per-vehicle
-   domain hashes, and a kernel checkpoint summary).
+   during the round and the kernel trace hash after the barrier; the
+   per-vehicle domain hashes travel once, in the :class:`FinishAck`).
 
 A worker that crashes mid-round simply never acks -- the pipe goes EOF or
 the wall-clock deadline lapses, which :class:`PipeEndpoint.recv` converts

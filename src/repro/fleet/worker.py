@@ -82,14 +82,12 @@ def partition_worker_main(conn, spec: PartitionSpec) -> None:
                     stall_s = spec.straggle_for(command.round_index)
                     if stall_s > 0:
                         time.sleep(stall_s)  # vdaplint: disable=DET001,SIM001
-                    started = time.perf_counter()  # vdaplint: disable=DET001
-                    result = runtime.advance(
+                    ack = runtime.advance(
                         command.round_index, command.barrier_s, command.inbound
                     )
-                    advance_wall_s = time.perf_counter() - started  # vdaplint: disable=DET001
                     if kill is not None and kill.phase == KillPhase.BEFORE_ACK:
                         _self_destruct()
-                    pipe.send(result.to_ack(advance_wall_s=advance_wall_s))
+                    pipe.send(ack)
                 elif isinstance(command, FinishCmd):
                     pipe.send(runtime.finish())
                     return

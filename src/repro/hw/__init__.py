@@ -1,7 +1,6 @@
-"""Hardware substrate: processor, energy and accounting models."""
+"""Hardware substrate: processor and energy models."""
 
 from . import catalog
-from .accounting import TaskAccounting
 from .energy import EnergyMeter, EVBattery
 from .processor import ProcessorKind, ProcessorModel, WorkloadClass
 
@@ -10,7 +9,6 @@ __all__ = [
     "EnergyMeter",
     "ProcessorKind",
     "ProcessorModel",
-    "TaskAccounting",
     "WorkloadClass",
     "catalog",
 ]

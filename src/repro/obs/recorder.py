@@ -17,9 +17,6 @@ ship mergeable metric state and nothing else.
 A record costs one dict lookup: the Collector keeps a cache per metric
 kind keyed by the raw call (name plus label items), in front of the
 registry, which alone creates, canonicalizes and kind-checks a series.
-Hot loops that feed one series many times resolve it once through
-:meth:`Recorder.counter` / :meth:`Recorder.histogram` and call the
-series directly.
 
 The single-wiring-point pattern: hand one Collector to
 ``Simulator(obs=...)`` (or ``DriveScenario(observe=...)``) and every
@@ -35,19 +32,6 @@ from .metrics import Counter, Gauge, Histogram, MetricRegistry
 from .trace import SpanTracer
 
 __all__ = ["Recorder", "Collector", "NULL_RECORDER"]
-
-
-class _NullSeries:
-    """Reusable do-nothing series handle (what the null sink resolves to)."""
-
-    def inc(self, n: float = 1.0) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-_NULL_SERIES = _NullSeries()
 
 
 class Recorder:
@@ -80,16 +64,6 @@ class Recorder:
         Exactly equivalent to observing each value in order -- hot loops
         accumulate locally and flush once through this hook.
         """
-
-    def counter(self, name: str, **labels):
-        """The series ``count(name, **labels)`` bumps, as a handle with
-        ``inc(n)``: a hot loop resolves it once (a no-op handle here)."""
-        return _NULL_SERIES
-
-    def histogram(self, name: str, **labels):
-        """The series ``observe(name, value, **labels)`` feeds, as a
-        handle with ``observe(value)`` (a no-op handle here)."""
-        return _NULL_SERIES
 
     def async_span(
         self, name: str, start_s: float, end_s: float, track: str = "async", **args
@@ -167,15 +141,9 @@ class Collector(Recorder):
         # An empty batch must not materialize the series (a sequence of
         # zero observe() calls would not have).
         if len(values):
-            self.histogram(name, **labels).observe_many(values)
-
-    def counter(self, name: str, **labels) -> Counter:
-        return self._series(self._counters, self.registry.counter, name, labels)
-
-    def histogram(self, name: str, **labels) -> Histogram:
-        return self._series(
-            self._histograms, self.registry.histogram, name, labels
-        )
+            self._series(
+                self._histograms, self.registry.histogram, name, labels
+            ).observe_many(values)
 
     def async_span(
         self, name: str, start_s: float, end_s: float, track: str = "async", **args

@@ -195,10 +195,10 @@ class DriveScenario:
 
         The sharding entry point: a fleet partition launches one scenario
         per vehicle on a shared simulator, then drives the loop itself in
-        barrier-aligned rounds (:meth:`~repro.sim.core.Simulator.
-        run_to_barrier`).  Returns the report object, which fills in as
-        the drive progresses; call :meth:`finalize` once the simulator is
-        done to complete the energy/DDI fields.
+        barrier-aligned rounds (``sim.run(until=barrier_s)``).  Returns
+        the report object, which fills in as the drive progresses; call
+        :meth:`finalize` once the simulator is done to complete the
+        energy/DDI fields.
         """
         if duration_s <= 0:
             raise ValueError("duration must be positive")
@@ -308,7 +308,8 @@ class DriveScenario:
         return report
 
     def finalize(self) -> ScenarioReport:
-        """Complete a launched drive's report (energy, DDI totals)."""
+        """Complete a launched drive's report (energy, DDI totals) and,
+        on a live recorder, set the drive's end-of-run gauges."""
         report = self._pending_report
         if report is None:
             raise RuntimeError("finalize() without a launched drive")
@@ -319,6 +320,7 @@ class DriveScenario:
             report.ddi_records = self.ddi.uploads
             report.ddi_cache_hit_rate = self.ddi.cache.stats.hit_rate
         if obs.enabled:
+            self.dsf.record_gauges()
             obs.gauge("scenario.vehicle_energy_j", report.vehicle_energy_j)
             if self.ddi is not None:
                 obs.gauge("scenario.ddi_records", report.ddi_records)

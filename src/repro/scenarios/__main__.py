@@ -8,7 +8,8 @@ Usage::
         --cell 2 --mode processes
 
 ``run --check`` re-executes every cell's single-process reference
-and compares per-vehicle trace hashes; any divergence exits non-zero.
+and compares per-vehicle trace hashes, merged metrics and events fired;
+any divergence exits non-zero.
 Validation failures print the same ``file:line: RULE message`` findings
 ``vdaplint --scenarios`` emits and exit 2, as does a ``--cell`` index
 the matrix does not have.
@@ -90,9 +91,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if outcome.reference_ok is None:
             verdict = ""
         elif outcome.reference_ok:
-            verdict = "  hashes MATCH reference"
+            verdict = "  hashes, metrics and events MATCH reference"
         else:
-            verdict = "  hashes DIVERGE from reference"
+            verdict = "  DIVERGES from reference"
             failed += 1
         print(
             f"{outcome.name}: {stats.events_fired} events / "

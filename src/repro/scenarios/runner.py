@@ -4,8 +4,9 @@ A :class:`~repro.scenarios.compiler.Scenario` is a list of lowered
 :class:`~repro.fleet.config.FleetConfig` cells; this module runs them
 through the fleet substrate's one barrier exchange in any of three modes
 and (optionally) asserts the substrate's correctness contract per cell
--- that the partitioned run's per-vehicle blake2b trace hashes are
-byte-identical to the single-process reference of the same config.
+-- that the partitioned run's per-vehicle blake2b trace hashes, merged
+metrics and fired-event count equal the single-process reference of the
+same config.
 
 The modes differ only in where the partitions live:
 
@@ -41,7 +42,8 @@ class CellOutcome:
 
     cell: CompiledCell
     result: FleetResult
-    #: None when the cell ran unchecked; True/False is the hash verdict.
+    #: None when the cell ran unchecked; else whether hashes, merged
+    #: metrics and events fired all equal the reference's.
     reference_ok: bool | None = None
 
     @property
@@ -64,7 +66,11 @@ def run_cell(cell: CompiledCell, mode: str = "inline",
     verdict: bool | None = None
     if check:
         reference = run_single_process(cell.config)
-        verdict = reference.vehicle_hashes == result.vehicle_hashes
+        verdict = (
+            result.vehicle_hashes == reference.vehicle_hashes
+            and result.metrics == reference.metrics
+            and result.stats.events_fired == reference.stats.events_fired
+        )
     return CellOutcome(cell=cell, result=result, reference_ok=verdict)
 
 

@@ -9,7 +9,6 @@ from .core import (
     AllOf,
     Event,
     Interrupt,
-    KernelCheckpoint,
     Process,
     Race,
     SimulationError,
@@ -25,7 +24,6 @@ __all__ = [
     "Event",
     "HeapQueue",
     "Interrupt",
-    "KernelCheckpoint",
     "Process",
     "Race",
     "Resource",

@@ -41,7 +41,6 @@ __all__ = [
     "AllOf",
     "Race",
     "Interrupt",
-    "KernelCheckpoint",
     "Simulator",
     "SimulationError",
 ]
@@ -357,20 +356,6 @@ class Race(Event):
         self.succeed((index, event._value))
 
 
-class KernelCheckpoint(NamedTuple):
-    """Barrier-aligned kernel state digest: where a run stands right now.
-
-    Cheap enough to take at every time-sync barrier; the fleet substrate
-    ships one per round so a coordinator can sanity-check progress
-    (monotonic time, monotonic event count) without seeing the queue.
-    """
-
-    time: float
-    events_fired: int
-    queue_depth: int
-    next_event_s: float
-
-
 #: A run() folds its trace every 4096 events (fired & mask == 0).
 _FOLD_MASK = 4095
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -511,7 +496,6 @@ class Simulator:
         # once per run() instead of per event (see _flush_pending).
         self._pending_steps: dict[str, int] = {}
         self._pending_completions: dict[str, int] = {}
-        self._flush_hooks: list[Callable[[Recorder], None]] = []
         #: Values derived once per kernel and shared by every subsystem on
         #: it (a fleet partition runs all its vehicles on one kernel), e.g.
         #: compiled placement plans; they live as long as the simulator.
@@ -545,15 +529,6 @@ class Simulator:
         self._trace = EventTrace(keep)
         return self._trace
 
-    def checkpoint(self) -> KernelCheckpoint:
-        """A :class:`KernelCheckpoint` of the loop's current state."""
-        return KernelCheckpoint(
-            time=self._now,
-            events_fired=self._fired,
-            queue_depth=len(self._queue),
-            next_event_s=self.peek(),
-        )
-
     # -- event factories ---------------------------------------------------
 
     def event(self) -> Event:
@@ -581,17 +556,6 @@ class Simulator:
         """Time of the next scheduled event, or +inf if none."""
         return self._queue.peek()
 
-    def add_flush_hook(self, hook: Callable[[Recorder], None]) -> None:
-        """Register a batched-accounting flush callback.
-
-        Subsystems that accumulate per-event observations locally (e.g.
-        the DSF's per-task exec/energy accounting) register a hook; the
-        kernel invokes every hook once per :meth:`run`,
-        after its own pending accounting, so deferred metrics land in the
-        recorder before any post-run export or snapshot.
-        """
-        self._flush_hooks.append(hook)
-
     def _flush_pending(self, obs: Recorder) -> None:
         """Fold batched per-process accounting into the recorder.
 
@@ -608,8 +572,6 @@ class Simulator:
             for name in sorted(completions):
                 obs.count("sim.processes_completed", completions[name], process=name)
             completions.clear()
-        for hook in self._flush_hooks:
-            hook(obs)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or ``until`` is reached.
@@ -666,19 +628,3 @@ class Simulator:
         if until is not None:
             self._now = max(self._now, until)
         return self._now
-
-    def run_to_barrier(self, barrier_s: float) -> KernelCheckpoint:
-        """Barrier-aligned run: advance exactly to ``barrier_s``.
-
-        The conservative-time-sync primitive: fires every event at
-        ``t <= barrier_s``, leaves the clock pinned at the barrier even if
-        no event lands there, and returns a :class:`KernelCheckpoint`
-        taken at the barrier.  Unlike :meth:`run`, a barrier in the past
-        is always an error (a coordinator must never rewind a partition).
-        """
-        if barrier_s < self._now:
-            raise SimulationError(
-                f"barrier {barrier_s} is behind the clock (now={self._now})"
-            )
-        self.run(until=barrier_s)
-        return self.checkpoint()

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..hw.accounting import TaskAccounting
 from ..hw.energy import EnergyMeter
 from ..offload.task import TaskGraph
 from ..sim.core import Simulator
@@ -67,11 +66,6 @@ class DSF:
         self.energy = EnergyMeter()
         self._queued_seconds: dict[str, float] = {}  # device -> backlog estimate
         self._rr_counter = 0
-        # Per-task exec/wait/FLOP samples accumulate here and fold into the
-        # recorder once per sim step (kernel flush hook), not per task.
-        self._accounting = TaskAccounting(prefix="vcu")
-        self._touched: dict[str, Device] = {}
-        sim.add_flush_hook(self._flush_obs)
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -152,35 +146,34 @@ class DSF:
         finally:
             device.resource.release(grant)
             self._queued_seconds[device.name] -= exec_time
-        if self.sim.obs.enabled:
-            self._accounting.record(
-                device.name,
-                exec_time,
+        obs = self.sim.obs
+        if obs.enabled:
+            obs.count("vcu.tasks_completed", device=device.name)
+            obs.observe("vcu.task_exec_s", exec_time, device=device.name)
+            obs.observe(
+                "vcu.queue_wait_s",
                 self.sim.now - requested_at - exec_time,
-                task.work_gop,
+                device=device.name,
             )
-            self._touched[device.name] = device
+            # The FLOP ledger: dispatched giga-ops tie scheduled work back
+            # to the repro.nn cost models.
+            obs.count("vcu.task_gops", task.work_gop, device=device.name)
         result.task_devices[name] = device.name
         result.task_finish[name] = self.sim.now
         done_events[name].succeed(name)
 
-    def _flush_obs(self, obs) -> None:
-        """Kernel flush hook: fold batched task accounting into ``obs``.
-
-        Counters and histogram batches reproduce per-task recording
-        exactly; the utilization/energy gauges become per-flush spot
-        readings (their value at flush time) instead of per-completion
-        ones -- same final reading, fewer writes.
-        """
-        if not self._touched:
+    def record_gauges(self) -> None:
+        """Set ``vcu.utilization`` for every device that completed a task,
+        in name order, and ``vcu.energy_busy_j``.  A drive calls this
+        once, from :meth:`~repro.scenario.DriveScenario.finalize`."""
+        devices = sorted(
+            (name, device)
+            for name, device in self.mhep._devices.items()
+            if device.tasks_completed
+        )
+        if not devices:
             return
-        self._accounting.flush(obs)
-        now = self.sim.now
-        for device_name in sorted(self._touched):
-            obs.gauge(
-                "vcu.utilization",
-                self._touched[device_name].utilization(now),
-                device=device_name,
-            )
+        obs, now = self.sim.obs, self.sim.now
+        for name, device in devices:
+            obs.gauge("vcu.utilization", device.utilization(now), device=name)
         obs.gauge("vcu.energy_busy_j", self.energy.busy_joules())
-        self._touched.clear()

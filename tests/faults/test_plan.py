@@ -79,12 +79,6 @@ def test_views_and_activity_queries():
         assert injector.is_down(service_key("adas"))
 
 
-def test_json_round_trip():
-    plan = small_plan()
-    assert FaultPlan.from_json(plan.to_json()) == plan
-    assert FaultPlan.from_json(plan.to_json()).trace() == plan.trace()
-
-
 def test_severity_bounds_respected():
     plan = small_plan()
     for event in plan.events:

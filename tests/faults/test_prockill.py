@@ -1,4 +1,4 @@
-"""KillPlan: validation, sub-plans, seed-deterministic generation."""
+"""KillPlan: validation, lookup and sub-plans."""
 
 import pickle
 
@@ -45,28 +45,3 @@ class TestKillPlan:
         plan = KillPlan.single(1, 4)
         assert pickle.loads(pickle.dumps(plan)) == plan
 
-
-class TestGenerate:
-    def test_same_seed_same_plan(self):
-        a = KillPlan.generate(seed=9, partitions=4, barriers=8, kills=3)
-        b = KillPlan.generate(seed=9, partitions=4, barriers=8, kills=3)
-        assert a == b
-        assert len(a) == 3
-
-    def test_different_seed_usually_differs(self):
-        plans = {
-            KillPlan.generate(seed=s, partitions=4, barriers=8, kills=2)
-            for s in range(6)
-        }
-        assert len(plans) > 1
-
-    def test_kills_land_inside_the_grid(self):
-        plan = KillPlan.generate(seed=1, partitions=3, barriers=5, kills=5)
-        for kill in plan.kills:
-            assert 0 <= kill.partition < 3
-            assert 0 <= kill.barrier_index < 5
-            assert kill.phase in KillPhase.ALL
-
-    def test_over_budget_rejected(self):
-        with pytest.raises(ValueError):
-            KillPlan.generate(seed=1, partitions=2, barriers=2, kills=5)

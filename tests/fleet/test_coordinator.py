@@ -71,6 +71,20 @@ class TestEquality:
                 for p in range(shaped.partitions)
             ]
 
+    def test_each_vehicle_that_ran_a_task_sets_its_utilization_once(self):
+        small = FleetConfig(seed=3, vehicles=4, partitions=2, duration_s=4.0,
+                            workload="skewed")
+        inline = run_inline(small)
+        ran_a_task = sum(report["vehicle_energy_j"] > 0.0
+                         for report in inline.vehicle_reports.values())
+        gauges = inline.metrics["gauges"]
+        utilization = [key for key in gauges if key.startswith("vcu.utilization")]
+        assert ran_a_task and len(utilization) == 1
+        sets = gauges[utilization[0]]["sets"]
+        assert sets == ran_a_task
+        reference = run_single_process(small).metrics["gauges"]
+        assert reference[utilization[0]]["sets"] == sets
+
     def test_inline_run_reports_busy_time_outside_every_hash(self, config,
                                                              reference):
         inline = run_inline(config)

@@ -173,17 +173,3 @@ def test_empty_batch_creates_no_series_even_after_caching():
     collector.observe_batch("other", [], device="gpu")
     assert list(collector.snapshot()["histograms"]) == ["lat"]
     assert collector.snapshot()["histograms"]["lat"]["count"] == 2
-
-
-def test_series_handles_are_the_recorded_series():
-    collector = Collector()
-    collector.counter("jobs", tier="edge").inc(2.0)
-    collector.count("jobs", tier="edge")
-    collector.histogram("lat", device="gpu").observe(0.3)
-    collector.observe("lat", 0.5, device="gpu")
-    snap = collector.snapshot()
-    assert snap["counters"]["jobs{tier=edge}"] == 3.0
-    assert snap["histograms"]["lat{device=gpu}"]["count"] == 2
-    # The null sink hands out do-nothing handles.
-    NULL_RECORDER.counter("jobs").inc(1.0)
-    NULL_RECORDER.histogram("lat").observe(0.1)

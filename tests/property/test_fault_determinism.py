@@ -40,7 +40,6 @@ def test_identical_seeds_produce_byte_identical_traces(seed, horizon, inventory)
     first = FaultPlan.generate(seed=seed, horizon_s=horizon, **inventory)
     second = FaultPlan.generate(seed=seed, horizon_s=horizon, **inventory)
     assert first.trace() == second.trace()
-    assert first.to_json() == second.to_json()
     assert first == second
 
 

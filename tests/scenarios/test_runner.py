@@ -4,6 +4,7 @@ same configs built in Python, partitioned and single-process alike."""
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -57,6 +58,18 @@ def test_run_cell_check_verdict():
     assert outcome.reference_ok is True
     assert outcome.name == "base"
     assert len(outcome.result.vehicle_hashes) == 8
+
+
+def test_run_cell_check_sees_a_merged_metrics_split(monkeypatch):
+    import repro.scenarios.runner as runner
+
+    def split_reference(config):
+        result = run_single_process(config)
+        return replace(result, metrics={**result.metrics, "gauges": {}})
+
+    monkeypatch.setattr(runner, "run_single_process", split_reference)
+    outcome = run_cell(smoke_scenario().cell(0), mode="inline", check=True)
+    assert outcome.reference_ok is False
 
 
 def test_run_cell_unchecked_has_no_verdict():

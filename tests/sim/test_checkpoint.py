@@ -1,13 +1,8 @@
-"""Kernel fleet hooks: try_interrupt, checkpoints, barriers."""
+"""Kernel fleet hooks: try_interrupt, barrier-aligned runs."""
 
 import pytest
 
-from repro.sim import (
-    Interrupt,
-    KernelCheckpoint,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import Interrupt, SimulationError, Simulator
 
 
 def sleeper(sim, delay_s=10.0):
@@ -63,34 +58,24 @@ def test_supervisor_racing_natural_completion():
     assert sup.value is False
 
 
-# -- checkpoints and barriers -----------------------------------------------
+# -- barriers: run(until=barrier) -------------------------------------------
 
-def test_checkpoint_reflects_loop_state():
+def test_run_to_barrier_pins_clock():
     sim = Simulator()
     sim.timeout(1.0)
     sim.timeout(5.0)
-    sim.run(until=2.0)
-    checkpoint = sim.checkpoint()
-    assert checkpoint == KernelCheckpoint(
-        time=2.0, events_fired=1, queue_depth=1, next_event_s=5.0
-    )
-
-
-def test_run_to_barrier_pins_clock_and_returns_checkpoint():
-    sim = Simulator()
-    sim.timeout(1.0)
-    checkpoint = sim.run_to_barrier(3.0)
+    assert sim.run(until=3.0) == 3.0  # vdaplint: disable=FLT001
     assert sim.now == 3.0  # vdaplint: disable=FLT001
-    assert checkpoint.time == 3.0
-    assert checkpoint.events_fired == 1
-    assert checkpoint.next_event_s == float("inf")
+    assert sim.events_fired == 1
+    assert sim.peek() == 5.0  # vdaplint: disable=FLT001
 
 
 def test_run_to_barrier_rejects_the_past():
     sim = Simulator()
-    sim.run_to_barrier(2.0)
-    with pytest.raises(SimulationError, match="behind the clock"):
-        sim.run_to_barrier(1.0)
+    sim.run(until=2.0)
+    with pytest.raises(SimulationError, match="cannot run backwards"):
+        sim.run(until=1.0)
+    assert sim.now == 2.0  # vdaplint: disable=FLT001
 
 
 def test_barrier_sequence_equals_single_run():
@@ -107,7 +92,7 @@ def test_barrier_sequence_equals_single_run():
     barriered = Simulator()
     barriered.process(ticker(barriered, barrier_acc))
     for barrier in (2.5, 5.0, 7.5, 10.0):
-        barriered.run_to_barrier(barrier)
+        barriered.run(until=barrier)
 
     assert barrier_acc == solid_acc
     assert barriered.events_fired == solid.events_fired

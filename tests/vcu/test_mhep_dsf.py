@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hw import WorkloadClass, catalog
+from repro.obs import Collector
 from repro.offload import Task, TaskGraph
 from repro.sim import Simulator
 from repro.vcu import DSF, FIRST_LEVEL, MHEP, SECOND_LEVEL, ApplicationProfile, QoSClass
@@ -52,6 +53,27 @@ def test_profiles_expose_dynamic_state():
     profiles = mhep.profiles()
     assert profiles["Intel i7-6700"]["queue_length"] == 0
     assert profiles["Jetson TX2 Max-P"]["peak_gops"] == 1330.0
+
+
+def test_dsf_records_a_task_as_it_completes():
+    collector = Collector()
+    sim = Simulator(obs=collector)
+    mhep = MHEP(sim)
+    mhep.register(catalog.jetson_tx2_maxp(), level=FIRST_LEVEL)
+    dsf = DSF(sim, mhep)
+    seen = {}
+
+    def reader(sim):
+        yield dsf.submit(dnn_job(gops=99.75))
+        # Still inside run(): the task's series are already recorded.
+        seen.update(collector.snapshot())
+
+    sim.process(reader(sim))
+    sim.run()
+    device = "{device=Jetson TX2 Max-P}"
+    assert seen["counters"]["vcu.tasks_completed" + device] == 1.0
+    assert seen["counters"]["vcu.task_gops" + device] == 99.75
+    assert seen["histograms"]["vcu.task_exec_s" + device]["count"] == 1
 
 
 def test_dsf_runs_job_and_records_latency():
