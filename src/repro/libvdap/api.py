@@ -79,7 +79,8 @@ class LibVDAP:
         return self.dsf.mhep.profiles()
 
     def submit(self, graph: TaskGraph, priority: int = 0):
-        """Run a task graph on the VCU; returns the DSF job process."""
+        """Run a task graph on the VCU; returns the DSF job's ``done`` event,
+        whose value is the :class:`~repro.vcu.JobResult`."""
         return self.dsf.submit(graph, priority=priority)
 
     def plan_offload(self, graph: TaskGraph, deadline_s: float | None = None):

@@ -113,6 +113,9 @@ class TaskGraph:
     def predecessors(self, name: str) -> list[str]:
         return list(self._pred[name])
 
+    def successors(self, name: str) -> list[str]:
+        return list(self._succ[name])
+
     @property
     def roots(self) -> list[str]:
         return [name for name, preds in self._pred.items() if not preds]

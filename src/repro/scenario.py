@@ -275,8 +275,7 @@ class DriveScenario:
                     else:
                         # On-board share only, through the VCU's DSF.  The
                         # share is built once per (service, pipeline) and
-                        # re-submitted with a fresh per-tick name: the DSF
-                        # reads tasks, never graph structure history.
+                        # re-submitted every tick: a job never mutates it.
                         key = (service.name, choice.pipeline)
                         if key not in local_graphs:
                             # Cache fill: once per (service, pipeline).
@@ -295,8 +294,6 @@ class DriveScenario:
                             local_graphs[key] = share
                         local_graph = local_graphs[key]
                         if local_graph is not None:
-                            # Per-tick job identity lives in the name alone.
-                            local_graph.name = f"{service.name}@{sim.now:.0f}"
                             self.dsf.submit(local_graph, priority=service.qos)
                 # 5. DDI collection.
                 if self.ddi is not None:

@@ -144,9 +144,10 @@ class Timeout(Event):
 
 class _Call:
     """A bare queue entry that calls ``_resolve()`` at ``now``, after what
-    is queued, traced as an unnamed ``Event``.  A process's start, its
-    resumption on an already-processed event and an interrupt's delivery
-    each fire one, and none costs an :class:`Event`."""
+    is queued, traced as an unnamed ``Event``; :meth:`Simulator.call_soon`
+    queues one.  A process's start, its resumption on an already-processed
+    event and an interrupt's delivery each fire one, and none costs an
+    :class:`Event`."""
 
     __slots__ = ("_resolve",)
     _label = "Event|\n"
@@ -166,18 +167,16 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The name with per-invocation suffixes stripped (label-safe).
-        self.short_name = self.name.split("@", 1)[0]
         self._label = f"Process|{self.name}\n"
         self._waiting_on: Optional[Event] = None
         self._spawned_at = sim.now
-        sim._schedule_event(_Call(self._step))
+        sim.call_soon(self._step)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
-        self.sim._schedule_event(_Call(partial(self._step_throw, Interrupt(cause))))
+        self.sim.call_soon(partial(self._step_throw, Interrupt(cause)))
 
     def try_interrupt(self, cause: Any = None) -> bool:
         """Interrupt the process if it is still alive; no-op otherwise.
@@ -215,9 +214,8 @@ class Process(Event):
                     self.name, self._spawned_at, sim.now,
                     track="sim.process", ok=ok,
                 )
-            name = self.short_name
             pending = sim._pending_completions
-            pending[name] = pending.get(name, 0) + 1
+            pending[self.name] = pending.get(self.name, 0) + 1
 
     def _step_throw(self, exc: BaseException) -> None:
         if self.triggered:
@@ -241,9 +239,8 @@ class Process(Event):
         self._waiting_on = None
         sim = self.sim
         if sim.obs.enabled:
-            name = self.short_name
             pending = sim._pending_steps
-            pending[name] = pending.get(name, 0) + 1
+            pending[self.name] = pending.get(self.name, 0) + 1
         try:
             if trigger is not None and trigger._exception is not None:
                 yielded = self.generator.throw(trigger._exception)
@@ -269,7 +266,7 @@ class Process(Event):
         self._waiting_on = yielded
         if yielded.processed:
             # Already fired: resume with its outcome at the current time.
-            self.sim._schedule_event(_Call(partial(self._relay, yielded)))
+            self.sim.call_soon(partial(self._relay, yielded))
         else:
             yielded.callbacks.append(self._step)
 
@@ -551,6 +548,10 @@ class Simulator:
 
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         self._queue.push(self._now + delay, next(self._counter), event)
+
+    def call_soon(self, fn: Callable[[], None]) -> None:
+        """Queue ``fn()`` to run at ``now``, after what is already queued."""
+        self._queue.push(self._now, next(self._counter), _Call(fn))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""

@@ -1,11 +1,10 @@
-"""VCU: heterogeneous vehicle computing unit (mHEP + DSF + profiles)."""
+"""VCU: heterogeneous vehicle computing unit (mHEP + DSF + QoS classes)."""
 
 from .dsf import DSF, JobResult
 from .mhep import FIRST_LEVEL, MHEP, SECOND_LEVEL, Device
-from .profiles import ApplicationProfile, QoSClass
+from .profiles import QoSClass
 
 __all__ = [
-    "ApplicationProfile",
     "DSF",
     "Device",
     "FIRST_LEVEL",

@@ -13,15 +13,19 @@ straight from the paper:
 Dispatch policy: earliest-estimated-finish-time over supported devices,
 where the estimate accounts for the work already queued on each device.
 Higher-priority jobs preempt queue positions (not running tasks).
+A job runs on kernel callbacks, not processes: a queued call dispatches
+ready tasks, a task's grant starts its ``Timeout``, and the timeout's
+callback records the task and queues one call for the tasks it freed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..hw.energy import EnergyMeter
 from ..offload.task import TaskGraph
-from ..sim.core import Simulator
+from ..sim.core import Event, Simulator
 from .mhep import MHEP, Device
 
 __all__ = ["JobResult", "DSF"]
@@ -40,6 +44,19 @@ class JobResult:
     @property
     def latency_s(self) -> float:
         return self.finished_at - self.submitted_at
+
+
+class _Job:
+    """A graph in flight; ``unfinished`` counts each task's pending inputs."""
+
+    __slots__ = ("graph", "priority", "result", "done", "unfinished")
+
+    def __init__(self, sim: Simulator, graph: TaskGraph, priority: int):
+        self.graph = graph
+        self.priority = priority
+        self.result = JobResult(graph.name, sim.now, sim.now)
+        self.done = sim.event()
+        self.unfinished = {n: len(graph.predecessors(n)) for n in graph.task_names}
 
 
 class DSF:
@@ -81,86 +98,69 @@ class DSF:
             self._rr_counter += 1
             return device
         if self.policy == "fastest":
-            return max(
-                candidates, key=lambda d: d.model.effective_gops(task.workload)
-            )
-        best, best_finish = None, float("inf")
-        for device in candidates:
+            return max(candidates, key=lambda d: d.model.effective_gops(task.workload))
+        backlog = self._queued_seconds
+        return min(candidates, key=lambda d: backlog.get(d.name, 0.0)
+                   + d.model.execution_time(task.work_gop, task.workload))
+
+    def submit(self, graph: TaskGraph, priority: int = 0) -> Event:
+        """Schedule a task graph; returns the job's ``done`` event, which
+        succeeds with the :class:`JobResult` or fails on a dispatch error."""
+        job = _Job(self.sim, graph, priority)
+        self.sim.call_soon(partial(self._dispatch, job, graph.roots))
+        return job.done
+
+    def _dispatch(self, job: _Job, names: list[str]) -> None:
+        if not job.unfinished:  # an empty graph
+            job.done.succeed(job.result)
+        for name in names:
+            task = job.graph.task(name)
+            try:
+                device = self._pick_device(task)
+            except RuntimeError as err:
+                # Fail the job instead of hanging it; its other branches run on.
+                self.sim.obs.count("vcu.dispatch_failures")
+                if not job.done.triggered:
+                    job.done.fail(err)
+                continue
             exec_time = device.model.execution_time(task.work_gop, task.workload)
-            backlog = self._queued_seconds.get(device.name, 0.0)
-            finish = backlog + exec_time
-            if finish < best_finish:
-                best, best_finish = device, finish
-        return best
+            backlog = self._queued_seconds
+            backlog[device.name] = backlog.get(device.name, 0.0) + exec_time
+            start = partial(self._start, job, task, device, exec_time, self.sim.now)
+            device.resource.request(priority=job.priority).callbacks.append(start)
 
-    def submit(self, graph: TaskGraph, priority: int = 0):
-        """Schedule a task graph; returns a Process yielding a JobResult."""
-        return self.sim.process(self._run_job(graph, priority), name=f"dsf:{graph.name}")
+    def _start(self, job, task, device, exec_time, requested_at, grant) -> None:
+        finish = partial(self._finish, job, task, device, exec_time, requested_at, grant)
+        self.sim.timeout(exec_time).callbacks.append(finish)
 
-    def _run_job(self, graph: TaskGraph, priority: int):
-        result = JobResult(
-            graph_name=graph.name, submitted_at=self.sim.now, finished_at=self.sim.now
-        )
-        task_done_events = {
-            name: self.sim.event() for name in graph.task_names
-        }
-        for name in graph.task_names:
-            self.sim.process(
-                self._run_task(graph, name, priority, task_done_events, result),
-                # Per-task process identity is load-bearing for traces.
-                name=f"dsf:{graph.name}:{name}",
-            )
-        yield self.sim.all_of(list(task_done_events.values()))
-        result.finished_at = self.sim.now
-        return result
-
-    def _run_task(self, graph, name, priority, done_events, result):
-        task = graph.task(name)
-        # Wait for all predecessors.
-        preds = [done_events[p] for p in graph.predecessors(name)]
-        if preds:
-            yield self.sim.all_of(preds)
-
-        try:
-            device = self._pick_device(task)
-        except RuntimeError as err:
-            # Propagate scheduling failure to the job instead of hanging it.
-            self.sim.obs.count("vcu.dispatch_failures")
-            done_events[name].fail(err)
-            return
-        exec_time = device.model.execution_time(task.work_gop, task.workload)
-        self._queued_seconds[device.name] = (
-            self._queued_seconds.get(device.name, 0.0) + exec_time
-        )
-        requested_at = self.sim.now
-        grant = device.resource.request(priority=priority)
-        try:
-            # The yield is inside the try: an interrupt while still queued
-            # must cancel the request (and unwind the queue accounting),
-            # not leak the slot forever.
-            yield grant
-            yield self.sim.timeout(exec_time)
-            device.busy_seconds += exec_time
-            device.tasks_completed += 1
-            self.energy.record_busy(device.model, exec_time)
-        finally:
-            device.resource.release(grant)
-            self._queued_seconds[device.name] -= exec_time
-        obs = self.sim.obs
+    def _finish(self, job, task, device, exec_time, requested_at, grant, _) -> None:
+        sim = self.sim
+        device.busy_seconds += exec_time
+        device.tasks_completed += 1
+        self.energy.record_busy(device.model, exec_time)
+        device.resource.release(grant)
+        self._queued_seconds[device.name] -= exec_time
+        obs = sim.obs
         if obs.enabled:
             obs.count("vcu.tasks_completed", device=device.name)
             obs.observe("vcu.task_exec_s", exec_time, device=device.name)
-            obs.observe(
-                "vcu.queue_wait_s",
-                self.sim.now - requested_at - exec_time,
-                device=device.name,
-            )
-            # The FLOP ledger: dispatched giga-ops tie scheduled work back
-            # to the repro.nn cost models.
+            obs.observe("vcu.queue_wait_s", sim.now - requested_at - exec_time,
+                        device=device.name)
+            # The FLOP ledger: ties scheduled work to the repro.nn cost models.
             obs.count("vcu.task_gops", task.work_gop, device=device.name)
-        result.task_devices[name] = device.name
-        result.task_finish[name] = self.sim.now
-        done_events[name].succeed(name)
+        result = job.result
+        result.task_devices[task.name] = device.name
+        result.task_finish[task.name] = sim.now
+        ready = []
+        for successor in job.graph.successors(task.name):
+            job.unfinished[successor] -= 1
+            if not job.unfinished[successor]:
+                ready.append(successor)
+        if ready:
+            sim.call_soon(partial(self._dispatch, job, ready))
+        if len(result.task_finish) == len(job.unfinished):
+            result.finished_at = sim.now
+            job.done.succeed(result)
 
     def record_gauges(self) -> None:
         """Set ``vcu.utilization`` for every device that completed a task,

@@ -1,19 +1,14 @@
-"""Application profiles: what DSF knows about each service (paper SIV-B2).
+"""Service QoS classes: the processing priority DSF honours (paper SIV-B2).
 
 "DSF determines the resources type and amounts which will be allocated to
 each task according to the dynamic status of each resource, QoS requirement
-and processing priority of each task" -- the QoS requirement and priority
-live here, alongside the service's task-graph factory.
+and processing priority of each task" -- a service's QoS class is the
+priority its task graphs are submitted with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
-from ..offload.task import TaskGraph
-
-__all__ = ["QoSClass", "ApplicationProfile"]
+__all__ = ["QoSClass"]
 
 
 class QoSClass:
@@ -24,33 +19,3 @@ class QoSClass:
     INTERACTIVE = 2        # infotainment
     BACKGROUND = 3         # diagnostics batch analysis, uploads
     ALL = (SAFETY_CRITICAL, LATENCY_SENSITIVE, INTERACTIVE, BACKGROUND)
-
-
-@dataclass
-class ApplicationProfile:
-    """Static description of a service for the scheduler.
-
-    ``graph_factory`` builds one invocation's task graph (a frame's worth
-    of work); ``deadline_s`` is the per-invocation latency budget;
-    ``period_s`` the arrival period for recurring services.
-    """
-
-    name: str
-    qos: int
-    deadline_s: float
-    graph_factory: Callable[[], TaskGraph]
-    period_s: float | None = None
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.qos not in QoSClass.ALL:
-            raise ValueError(f"unknown QoS class {self.qos}")
-        if self.deadline_s <= 0:
-            raise ValueError("deadline must be positive")
-        if self.period_s is not None and self.period_s <= 0:
-            raise ValueError("period must be positive when given")
-
-    @property
-    def priority(self) -> int:
-        """Scheduler priority (lower value served first)."""
-        return self.qos

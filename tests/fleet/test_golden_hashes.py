@@ -91,14 +91,14 @@ def test_four_partition_run_matches_golden(entry, audited_partitions):
 #: firing order, which the per-vehicle hashes above do not cover.  An
 #: intended behaviour change updates them by hand from the failure.
 KERNEL_PINS = {
-    (0, "uniform", 8, 4): (1199, {
-        0: "2a3992bd39d22c06e96be05798f08912",
-        1: "36d3a29cfa8c676c647d2ca92151b974",
-        2: "033493bc2327f0f8d59543e7b3813861",
-        3: "c0578232cbfdc6101ff2addee65d6667",
+    (0, "uniform", 8, 4): (806, {
+        0: "dae2bc38db72612f35d5dc6269b9d5c2",
+        1: "f4f0e91d70822092508734aae65ff502",
+        2: "7cf764736ca86904ba64dbb049e7d557",
+        3: "3eac315bf843344cd068428cbdb09880",
     }),
-    (1, "skewed", 32, 1): (9419, {
-        0: "b5f99ee826fa5af285c1411ddc8e0863",
+    (1, "skewed", 32, 1): (5534, {
+        0: "c7dc04f62e697481217a761993b47a02",
     }),
 }
 

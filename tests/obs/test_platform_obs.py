@@ -56,7 +56,7 @@ def test_scenario_wires_one_collector_across_subsystems():
 #: the commit, so the moved bytes are reviewed.  An unintended change
 #: fails here.
 DRIVE_METRICS_SHA256 = (
-    "09b433a76dde8aafc279fbab571247ea9f25c860691f24285072861179aa777c"
+    "d63cba636d0308db73c9ffea87185db45d7f2f57dc197f7cb845e7b99ad05fbf"
 )
 
 

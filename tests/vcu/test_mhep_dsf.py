@@ -1,12 +1,14 @@
 """Tests for mHEP device management and DSF scheduling."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.hw import WorkloadClass, catalog
 from repro.obs import Collector
 from repro.offload import Task, TaskGraph
 from repro.sim import Simulator
-from repro.vcu import DSF, FIRST_LEVEL, MHEP, SECOND_LEVEL, ApplicationProfile, QoSClass
+from repro.vcu import DSF, FIRST_LEVEL, MHEP, SECOND_LEVEL
 
 
 def platform():
@@ -173,14 +175,67 @@ def test_second_hep_join_speeds_up_backlog():
     assert run(with_phone=True) < run(with_phone=False)
 
 
-def test_application_profile_validation():
-    factory = lambda: dnn_job()
-    with pytest.raises(ValueError):
-        ApplicationProfile("x", qos=9, deadline_s=1.0, graph_factory=factory)
-    with pytest.raises(ValueError):
-        ApplicationProfile("x", qos=QoSClass.INTERACTIVE, deadline_s=0.0,
-                           graph_factory=factory)
-    profile = ApplicationProfile(
-        "adas", qos=QoSClass.SAFETY_CRITICAL, deadline_s=0.1, graph_factory=factory
-    )
-    assert profile.priority == 0
+def diamond(c_workload=WorkloadClass.DNN):
+    """a -> {b, c} -> d, with c's workload class chosen by the caller."""
+    graph = TaskGraph("diamond")
+    for name, gops, workload in [
+        ("a", 99.75, WorkloadClass.DNN),
+        ("b", 50.0, WorkloadClass.DNN),
+        ("c", 50.0, c_workload),
+        ("d", 99.75, WorkloadClass.DNN),
+    ]:
+        graph.add_task(Task(name, gops, workload))
+    for producer, consumer in [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]:
+        graph.add_edge(producer, consumer)
+    return graph
+
+
+def test_one_task_job_fires_four_kernel_entries():
+    """Dispatch, grant, timeout and ``done``: no job or task process."""
+    sim, _mhep, dsf = platform()
+    trace = sim.attach_trace(keep=True)
+    dsf.submit(dnn_job())
+    sim.run()
+    trace.fold()
+    assert trace.kept[1] == ["Event|\n", "_Request|\n", "Timeout|\n", "Event|\n"]
+
+
+def test_dsf_fans_a_diamond_out_and_in():
+    sim, _mhep, dsf = platform()
+    job = dsf.submit(diamond())
+    sim.run()
+    result = job.value
+    # The placements and finish times a process per task produced.
+    assert result.task_devices == {
+        "a": "Jetson TX2 Max-P",
+        "b": "Jetson TX2 Max-P",
+        "c": "Intel i7-6700",
+        "d": "Jetson TX2 Max-P",
+    }
+    assert result.task_finish == {
+        "a": 1.0,
+        "b": 1.5012531328320802,
+        "c": 1.6761325219743068,
+        "d": 2.676132521974307,
+    }
+    assert result.finished_at == result.task_finish["d"]
+
+
+def test_dispatch_failure_inside_a_dag_fails_the_job():
+    collector = Collector()
+    sim = Simulator(obs=collector)
+    mhep = MHEP(sim)
+    for model in (catalog.intel_i7_6700(), catalog.jetson_tx2_maxp()):
+        # Neither device runs IO work, so c cannot be dispatched.
+        mhep.register(replace(model, efficiency={WorkloadClass.IO: 0.0}))
+    dsf = DSF(sim, mhep)
+    job = dsf.submit(diamond(c_workload=WorkloadClass.IO))
+    sim.run()
+    with pytest.raises(RuntimeError, match="no online device supports workload 'io'"):
+        _ = job.value
+    assert collector.snapshot()["counters"]["vcu.dispatch_failures"] == 1.0
+    # a and b ran; d, waiting on c, never reached a device.
+    assert sum(device.tasks_completed for device in mhep.online_devices) == 2
+    for device in mhep.online_devices:
+        assert device.resource.count == 0
+        assert device.resource.queue_length == 0
