@@ -3,9 +3,11 @@
 Snapshots the *committed* ``results/BENCH_fleet.json`` (the baseline the
 repo promises), reruns ``bench_fleet_throughput.py`` -- which refreshes
 that JSON in place and re-audits every partitioning against the
-single-process trace hashes -- and fails if any mode's events/sec fell
-more than the allowed regression (default 20%) below its committed
-number.  A passing run also copies the refreshed JSON to the repo root
+single-process trace hashes -- and fails if any mode's vehicle-sim
+seconds per wall second (``vsim_per_wall``) fell more than the allowed
+regression (default 20%) below its committed number.  The floor is on
+simulated time per wall second, not events per second: a change that
+fires fewer kernel events for the same drive is faster, not slower.  A passing run also copies the refreshed JSON to the repo root
 ``BENCH_fleet.json`` -- the headline numbers the README links -- so a
 passing run's numbers become reviewable in the PR diff in both places.
 
@@ -32,11 +34,12 @@ ROOT_RESULTS = os.path.join(
 )
 
 
-def load_events_per_s(path: str) -> dict[str, float]:
-    """Map of bench mode -> events/sec from a BENCH_fleet report."""
+def load_vsim_per_wall(path: str) -> dict[str, float]:
+    """Map of bench mode -> vehicle-sim seconds per wall second from a
+    BENCH_fleet report."""
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
-    return {row["mode"]: row["events_per_s"] for row in report["rows"]}
+    return {row["mode"]: row["vsim_per_wall"] for row in report["rows"]}
 
 
 def run_bench() -> int:
@@ -73,16 +76,16 @@ def check(baseline: dict[str, float], fresh: dict[str, float],
         ratio = measured / committed
         verdict = "ok" if measured >= floor else "REGRESSION"
         lines.append(
-            f"{mode:>10}: {measured:12.0f} ev/s vs committed {committed:12.0f}"
+            f"{mode:>10}: {measured:9.0f} veh.s/s vs committed {committed:9.0f}"
             f"  ({ratio:5.2f}x, floor {floor:.0f})  {verdict}"
         )
         if measured < floor:
             failures.append(
-                f"{mode}: {measured:.0f} ev/s is below the {floor:.0f} floor "
+                f"{mode}: {measured:.0f} veh.s/s is below the {floor:.0f} floor "
                 f"({ratio:.2f}x of committed {committed:.0f})"
             )
     for extra in sorted(set(fresh) - set(baseline)):
-        lines.append(f"{extra:>10}: {fresh[extra]:12.0f} ev/s (new mode, no floor)")
+        lines.append(f"{extra:>10}: {fresh[extra]:9.0f} veh.s/s (new mode, no floor)")
     print("\n".join(lines))
     return failures
 
@@ -90,7 +93,7 @@ def check(baseline: dict[str, float], fresh: dict[str, float],
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-regression", type=float, default=0.20,
-                        help="allowed fractional events/sec drop per mode")
+                        help="allowed fractional vsim_per_wall drop per mode")
     parser.add_argument("--results", default=RESULTS,
                         help="BENCH_fleet.json path (committed + refreshed)")
     parser.add_argument("--baseline", default=None,
@@ -104,13 +107,13 @@ def main(argv=None) -> int:
                              "empty string disables)")
     args = parser.parse_args(argv)
 
-    baseline = load_events_per_s(args.baseline or args.results)
+    baseline = load_vsim_per_wall(args.baseline or args.results)
     if not args.skip_run:
         status = run_bench()
         if status != 0:
             print(f"perf gate: bench run failed (exit {status})", file=sys.stderr)
             return status
-    fresh = load_events_per_s(args.results)
+    fresh = load_vsim_per_wall(args.results)
 
     failures = check(baseline, fresh, args.max_regression)
     if failures:

@@ -145,7 +145,7 @@ class ProcessorModel:
 
     def supports(self, workload: WorkloadClass) -> bool:
         """Whether this device can run the class at all (eff > 0)."""
-        return self.efficiency.get(workload, 0.0) > 0.0
+        return self._gops.get(workload._value_, 0.0) > 0.0
 
     def execution_time(
         self, work_gop: float, workload: WorkloadClass, slowdown: float = 1.0

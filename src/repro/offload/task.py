@@ -51,6 +51,7 @@ class TaskGraph:
         self._succ: dict[str, list[str]] = {}
         self._pred: dict[str, list[str]] = {}
         self._topo: list[str] | None = None
+        self._indegree: dict[str, int] | None = None
 
     def add_task(self, task: Task) -> Task:
         if task.name in self._tasks:
@@ -58,7 +59,7 @@ class TaskGraph:
         self._tasks[task.name] = task
         self._succ[task.name] = []
         self._pred[task.name] = []
-        self._topo = None
+        self._topo = self._indegree = None
         return task
 
     def add_edge(self, producer: str, consumer: str) -> None:
@@ -73,7 +74,7 @@ class TaskGraph:
             return
         self._succ[producer].append(consumer)
         self._pred[consumer].append(producer)
-        self._topo = None
+        self._topo = self._indegree = None
 
     def _reaches(self, start: str, goal: str) -> bool:
         stack = [start]
@@ -94,7 +95,7 @@ class TaskGraph:
     @property
     def task_names(self) -> list[str]:
         if self._topo is None:
-            indegree = {name: len(preds) for name, preds in self._pred.items()}
+            indegree = self.in_degrees()
             order = self.roots
             # A FIFO over ``order`` visits whole generations in turn, each
             # in the order its tasks' last predecessor released them.
@@ -109,6 +110,13 @@ class TaskGraph:
     @property
     def tasks(self) -> list[Task]:
         return [self.task(name) for name in self.task_names]
+
+    def in_degrees(self) -> dict[str, int]:
+        """Each task's number of predecessors, in insertion order (a copy
+        of a table the graph keeps until it changes)."""
+        if self._indegree is None:
+            self._indegree = {name: len(preds) for name, preds in self._pred.items()}
+        return dict(self._indegree)
 
     def predecessors(self, name: str) -> list[str]:
         return list(self._pred[name])

@@ -73,11 +73,15 @@ class Event:
     ``"kind|name\\n"``, the kind being the class name (set per subclass).
     """
 
+    __slots__ = ("sim", "callbacks", "_value", "_exception", "_triggered")
     _label = "Event|\n"
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        cls._label = f"{cls.__name__}|\n"
+        # A class that defines its own ``_label`` keeps it: Process slots
+        # one per instance, which a class attribute would overwrite.
+        if "_label" not in cls.__dict__:
+            cls._label = f"{cls.__name__}|\n"
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -122,6 +126,23 @@ class Event:
         self.sim._schedule_event(self)
         return self
 
+    def settle(self, value: Any = None) -> "Event":
+        """Succeed with ``value``, with no kernel entry if nothing waits yet.
+
+        With no callback registered, the event is ``processed`` at once:
+        a process that yields it later resumes through the relay at that
+        same instant, and an :class:`AllOf` or :class:`Race` built on it
+        reads its value.  Otherwise this is :meth:`succeed`.
+        """
+        if self.callbacks:
+            return self.succeed(value)
+        if self._triggered:
+            raise SimulationError("event already triggered")
+        self._triggered = True
+        self._value = value
+        self.callbacks = None
+        return self
+
     def _resolve(self) -> None:
         """Run callbacks; called by the event loop when this event fires."""
         callbacks, self.callbacks = self.callbacks, None
@@ -131,6 +152,8 @@ class Event:
 
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
+
+    __slots__ = ("delay_s",)
 
     def __init__(self, sim: "Simulator", delay_s: float, value: Any = None):
         if not delay_s >= 0:
@@ -162,6 +185,8 @@ class Process(Event):
     The process's return value (via ``return`` in the generator) becomes the
     event value, so ``result = yield sim.process(...)`` works.
     """
+
+    __slots__ = ("generator", "name", "_label", "_waiting_on", "_spawned_at")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
@@ -286,6 +311,8 @@ class AllOf(Event):
     listed twice fires once, so it is counted and called back once.
     """
 
+    __slots__ = ("events", "_waiting")
+
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self.events = list(events)
@@ -328,6 +355,8 @@ class Race(Event):
     failed, the race fails with the same exception.  Later events are left
     untouched (a Timeout that loses simply fires into the void).
     """
+
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
@@ -550,7 +579,12 @@ class Simulator:
         self._queue.push(self._now + delay, next(self._counter), event)
 
     def call_soon(self, fn: Callable[[], None]) -> None:
-        """Queue ``fn()`` to run at ``now``, after what is already queued."""
+        """Queue ``fn()`` to run at ``now``, after what is already queued.
+
+        Each call is one kernel entry; a process's start, its relay and an
+        interrupt's delivery take one.  Work that may run inside the
+        current entry (a DSF dispatch, a slot grant) calls straight
+        through instead."""
         self._queue.push(self._now, next(self._counter), _Call(fn))
 
     def peek(self) -> float:

@@ -1,14 +1,18 @@
 """The simulation kernel's shared-resource primitive.
 
 :class:`Resource` is a server pool with finite capacity and a FIFO (or
-priority) request queue; it models processors, radio channels and DB
-handles.
+priority) wait queue; it models processors, radio channels and DB
+handles.  A slot goes to a *token* through a grant callback
+(:meth:`Resource.acquire`), so a caller that is not a process holds a
+slot with no kernel entry; :meth:`Resource.request` wraps the same path
+in an event a process can yield.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from typing import Any, Callable
 
 from .core import Event, SimulationError, Simulator
 
@@ -19,6 +23,8 @@ class _Request(Event):
     """A pending claim on a :class:`Resource`; hand it back to
     :meth:`Resource.release`."""
 
+    __slots__ = ("resource", "priority")
+
     def __init__(self, resource: "Resource", priority: int):
         super().__init__(resource.sim)
         self.resource = resource
@@ -28,10 +34,10 @@ class _Request(Event):
 class Resource:
     """Finite-capacity server pool with an optional priority queue.
 
-    Requests are granted in (priority, arrival) order; lower priority value
-    is served first.  ``release`` must be passed the granted request token
-    (or a still-queued one, which cancels it); releasing any other token
-    raises :class:`SimulationError`.
+    Tokens are granted in (priority, arrival) order; lower priority value
+    is served first.  ``release`` must be passed a held token (or a
+    still-queued one, which cancels it); releasing any other token raises
+    :class:`SimulationError`.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1):
@@ -39,8 +45,8 @@ class Resource:
             raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self.users: list[_Request] = []
-        self._waiting: list[tuple[int, int, _Request]] = []
+        self.users: list[Any] = []
+        self._waiting: list[tuple[int, int, Any, Callable[[Any], Any]]] = []
         self._counter = itertools.count()
 
     @property
@@ -52,40 +58,46 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiting)
 
-    def request(self, priority: int = 0) -> _Request:
-        req = _Request(self, priority)
+    def acquire(self, token: Any, grant: Callable[[Any], Any], priority: int = 0) -> None:
+        """Claim a slot for ``token``: ``grant(token)`` is called at once if
+        one is free, otherwise from the :meth:`release` that frees one."""
         if len(self.users) < self.capacity and not self._waiting:
-            self.users.append(req)
-            req.succeed(req)
+            self.users.append(token)
+            grant(token)
         else:
-            heapq.heappush(self._waiting, (priority, next(self._counter), req))
+            heapq.heappush(self._waiting, (priority, next(self._counter), token, grant))
+
+    def request(self, priority: int = 0) -> _Request:
+        """A claim a process yields; its grant succeeds it with itself."""
+        req = _Request(self, priority)
+        self.acquire(req, req.succeed, priority)
         return req
 
-    def release(self, request: _Request) -> None:
-        if request in self.users:
-            self.users.remove(request)
-            # A grant's value is the request itself (``req = yield
-            # res.request()``); dropping it here leaves no reference cycle
-            # for the cycle collector once the slot is handed back.
-            request._value = None
+    def release(self, token: Any) -> None:
+        if token in self.users:
+            self.users.remove(token)
+            if type(token) is _Request:
+                # A request's grant value is the request itself (``req =
+                # yield res.request()``); dropping it here leaves no
+                # reference cycle for the cycle collector.
+                token._value = None
         else:
-            # Cancelling a queued request is allowed (e.g. on interrupt);
-            # a token this resource neither holds nor queues is a double
-            # or stray release.
-            waiting = [
-                entry for entry in self._waiting if entry[2] is not request
-            ]
+            # Cancelling a queued token is allowed (e.g. on interrupt); a
+            # token this resource neither holds nor queues is a double or
+            # stray release.
+            waiting = [entry for entry in self._waiting if entry[2] is not token]
             if len(waiting) == len(self._waiting):
                 raise SimulationError(
-                    f"release of {request!r}, which is neither held nor queued "
+                    f"release of {token!r}, which is neither held nor queued "
                     f"(count={self.count}, capacity={self.capacity})"
                 )
             self._waiting = waiting
-            heapq.heapify(self._waiting)
+            heapq.heapify(waiting)
         self._grant()
 
     def _grant(self) -> None:
-        while self._waiting and len(self.users) < self.capacity:
-            _prio, _seq, req = heapq.heappop(self._waiting)
-            self.users.append(req)
-            req.succeed(req)
+        waiting, users = self._waiting, self.users
+        while waiting and len(users) < self.capacity:
+            _prio, _seq, token, grant = heapq.heappop(waiting)
+            users.append(token)
+            grant(token)

@@ -13,19 +13,22 @@ straight from the paper:
 Dispatch policy: earliest-estimated-finish-time over supported devices,
 where the estimate accounts for the work already queued on each device.
 Higher-priority jobs preempt queue positions (not running tasks).
-A job runs on kernel callbacks, not processes: a queued call dispatches
-ready tasks, a task's grant starts its ``Timeout``, and the timeout's
-callback records the task and queues one call for the tasks it freed.
+A job runs on kernel callbacks, not processes, and a task costs one
+kernel entry, its ``Timeout``: ``submit`` dispatches the root tasks at
+once, a device slot's grant callback starts the task's ``Timeout``, and
+the timeout's callback records the task, releases the device (which
+starts the next waiting task) and dispatches the successors it made
+ready.  The job's ``done`` event is settled in place when nothing waits
+on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from ..hw.energy import EnergyMeter
-from ..offload.task import TaskGraph
-from ..sim.core import Event, Simulator
+from ..offload.task import Task, TaskGraph
+from ..sim.core import Event, Simulator, Timeout
 from .mhep import MHEP, Device
 
 __all__ = ["JobResult", "DSF"]
@@ -56,7 +59,22 @@ class _Job:
         self.priority = priority
         self.result = JobResult(graph.name, sim.now, sim.now)
         self.done = sim.event()
-        self.unfinished = {n: len(graph.predecessors(n)) for n in graph.task_names}
+        self.unfinished = graph.in_degrees()
+
+
+class _Run:
+    """One dispatched task: its device slot's token and its ``Timeout``'s
+    value."""
+
+    __slots__ = ("job", "task", "device", "exec_time", "requested_at")
+
+    def __init__(self, job: _Job, task: Task, device: Device, exec_time: float,
+                 requested_at: float):
+        self.job = job
+        self.task = task
+        self.device = device
+        self.exec_time = exec_time
+        self.requested_at = requested_at
 
 
 class DSF:
@@ -104,52 +122,59 @@ class DSF:
                    + d.model.execution_time(task.work_gop, task.workload))
 
     def submit(self, graph: TaskGraph, priority: int = 0) -> Event:
-        """Schedule a task graph; returns the job's ``done`` event, which
-        succeeds with the :class:`JobResult` or fails on a dispatch error."""
+        """Schedule a task graph, dispatching its root tasks now; returns
+        the job's ``done`` event, which succeeds with the
+        :class:`JobResult` when the last task completes (settled in place
+        if nothing waits on it) or fails on a dispatch error."""
         job = _Job(self.sim, graph, priority)
-        self.sim.call_soon(partial(self._dispatch, job, graph.roots))
+        if job.unfinished:
+            self._dispatch(job, graph.roots)
+        else:  # an empty graph
+            job.done.settle(job.result)
         return job.done
 
     def _dispatch(self, job: _Job, names: list[str]) -> None:
-        if not job.unfinished:  # an empty graph
-            job.done.succeed(job.result)
+        sim = self.sim
+        backlog = self._queued_seconds
         for name in names:
             task = job.graph.task(name)
             try:
                 device = self._pick_device(task)
             except RuntimeError as err:
                 # Fail the job instead of hanging it; its other branches run on.
-                self.sim.obs.count("vcu.dispatch_failures")
+                sim.obs.count("vcu.dispatch_failures")
                 if not job.done.triggered:
                     job.done.fail(err)
                 continue
             exec_time = device.model.execution_time(task.work_gop, task.workload)
-            backlog = self._queued_seconds
             backlog[device.name] = backlog.get(device.name, 0.0) + exec_time
-            start = partial(self._start, job, task, device, exec_time, self.sim.now)
-            device.resource.request(priority=job.priority).callbacks.append(start)
+            run = _Run(job, task, device, exec_time, sim.now)
+            device.resource.acquire(run, self._start, job.priority)
 
-    def _start(self, job, task, device, exec_time, requested_at, grant) -> None:
-        finish = partial(self._finish, job, task, device, exec_time, requested_at, grant)
-        self.sim.timeout(exec_time).callbacks.append(finish)
+    def _start(self, run: _Run) -> None:
+        """The device is granted: the task runs for ``exec_time`` from now."""
+        self.sim.timeout(run.exec_time, run).callbacks.append(self._finish)
 
-    def _finish(self, job, task, device, exec_time, requested_at, grant, _) -> None:
+    def _finish(self, timeout: Timeout) -> None:
         sim = self.sim
+        run = timeout._value
+        job, task, device, exec_time = run.job, run.task, run.device, run.exec_time
+        name = device.name
         device.busy_seconds += exec_time
         device.tasks_completed += 1
         self.energy.record_busy(device.model, exec_time)
-        device.resource.release(grant)
-        self._queued_seconds[device.name] -= exec_time
+        device.resource.release(run)
+        self._queued_seconds[name] -= exec_time
         obs = sim.obs
         if obs.enabled:
-            obs.count("vcu.tasks_completed", device=device.name)
-            obs.observe("vcu.task_exec_s", exec_time, device=device.name)
-            obs.observe("vcu.queue_wait_s", sim.now - requested_at - exec_time,
-                        device=device.name)
+            obs.count("vcu.tasks_completed", device=name)
+            obs.observe("vcu.task_exec_s", exec_time, device=name)
+            obs.observe("vcu.queue_wait_s", sim.now - run.requested_at - exec_time,
+                        device=name)
             # The FLOP ledger: ties scheduled work to the repro.nn cost models.
-            obs.count("vcu.task_gops", task.work_gop, device=device.name)
+            obs.count("vcu.task_gops", task.work_gop, device=name)
         result = job.result
-        result.task_devices[task.name] = device.name
+        result.task_devices[task.name] = name
         result.task_finish[task.name] = sim.now
         ready = []
         for successor in job.graph.successors(task.name):
@@ -157,10 +182,10 @@ class DSF:
             if not job.unfinished[successor]:
                 ready.append(successor)
         if ready:
-            sim.call_soon(partial(self._dispatch, job, ready))
+            self._dispatch(job, ready)
         if len(result.task_finish) == len(job.unfinished):
             result.finished_at = sim.now
-            job.done.succeed(result)
+            job.done.settle(result)
 
     def record_gauges(self) -> None:
         """Set ``vcu.utilization`` for every device that completed a task,

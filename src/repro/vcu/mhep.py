@@ -56,6 +56,9 @@ class MHEP:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._devices: dict[str, Device] = {}
+        # Workload value -> online devices that support it; register and
+        # unregister, the only writers of ``Device.online``, clear it.
+        self._by_workload: dict[str, list[Device]] = {}
 
     def register(self, model: ProcessorModel, level: int = FIRST_LEVEL) -> Device:
         """Attach a device (1stHEP at boot; 2ndHEP at any time)."""
@@ -65,6 +68,7 @@ class MHEP:
             raise ValueError(f"device {model.name!r} already registered")
         device = Device(model=model, level=level, resource=Resource(self.sim, capacity=1))
         self._devices[model.name] = device
+        self._by_workload.clear()
         self.sim.obs.count("vcu.devices_registered", level=level)
         self.sim.obs.gauge("vcu.devices_online", len(self.online_devices))
         return device
@@ -79,6 +83,7 @@ class MHEP:
         if device is None or not device.online:
             raise KeyError(f"no online device named {name!r}")
         device.online = False
+        self._by_workload.clear()
         self.sim.obs.count("vcu.devices_unregistered")
         self.sim.obs.gauge("vcu.devices_online", len(self.online_devices))
         return device
@@ -94,8 +99,14 @@ class MHEP:
         return [d for d in self._devices.values() if d.online]
 
     def devices_for(self, workload: WorkloadClass) -> list[Device]:
-        """Online devices able to run the workload class."""
-        return [d for d in self.online_devices if d.model.supports(workload)]
+        """Online devices able to run the workload class, in registration
+        order (a shared list; do not change it)."""
+        devices = self._by_workload.get(workload._value_)
+        if devices is None:
+            devices = self._by_workload[workload._value_] = [
+                d for d in self.online_devices if d.model.supports(workload)
+            ]
+        return devices
 
     def profiles(self) -> dict[str, dict]:
         """The resource profiles DSF consults (paper: static + dynamic)."""

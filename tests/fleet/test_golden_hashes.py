@@ -91,14 +91,14 @@ def test_four_partition_run_matches_golden(entry, audited_partitions):
 #: firing order, which the per-vehicle hashes above do not cover.  An
 #: intended behaviour change updates them by hand from the failure.
 KERNEL_PINS = {
-    (0, "uniform", 8, 4): (806, {
-        0: "dae2bc38db72612f35d5dc6269b9d5c2",
-        1: "f4f0e91d70822092508734aae65ff502",
-        2: "7cf764736ca86904ba64dbb049e7d557",
-        3: "3eac315bf843344cd068428cbdb09880",
+    (0, "uniform", 8, 4): (515, {
+        0: "c5ab1d2152a49cdf16f2e9dcb8320828",
+        1: "34c7d6ee35a74a38f323307c682532e5",
+        2: "29fa280c118625362ec4d31193d31913",
+        3: "a5712f571e361c02e1579fcfe949fa9f",
     }),
-    (1, "skewed", 32, 1): (5534, {
-        0: "c7dc04f62e697481217a761993b47a02",
+    (1, "skewed", 32, 1): (2639, {
+        0: "9e88f69183d482701a76ade1ae1bca91",
     }),
 }
 

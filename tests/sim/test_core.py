@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import (
     Interrupt,
+    Resource,
     SimulationError,
     Simulator,
 )
@@ -168,6 +169,52 @@ def test_yield_already_triggered_event_resumes_immediately():
     sim.process(proc(sim))
     sim.run()
     assert seen == [(0.0, "early")]
+
+
+def test_settle_with_no_waiter_processes_the_event_in_place():
+    sim = Simulator()
+    evt = sim.event().settle("done")
+    assert evt.processed and evt.value == "done"
+    assert sim.peek() == float("inf")
+    seen = []
+
+    def late(sim):
+        yield sim.timeout(2.0)
+        seen.append((sim.now, (yield evt)))
+
+    sim.process(late(sim))
+    sim.run()
+    assert seen == [(2.0, "done")]
+    with pytest.raises(SimulationError):
+        evt.settle("again")
+
+
+def test_settle_with_a_waiter_is_succeed():
+    sim = Simulator()
+    evt = sim.event()
+    seen = []
+
+    def waiter(sim):
+        seen.append((yield evt))
+
+    sim.process(waiter(sim))
+    sim.run()
+    evt.settle("later")
+    assert evt.triggered and not evt.processed
+    sim.run()
+    assert seen == ["later"]
+
+
+def test_event_classes_are_slotted():
+    sim = Simulator()
+
+    def body(sim):
+        yield sim.timeout(0.0)
+
+    for evt in (sim.event(), sim.timeout(1.0), sim.process(body(sim), name="p"),
+                sim.all_of([]), sim.race(sim.event()), Resource(sim).request()):
+        assert not hasattr(evt, "__dict__"), type(evt).__name__
+    assert sim.process(body(sim), name="q")._label == "Process|q\n"
 
 
 def test_yield_non_event_fails_process():

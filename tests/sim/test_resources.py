@@ -169,3 +169,58 @@ def test_resource_grant_yields_the_request_and_release_drops_it():
     # The grant's value is the request itself until it is handed back,
     # so a released request holds no reference to itself.
     assert seen == [True, None]
+
+
+def test_acquire_grants_a_free_slot_at_once():
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    granted = []
+    res.acquire("a", granted.append)
+    res.acquire("b", granted.append)
+    res.acquire("c", granted.append)
+    # No kernel entry: the grant is a direct call.
+    assert granted == ["a", "b"] and sim.peek() == float("inf")
+    assert res.count == 2 and res.queue_length == 1
+
+
+def test_acquire_grants_on_release_in_priority_then_arrival_order():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    granted = []
+    res.acquire("holder", granted.append)
+    res.acquire("low", granted.append, priority=5)
+    res.acquire("high-1", granted.append, priority=1)
+    res.acquire("high-2", granted.append, priority=1)
+    for token in ("holder", "high-1", "high-2"):
+        res.release(token)
+    assert granted == ["holder", "high-1", "high-2", "low"]
+    res.release("low")
+    assert res.count == 0 and res.queue_length == 0
+
+
+def test_releasing_a_queued_token_cancels_it():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    granted = []
+    res.acquire("holder", granted.append)
+    res.acquire("queued", granted.append)
+    res.release("queued")
+    res.release("holder")
+    assert granted == ["holder"]
+    assert res.count == 0 and res.queue_length == 0
+    with pytest.raises(SimulationError, match="neither held nor queued"):
+        res.release("queued")
+
+
+def test_requests_and_acquires_share_one_wait_queue():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    granted = []
+    holder = res.request()
+    res.acquire("token", granted.append, priority=2)
+    req = res.request(priority=1)
+    res.release(holder)
+    sim.run()
+    assert req.triggered and granted == []
+    res.release(req)
+    assert granted == ["token"]

@@ -190,14 +190,74 @@ def diamond(c_workload=WorkloadClass.DNN):
     return graph
 
 
-def test_one_task_job_fires_four_kernel_entries():
-    """Dispatch, grant, timeout and ``done``: no job or task process."""
+def test_one_task_job_fires_one_kernel_entry():
+    """An unwatched job fires only its task's ``Timeout``: the dispatch and
+    the grant run inside ``submit`` and ``done`` is settled in place."""
     sim, _mhep, dsf = platform()
     trace = sim.attach_trace(keep=True)
-    dsf.submit(dnn_job())
+    done = dsf.submit(dnn_job(gops=99.75))
     sim.run()
     trace.fold()
-    assert trace.kept[1] == ["Event|\n", "_Request|\n", "Timeout|\n", "Event|\n"]
+    assert trace.kept[1] == ["Timeout|\n"]
+    assert done.processed and done.value.finished_at == 1.0
+
+
+def test_watched_job_fires_two_kernel_entries():
+    """A job a process waits on adds its ``done`` event to the timeout."""
+    sim, _mhep, dsf = platform()
+    trace = sim.attach_trace(keep=True)
+    seen = []
+
+    def waiter(sim):
+        result = yield dsf.submit(dnn_job(gops=99.75))
+        seen.append((sim.now, result.finished_at))
+
+    sim.process(waiter(sim), name="waiter")
+    sim.run()
+    trace.fold()
+    assert list(zip(*trace.kept)) == [
+        (0.0, "Event|\n"),  # the waiter's start, which submits the job
+        (1.0, "Timeout|\n"),  # the task
+        (1.0, "Event|\n"),  # ``done``
+        (1.0, "Process|waiter\n"),
+    ]
+    assert seen == [(1.0, 1.0)]
+
+
+def test_a_later_yield_on_a_settled_job_gets_its_result_then():
+    sim, _mhep, dsf = platform()
+    done = dsf.submit(dnn_job(gops=99.75))
+    seen = []
+
+    def late(sim):
+        yield sim.timeout(3.0)
+        assert done.processed
+        result = yield done
+        seen.append((sim.now, result.task_finish))
+
+    sim.process(late(sim))
+    sim.run()
+    assert seen == [(3.0, {"job-t": 1.0})]
+
+
+def test_second_task_on_a_busy_device_starts_at_the_first_ones_finish():
+    collector = Collector()
+    sim = Simulator(obs=collector)
+    mhep = MHEP(sim)
+    mhep.register(catalog.jetson_tx2_maxp())
+    dsf = DSF(sim, mhep)
+    trace = sim.attach_trace(keep=True)
+    first = dsf.submit(dnn_job("j1", gops=99.75))
+    second = dsf.submit(dnn_job("j2", gops=99.75))
+    assert mhep.device("Jetson TX2 Max-P").resource.queue_length == 1
+    sim.run()
+    trace.fold()
+    assert first.value.finished_at == 1.0
+    assert second.value.finished_at == 2.0
+    # The first task's release started the second's timeout in its entry.
+    assert list(zip(*trace.kept)) == [(1.0, "Timeout|\n"), (2.0, "Timeout|\n")]
+    waits = collector.snapshot()["histograms"]["vcu.queue_wait_s{device=Jetson TX2 Max-P}"]
+    assert waits["sum"] == 1.0
 
 
 def test_dsf_fans_a_diamond_out_and_in():
