@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 from ..offload.placement import (
     CompiledPlacement,
     PlacementEvaluation,
-    plan_key,
+    processor_set,
 )
 from ..offload.task import TaskGraph
 from ..topology.nodes import Tier
@@ -104,8 +104,9 @@ class ElasticManager:
         # (node, version) pairs, plan): this manager's view of ``memo``,
         # re-keyed by value when a resolved node's processor set changed.
         self._compiled: dict[tuple, tuple[World, tuple, CompiledPlacement]] = {}
-        #: Plans by :func:`~repro.offload.placement.plan_key` and task
-        #: graphs by factory, built once and only read after.  A
+        #: Plans by graph factory, assignment and the interned processor
+        #: sets of the nodes they resolve (see :meth:`_compiled_for`), and
+        #: task graphs by factory, built once and only read after.  A
         #: :class:`~repro.scenario.DriveScenario` hands every manager its
         #: simulator's ``memo``, so managers on one kernel share them.
         self.memo: dict = {}
@@ -156,7 +157,9 @@ class ElasticManager:
         Kept per (graph factory, tier assignment) while ``world`` and the
         versions of the nodes the plan resolved stay put; otherwise looked
         up by value in :attr:`memo`, and compiled only if no manager
-        sharing it has compiled an equal plan.
+        sharing it has compiled an equal plan.  By value means by the
+        resolved nodes' processor sets, each read once per node
+        ``version`` and interned to a small id that equal sets share.
         """
         key = (service.graph_factory, tuple(sorted(pipeline.assignment.items())))
         cached = self._compiled.get(key)
@@ -166,19 +169,26 @@ class ElasticManager:
             and all(node.version == seen for node, seen in cached[1])
         ):
             return cached[2]
-        placement = pipeline.placement()
-        nodes = tuple(
-            (node, node.version)
-            for node in map(world.node_for_tier, sorted(set(pipeline.assignment.values())))
-        )
-        value = plan_key(service.graph_factory, placement, world)
-        compiled = self.memo.get(value)
+        memo = self.memo
+        nodes, set_ids = [], []
+        for tier in sorted(set(pipeline.assignment.values())):
+            node = world.node_for_tier(tier)
+            # The entry holds the node, so its id is not reused meanwhile.
+            seen = memo.get(("node", id(node)))
+            if seen is None or seen[1] != node.version:
+                ids = memo.setdefault("processor sets", {})
+                seen = memo[("node", id(node))] = (
+                    node, node.version, ids.setdefault(processor_set(node), len(ids))
+                )
+            nodes.append(seen[:2])
+            set_ids.append(seen[2])
+        value = ("plan", *key, tuple(set_ids))
+        compiled = memo.get(value)
         if compiled is None:
-            compiled = CompiledPlacement(
-                self.task_graph(service.graph_factory), placement, world
+            compiled = memo[value] = CompiledPlacement(
+                self.task_graph(service.graph_factory), pipeline.placement(), world
             )
-            self.memo[value] = compiled
-        self._compiled[key] = (world, nodes, compiled)
+        self._compiled[key] = (world, tuple(nodes), compiled)
         return compiled
 
     def evaluate_pipelines(

@@ -37,6 +37,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from ..apps import make_adas_service
+from ..obs.metrics import Counter
 from ..obs.recorder import Collector
 from ..scenario import DriveScenario, ScenarioReport
 from ..sim.core import SimulationError, Simulator
@@ -230,6 +231,10 @@ class PartitionRuntime:
         self.bus.on_send = self._on_send
         self.bus.on_receive = self._on_receive
         self.hashes = {v: VehicleTraceHash(v) for v in spec.vehicle_indices}
+        # Vehicle -> its ``fleet.v2v_tx``/``fleet.v2v_rx`` counter, held
+        # from the vehicle's first send/receive.
+        self._v2v_tx: dict[int, Counter] = {}
+        self._v2v_rx: dict[int, Counter] = {}
         self.scenarios: dict[int, DriveScenario] = {}
         self.reports: dict[int, ScenarioReport] = {}
         for v in spec.vehicle_indices:
@@ -260,15 +265,19 @@ class PartitionRuntime:
 
     def _on_send(self, env: Envelope) -> None:
         self.hashes[env.src].record_send(env)
-        self.sim.obs.count(
-            "fleet.v2v_tx", vehicle=self.config.vehicle_label(env.src)
-        )
+        self._v2v_counter(self._v2v_tx, "fleet.v2v_tx", env.src).inc()
 
     def _on_receive(self, env: Envelope) -> None:
         self.hashes[env.dst].record_receive(env)
-        self.sim.obs.count(
-            "fleet.v2v_rx", vehicle=self.config.vehicle_label(env.dst)
-        )
+        self._v2v_counter(self._v2v_rx, "fleet.v2v_rx", env.dst).inc()
+
+    def _v2v_counter(self, held: dict, metric: str, vehicle: int) -> Counter:
+        series = held.get(vehicle)
+        if series is None:
+            series = held[vehicle] = self.collector.counter(
+                metric, vehicle=self.config.vehicle_label(vehicle)
+            )
+        return series
 
     # -- vehicle processes -------------------------------------------------
 

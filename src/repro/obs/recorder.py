@@ -3,7 +3,7 @@
 
 Every instrumented subsystem (sim kernel, DSF, executor, cellular stack,
 uplink migrator, ...) talks to a :class:`Recorder`.  The base class is the
-**null sink**: every method is a no-op and :attr:`Recorder.enabled` is
+**null sink**: every record is dropped and :attr:`Recorder.enabled` is
 False, so an uninstrumented run pays one attribute load and an empty call
 per hook -- and hooks that would have to *compute* something to record
 (e.g. scan the DDI backlog) guard on ``enabled`` and skip the work
@@ -14,9 +14,15 @@ nothing and :attr:`Recorder.tracing` is False, so the kernel also skips
 its per-event queue-depth samples.  Fleet partitions use it, because they
 ship mergeable metric state and nothing else.
 
-A record costs one dict lookup: the Collector keeps a cache per metric
-kind keyed by the raw call (name plus label items), in front of the
-registry, which alone creates, canonicalizes and kind-checks a series.
+A hot call site holds its series: ``counter(name, **labels)`` and
+``histogram(name, **labels)`` return the series itself, so a record is
+one ``inc``/``observe`` on it.  A site resolves it when its first record
+would have created it, so holding one never adds a series to a snapshot.
+``count``/``observe`` are the one-shot form of the same lookup: the
+Collector keeps a cache per metric kind keyed by the raw call (name plus
+label items), in front of the registry, which alone creates,
+canonicalizes and kind-checks a series.  The null sink hands out one
+shared series that ignores every record.
 
 The single-wiring-point pattern: hand one Collector to
 ``Simulator(obs=...)`` (or ``DriveScenario(observe=...)``) and every
@@ -34,6 +40,22 @@ from .trace import SpanTracer
 __all__ = ["Recorder", "Collector", "NULL_RECORDER"]
 
 
+class _NullSeries:
+    """The null sink's series: counter and histogram alike, it drops
+    every record."""
+
+    __slots__ = ()
+
+    def inc(self, n: float = 1.0) -> None:
+        pass
+
+    def observe(self, value: float) -> None:
+        pass
+
+
+_NULL_SERIES = _NullSeries()
+
+
 class Recorder:
     """No-op instrumentation sink; :class:`Collector` overrides everything.
 
@@ -48,6 +70,16 @@ class Recorder:
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the time source spans are stamped from (sim clock)."""
+
+    def counter(self, name: str, **labels) -> Counter | _NullSeries:
+        """The counter series ``count(name, ..., **labels)`` bumps, to
+        hold and ``inc`` directly."""
+        return _NULL_SERIES
+
+    def histogram(self, name: str, **labels) -> Histogram | _NullSeries:
+        """The histogram series ``observe(name, ..., **labels)`` feeds,
+        to hold and ``observe`` directly."""
+        return _NULL_SERIES
 
     def count(self, name: str, n: float = 1.0, **labels) -> None:
         """Bump a counter series."""
@@ -84,8 +116,9 @@ class Collector(Recorder):
     ``trace=False`` leaves the tracer out: async spans and instants are
     dropped, and there is no trace to export.
 
-    Each record method looks its series up in a per-kind cache keyed by
-    the raw call: ``name`` alone, or the flat tuple ``(name, *labels,
+    ``counter``, ``histogram`` and ``gauge`` (and so every one-shot
+    record) look a series up in a per-kind cache keyed by the raw call:
+    ``name`` alone, or the flat tuple ``(name, *labels,
     *labels.values())`` (its length fixes where the names end).  A miss
     asks the registry, exactly as an uncached call would, and caches the
     answer only when every label value is a ``str``: values of other
@@ -126,24 +159,28 @@ class Collector(Recorder):
         cache[key] = metric
         return metric
 
+    def counter(self, name: str, **labels) -> Counter:
+        return self._series(self._counters, self.registry.counter, name, labels)
+
+    def histogram(self, name: str, **labels) -> Histogram:
+        return self._series(
+            self._histograms, self.registry.histogram, name, labels
+        )
+
     def count(self, name: str, n: float = 1.0, **labels) -> None:
-        self._series(self._counters, self.registry.counter, name, labels).inc(n)
+        self.counter(name, **labels).inc(n)
 
     def gauge(self, name: str, value: float, **labels) -> None:
         self._series(self._gauges, self.registry.gauge, name, labels).set(value)
 
     def observe(self, name: str, value: float, **labels) -> None:
-        self._series(
-            self._histograms, self.registry.histogram, name, labels
-        ).observe(value)
+        self.histogram(name, **labels).observe(value)
 
     def observe_batch(self, name: str, values, **labels) -> None:
         # An empty batch must not materialize the series (a sequence of
         # zero observe() calls would not have).
         if len(values):
-            self._series(
-                self._histograms, self.registry.histogram, name, labels
-            ).observe_many(values)
+            self.histogram(name, **labels).observe_many(values)
 
     def async_span(
         self, name: str, start_s: float, end_s: float, track: str = "async", **args

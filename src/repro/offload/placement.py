@@ -27,7 +27,7 @@ __all__ = [
     "Placement",
     "PlacementEvaluation",
     "evaluate_placement",
-    "plan_key",
+    "processor_set",
 ]
 
 
@@ -98,7 +98,7 @@ class CompiledPlacement:
 
     A plan reads nothing of ``world`` after compilation but the processor
     sets of the nodes its tiers resolve to, so one plan serves every world
-    whose resolved nodes hold equal processors (:func:`plan_key`).
+    whose resolved nodes hold equal processors (:func:`processor_set`).
     """
 
     def __init__(self, graph: TaskGraph, placement: Placement, world: World):
@@ -221,23 +221,10 @@ class CompiledPlacement:
         )
 
 
-def plan_key(graph_factory, placement: Placement, world: World) -> tuple:
-    """What a compiled plan is a function of, by value.
-
-    The graph factory, the tier assignment, and the processor-set
-    contents of each node the placement's tiers resolve to (every field
-    of every processor, in node order, since best-fit ties go to the first
-    listed).  Worlds built alike -- a fleet's vehicles -- share one key.
-    """
-    tiers = sorted(set(placement.assignment.values()))
-    return (
-        graph_factory,
-        tuple(sorted(placement.assignment.items())),
-        tuple(_processor_set(world.node_for_tier(tier)) for tier in tiers),
-    )
-
-
-def _processor_set(node: Node) -> tuple:
+def processor_set(node: Node) -> tuple:
+    """What a compiled plan reads of a node, by value: every field of
+    every processor, in node order (best-fit ties go to the first listed).
+    Nodes built alike -- a fleet's vehicles -- give equal values."""
     return tuple(
         (
             p.name, p.kind, p.peak_gops, p.tdp_watts, p.idle_watts,

@@ -23,7 +23,7 @@ import numpy as np
 from .edgeos.elastic import ElasticManager
 from .edgeos.service import PolymorphicService
 from .edgeos.sharing import DataSharingBus
-from .obs.metrics import Summary, Timeline
+from .obs.metrics import Counter, Summary, Timeline
 from .obs.recorder import Recorder
 from .offload.task import TaskGraph
 from .topology.nodes import Tier
@@ -216,12 +216,20 @@ class DriveScenario:
         obs = self.obs
 
         def control_loop(sim):
+            # The series recorded every tick, each held from the record
+            # that creates it: the drive's link samples, and per service
+            # (invocations, latency) and its deadline-miss counter.
+            dsrc_series = None
+            invoked_series: dict[str, tuple] = {}
+            missed_series: dict[str, Counter] = {}
             while sim.now < duration_s:
                 # 1. Update link quality from coverage geometry.
                 dsrc_mbps = self.dsrc_quality_at(sim.now)
                 self.world.links.vehicle_edge.bandwidth_mbps = dsrc_mbps
                 if obs.enabled:
-                    obs.observe("scenario.dsrc_mbps", dsrc_mbps)
+                    if dsrc_series is None:
+                        dsrc_series = obs.histogram("scenario.dsrc_mbps")
+                    dsrc_series.observe(dsrc_mbps)
                 # 2. Elastic re-tune of the services the manager runs
                 # (compromised, reinstalling and stopped ones sit out).
                 for choice in self.manager.retune(self.world):
@@ -251,14 +259,24 @@ class DriveScenario:
                     evaluation = choice.evaluation
                     service_report.latency.record(evaluation.latency_s)
                     if obs.enabled:
-                        obs.count("scenario.invocations", service=service.name)
-                        obs.observe(
-                            "scenario.latency_s", evaluation.latency_s,
-                            service=service.name,
-                        )
+                        series = invoked_series.get(service.name)
+                        if series is None:
+                            series = invoked_series[service.name] = (
+                                obs.counter("scenario.invocations",
+                                            service=service.name),
+                                obs.histogram("scenario.latency_s",
+                                              service=service.name),
+                            )
+                        series[0].inc()
+                        series[1].observe(evaluation.latency_s)
                     if evaluation.latency_s > service.deadline_s:
                         service_report.deadline_misses += 1
-                        obs.count("scenario.deadline_misses", service=service.name)
+                        missed = missed_series.get(service.name)
+                        if missed is None:
+                            missed = missed_series[service.name] = obs.counter(
+                                "scenario.deadline_misses", service=service.name
+                            )
+                        missed.inc()
                     # 4. Execute the invocation.
                     pipeline = service.pipeline(choice.pipeline)
                     if self.execute_distributed:

@@ -522,6 +522,10 @@ class Simulator:
         # once per run() instead of per event (see _flush_pending).
         self._pending_steps: dict[str, int] = {}
         self._pending_completions: dict[str, int] = {}
+        # Process name -> the counter its batch flushes into, held from
+        # the name's first flush.
+        self._step_series: dict[str, Any] = {}
+        self._completion_series: dict[str, Any] = {}
         #: Values derived once per kernel and shared by every subsystem on
         #: it (a fleet partition runs all its vehicles on one kernel), e.g.
         #: compiled placement plans; they live as long as the simulator.
@@ -597,16 +601,18 @@ class Simulator:
         Counter sums are order-independent, but flush in sorted name
         order anyway so the flush itself is deterministic.
         """
-        steps = self._pending_steps
-        if steps:
-            for name in sorted(steps):
-                obs.count("sim.process_steps", steps[name], process=name)
-            steps.clear()
-        completions = self._pending_completions
-        if completions:
-            for name in sorted(completions):
-                obs.count("sim.processes_completed", completions[name], process=name)
-            completions.clear()
+        for metric, pending, held in (
+            ("sim.process_steps", self._pending_steps, self._step_series),
+            ("sim.processes_completed", self._pending_completions,
+             self._completion_series),
+        ):
+            if pending:
+                for name in sorted(pending):
+                    series = held.get(name)
+                    if series is None:
+                        series = held[name] = obs.counter(metric, process=name)
+                    series.inc(pending[name])
+                pending.clear()
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or ``until`` is reached.

@@ -99,27 +99,39 @@ class DSF:
         self.mhep = mhep
         self.policy = policy
         self.energy = EnergyMeter()
-        self._queued_seconds: dict[str, float] = {}  # device -> backlog estimate
+        self._queued_seconds: dict[Device, float] = {}  # backlog estimate
         self._rr_counter = 0
+        # device -> the series a completed task records into, resolved at
+        # the device's first completion (see :meth:`_finish`).
+        self._series: dict[Device, tuple] = {}
 
     # -- dispatch ----------------------------------------------------------------
 
-    def _pick_device(self, task) -> Device:
-        """Dispatch a task to a device per the configured policy."""
-        candidates = self.mhep.devices_for(task.workload)
+    def _pick_device(self, task) -> tuple[Device, float]:
+        """The device a task goes to per the configured policy, and the
+        task's execution time on it, from one pass over the candidates
+        (ties go to the first listed)."""
+        workload = task.workload
+        candidates = self.mhep.devices_for(workload)
         if not candidates:
             raise RuntimeError(
-                f"no online device supports workload {task.workload.value!r}"
+                f"no online device supports workload {workload.value!r}"
             )
+        if self.policy == "eft":
+            backlog = self._queued_seconds
+            best = best_time = best_finish = None
+            for device in candidates:
+                exec_time = device.model.execution_time(task.work_gop, workload)
+                finish = backlog.get(device, 0.0) + exec_time
+                if best is None or finish < best_finish:
+                    best, best_time, best_finish = device, exec_time, finish
+            return best, best_time
         if self.policy == "round-robin":
-            device = candidates[self._rr_counter % len(candidates)]
+            best = candidates[self._rr_counter % len(candidates)]
             self._rr_counter += 1
-            return device
-        if self.policy == "fastest":
-            return max(candidates, key=lambda d: d.model.effective_gops(task.workload))
-        backlog = self._queued_seconds
-        return min(candidates, key=lambda d: backlog.get(d.name, 0.0)
-                   + d.model.execution_time(task.work_gop, task.workload))
+        else:  # fastest
+            best = max(candidates, key=lambda d: d.model.effective_gops(workload))
+        return best, best.model.execution_time(task.work_gop, workload)
 
     def submit(self, graph: TaskGraph, priority: int = 0) -> Event:
         """Schedule a task graph, dispatching its root tasks now; returns
@@ -139,15 +151,14 @@ class DSF:
         for name in names:
             task = job.graph.task(name)
             try:
-                device = self._pick_device(task)
+                device, exec_time = self._pick_device(task)
             except RuntimeError as err:
                 # Fail the job instead of hanging it; its other branches run on.
                 sim.obs.count("vcu.dispatch_failures")
                 if not job.done.triggered:
                     job.done.fail(err)
                 continue
-            exec_time = device.model.execution_time(task.work_gop, task.workload)
-            backlog[device.name] = backlog.get(device.name, 0.0) + exec_time
+            backlog[device] = backlog.get(device, 0.0) + exec_time
             run = _Run(job, task, device, exec_time, sim.now)
             device.resource.acquire(run, self._start, job.priority)
 
@@ -164,15 +175,24 @@ class DSF:
         device.tasks_completed += 1
         self.energy.record_busy(device.model, exec_time)
         device.resource.release(run)
-        self._queued_seconds[name] -= exec_time
+        self._queued_seconds[device] -= exec_time
         obs = sim.obs
         if obs.enabled:
-            obs.count("vcu.tasks_completed", device=name)
-            obs.observe("vcu.task_exec_s", exec_time, device=name)
-            obs.observe("vcu.queue_wait_s", sim.now - run.requested_at - exec_time,
-                        device=name)
-            # The FLOP ledger: ties scheduled work to the repro.nn cost models.
-            obs.count("vcu.task_gops", task.work_gop, device=name)
+            series = self._series.get(device)
+            if series is None:
+                series = self._series[device] = (
+                    obs.counter("vcu.tasks_completed", device=name),
+                    obs.histogram("vcu.task_exec_s", device=name),
+                    obs.histogram("vcu.queue_wait_s", device=name),
+                    # The FLOP ledger: ties scheduled work to the repro.nn
+                    # cost models.
+                    obs.counter("vcu.task_gops", device=name),
+                )
+            completed, exec_s, wait_s, gops = series
+            completed.inc()
+            exec_s.observe(exec_time)
+            wait_s.observe(sim.now - run.requested_at - exec_time)
+            gops.inc(task.work_gop)
         result = job.result
         result.task_devices[task.name] = name
         result.task_finish[task.name] = sim.now

@@ -28,9 +28,12 @@ FIRST_LEVEL = 1
 SECOND_LEVEL = 2
 
 
-@dataclass
+@dataclass(eq=False)
 class Device:
-    """A processor registered with the platform, with its queue and stats."""
+    """A processor registered with the platform, with its queue and stats.
+
+    Compared and hashed by identity: a device re-registered under the
+    same name is a new device."""
 
     model: ProcessorModel
     level: int

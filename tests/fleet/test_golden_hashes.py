@@ -14,6 +14,7 @@ with ``PYTHONPATH=src python tests/fleet/test_golden_hashes.py
 for review.  An unintended change fails here.
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ import pytest
 
 from repro.fleet.config import FleetConfig
 from repro.fleet.coordinator import run_inline, run_single_process
+from repro.fleet.runtime import PartitionRuntime
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_hashes.json")
@@ -112,6 +114,40 @@ def test_kernel_trace_matches_pins(pin):
     result = run_inline(config)
     assert result.stats.events_fired == events_fired
     assert result.partition_hashes == partition_hashes
+
+
+#: SHA-256 of ``json.dumps(runtime.metrics_snapshot(), sort_keys=True)``
+#: for every partition of one corpus entry, as ``(seed, workload,
+#: vehicles, partitions): {partition: digest}``.  It pins the whole
+#: mergeable metric state a partition ships (every series name, label
+#: set and value), so a record dropped, doubled or moved to another
+#: series fails here; the relative checks and ``mergeable_view`` do not
+#: see a change that moves reference and fleet together.  An intended
+#: metrics change updates it by hand from the failure.
+PARTITION_METRICS_PINS = {
+    (1, "skewed", 32, 1): {
+        0: "eacb0cdf6c5562e10f04e85ee21c15283c4401f84394692e49962c09d04816a1",
+    },
+}
+
+
+@pytest.mark.parametrize("pin", sorted(PARTITION_METRICS_PINS), ids=str)
+def test_partition_metrics_match_pins(pin, monkeypatch):
+    seed, workload, vehicles, partitions = pin
+    digests = {}
+    finish = PartitionRuntime.finish
+
+    def finish_and_digest(runtime):
+        ack = finish(runtime)
+        state = json.dumps(runtime.metrics_snapshot(), sort_keys=True)
+        digests[runtime.spec.partition] = hashlib.sha256(
+            state.encode("utf-8")).hexdigest()
+        return ack
+
+    monkeypatch.setattr(PartitionRuntime, "finish", finish_and_digest)
+    run_inline(replace(entry_config(seed, workload, vehicles),
+                       partitions=partitions))
+    assert digests == PARTITION_METRICS_PINS[pin]
 
 
 if __name__ == "__main__":

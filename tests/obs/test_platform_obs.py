@@ -88,6 +88,28 @@ def test_observation_does_not_perturb_the_simulation():
                 == observed.services[name].latency.samples)
 
 
+def test_a_drive_without_a_deadline_miss_has_no_miss_series():
+    collector = Collector()
+    report = _drive(observe=collector)
+    assert all(s.deadline_misses == 0 for s in report.services.values())
+    assert not any(key.startswith("scenario.deadline_misses")
+                   for key in collector.snapshot()["counters"])
+
+
+def test_the_miss_series_counts_every_miss_from_the_first():
+    # No pipeline meets a 0.2 s deadline: degraded mode runs the best one
+    # anyway, and every invocation misses.
+    collector = Collector()
+    scenario = DriveScenario(world=build_default_world(), observe=collector)
+    scenario.manager.degrade_before_hang = True
+    scenario.add_service(make_adas_service(deadline_s=0.2), period_s=1.0)
+    report = scenario.run(duration_s=10.0)
+    counters = collector.snapshot()["counters"]
+    assert (report.services["adas-perception"].deadline_misses
+            == counters["scenario.deadline_misses{service=adas-perception}"]
+            == 10)
+
+
 def test_simulator_obs_defaults_to_null_recorder():
     sim = Simulator()
     assert sim.obs.enabled is False

@@ -3,6 +3,8 @@
 import json
 import timeit
 
+import pytest
+
 from repro.obs import NULL_RECORDER, Collector, Recorder
 
 
@@ -113,8 +115,6 @@ def test_kernel_samples_queue_depth_only_for_a_tracing_recorder():
 
 
 def test_cached_series_keeps_its_kind():
-    import pytest
-
     collector = Collector()
     collector.count("x")
     collector.count("x")  # now served from the counter cache
@@ -173,3 +173,33 @@ def test_empty_batch_creates_no_series_even_after_caching():
     collector.observe_batch("other", [], device="gpu")
     assert list(collector.snapshot()["histograms"]) == ["lat"]
     assert collector.snapshot()["histograms"]["lat"]["count"] == 2
+
+
+def test_held_series_is_the_one_count_and_observe_update():
+    collector = Collector()
+    jobs = collector.counter("jobs", tier="edge")
+    latency = collector.histogram("lat", tier="edge")
+    assert collector.counter("jobs", tier="edge") is jobs
+    assert collector.histogram("lat", tier="edge") is latency
+    collector.count("jobs", n=2.0, tier="edge")
+    jobs.inc()
+    collector.observe("lat", 0.25, tier="edge")
+    latency.observe(0.5)
+    snap = collector.snapshot()
+    assert jobs.value == snap["counters"]["jobs{tier=edge}"] == 3.0
+    assert latency.count == snap["histograms"]["lat{tier=edge}"]["count"] == 2
+    assert latency.total == 0.75
+    # A held series keeps its kind like a one-shot record does.
+    with pytest.raises(TypeError, match="already registered as Counter"):
+        collector.histogram("jobs", tier="edge")
+
+
+def test_null_recorder_hands_out_one_series_that_ignores_records():
+    counter = NULL_RECORDER.counter("jobs", tier="edge")
+    histogram = Recorder().histogram("lat")
+    assert counter is histogram
+    counter.inc(2.0)
+    counter.observe(0.5)
+    histogram.inc()
+    histogram.observe(0.5)
+    assert not hasattr(counter, "value")

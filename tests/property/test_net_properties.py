@@ -32,7 +32,7 @@ def test_link_transfer_time_properties(bandwidth, rtt, loss, nbytes):
 @given(loss=st.floats(min_value=0.0, max_value=0.6, allow_nan=False),
        burst=st.floats(min_value=1.0, max_value=30.0, allow_nan=False),
        seed=st.integers(min_value=0, max_value=1000))
-@settings(max_examples=40)
+@settings(max_examples=40, deadline=None)
 def test_gilbert_elliott_stationary_rate(loss, burst, seed):
     channel = GilbertElliott(np.random.default_rng(seed), loss, burst)
     n = 40_000

@@ -105,7 +105,8 @@ def test_memdb_ttl_semantics(entries, probe_time):
     min_size=1, max_size=60),
     t0=st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
     span=st.floats(min_value=0.0, max_value=1000.0, allow_nan=False))
-@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_diskdb_query_equals_brute_force(records, t0, span, tmp_path):
     """Range queries after arbitrary interleaved writes = brute-force scan,
     and everything survives a close/reopen."""
