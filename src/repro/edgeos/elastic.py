@@ -100,10 +100,10 @@ class ElasticManager:
         # service name -> (world, inputs, choice): the service's last
         # decision that changed nothing (see :meth:`choose`).
         self._decisions: dict[str, tuple[World, tuple, PipelineChoice]] = {}
-        # (graph_factory, sorted assignment items) -> (world, resolved
+        # id(pipeline) -> (pipeline, graph_factory, world, resolved
         # (node, version) pairs, plan): this manager's view of ``memo``,
         # re-keyed by value when a resolved node's processor set changed.
-        self._compiled: dict[tuple, tuple[World, tuple, CompiledPlacement]] = {}
+        self._compiled: dict[int, tuple] = {}
         #: Plans by graph factory, assignment and the interned processor
         #: sets of the nodes they resolve (see :meth:`_compiled_for`), and
         #: task graphs by factory, built once and only read after.  A
@@ -154,21 +154,24 @@ class ElasticManager:
     ) -> CompiledPlacement:
         """The (cached) compiled plan for one pipeline of a service.
 
-        Kept per (graph factory, tier assignment) while ``world`` and the
-        versions of the nodes the plan resolved stay put; otherwise looked
-        up by value in :attr:`memo`, and compiled only if no manager
-        sharing it has compiled an equal plan.  By value means by the
-        resolved nodes' processor sets, each read once per node
-        ``version`` and interned to a small id that equal sets share.
+        Kept per :class:`Pipeline` object (frozen, so its assignment is
+        fixed) and graph factory while ``world`` and the versions of the
+        nodes the plan resolved stay put: a hit is one dict lookup and
+        the version check.  Otherwise the plan is looked up by value in
+        :attr:`memo` -- graph factory, tier assignment and the resolved
+        nodes' processor sets, each read once per node ``version`` and
+        interned to a small id that equal sets share -- and compiled only
+        if no manager sharing it has compiled an equal plan.
         """
-        key = (service.graph_factory, tuple(sorted(pipeline.assignment.items())))
-        cached = self._compiled.get(key)
+        cached = self._compiled.get(id(pipeline))
         if (
             cached is not None
-            and cached[0] is world
-            and all(node.version == seen for node, seen in cached[1])
+            and cached[0] is pipeline
+            and cached[1] is service.graph_factory
+            and cached[2] is world
+            and all(node.version == seen for node, seen in cached[3])
         ):
-            return cached[2]
+            return cached[4]
         memo = self.memo
         nodes, set_ids = [], []
         for tier in sorted(set(pipeline.assignment.values())):
@@ -182,13 +185,19 @@ class ElasticManager:
                 )
             nodes.append(seen[:2])
             set_ids.append(seen[2])
-        value = ("plan", *key, tuple(set_ids))
+        value = (
+            "plan", service.graph_factory,
+            tuple(sorted(pipeline.assignment.items())), tuple(set_ids),
+        )
         compiled = memo.get(value)
         if compiled is None:
             compiled = memo[value] = CompiledPlacement(
                 self.task_graph(service.graph_factory), pipeline.placement(), world
             )
-        self._compiled[key] = (world, tuple(nodes), compiled)
+        # The entry holds the pipeline, so its id is not reused meanwhile.
+        self._compiled[id(pipeline)] = (
+            pipeline, service.graph_factory, world, tuple(nodes), compiled
+        )
         return compiled
 
     def evaluate_pipelines(

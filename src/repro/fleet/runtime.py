@@ -4,7 +4,9 @@ A :class:`PartitionRuntime` hosts every vehicle assigned to one partition
 as a full :class:`~repro.scenario.DriveScenario` (own world, own VCU, own
 per-vehicle seed) sharing a single :class:`~repro.sim.core.Simulator`.
 It advances in conservative time-sync rounds: deliver the round's inbound
-envelope batch, run to the barrier, hand back what the shard sent.
+envelope batch, run to the barrier, hand back what the shard sent.  Only
+the drive loops are processes: a V2V receive and a beacon tick are each
+one :class:`~repro.sim.core.Timeout` with a callback.
 
 Determinism is enforced at two grains:
 
@@ -34,13 +36,14 @@ import gc
 import hashlib
 import time  # vdaplint: disable=DET001
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Iterator
 
 from ..apps import make_adas_service
 from ..obs.metrics import Counter
 from ..obs.recorder import Collector
 from ..scenario import DriveScenario, ScenarioReport
-from ..sim.core import SimulationError, Simulator
+from ..sim.core import SimulationError, Simulator, Timeout
 from ..topology.world import build_default_world
 from .config import PartitionSpec
 from .transport import Envelope, FinishAck, RoundAck, sort_envelopes
@@ -122,7 +125,9 @@ class V2VBus:
     :meth:`send` queues an envelope for the *coordinator* regardless of
     where the receiver lives; :meth:`deliver` sorts an inbound batch
     canonically and schedules it onto the shard's simulator at each
-    envelope's due time.  Envelopes addressed to vehicles outside this
+    envelope's due time.  A receive is one kernel entry: a
+    :class:`~repro.sim.core.Timeout` carrying the envelope, whose callback
+    runs the receive hook.  Envelopes addressed to vehicles outside this
     shard are ignored on delivery.
 
     :meth:`deliver` and :meth:`drain_outbox` are barrier-only: called
@@ -196,18 +201,16 @@ class V2VBus:
                     f"stale envelope: due {env.deliver_s} but now {self.sim.now} "
                     f"(conservative sync violated)"
                 )
-            self.sim.process(
-                # Per-envelope process identity is load-bearing for traces.
-                self._deliver_one(env), name=f"v2v/rx-{env.dst:03d}"
+            self.sim.timeout(env.deliver_s - self.sim.now, env).callbacks.append(
+                self._receive
             )
             count += 1
         return count
 
-    def _deliver_one(self, env: Envelope):
-        yield self.sim.timeout(env.deliver_s - self.sim.now)
+    def _receive(self, due: Timeout) -> None:
         self.received += 1
         if self.on_receive is not None:
-            self.on_receive(env)
+            self.on_receive(due._value)
 
 
 class PartitionRuntime:
@@ -289,20 +292,28 @@ class PartitionRuntime:
         report = self.reports[vehicle]
         return sum(s.deadline_misses for s in report.services.values())
 
-    def _beacon_loop(self, vehicle: int):
-        """Periodic V2V beacon to the vehicle's ring neighbours."""
+    def _beacon_loop(
+        self, vehicle: int, neighbors: tuple[int, ...], tick: Timeout | None = None
+    ) -> None:
+        """Periodic V2V beacon to the vehicle's ring neighbours.
+
+        One kernel entry per tick: the first is :meth:`launch`'s
+        ``call_soon`` (``tick`` is None), every later one the
+        :class:`Timeout` the previous tick scheduled, with this method
+        as its callback.  No tick past the drive's end schedules another.
+        """
         config = self.config
-        scenario = self.scenarios[vehicle]
-        neighbors = config.neighbors(vehicle)
-        while True:
-            yield self.sim.timeout(config.beacon_period_s)
+        if tick is not None:
             now = self.sim.now
             if now >= config.duration_s:
                 return
-            position = round(scenario.world.vehicle.position(now), 3)
+            position = round(self.scenarios[vehicle].world.vehicle.position(now), 3)
             payload = ("beacon", position, self._vehicle_invocations(vehicle))
             for dst in neighbors:
                 self.bus.send(vehicle, dst, payload)
+        self.sim.timeout(config.beacon_period_s).callbacks.append(
+            partial(self._beacon_loop, vehicle, neighbors)
+        )
 
     def launch(self) -> None:
         """Register every vehicle's drive loop and beacon (idempotent-guarded)."""
@@ -311,9 +322,8 @@ class PartitionRuntime:
         self._launched = True
         for v in self.spec.vehicle_indices:
             self.reports[v] = self.scenarios[v].launch(self.config.duration_s)
-            self.sim.process(
-                self._beacon_loop(v),
-                name=f"{self.config.vehicle_label(v)}/beacon",
+            self.sim.call_soon(
+                partial(self._beacon_loop, v, self.config.neighbors(v))
             )
 
     # -- barrier rounds ----------------------------------------------------

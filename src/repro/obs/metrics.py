@@ -113,6 +113,13 @@ class P2Quantile:
     markers whose heights are nudged toward the target positions with a
     piecewise-parabolic fit.  Exact while fewer than five samples have
     arrived.  Entirely deterministic: same sample sequence, same estimate.
+
+    :meth:`extend` is the one update path (:meth:`add` feeds it one
+    sample).  It holds the markers in locals for the whole batch, with
+    the cell search and the three interior-marker nudges written out,
+    and stores them back once; each sample still costs exactly the float
+    operations, in the same order, that a per-sample update would, so
+    how a sequence is split into batches never changes a bit.
     """
 
     def __init__(self, q: float):
@@ -126,54 +133,107 @@ class P2Quantile:
         self.count = 0
 
     def add(self, x: float) -> None:
-        x = float(x)
-        self.count += 1
-        if self.count <= 5:
-            insort(self._heights, x)
-            if self.count == 5:
-                q = self.q
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-                self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-            return
-        h, pos = self._heights, self._positions
-        # Find the cell the sample falls into and stretch the outer markers.
-        if x < h[0]:
-            h[0] = x
-            cell = 0
-        elif x >= h[4]:
-            h[4] = x
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and x >= h[cell + 1]:
-                cell += 1
-        desired, increments = self._desired, self._increments
-        for i in range(cell + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            desired[i] += increments[i]
-        # Nudge the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = desired[i] - pos[i]
-            if (delta >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                delta <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:  # parabolic estimate escaped the bracket: go linear
-                    j = i + int(step)
-                    h[i] += step * (h[j] - h[i]) / (pos[j] - pos[i])
-                pos[i] += step
+        self.extend((x,))
 
-    def _parabolic(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + step / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + step) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - step) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
+    def extend(self, samples) -> None:
+        """Feed ``samples`` in order; equal to one :meth:`add` per sample."""
+        samples = map(float, samples)
+        heights = self._heights
+        if self.count < 5:
+            # Exact phase: keep the first five samples sorted.
+            for x in samples:
+                insort(heights, x)
+                self.count += 1
+                if self.count == 5:
+                    break
+            else:
+                return
+            q = self.q
+            self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
+            self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
+            self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+        h0, h1, h2, h3, h4 = heights
+        p0, p1, p2, p3, p4 = self._positions
+        d0, d1, d2, d3, _ = self._desired
+        _, i1, i2, i3, _ = self._increments
+        for x in samples:
+            # Find the sample's cell, stretch an outer marker it passes
+            # and shift the positions of the markers above the cell.  The
+            # comparisons are the per-sample step's (`x >= h` walking up),
+            # so a NaN sample or marker lands in the same cell.
+            if x < h0:
+                h0 = x
+                p1 += 1.0
+                p2 += 1.0
+                p3 += 1.0
+            elif x >= h4:
+                h4 = x
+            elif x >= h1:
+                if x >= h2:
+                    if not x >= h3:
+                        p3 += 1.0
+                else:
+                    p2 += 1.0
+                    p3 += 1.0
+            else:
+                p1 += 1.0
+                p2 += 1.0
+                p3 += 1.0
+            p4 += 1.0
+            d1 += i1
+            d2 += i2
+            d3 += i3
+            # Nudge the three interior markers toward their desired
+            # positions, parabolic fit first, linear if it escapes the
+            # bracket.
+            delta = d1 - p1
+            if (delta >= 1.0 and p2 - p1 > 1.0) or (delta <= -1.0 and p0 - p1 < -1.0):
+                step = 1.0 if delta >= 1.0 else -1.0
+                candidate = h1 + step / (p2 - p0) * (
+                    (p1 - p0 + step) * (h2 - h1) / (p2 - p1)
+                    + (p2 - p1 - step) * (h1 - h0) / (p1 - p0)
+                )
+                if h0 < candidate < h2:
+                    h1 = candidate
+                elif step > 0.0:
+                    h1 += step * (h2 - h1) / (p2 - p1)
+                else:
+                    h1 += step * (h0 - h1) / (p0 - p1)
+                p1 += step
+            delta = d2 - p2
+            if (delta >= 1.0 and p3 - p2 > 1.0) or (delta <= -1.0 and p1 - p2 < -1.0):
+                step = 1.0 if delta >= 1.0 else -1.0
+                candidate = h2 + step / (p3 - p1) * (
+                    (p2 - p1 + step) * (h3 - h2) / (p3 - p2)
+                    + (p3 - p2 - step) * (h2 - h1) / (p2 - p1)
+                )
+                if h1 < candidate < h3:
+                    h2 = candidate
+                elif step > 0.0:
+                    h2 += step * (h3 - h2) / (p3 - p2)
+                else:
+                    h2 += step * (h1 - h2) / (p1 - p2)
+                p2 += step
+            delta = d3 - p3
+            if (delta >= 1.0 and p4 - p3 > 1.0) or (delta <= -1.0 and p2 - p3 < -1.0):
+                step = 1.0 if delta >= 1.0 else -1.0
+                candidate = h3 + step / (p4 - p2) * (
+                    (p3 - p2 + step) * (h4 - h3) / (p4 - p3)
+                    + (p4 - p3 - step) * (h3 - h2) / (p3 - p2)
+                )
+                if h2 < candidate < h4:
+                    h3 = candidate
+                elif step > 0.0:
+                    h3 += step * (h4 - h3) / (p4 - p3)
+                else:
+                    h3 += step * (h2 - h3) / (p2 - p3)
+                p3 += step
+        # The outer markers sit at positions 1 and n, where they are
+        # desired (adding 0.0 or 1.0 per sample is exact), so n is p4.
+        self._heights = [h0, h1, h2, h3, h4]
+        self._positions = [p0, p1, p2, p3, p4]
+        self._desired = [d0, d1, d2, d3, p4]
+        self.count = int(p4)
 
     @property
     def value(self) -> float:
@@ -204,11 +264,13 @@ class Histogram:
 
     The p50/p95/p99 estimates are not: each sample is appended to a log of
     unread samples (an ``array('d')``, 8 B per sample), and reading a
-    tracked quantile replays that log, in arrival order, through three
-    P-squared estimators, then empties it.  The estimates are therefore
-    bit-identical to estimators fed live, memory is O(samples since the
-    last read), and a histogram whose quantiles are never read -- every
-    fleet partition's, which ship :meth:`state` -- never runs P-squared.
+    tracked quantile replays that log, in arrival order, through each of
+    three P-squared estimators' :meth:`P2Quantile.extend` (one tight loop
+    per estimator, not a call per sample), then empties it.  The estimates
+    are therefore bit-identical to estimators fed live, memory is
+    O(samples since the last read), and a histogram whose quantiles are
+    never read -- every fleet partition's, which ship :meth:`state` --
+    never runs P-squared.
     """
 
     name: str
@@ -275,7 +337,8 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """P-squared estimate of a tracked quantile (``TRACKED_QUANTILES``)."""
+        """P-squared estimate of a tracked quantile (``TRACKED_QUANTILES``),
+        after replaying the unread log through every tracked estimator."""
         if q not in TRACKED_QUANTILES:
             raise ValueError(
                 f"quantile {q} is not tracked; tracked: {TRACKED_QUANTILES}"
@@ -286,9 +349,7 @@ class Histogram:
             samples = self._unread.tolist()
             self._unread = array("d")
             for estimator in self._estimators.values():
-                add = estimator.add
-                for value in samples:
-                    add(value)
+                estimator.extend(samples)
         return self._estimators[q].value
 
     @property

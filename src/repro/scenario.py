@@ -28,7 +28,7 @@ from .obs.recorder import Recorder
 from .offload.task import TaskGraph
 from .topology.nodes import Tier
 from .topology.world import World, build_default_world
-from .sim.core import Simulator
+from .sim.core import Event, Simulator
 from .vcu.dsf import DSF
 from .vcu.mhep import MHEP
 
@@ -82,6 +82,12 @@ class ScenarioReport:
 
     def service(self, name: str) -> ServiceReport:
         return self.services[name]
+
+
+def _raise_failure(drive: Event) -> None:
+    """Re-raise a failed drive loop's exception out of ``sim.run``."""
+    if drive._exception is not None:
+        raise drive._exception
 
 
 class DriveScenario:
@@ -199,6 +205,10 @@ class DriveScenario:
         the report object, which fills in as the drive progresses; call
         :meth:`finalize` once the simulator is done to complete the
         energy/DDI fields.
+
+        A drive loop that raises ends the run: its exception propagates
+        out of the ``sim.run`` that fires the loop's failure, so no
+        caller mistakes a dead drive for a finished one.
         """
         if duration_s <= 0:
             raise ValueError("duration must be positive")
@@ -209,8 +219,8 @@ class DriveScenario:
         next_invocation = {service.name: 0.0 for service in services}
         # (service, pipeline) -> reusable vehicle-share TaskGraph (or None
         # when the pipeline places nothing locally).  The share's task set
-        # is a pure function of the pipeline assignment; only the graph
-        # *name* carries per-tick identity, so it is re-stamped per submit.
+        # is a pure function of the pipeline assignment, and a DSF job
+        # never mutates its graph, so every tick submits the same share.
         local_graphs: dict[tuple[str, str], TaskGraph | None] = {}
 
         obs = self.obs
@@ -318,7 +328,8 @@ class DriveScenario:
                     self.ddi.collect_all(sim.now)
                 yield sim.timeout(self.tick_s)
 
-        self.sim.process(control_loop(self.sim), name=f"{self.label}/drive")
+        drive = self.sim.process(control_loop(self.sim), name=f"{self.label}/drive")
+        drive.callbacks.append(_raise_failure)
         self._pending_report = report
         return report
 

@@ -93,14 +93,14 @@ def test_four_partition_run_matches_golden(entry, audited_partitions):
 #: firing order, which the per-vehicle hashes above do not cover.  An
 #: intended behaviour change updates them by hand from the failure.
 KERNEL_PINS = {
-    (0, "uniform", 8, 4): (515, {
-        0: "c5ab1d2152a49cdf16f2e9dcb8320828",
-        1: "34c7d6ee35a74a38f323307c682532e5",
-        2: "29fa280c118625362ec4d31193d31913",
-        3: "a5712f571e361c02e1579fcfe949fa9f",
+    (0, "uniform", 8, 4): (347, {
+        0: "e54276b491edf5f46631b804d1ec4886",
+        1: "2b12f7968201bc32dade78fc05f6ce24",
+        2: "e57e4a49c99fbf9960772d8db9988e78",
+        3: "0e87668461f85073d4c82fd03eee7e7f",
     }),
-    (1, "skewed", 32, 1): (2639, {
-        0: "9e88f69183d482701a76ade1ae1bca91",
+    (1, "skewed", 32, 1): (1967, {
+        0: "4b7067fd1929fd766bdd2986d5ff6f78",
     }),
 }
 
@@ -126,7 +126,7 @@ def test_kernel_trace_matches_pins(pin):
 #: metrics change updates it by hand from the failure.
 PARTITION_METRICS_PINS = {
     (1, "skewed", 32, 1): {
-        0: "eacb0cdf6c5562e10f04e85ee21c15283c4401f84394692e49962c09d04816a1",
+        0: "630bdb6f882bcface61d7b40d6edf7bba2803e24dc501444d96d002e42f7212d",
     },
 }
 

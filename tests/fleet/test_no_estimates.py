@@ -11,7 +11,7 @@ import pytest
 
 from repro.fleet import FleetConfig, PartitionRuntime, sort_envelopes
 from repro.fleet.coordinator import run_inline, run_single_process
-from repro.obs import P2Quantile, merge_many, mergeable_view
+from repro.obs import Histogram, P2Quantile, merge_many, mergeable_view
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +22,12 @@ def config():
 
 @pytest.fixture
 def no_p2(monkeypatch):
-    def refuse(self, x):
+    # ``extend`` is the one update path: ``add`` and every histogram's
+    # read-time replay go through it.
+    def refuse(self, samples):
         raise AssertionError("a fleet path ran a P-squared estimator")
 
-    monkeypatch.setattr(P2Quantile, "add", refuse)
+    monkeypatch.setattr(P2Quantile, "extend", refuse)
 
 
 def _launched_runtime(config) -> PartitionRuntime:
@@ -60,3 +62,10 @@ def test_state_view_equals_full_snapshot_view(config):
     state_view = mergeable_view(merge_many([runtime.metrics_snapshot()]))
     full_view = mergeable_view(merge_many([runtime.collector.snapshot()]))
     assert state_view == full_view
+
+
+def test_no_p2_guard_trips_on_a_quantile_read(no_p2):
+    hist = Histogram("h")
+    hist.observe(1.0)
+    with pytest.raises(AssertionError, match="P-squared"):
+        hist.quantile(0.5)

@@ -5,9 +5,11 @@ from dataclasses import replace
 import pytest
 
 from repro.fleet import FleetConfig, PartitionRuntime, V2VBus, VehicleTraceHash
+from repro.fleet.coordinator import run_inline
 from repro.fleet.transport import Envelope
 from repro.sim import SimulationError, Simulator
 
+from ..integration.test_scenario import RetuneFault, fail_retune_from_call
 from .misuse_fixtures import greedy_loop
 
 
@@ -150,3 +152,9 @@ class TestMetricsInvariance:
             merge_many([r.metrics_snapshot() for r in rts2])
         )
         assert single == sharded
+
+
+def test_a_raising_drive_loop_fails_an_inline_fleet(monkeypatch):
+    fail_retune_from_call(monkeypatch, 6)
+    with pytest.raises(RetuneFault, match="retune call 6"):
+        run_inline(FleetConfig(seed=0, vehicles=8, partitions=2, duration_s=12.0))

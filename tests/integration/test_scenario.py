@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import make_adas_service, make_amber_service
 from repro.edgeos import SecurityModule
+from repro.edgeos.elastic import ElasticManager
 from repro.edgeos.service import ServiceState
 from repro.hw import catalog
 from repro.scenario import DriveScenario
@@ -160,3 +161,30 @@ def test_grant_audit_reports_a_leaked_grant(owner):
     s.sim.process(run(s.sim, slot, 1.0))
     s.sim.run()
     assert outstanding_grants(s) == 1
+
+
+class RetuneFault(RuntimeError):
+    pass
+
+
+def fail_retune_from_call(monkeypatch, call: int) -> None:
+    """Make every ``ElasticManager.retune`` from the ``call``-th on raise."""
+    retune = ElasticManager.retune
+    calls = [0]
+
+    def faulty(self, world, *args, **kwargs):
+        calls[0] += 1
+        if calls[0] >= call:
+            raise RetuneFault(f"retune call {calls[0]}")
+        return retune(self, world, *args, **kwargs)
+
+    monkeypatch.setattr(ElasticManager, "retune", faulty)
+
+
+def test_a_drive_loop_that_raises_ends_the_run(monkeypatch):
+    s = scenario()
+    s.add_service(make_adas_service(deadline_s=0.6), period_s=1.0)
+    fail_retune_from_call(monkeypatch, 6)
+    with pytest.raises(RetuneFault, match="retune call 6"):
+        s.run(30.0)
+    assert s.sim.now == 5.0  # vdaplint: disable=FLT001
