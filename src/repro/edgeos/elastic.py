@@ -16,7 +16,11 @@ accordingly.  A service's pipelines are re-scored only when something the
 decision reads has changed since its last call -- a link's bandwidth, rtt
 or loss, a node's processor set, the health view, the service's state,
 incumbent or deadline, or the manager's policy; an unchanged tick returns
-the previous decision.  Plans are compiled once per value -- graph
+the previous decision.  A scoring reads less than a decision -- not the
+service's state, incumbent or deadline, nor the policy -- so the manager
+keeps its last one and hands it to the next service whose scoring
+inputs are equal: the copies of one service in a retune score their
+pipelines once.  Plans are compiled once per value -- graph
 factory, assignment and the resolved nodes' processor sets -- into a
 table that every manager on one simulator shares, so a fleet partition's
 vehicles compile each plan once between them.  This module is where
@@ -100,6 +104,9 @@ class ElasticManager:
         # service name -> (world, inputs, choice): the service's last
         # decision that changed nothing (see :meth:`choose`).
         self._decisions: dict[str, tuple[World, tuple, PipelineChoice]] = {}
+        # (world, evaluation key, evaluations): the last scoring, shared
+        # by every service whose key matches (see :meth:`evaluate_pipelines`).
+        self._evaluations: tuple | None = None
         # id(pipeline) -> (pipeline, graph_factory, world, resolved
         # (node, version) pairs, plan): this manager's view of ``memo``,
         # re-keyed by value when a resolved node's processor set changed.
@@ -210,13 +217,24 @@ class ElasticManager:
 
         Pipelines placing work on a tier the watchdog marks unhealthy are
         excluded entirely -- failover happens by scoring only survivors.
+
+        The manager keeps its last result in one slot, keyed by the world
+        and :meth:`_evaluation_key`, and returns it to the next call with
+        an equal key: the copies of one service in a retune are scored
+        once.  The result is shared, so callers must not mutate it.
         """
+        key = self._evaluation_key(service, world, health)
+        kept = self._evaluations
+        if kept is not None and kept[0] is world and kept[1] == key:
+            return kept[2]
         links = world.links
-        return {
+        evaluations = {
             pipeline.name: self._compiled_for(service, pipeline, world).evaluate(links)
             for pipeline in service.pipelines
             if self._pipeline_healthy(pipeline, health)
         }
+        self._evaluations = (world, key, evaluations)
+        return evaluations
 
     def _pick(
         self,
@@ -238,17 +256,18 @@ class ElasticManager:
                 return previous
         return best_name
 
-    def _inputs(
-        self,
+    @staticmethod
+    def _evaluation_key(
         service: PolymorphicService,
         world: World,
         health: HealthWatchdog | None,
     ) -> tuple:
-        """Everything a decision reads besides the world's identity.
+        """Everything an evaluation reads besides the world's identity.
 
         Links enter by value (what ``transfer_time`` reads), so in-place
         writes and wholesale link replacement are both seen; nodes enter
-        by processor-set ``version``.
+        by processor-set ``version``; pipelines compare by value, so the
+        copies of one service share a key.
         """
         links = world.links
         ve, vc, ec = links.vehicle_edge, links.vehicle_cloud, links.edge_cloud
@@ -262,8 +281,20 @@ class ElasticManager:
             world.cloud.version,
             None if health is None
             else tuple(health.tier_healthy(tier) for tier in Tier.ALL),
-            service.state, service.active_pipeline, service.deadline_s,
             service.graph_factory, tuple(service.pipelines),
+        )
+
+    def _inputs(
+        self,
+        service: PolymorphicService,
+        world: World,
+        health: HealthWatchdog | None,
+    ) -> tuple:
+        """Everything a decision reads besides the world's identity: the
+        evaluation key, the service's state, incumbent and deadline, and
+        the manager's policy."""
+        return self._evaluation_key(service, world, health) + (
+            service.state, service.active_pipeline, service.deadline_s,
             self.goal, self.switch_margin, self.degrade_before_hang,
         )
 

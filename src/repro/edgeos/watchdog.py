@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..sim.core import Simulator
+from ..sim.core import Simulator, raise_failure
 
 if TYPE_CHECKING:
     from ..faults.injector import FaultInjector
@@ -128,7 +128,9 @@ class HealthWatchdog:
         (e.g. ``{"tier:edge": "proc:edge/edge-gpu"}``); while a key is up
         in the injector, its component heartbeats every interval, so the
         watchdog observes the fault plan the way a monitor would -- through
-        missed heartbeats, ``miss_threshold`` intervals late.
+        missed heartbeats, ``miss_threshold`` intervals late.  A pulse
+        that raises ends the run: its exception propagates out of the
+        ``sim.run`` that fires the failure.
         """
         for name in components:
             self.register(name, now_s=sim.now)
@@ -141,4 +143,6 @@ class HealthWatchdog:
                 self.sweep(sim.now)
                 yield sim.timeout(self.heartbeat_interval_s)
 
-        return sim.process(pulse(), name="health-watchdog")
+        process = sim.process(pulse(), name="health-watchdog")
+        process.callbacks.append(raise_failure)
+        return process

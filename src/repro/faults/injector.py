@@ -18,7 +18,7 @@ plan -- the injector adds no randomness of its own.
 
 from __future__ import annotations
 
-from ..sim.core import Event, Simulator
+from ..sim.core import Event, Simulator, raise_failure
 from ..topology.nodes import Tier
 from ..topology.world import World
 from .plan import FaultEvent, FaultKind, FaultPlan
@@ -123,9 +123,12 @@ class FaultInjector:
         self._down_watchers: dict[str, list[Event]] = {}
         self._up_waiters: dict[str, list[Event]] = {}
         self._nominal_bandwidth: dict[str, float] = {}
-        self.process = (
-            sim.process(self._driver(), name="fault-injector") if plan.events else None
-        )
+        self.process = None
+        if plan.events:
+            # A failed replay ends the run rather than leaving the rest of
+            # the plan silently unapplied.
+            self.process = sim.process(self._driver(), name="fault-injector")
+            self.process.callbacks.append(raise_failure)
 
     # -- driver ------------------------------------------------------------
 

@@ -44,7 +44,6 @@ from .transport import (
     Envelope,
     FinishAck,
     FinishCmd,
-    Heartbeat,
     Hello,
     PipeEndpoint,
     RoundAck,
@@ -65,7 +64,6 @@ __all__ = [
     "FleetError",
     "FleetResult",
     "FleetStats",
-    "Heartbeat",
     "Hello",
     "JournalEntry",
     "PartitionJournal",

@@ -11,8 +11,8 @@ one :class:`FleetResult`.  Modes differ only in where partitions live:
 * :class:`FleetCoordinator` -- worker processes behind pipes.  It
   journals each batch before sending it, collects acks under a
   wall-clock barrier deadline, classifying silence as *straggler*
-  (heartbeat seen: wait again with backoff) or *crash* (pipe EOF:
-  respawn from seed and replay the journal via
+  (deadline passed, pipe open: wait again with backoff) or *crash*
+  (pipe EOF: respawn from seed and replay the journal via
   :mod:`repro.fleet.recovery`), and commits each ack's kernel trace hash.
 * :func:`run_inline` -- in-process runtimes, advanced as sent.
   :func:`run_single_process`, the golden reference, is ``run_inline``

@@ -29,7 +29,6 @@ from .config import PartitionSpec
 from .journal import PartitionJournal
 from .transport import (
     AdvanceCmd,
-    Heartbeat,
     Hello,
     PipeEndpoint,
     RoundAck,
@@ -50,8 +49,8 @@ class FleetError(RuntimeError):
 class RecoveryPolicy:
     """How hard the coordinator fights for a partition before giving up.
 
-    A straggler (heartbeat seen, ack missing at the wall deadline) gets
-    ``straggler_retries`` extra waits, each ``straggler_backoff`` times
+    A straggler (its ack missing at the wall deadline, its pipe still
+    open) gets ``straggler_retries`` extra waits, each ``straggler_backoff`` times
     longer; after that it is killed and handled as a crash.  A partition
     may be respawned at most ``max_respawns`` times over the whole run.
     """
@@ -68,23 +67,18 @@ class RecoveryPolicy:
 
 
 def recv_expected(pipe: PipeEndpoint, deadline_s: float, kind: type[T]) -> T:
-    """Receive the next ``kind`` message from a worker, skipping heartbeats.
+    """Receive the next message from a worker, which must be a ``kind``.
 
     Raises :class:`FleetError` on a worker-reported failure or on any
     other message type; :class:`WorkerGone` / :class:`BarrierTimeout`
     propagate from the pipe for the caller's recovery logic.
     """
-    while True:
-        message = pipe.recv(deadline_s)
-        if isinstance(message, Heartbeat):
-            continue
-        if isinstance(message, WorkerFailed):
-            raise FleetError(
-                f"partition {message.partition} failed: {message.error}"
-            )
-        if not isinstance(message, kind):
-            raise FleetError(f"expected {kind.__name__}, got {message!r}")
-        return message
+    message = pipe.recv(deadline_s)
+    if isinstance(message, WorkerFailed):
+        raise FleetError(f"partition {message.partition} failed: {message.error}")
+    if not isinstance(message, kind):
+        raise FleetError(f"expected {kind.__name__}, got {message!r}")
+    return message
 
 
 def respawn_and_replay(

@@ -34,7 +34,6 @@ __all__ = [
     "Envelope",
     "FinishAck",
     "FinishCmd",
-    "Heartbeat",
     "Hello",
     "PipeEndpoint",
     "RoundAck",
@@ -87,20 +86,6 @@ class Hello:
     partition: int
     vehicles: tuple[int, ...]
     pid: int
-
-
-@dataclass(frozen=True)
-class Heartbeat:
-    """Worker liveness ping: it received round ``round_index`` and is working.
-
-    Sent immediately on receipt of an :class:`AdvanceCmd`, before any
-    simulation work, so the coordinator can tell a *straggler* (heartbeat
-    seen, ack missing: slow but alive, worth a backoff retry) from a
-    *crash* (pipe EOF / silence: respawn and replay).
-    """
-
-    partition: int
-    round_index: int
 
 
 @dataclass(frozen=True)

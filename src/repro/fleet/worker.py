@@ -28,7 +28,6 @@ from .config import PartitionSpec
 from .transport import (
     AdvanceCmd,
     FinishCmd,
-    Heartbeat,
     Hello,
     PipeEndpoint,
     WorkerFailed,
@@ -71,7 +70,6 @@ def partition_worker_main(conn, spec: PartitionSpec) -> None:
                 except WorkerGone:
                     return  # coordinator went away; nothing left to serve
                 if isinstance(command, AdvanceCmd):
-                    pipe.send(Heartbeat(spec.partition, command.round_index))
                     kill = (
                         spec.kill_plan.kill_for(spec.partition, command.round_index)
                         if spec.kill_plan is not None

@@ -43,6 +43,8 @@ class TaskGraph:
     Tasks and each task's predecessor and successor lists keep insertion
     order, and :attr:`task_names` is Kahn's algorithm run one generation
     at a time -- the order ``networkx.topological_sort`` gives.
+    ``version`` counts changes (added tasks and edges); caches of the
+    graph's shape, its own and its readers', are valid while it holds.
     """
 
     def __init__(self, name: str):
@@ -52,6 +54,7 @@ class TaskGraph:
         self._pred: dict[str, list[str]] = {}
         self._topo: list[str] | None = None
         self._indegree: dict[str, int] | None = None
+        self.version = 0
 
     def add_task(self, task: Task) -> Task:
         if task.name in self._tasks:
@@ -60,6 +63,7 @@ class TaskGraph:
         self._succ[task.name] = []
         self._pred[task.name] = []
         self._topo = self._indegree = None
+        self.version += 1
         return task
 
     def add_edge(self, producer: str, consumer: str) -> None:
@@ -75,6 +79,7 @@ class TaskGraph:
         self._succ[producer].append(consumer)
         self._pred[consumer].append(producer)
         self._topo = self._indegree = None
+        self.version += 1
 
     def _reaches(self, start: str, goal: str) -> bool:
         stack = [start]

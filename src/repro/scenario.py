@@ -28,7 +28,7 @@ from .obs.recorder import Recorder
 from .offload.task import TaskGraph
 from .topology.nodes import Tier
 from .topology.world import World, build_default_world
-from .sim.core import Event, Simulator
+from .sim.core import Simulator, raise_failure
 from .vcu.dsf import DSF
 from .vcu.mhep import MHEP
 
@@ -82,12 +82,6 @@ class ScenarioReport:
 
     def service(self, name: str) -> ServiceReport:
         return self.services[name]
-
-
-def _raise_failure(drive: Event) -> None:
-    """Re-raise a failed drive loop's exception out of ``sim.run``."""
-    if drive._exception is not None:
-        raise drive._exception
 
 
 class DriveScenario:
@@ -233,8 +227,9 @@ class DriveScenario:
             invoked_series: dict[str, tuple] = {}
             missed_series: dict[str, Counter] = {}
             while sim.now < duration_s:
+                now = sim.now  # a tick runs at one instant
                 # 1. Update link quality from coverage geometry.
-                dsrc_mbps = self.dsrc_quality_at(sim.now)
+                dsrc_mbps = self.dsrc_quality_at(now)
                 self.world.links.vehicle_edge.bandwidth_mbps = dsrc_mbps
                 if obs.enabled:
                     if dsrc_series is None:
@@ -250,7 +245,7 @@ class DriveScenario:
                         if service_report.pipeline_timeline.values else None
                     )
                     current = choice.pipeline or "HUNG"
-                    service_report.pipeline_timeline.record(sim.now, current)
+                    service_report.pipeline_timeline.record(now, current)
                     if obs.enabled and previous is not None and current != previous:
                         obs.count("scenario.pipeline_switches", service=service.name)
                         obs.instant(
@@ -262,9 +257,9 @@ class DriveScenario:
                         obs.count("scenario.hung_ticks", service=service.name)
                         continue
                     # 3. Invoke the service if its period elapsed.
-                    if sim.now + 1e-9 < next_invocation[service.name]:
+                    if now + 1e-9 < next_invocation[service.name]:
                         continue
-                    next_invocation[service.name] = sim.now + self._periods[service.name]
+                    next_invocation[service.name] = now + self._periods[service.name]
                     service_report.invocations += 1
                     evaluation = choice.evaluation
                     service_report.latency.record(evaluation.latency_s)
@@ -288,13 +283,12 @@ class DriveScenario:
                             )
                         missed.inc()
                     # 4. Execute the invocation.
-                    pipeline = service.pipeline(choice.pipeline)
                     if self.execute_distributed:
                         # Full placed graph through the distributed executor:
                         # executed latencies include queueing.
                         proc = self.executor.submit(
                             service.graph_factory(),
-                            pipeline.placement(),
+                            service.pipeline(choice.pipeline).placement(),
                             priority=service.qos,
                         )
                         sim.process(
@@ -307,6 +301,7 @@ class DriveScenario:
                         key = (service.name, choice.pipeline)
                         if key not in local_graphs:
                             # Cache fill: once per (service, pipeline).
+                            pipeline = service.pipeline(choice.pipeline)
                             local_tasks = [
                                 task
                                 for task in self.manager.task_graph(
@@ -325,11 +320,11 @@ class DriveScenario:
                             self.dsf.submit(local_graph, priority=service.qos)
                 # 5. DDI collection.
                 if self.ddi is not None:
-                    self.ddi.collect_all(sim.now)
+                    self.ddi.collect_all(now)
                 yield sim.timeout(self.tick_s)
 
         drive = self.sim.process(control_loop(self.sim), name=f"{self.label}/drive")
-        drive.callbacks.append(_raise_failure)
+        drive.callbacks.append(raise_failure)
         self._pending_report = report
         return report
 

@@ -43,6 +43,7 @@ __all__ = [
     "Interrupt",
     "Simulator",
     "SimulationError",
+    "raise_failure",
 ]
 
 
@@ -300,6 +301,17 @@ class Process(Event):
         # process; it may be waiting on something else by now.
         if self._waiting_on is trigger:
             self._step(trigger)
+
+
+def raise_failure(event: Event) -> None:
+    """Re-raise a failed event's exception out of ``sim.run``.
+
+    The callback for a process nothing waits on (a drive loop, a fault
+    plan's replay, a watchdog's pulse): without it, the process's
+    failure sits unread on it and the run ends as if it had finished.
+    """
+    if event._exception is not None:
+        raise event._exception
 
 
 class AllOf(Event):

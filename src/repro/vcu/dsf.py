@@ -20,11 +20,19 @@ the timeout's callback records the task, releases the device (which
 starts the next waiting task) and dispatches the successors it made
 ready.  The job's ``done`` event is settled in place when nothing waits
 on it.
+
+What a dispatch needs of its graph -- roots, in-degrees, successors, and
+each task's candidate devices with its execution time on each -- is
+worked out once per graph into a plan, which every dispatch checks
+against the graph's ``version`` and the mHEP's ``membership`` before
+picking from it, so a device that joined or left is seen at the next
+dispatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from weakref import WeakKeyDictionary
 
 from ..hw.energy import EnergyMeter
 from ..offload.task import Task, TaskGraph
@@ -49,17 +57,54 @@ class JobResult:
         return self.finished_at - self.submitted_at
 
 
+class _Plan:
+    """What dispatching one graph on one mHEP needs, worked out once.
+
+    The graph's roots, its in-degree table, each task's successors, and
+    each task with its candidates: ``(device, exec_time)`` pairs over the
+    online devices that support it, in registration order (under the
+    ``fastest`` policy, only the nominally fastest of them).  It holds
+    while the graph's ``version`` and the mHEP's ``membership`` do.
+    """
+
+    __slots__ = ("version", "membership", "roots", "in_degrees", "successors",
+                 "tasks")
+
+    def __init__(self, graph: TaskGraph, mhep: MHEP, fastest: bool):
+        self.version = graph.version
+        self.membership = mhep.membership
+        self.roots = graph.roots
+        self.in_degrees = graph.in_degrees()
+        self.successors = {name: graph.successors(name) for name in self.in_degrees}
+        self.tasks: dict[str, tuple[Task, tuple[tuple[Device, float], ...]]] = {}
+        for name in self.in_degrees:
+            task = graph.task(name)
+            workload = task.workload
+            devices = mhep.devices_for(workload)
+            if fastest and devices:
+                devices = [max(devices, key=lambda d: d.model.effective_gops(workload))]
+            self.tasks[name] = (task, tuple(
+                (device, device.model.execution_time(task.work_gop, workload))
+                for device in devices
+            ))
+
+    def holds(self, graph: TaskGraph, mhep: MHEP) -> bool:
+        return self.version == graph.version and self.membership == mhep.membership
+
+
 class _Job:
     """A graph in flight; ``unfinished`` counts each task's pending inputs."""
 
-    __slots__ = ("graph", "priority", "result", "done", "unfinished")
+    __slots__ = ("graph", "plan", "priority", "result", "done", "unfinished")
 
-    def __init__(self, sim: Simulator, graph: TaskGraph, priority: int):
+    def __init__(self, sim: Simulator, graph: TaskGraph, plan: _Plan, priority: int):
         self.graph = graph
+        self.plan = plan
         self.priority = priority
-        self.result = JobResult(graph.name, sim.now, sim.now)
+        now = sim.now
+        self.result = JobResult(graph.name, now, now)
         self.done = sim.event()
-        self.unfinished = graph.in_degrees()
+        self.unfinished = dict(plan.in_degrees)
 
 
 class _Run:
@@ -104,60 +149,57 @@ class DSF:
         # device -> the series a completed task records into, resolved at
         # the device's first completion (see :meth:`_finish`).
         self._series: dict[Device, tuple] = {}
+        # graph -> its dispatch plan; an entry goes with its graph.
+        self._plans: WeakKeyDictionary[TaskGraph, _Plan] = WeakKeyDictionary()
 
     # -- dispatch ----------------------------------------------------------------
 
-    def _pick_device(self, task) -> tuple[Device, float]:
-        """The device a task goes to per the configured policy, and the
-        task's execution time on it, from one pass over the candidates
-        (ties go to the first listed)."""
-        workload = task.workload
-        candidates = self.mhep.devices_for(workload)
-        if not candidates:
-            raise RuntimeError(
-                f"no online device supports workload {workload.value!r}"
-            )
-        if self.policy == "eft":
-            backlog = self._queued_seconds
-            best = best_time = best_finish = None
-            for device in candidates:
-                exec_time = device.model.execution_time(task.work_gop, workload)
-                finish = backlog.get(device, 0.0) + exec_time
-                if best is None or finish < best_finish:
-                    best, best_time, best_finish = device, exec_time, finish
-            return best, best_time
-        if self.policy == "round-robin":
-            best = candidates[self._rr_counter % len(candidates)]
-            self._rr_counter += 1
-        else:  # fastest
-            best = max(candidates, key=lambda d: d.model.effective_gops(workload))
-        return best, best.model.execution_time(task.work_gop, workload)
+    def _plan(self, graph: TaskGraph) -> _Plan:
+        """The graph's dispatch plan, made anew if it no longer holds."""
+        plan = self._plans.get(graph)
+        if plan is None or not plan.holds(graph, self.mhep):
+            plan = self._plans[graph] = _Plan(graph, self.mhep, self.policy == "fastest")
+        return plan
 
     def submit(self, graph: TaskGraph, priority: int = 0) -> Event:
         """Schedule a task graph, dispatching its root tasks now; returns
         the job's ``done`` event, which succeeds with the
         :class:`JobResult` when the last task completes (settled in place
         if nothing waits on it) or fails on a dispatch error."""
-        job = _Job(self.sim, graph, priority)
+        job = _Job(self.sim, graph, self._plan(graph), priority)
         if job.unfinished:
-            self._dispatch(job, graph.roots)
+            self._dispatch(job, job.plan.roots)
         else:  # an empty graph
             job.done.settle(job.result)
         return job.done
 
     def _dispatch(self, job: _Job, names: list[str]) -> None:
+        """Send each named task of ``job`` to the device the policy picks
+        from its candidates in the job's plan (ties go to the first
+        listed)."""
         sim = self.sim
         backlog = self._queued_seconds
+        tasks = job.plan.tasks
+        round_robin = self.policy == "round-robin"
         for name in names:
-            task = job.graph.task(name)
-            try:
-                device, exec_time = self._pick_device(task)
-            except RuntimeError as err:
+            task, candidates = tasks[name]
+            if not candidates:
                 # Fail the job instead of hanging it; its other branches run on.
                 sim.obs.count("vcu.dispatch_failures")
                 if not job.done.triggered:
-                    job.done.fail(err)
+                    job.done.fail(RuntimeError(
+                        f"no online device supports workload {task.workload.value!r}"
+                    ))
                 continue
+            if round_robin:
+                device, exec_time = candidates[self._rr_counter % len(candidates)]
+                self._rr_counter += 1
+            else:  # earliest finish; a fastest plan lists one candidate
+                device = None
+                for candidate, candidate_time in candidates:
+                    finish = backlog.get(candidate, 0.0) + candidate_time
+                    if device is None or finish < best_finish:
+                        device, exec_time, best_finish = candidate, candidate_time, finish
             backlog[device] = backlog.get(device, 0.0) + exec_time
             run = _Run(job, task, device, exec_time, sim.now)
             device.resource.acquire(run, self._start, job.priority)
@@ -168,6 +210,7 @@ class DSF:
 
     def _finish(self, timeout: Timeout) -> None:
         sim = self.sim
+        now = sim.now
         run = timeout._value
         job, task, device, exec_time = run.job, run.task, run.device, run.exec_time
         name = device.name
@@ -191,20 +234,24 @@ class DSF:
             completed, exec_s, wait_s, gops = series
             completed.inc()
             exec_s.observe(exec_time)
-            wait_s.observe(sim.now - run.requested_at - exec_time)
+            wait_s.observe(now - run.requested_at - exec_time)
             gops.inc(task.work_gop)
         result = job.result
         result.task_devices[task.name] = name
-        result.task_finish[task.name] = sim.now
+        result.task_finish[task.name] = now
+        plan = job.plan
+        if not plan.holds(job.graph, self.mhep):
+            plan = job.plan = self._plan(job.graph)
         ready = []
-        for successor in job.graph.successors(task.name):
-            job.unfinished[successor] -= 1
-            if not job.unfinished[successor]:
+        unfinished = job.unfinished
+        for successor in plan.successors[task.name]:
+            unfinished[successor] -= 1
+            if not unfinished[successor]:
                 ready.append(successor)
         if ready:
             self._dispatch(job, ready)
         if len(result.task_finish) == len(job.unfinished):
-            result.finished_at = sim.now
+            result.finished_at = now
             job.done.settle(result)
 
     def record_gauges(self) -> None:

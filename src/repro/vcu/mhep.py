@@ -62,6 +62,9 @@ class MHEP:
         # Workload value -> online devices that support it; register and
         # unregister, the only writers of ``Device.online``, clear it.
         self._by_workload: dict[str, list[Device]] = {}
+        #: Counts joins and leaves: what :meth:`devices_for` returns holds
+        #: while it does.
+        self.membership = 0
 
     def register(self, model: ProcessorModel, level: int = FIRST_LEVEL) -> Device:
         """Attach a device (1stHEP at boot; 2ndHEP at any time)."""
@@ -72,6 +75,7 @@ class MHEP:
         device = Device(model=model, level=level, resource=Resource(self.sim, capacity=1))
         self._devices[model.name] = device
         self._by_workload.clear()
+        self.membership += 1
         self.sim.obs.count("vcu.devices_registered", level=level)
         self.sim.obs.gauge("vcu.devices_online", len(self.online_devices))
         return device
@@ -87,6 +91,7 @@ class MHEP:
             raise KeyError(f"no online device named {name!r}")
         device.online = False
         self._by_workload.clear()
+        self.membership += 1
         self.sim.obs.count("vcu.devices_unregistered")
         self.sim.obs.gauge("vcu.devices_online", len(self.online_devices))
         return device

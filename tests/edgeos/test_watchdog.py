@@ -59,6 +59,27 @@ def test_drive_observes_fault_plan_through_missed_heartbeats():
     assert dog.component("tier:edge").flaps == 1
 
 
+class SweepFault(Exception):
+    pass
+
+
+def test_a_pulse_that_raises_ends_the_run(monkeypatch):
+    sim = Simulator()
+    injector = FaultInjector(sim, FaultPlan(seed=0, horizon_s=60.0))
+    dog = HealthWatchdog(heartbeat_interval_s=1.0, miss_threshold=3)
+
+    def failing_sweep(now_s):
+        if now_s >= 3.0:
+            raise SweepFault(now_s)
+        return []
+
+    monkeypatch.setattr(dog, "sweep", failing_sweep)
+    dog.drive(sim, injector, {"tier:edge": "proc:edge/gpu"}, horizon_s=60.0)
+    with pytest.raises(SweepFault):
+        sim.run()
+    assert sim.now < 4.0  # not the 60 s horizon
+
+
 def test_elastic_failover_excludes_unhealthy_tier():
     world = build_default_world()
     manager = ElasticManager()

@@ -1,5 +1,7 @@
 """Tests for replaying fault plans on the simulation clock."""
 
+import pytest
+
 from repro.faults import (
     CLOUD_KEY,
     FaultEvent,
@@ -120,3 +122,28 @@ def test_cloud_key_constant():
     injector = FaultInjector(sim, plan)
     sim.run(until=1.0)
     assert injector.is_down(CLOUD_KEY)
+
+
+class ApplyFault(Exception):
+    pass
+
+
+def test_a_replay_that_raises_ends_the_run(monkeypatch):
+    sim = Simulator()
+    plan = manual_plan(
+        FaultEvent(FaultKind.PROCESSOR_DOWN, "edge/gpu", 2.0, 4.0),
+        FaultEvent(FaultKind.CLOUD_UNREACHABLE, "cloud", 5.0, 4.0),
+    )
+    injector = FaultInjector(sim, plan)
+    applied = []
+
+    def failing_apply(event):
+        applied.append(event.target)
+        raise ApplyFault(event.target)
+
+    monkeypatch.setattr(injector, "_apply", failing_apply)
+    with pytest.raises(ApplyFault, match="edge/gpu"):
+        sim.run(until=20.0)
+    # The run stopped at the first failed apply; the second never ran.
+    assert applied == ["edge/gpu"]
+    assert sim.now < 5.0

@@ -74,7 +74,7 @@ def test_round_ack_wait_refuses_another_message_by_name(config):
 def test_finish_wait_refuses_another_message_by_name(config):
     with FleetCoordinator(config) as coordinator:
         coordinator._spawn_all()
-        # The round's Heartbeat is skipped; its unread RoundAck is not.
+        # The round's RoundAck, unread, is the next message.
         pipe = coordinator.workers[0].pipe
         pipe.send(AdvanceCmd(0, config.barriers()[0]))
         with pytest.raises(FleetError,

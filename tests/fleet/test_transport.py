@@ -9,10 +9,10 @@ from repro.fleet import (
     AdvanceCmd,
     BarrierTimeout,
     Envelope,
-    Heartbeat,
     Hello,
     PipeEndpoint,
     RoundAck,
+    WorkerFailed,
     WorkerGone,
     sort_envelopes,
 )
@@ -53,7 +53,7 @@ class TestEnvelopeOrdering:
 class TestProtocolMessages:
     @pytest.mark.parametrize("message", [
         Hello(partition=1, vehicles=(1, 3), pid=1234),
-        Heartbeat(partition=0, round_index=2),
+        WorkerFailed(partition=0, error="boom"),
         AdvanceCmd(round_index=3, barrier_s=4.0, inbound=(env(),)),
         RoundAck(round_index=3, barrier_s=4.0, outbound=(env(),),
                  partition_hash="abc", advance_wall_s=0.5),
@@ -66,8 +66,8 @@ class TestPipeEndpoint:
     def test_roundtrip(self):
         a, b = mp.Pipe(duplex=True)
         left, right = PipeEndpoint(a), PipeEndpoint(b)
-        left.send(Heartbeat(partition=0, round_index=1))
-        assert right.recv(deadline_s=5.0) == Heartbeat(0, 1)
+        left.send(Hello(partition=0, vehicles=(0, 2), pid=1))
+        assert right.recv(deadline_s=5.0) == Hello(0, (0, 2), 1)
 
     def test_deadline_raises_barrier_timeout(self):
         a, _b = mp.Pipe(duplex=True)
