@@ -14,9 +14,11 @@ every managed service against the current world (whose links the caller
 updates as network quality moves) and switches, hangs or resumes
 accordingly.  A service's pipelines are re-scored only when something the
 decision reads has changed since its last call -- a link's bandwidth, rtt
-or loss, a node's processor set, the health view, the service's state,
-incumbent or deadline, or the manager's policy; an unchanged tick returns
-the previous decision.  A scoring reads less than a decision -- not the
+or loss, the health view, the service's state, incumbent or deadline, or
+the manager's policy; an unchanged tick returns the previous decision.
+A node's processors are fixed when it is built, so they never change
+under a kept decision; computation resources come and go through the
+health view.  A scoring reads less than a decision -- not the
 service's state, incumbent or deadline, nor the policy -- so the manager
 keeps its last one and hands it to the next service whose scoring
 inputs are equal: the copies of one service in a retune score their
@@ -107,9 +109,8 @@ class ElasticManager:
         # (world, evaluation key, evaluations): the last scoring, shared
         # by every service whose key matches (see :meth:`evaluate_pipelines`).
         self._evaluations: tuple | None = None
-        # id(pipeline) -> (pipeline, graph_factory, world, resolved
-        # (node, version) pairs, plan): this manager's view of ``memo``,
-        # re-keyed by value when a resolved node's processor set changed.
+        # id(pipeline) -> (pipeline, graph_factory, world, plan): this
+        # manager's view of ``memo``.
         self._compiled: dict[int, tuple] = {}
         #: Plans by graph factory, assignment and the interned processor
         #: sets of the nodes they resolve (see :meth:`_compiled_for`), and
@@ -122,12 +123,6 @@ class ElasticManager:
         if service.name in self._services:
             raise ValueError(f"service {service.name!r} already registered")
         self._services[service.name] = service
-
-    def unregister(self, name: str) -> PolymorphicService:
-        if name not in self._services:
-            raise KeyError(f"unknown service {name!r}")
-        self._decisions.pop(name, None)
-        return self._services.pop(name)
 
     def service(self, name: str) -> PolymorphicService:
         return self._services[name]
@@ -162,13 +157,12 @@ class ElasticManager:
         """The (cached) compiled plan for one pipeline of a service.
 
         Kept per :class:`Pipeline` object (frozen, so its assignment is
-        fixed) and graph factory while ``world`` and the versions of the
-        nodes the plan resolved stay put: a hit is one dict lookup and
-        the version check.  Otherwise the plan is looked up by value in
-        :attr:`memo` -- graph factory, tier assignment and the resolved
-        nodes' processor sets, each read once per node ``version`` and
-        interned to a small id that equal sets share -- and compiled only
-        if no manager sharing it has compiled an equal plan.
+        fixed), graph factory and ``world``: a hit is one dict lookup.
+        Otherwise the plan is looked up by value in :attr:`memo` -- graph
+        factory, tier assignment and the resolved nodes' processor sets,
+        each read once per node (its processors are fixed) and interned
+        to a small id that equal sets share -- and compiled only if no
+        manager sharing it has compiled an equal plan.
         """
         cached = self._compiled.get(id(pipeline))
         if (
@@ -176,22 +170,20 @@ class ElasticManager:
             and cached[0] is pipeline
             and cached[1] is service.graph_factory
             and cached[2] is world
-            and all(node.version == seen for node, seen in cached[3])
         ):
-            return cached[4]
+            return cached[3]
         memo = self.memo
-        nodes, set_ids = [], []
+        set_ids = []
         for tier in sorted(set(pipeline.assignment.values())):
             node = world.node_for_tier(tier)
             # The entry holds the node, so its id is not reused meanwhile.
             seen = memo.get(("node", id(node)))
-            if seen is None or seen[1] != node.version:
+            if seen is None:
                 ids = memo.setdefault("processor sets", {})
                 seen = memo[("node", id(node))] = (
-                    node, node.version, ids.setdefault(processor_set(node), len(ids))
+                    node, ids.setdefault(processor_set(node), len(ids))
                 )
-            nodes.append(seen[:2])
-            set_ids.append(seen[2])
+            set_ids.append(seen[1])
         value = (
             "plan", service.graph_factory,
             tuple(sorted(pipeline.assignment.items())), tuple(set_ids),
@@ -203,7 +195,7 @@ class ElasticManager:
             )
         # The entry holds the pipeline, so its id is not reused meanwhile.
         self._compiled[id(pipeline)] = (
-            pipeline, service.graph_factory, world, tuple(nodes), compiled
+            pipeline, service.graph_factory, world, compiled
         )
         return compiled
 
@@ -265,20 +257,16 @@ class ElasticManager:
         """Everything an evaluation reads besides the world's identity.
 
         Links enter by value (what ``transfer_time`` reads), so in-place
-        writes and wholesale link replacement are both seen; nodes enter
-        by processor-set ``version``; pipelines compare by value, so the
-        copies of one service share a key.
+        writes and wholesale link replacement are both seen; nodes need no
+        entry, their processors being fixed; pipelines compare by value,
+        so the copies of one service share a key.
         """
         links = world.links
         ve, vc, ec = links.vehicle_edge, links.vehicle_cloud, links.edge_cloud
-        edges = world.edges
         return (
             ve.bandwidth_mbps, ve.rtt_s, ve.loss_rate,
             vc.bandwidth_mbps, vc.rtt_s, vc.loss_rate,
             ec.bandwidth_mbps, ec.rtt_s, ec.loss_rate,
-            world.vehicle.version,
-            edges[0].version if edges else None,
-            world.cloud.version,
             None if health is None
             else tuple(health.tier_healthy(tier) for tier in Tier.ALL),
             service.graph_factory, tuple(service.pipelines),

@@ -298,7 +298,6 @@ class FleetConfig:
     v2v_latency_s: float = 1.0
     barrier_s: float | None = None
     beacon_period_s: float = 2.0
-    with_services: bool = True
     edge_count: int = 2
     edge_spacing_m: float = 450.0
     barrier_deadline_s: float = 60.0
@@ -401,7 +400,7 @@ class FleetConfig:
 
     def service_count(self, index: int) -> int:
         """Managed service instances vehicle ``index`` runs (style-driven)."""
-        return self.style.service_count(index) if self.with_services else 0
+        return self.style.service_count(index)
 
     def vehicle_label(self, index: int) -> str:
         """Stable display/trace name for one vehicle."""

@@ -6,9 +6,9 @@ from .. import _lazy_exports
 
 if TYPE_CHECKING:
     from .compress import CompressionReport, deep_compress, kmeans_1d, measure, prune, quantize
-    from .layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU
+    from .layers import Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU
     from .network import Sequential, cross_entropy, softmax
-    from .train import SGD, Adam, TrainResult, train_classifier
+    from .train import SGD, TrainResult, train_classifier
     from .transfer import freeze_masks, transfer_learn
     from .zoo import (
         INCEPTION_V3,
@@ -26,7 +26,6 @@ __all__ = [
     "CompressionReport",
     "Conv2D",
     "Dense",
-    "Dropout",
     "Flatten",
     "INCEPTION_V3",
     "Layer",
@@ -35,7 +34,6 @@ __all__ = [
     "ModelSpec",
     "RESNET50",
     "ReLU",
-    "Adam",
     "SGD",
     "SPEC_REGISTRY",
     "Sequential",

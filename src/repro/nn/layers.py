@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Layer", "Dense", "ReLU", "Conv2D", "MaxPool2D", "Flatten", "Dropout"]
+__all__ = ["Layer", "Dense", "ReLU", "Conv2D", "MaxPool2D", "Flatten"]
 
 
 class Layer:
@@ -102,29 +102,6 @@ class ReLU(Layer):
 
     def flops(self, input_shape):
         return int(np.prod(input_shape))
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at inference."""
-
-    def __init__(self, rate: float = 0.5, rng: np.random.Generator | None = None):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self.rng = rng or np.random.default_rng(0)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .network import Sequential, cross_entropy, softmax
 
-__all__ = ["SGD", "Adam", "TrainResult", "train_classifier"]
+__all__ = ["SGD", "TrainResult", "train_classifier"]
 
 
 class SGD:
@@ -58,63 +58,6 @@ class SGD:
                 param *= masks[key]
 
 
-class Adam:
-    """Adam optimizer (Kingma & Ba 2015): adaptive per-parameter rates.
-
-    Interface-compatible with :class:`SGD` (``step(network, masks,
-    frozen)``), so the compression/transfer pipelines can use either.
-    """
-
-    def __init__(
-        self,
-        lr: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("betas must be in [0, 1)")
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.weight_decay = weight_decay
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
-        self._t = 0
-
-    def step(
-        self,
-        network: Sequential,
-        masks: dict[int, np.ndarray] | None = None,
-        frozen: set[int] | None = None,
-    ) -> None:
-        self._t += 1
-        for layer, name, param in network.parameters():
-            if frozen and id(param) in frozen:
-                continue
-            grad = layer.grads[name]
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param
-            key = id(param)
-            m = self._m.get(key)
-            v = self._v.get(key)
-            if m is None:
-                m = np.zeros_like(param)
-                v = np.zeros_like(param)
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * grad**2
-            self._m[key], self._v[key] = m, v
-            m_hat = m / (1 - self.beta1**self._t)
-            v_hat = v / (1 - self.beta2**self._t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
-            if masks and key in masks:
-                param *= masks[key]
-
-
 @dataclass
 class TrainResult:
     """Loss/accuracy trajectory of one training run."""
@@ -130,7 +73,7 @@ def train_classifier(
     labels: np.ndarray,
     epochs: int = 10,
     batch_size: int = 32,
-    optimizer: "SGD | Adam | None" = None,
+    optimizer: SGD | None = None,
     rng: np.random.Generator | None = None,
     masks: dict[int, np.ndarray] | None = None,
     frozen: set[int] | None = None,

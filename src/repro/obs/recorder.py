@@ -22,7 +22,10 @@ would have created it, so holding one never adds a series to a snapshot.
 Collector keeps a cache per metric kind keyed by the raw call (name plus
 label items), in front of the registry, which alone creates,
 canonicalizes and kind-checks a series.  The null sink hands out one
-shared series that ignores every record.
+shared series that ignores every record, so a held-series site records
+without a guard: an uninstrumented drive's DSF completions and drive-loop
+samples land in it.  Only a site that would compute something to record
+(a sum, a queue depth, a gauge's read) checks ``enabled`` first.
 
 The single-wiring-point pattern: hand one Collector to
 ``Simulator(obs=...)`` (or ``DriveScenario(observe=...)``) and every

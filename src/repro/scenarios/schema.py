@@ -103,7 +103,6 @@ FLEET_FIELDS: dict[str, FieldSpec] = _table(
     FieldSpec("barrier_s", "float"),
     FieldSpec("barrier_deadline_s", "float"),
     FieldSpec("workload", "str"),
-    FieldSpec("with_services", "bool"),
     FieldSpec("edge_count", "int"),
     FieldSpec("edge_spacing_m", "float"),
 )

@@ -15,7 +15,7 @@ offloading) lives in `repro.vcu` and `repro.offload`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..hw.processor import ProcessorModel
@@ -37,29 +37,21 @@ class Tier:
 class Node:
     """A compute location with a set of processors.
 
-    ``version`` counts processor-set changes; caches of per-node
-    derivations (e.g. compiled placements) compare it to detect staleness.
+    The processors are fixed when the node is built (a tuple), so caches
+    of per-node derivations (e.g. compiled placements) hold for the
+    node's lifetime.  A device that dies or leaves at run time does so in
+    the layers that model it -- the health view, the fault injector and
+    the mHEP's membership -- not here.
     """
 
     name: str
     tier: str
-    processors: list[ProcessorModel] = field(default_factory=list)
-    version: int = field(default=0, init=False, compare=False)
+    processors: tuple[ProcessorModel, ...] = ()
 
     def __post_init__(self):
         if self.tier not in Tier.ALL:
             raise ValueError(f"unknown tier {self.tier!r}")
-
-    def add_processor(self, processor: ProcessorModel) -> None:
-        self.processors.append(processor)
-        self.version += 1
-
-    def remove_processor(self, name: str) -> ProcessorModel:
-        for i, proc in enumerate(self.processors):
-            if proc.name == name:
-                self.version += 1
-                return self.processors.pop(i)
-        raise KeyError(f"no processor named {name!r} on {self.name}")
+        self.processors = tuple(self.processors)
 
     def best_processor_for(self, workload) -> Optional[ProcessorModel]:
         """Fastest device for a workload class, or None if unsupported."""
@@ -76,7 +68,7 @@ class Vehicle(Node):
     mobility: object = None  # ConstantSpeed / SpeedProfile
 
     def __init__(self, name: str, processors=None, mobility=None):
-        super().__init__(name=name, tier=Tier.VEHICLE, processors=list(processors or []))
+        super().__init__(name=name, tier=Tier.VEHICLE, processors=processors or ())
         self.mobility = mobility
 
     def position(self, time_s: float) -> float:
@@ -98,7 +90,7 @@ class XEdge(Node):
     coverage_radius_m: float = 300.0
 
     def __init__(self, name: str, processors=None, position_m=0.0, coverage_radius_m=300.0):
-        super().__init__(name=name, tier=Tier.EDGE, processors=list(processors or []))
+        super().__init__(name=name, tier=Tier.EDGE, processors=processors or ())
         self.position_m = position_m
         self.coverage_radius_m = coverage_radius_m
 
@@ -111,7 +103,7 @@ class Cloud(Node):
     """Remote cloud: conceptually unconstrained resources, far away."""
 
     def __init__(self, name: str = "cloud", processors=None):
-        super().__init__(name=name, tier=Tier.CLOUD, processors=list(processors or []))
+        super().__init__(name=name, tier=Tier.CLOUD, processors=processors or ())
 
 
 @dataclass

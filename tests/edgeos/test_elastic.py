@@ -61,9 +61,6 @@ def test_manager_register_duplicates():
     manager.register(a3_service())
     with pytest.raises(ValueError):
         manager.register(a3_service())
-    manager.unregister("kidnapper-search")
-    with pytest.raises(KeyError):
-        manager.unregister("kidnapper-search")
 
 
 def test_manager_goal_validation():

@@ -1,6 +1,6 @@
 """Compiled placement plans: shared by value across service copies and
-across the vehicles of one simulator, re-keyed only when a node they
-resolved changes its processor set."""
+across the vehicles of one simulator, compiled anew only for a node
+whose processor set no plan has seen."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.fleet import FleetConfig, run_inline
 from repro.hw import catalog
 from repro.scenario import DriveScenario
 from repro.sim import Simulator
-from repro.topology import build_default_world
+from repro.topology import Cloud, Vehicle, XEdge, build_default_world
 from repro.workloads.services import adas_frame_graph
 
 from .test_elastic import a3_service
@@ -88,39 +88,30 @@ def test_vehicles_on_one_simulator_build_each_task_graph_once():
 
 
 def test_a_processor_change_recompiles_only_the_plans_that_used_the_node(compiles):
-    world = build_default_world()
     manager = ElasticManager()
     service = a3_service(deadline=4.0)
     manager.register(service)
-    manager.choose(service, world)
+    manager.choose(service, build_default_world())
     assert len(compiles) == 3
 
-    def recompiled_after(change):
+    def recompiled_with(**nodes):
+        """Plans compiled for a fresh world with ``nodes`` swapped in: a
+        node's processors are fixed, so a change is another node."""
+        world = build_default_world()
+        for attribute, node in nodes.items():
+            setattr(world, attribute, node)
         compiles.clear()
-        change()
         manager.choose(service, world)
         return sorted(tuple(sorted(set(a.values()))) for a in compiles)
 
+    # An equal world reuses every plan.
+    assert recompiled_with() == []
     # No a3 pipeline places work in the cloud.
-    assert recompiled_after(
-        lambda: world.cloud.add_processor(catalog.cloud_server_gpu())
-    ) == []
+    gpus = [catalog.cloud_server_gpu(), catalog.cloud_server_gpu()]
+    assert recompiled_with(cloud=Cloud(processors=gpus)) == []
     # "offload-all" and "split" resolved the edge; "onboard" did not.
-    assert recompiled_after(
-        lambda: world.edges[0].add_processor(catalog.edge_server_gpu())
-    ) == [("edge",), ("edge", "vehicle")]
+    edge = XEdge("xedge-0", processors=[catalog.edge_server_gpu()] * 2)
+    assert recompiled_with(edges=[edge]) == [("edge",), ("edge", "vehicle")]
     # "onboard" and "split" resolved the vehicle.
-    assert recompiled_after(
-        lambda: world.vehicle.remove_processor("Intel MNCS (Myriad 2)")
-    ) == [("edge", "vehicle"), ("vehicle",)]
-
-
-def test_unregister_keeps_plans_for_the_next_service_of_that_factory(compiles):
-    world = build_default_world()
-    manager = ElasticManager()
-    manager.register(a3_service(deadline=4.0))
-    manager.retune(world)
-    manager.unregister("kidnapper-search")
-    manager.register(a3_service(deadline=4.0))
-    manager.retune(world)
-    assert len(compiles) == 3
+    vehicle = Vehicle("cav-0", processors=[catalog.intel_i7_6700()])
+    assert recompiled_with(vehicle=vehicle) == [("edge", "vehicle"), ("vehicle",)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sequential
+from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
 
 
 def numerical_grad(f, x, eps=1e-5):
@@ -68,24 +68,6 @@ def test_relu_forward_and_backward():
     assert np.array_equal(out, [[0.0, 2.0, 0.0]])
     grad = layer.backward(np.ones_like(x))
     assert np.array_equal(grad, [[0.0, 1.0, 0.0]])
-
-
-def test_dropout_identity_at_inference():
-    layer = Dropout(0.9)
-    x = np.ones((4, 4))
-    assert np.array_equal(layer.forward(x, training=False), x)
-
-
-def test_dropout_preserves_expectation_roughly():
-    layer = Dropout(0.5, rng=np.random.default_rng(0))
-    x = np.ones((200, 200))
-    out = layer.forward(x, training=True)
-    assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-
-def test_dropout_validation():
-    with pytest.raises(ValueError):
-        Dropout(1.0)
 
 
 def test_conv_forward_known_value():

@@ -156,39 +156,3 @@ def test_spec_registry_contents():
     assert "inception_v3" in SPEC_REGISTRY
     assert SPEC_REGISTRY["inception_v3"].size_bytes == pytest.approx(23.9e6 * 4)
 
-
-def test_adam_validation():
-    from repro.nn import Adam
-
-    with pytest.raises(ValueError):
-        Adam(lr=0.0)
-    with pytest.raises(ValueError):
-        Adam(beta1=1.0)
-
-
-def test_adam_learns_separable_blobs():
-    from repro.nn import Adam
-
-    x, y = two_blob_data()
-    net = make_mlp(2, (8,), 2, seed=1)
-    result = train_classifier(net, x, y, epochs=30, optimizer=Adam(lr=0.01),
-                              rng=np.random.default_rng(0))
-    assert result.train_accuracy > 0.95
-
-
-def test_adam_respects_masks_and_frozen():
-    from repro.nn import Adam
-    from repro.nn import prune
-
-    x, y = two_blob_data()
-    net = make_mlp(2, (8,), 2, seed=1)
-    masks = prune(net, 0.5)
-    first_dense = [l for l in net.layers if l.params][0]
-    before_bias = first_dense.b.copy()
-    train_classifier(net, x, y, epochs=3, optimizer=Adam(lr=0.01),
-                     masks=masks, frozen={id(first_dense.b)},
-                     rng=np.random.default_rng(0))
-    assert np.array_equal(first_dense.b, before_bias)
-    for _l, name, arr in net.parameters():
-        if name == "W":
-            assert (arr == 0).mean() >= 0.4

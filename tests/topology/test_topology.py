@@ -76,14 +76,12 @@ def test_vehicle_position_without_mobility_is_zero():
     assert Vehicle(name="v").position(10.0) == 0.0
 
 
-def test_node_add_remove_processor():
-    vehicle = Vehicle(name="v", processors=[catalog.intel_mncs()])
-    vehicle.add_processor(catalog.jetson_tx2_maxp())
-    assert len(vehicle.processors) == 2
-    removed = vehicle.remove_processor("Jetson TX2 Max-P")
-    assert removed.name == "Jetson TX2 Max-P"
-    with pytest.raises(KeyError):
-        vehicle.remove_processor("nope")
+def test_node_processors_are_fixed_when_built():
+    listed = [catalog.intel_mncs()]
+    vehicle = Vehicle(name="v", processors=listed)
+    listed.append(catalog.jetson_tx2_maxp())
+    assert vehicle.processors == (catalog.intel_mncs(),)
+    assert Vehicle(name="bare").processors == ()
 
 
 def test_best_processor_for_workload():
