@@ -95,12 +95,12 @@ def test_four_partition_run_matches_golden(entry, audited_partitions):
 KERNEL_PINS = {
     (0, "uniform", 8, 4): (347, {
         0: "e54276b491edf5f46631b804d1ec4886",
-        1: "2b12f7968201bc32dade78fc05f6ce24",
+        1: "8ed4af92b756f41a428b3bbd3631569e",
         2: "e57e4a49c99fbf9960772d8db9988e78",
         3: "0e87668461f85073d4c82fd03eee7e7f",
     }),
     (1, "skewed", 32, 1): (1967, {
-        0: "4b7067fd1929fd766bdd2986d5ff6f78",
+        0: "4f3d39d4c39f8ee357517b9fab287c4d",
     }),
 }
 
@@ -126,7 +126,7 @@ def test_kernel_trace_matches_pins(pin):
 #: metrics change updates it by hand from the failure.
 PARTITION_METRICS_PINS = {
     (1, "skewed", 32, 1): {
-        0: "630bdb6f882bcface61d7b40d6edf7bba2803e24dc501444d96d002e42f7212d",
+        0: "2a223581f916badda043005ce8adfabc2ef8ac368ab854b34ff956e56e89e7b8",
     },
 }
 

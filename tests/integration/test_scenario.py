@@ -9,6 +9,7 @@ from repro.edgeos.service import ServiceState
 from repro.hw import catalog
 from repro.scenario import DriveScenario
 from repro.topology import SpeedProfile, build_default_world
+from repro.workloads.services import ADAS_TASKS
 
 from ..grants import outstanding_grants
 
@@ -188,3 +189,31 @@ def test_a_drive_loop_that_raises_ends_the_run(monkeypatch):
     with pytest.raises(RetuneFault, match="retune call 6"):
         s.run(30.0)
     assert s.sim.now == 5.0  # vdaplint: disable=FLT001
+
+
+def test_onboard_share_keeps_the_edges_between_vehicle_tasks():
+    # One vehicle, ADAS pinned on board: every frame's four tasks run
+    # through the DSF, and fuse-alert must wait for both detectors.
+    s = scenario()
+    service = make_adas_service(deadline_s=5.0)
+    service.pipelines = [service.pipeline("onboard")]
+    s.add_service(service, period_s=1.0)
+    # id(job) -> (job, {task: start time}); holding the job keeps its id.
+    starts = {}
+    start = s.dsf._start
+
+    def stamped(run):
+        starts.setdefault(id(run.job), (run.job, {}))[1][run.task.name] = s.sim.now
+        start(run)
+
+    s.dsf._start = stamped
+    s.run(10.0)
+    assert len(starts) == 10
+    for job, started in starts.values():
+        result = job.result
+        assert set(started) == set(ADAS_TASKS)
+        capture, lane, detect, fuse = ADAS_TASKS
+        assert started[lane] >= result.task_finish[capture]
+        assert started[detect] >= result.task_finish[capture]
+        assert started[fuse] >= max(result.task_finish[lane],
+                                    result.task_finish[detect])

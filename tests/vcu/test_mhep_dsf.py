@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.fleet import FleetConfig, run_inline
 from repro.hw import WorkloadClass, catalog
 from repro.obs import Collector
 from repro.offload import Task, TaskGraph
@@ -299,3 +300,19 @@ def test_dispatch_failure_inside_a_dag_fails_the_job():
     for device in mhep.online_devices:
         assert device.resource.count == 0
         assert device.resource.queue_length == 0
+
+
+def test_queue_wait_is_never_negative():
+    # A task's wait runs from its dispatch to its device's grant; an
+    # immediate grant reads exactly 0, not a float residue of
+    # ``finish - dispatch - exec_time``.
+    config = FleetConfig(
+        seed=1, vehicles=128, partitions=1, duration_s=10.0, workload="skewed"
+    )
+    histograms = run_inline(config).metrics["histograms"]
+    waits = [
+        series for name, series in histograms.items()
+        if name.startswith("vcu.queue_wait_s")
+    ]
+    assert waits
+    assert min(series["min"] for series in waits) == 0.0
