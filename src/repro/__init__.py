@@ -12,7 +12,7 @@ A full-stack, simulation-backed reproduction of Zhang et al., ICDCS 2018:
 * :mod:`repro.edgeos` -- EdgeOSv: elastic management, security, privacy,
   data sharing
 * :mod:`repro.ddi` -- the driving data integrator
-* :mod:`repro.faults` -- deterministic fault injection + resilience primitives
+* :mod:`repro.faults` -- deterministic fault injection + the executor's retry policy
 * :mod:`repro.fleet` -- crash-tolerant partitioned multi-process simulation
 * :mod:`repro.libvdap` -- the open application library (models, pBEAM, API)
 * :mod:`repro.apps` -- the four in-vehicle service classes + V2V collab

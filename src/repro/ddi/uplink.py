@@ -23,7 +23,6 @@ import os
 from dataclasses import dataclass
 
 from ..edgeos.privacy import LocationFuzzer
-from ..faults.resilience import BreakerState, CircuitBreaker
 from ..net.channel import LinkModel
 from ..obs.recorder import NULL_RECORDER, Recorder
 from .diskdb import DiskDB, Record
@@ -83,7 +82,6 @@ class MigrationStats:
     batches: int = 0
     deferred_rounds: int = 0
     failed_rounds: int = 0
-    breaker_deferred_rounds: int = 0
     #: ``"ExcType: message"`` of the most recent mid-batch failure, if any.
     last_error: str | None = None
 
@@ -92,13 +90,10 @@ class UplinkMigrator:
     """Vehicle-side background migration with a resumable watermark.
 
     Resilience: the per-stream watermark is *durable* (persisted inside the
-    DiskDB directory after every successful batch, reloaded on restart), a
-    batch's watermark only advances after the server acknowledged it, and
-    an optional :class:`~repro.faults.resilience.CircuitBreaker` stops the
-    migrator from hammering an unreachable cloud -- rounds short-circuit
-    while the breaker is open and a single probe batch re-tests the path
-    after the cooldown.  Because the cloud server drops replayed records,
-    a batch replayed after a mid-batch crash never double-counts.
+    DiskDB directory after every successful batch, reloaded on restart),
+    and a batch's watermark only advances after the server acknowledged
+    it.  Because the cloud server drops replayed records, a batch replayed
+    after a mid-batch crash never double-counts.
 
     A batch never splits a timestamp: it takes every record at the last
     time it reaches, even past ``batch_size``, so the watermark
@@ -113,8 +108,6 @@ class UplinkMigrator:
         min_bandwidth_mbps: float = 2.0,
         batch_size: int = 100,
         fuzzer: LocationFuzzer | None = None,
-        breaker: CircuitBreaker | None = None,
-        durable: bool = True,
         obs: Recorder | None = None,
     ):
         if batch_size < 1:
@@ -126,14 +119,11 @@ class UplinkMigrator:
         self.min_bandwidth_mbps = min_bandwidth_mbps
         self.batch_size = batch_size
         self.fuzzer = fuzzer
-        self.breaker = breaker
-        self.durable = durable
         # Watermark per stream: everything strictly before it has migrated.
         self._watermark: dict[str, float] = {stream: 0.0 for stream in streams}
-        if durable:
-            for stream, mark in self._load_watermarks().items():
-                if stream in self._watermark:
-                    self._watermark[stream] = mark
+        for stream, mark in self._load_watermarks().items():
+            if stream in self._watermark:
+                self._watermark[stream] = mark
         self.stats = MigrationStats()
 
     # -- durable watermark -------------------------------------------------
@@ -150,8 +140,6 @@ class UplinkMigrator:
             return {}
 
     def _persist_watermarks(self) -> None:
-        if not self.durable:
-            return
         tmp = self._watermark_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(self._watermark, fh, separators=(",", ":"))
@@ -175,10 +163,10 @@ class UplinkMigrator:
         """One migration opportunity: ship up to one batch per stream.
 
         Defers entirely when the link is below the bandwidth floor (the
-        cellular uplink is shared with latency-sensitive services), when
-        the circuit breaker is open, or when the cloud is unreachable
-        (``cloud_up=False``, e.g. from a fault plan's CLOUD_UNREACHABLE
-        window).  Returns the number of records migrated this round.
+        cellular uplink is shared with latency-sensitive services), or
+        when the cloud is unreachable (``cloud_up=False``, e.g. from a
+        fault plan's CLOUD_UNREACHABLE window).  Returns the number of
+        records migrated this round.
 
         Crash-consistency: the watermark for a stream advances only after
         the server acknowledged the whole batch, and is persisted before
@@ -189,17 +177,9 @@ class UplinkMigrator:
             self.stats.deferred_rounds += 1
             self.obs.count("ddi.uplink_deferred_rounds")
             return 0
-        if self.breaker is not None and not self.breaker.allow(now_s):
-            self.stats.breaker_deferred_rounds += 1
-            self.obs.count("ddi.uplink_breaker_deferred_rounds")
-            self._record_breaker_state()
-            return 0
         if not cloud_up:
             self.stats.failed_rounds += 1
             self.obs.count("ddi.uplink_failed_rounds")
-            if self.breaker is not None:
-                self.breaker.record_failure(now_s)
-                self._record_breaker_state()
             return 0
         migrated = 0
         try:
@@ -247,29 +227,8 @@ class UplinkMigrator:
             self.stats.failed_rounds += 1
             self.stats.last_error = f"{type(err).__name__}: {err}"
             self.obs.count("ddi.uplink_failed_rounds")
-            if self.breaker is not None:
-                self.breaker.record_failure(now_s)
-                self._record_breaker_state()
             raise
-        if self.breaker is not None and migrated:
-            self.breaker.record_success(now_s)
-            self._record_breaker_state()
         return migrated
-
-    def _record_breaker_state(self) -> None:
-        """Gauge the breaker lifecycle (0 closed / 1 half-open / 2 open)."""
-        if self.breaker is None or not self.obs.enabled:
-            return
-        ordinal = {
-            BreakerState.CLOSED: 0,
-            BreakerState.HALF_OPEN: 1,
-            BreakerState.OPEN: 2,
-        }[self.breaker.state]
-        self.obs.gauge("ddi.uplink_breaker_state", ordinal)
-        self.obs.gauge("ddi.uplink_breaker_opens", self.breaker.opens)
-        self.obs.gauge(
-            "ddi.uplink_breaker_short_circuits", self.breaker.short_circuits
-        )
 
     def fully_migrated(self, now_s: float) -> bool:
         return all(not self.pending(stream, now_s) for stream in self.streams)

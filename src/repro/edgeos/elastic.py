@@ -31,9 +31,6 @@ its own QoS and deadline.
 
 Resilience extensions (paper SIII-A's unreliable environment):
 
-* **hysteresis** -- ``switch_margin`` keeps the current pipeline unless a
-  challenger beats it by a relative margin, so a link flapping around the
-  QoS threshold does not thrash the service between pipelines;
 * **degraded mode** -- ``degrade_before_hang`` falls back to the best
   *feasible* pipeline (rather than hanging up) when nothing meets the
   deadline, preferring stale-but-alive service for non-critical classes;
@@ -81,24 +78,19 @@ class PipelineChoice:
 class ElasticManager:
     """Manages every service on the vehicle (paper Figure 6).
 
-    ``switch_margin`` > 0 enables hysteresis (a challenger must improve the
-    incumbent's score by that relative fraction to force a switch);
-    ``degrade_before_hang`` enables the degraded-mode fallback.  Both
-    default off, preserving the paper's original hang-up semantics.
+    ``goal`` orders the pipelines (latency first, or the vehicle's energy
+    first); ``degrade_before_hang`` enables the degraded-mode fallback,
+    off by default, preserving the paper's original hang-up semantics.
     """
 
     def __init__(
         self,
         goal: str = GOAL_LATENCY,
-        switch_margin: float = 0.0,
         degrade_before_hang: bool = False,
     ):
         if goal not in (GOAL_LATENCY, GOAL_ENERGY):
             raise ValueError(f"unknown goal {goal!r}")
-        if switch_margin < 0:
-            raise ValueError("switch_margin must be non-negative")
         self.goal = goal
-        self.switch_margin = switch_margin
         self.degrade_before_hang = degrade_before_hang
         self._services: dict[str, PolymorphicService] = {}
         #: Decisions that changed a service's pipeline (hang-ups included).
@@ -228,25 +220,9 @@ class ElasticManager:
         self._evaluations = (world, key, evaluations)
         return evaluations
 
-    def _pick(
-        self,
-        candidates: dict[str, PlacementEvaluation],
-        previous: str | None,
-    ) -> str:
-        """Best candidate, with hysteresis in favour of the incumbent."""
-        best_name = min(candidates, key=lambda n: self._score(candidates[n]))
-        if (
-            self.switch_margin > 0.0
-            and previous is not None
-            and previous in candidates
-            and best_name != previous
-        ):
-            best = self._score(candidates[best_name])[0]
-            incumbent = self._score(candidates[previous])[0]
-            # Keep the incumbent unless the challenger clears the margin.
-            if best > incumbent * (1.0 - self.switch_margin):
-                return previous
-        return best_name
+    def _pick(self, candidates: dict[str, PlacementEvaluation]) -> str:
+        """The candidate that scores best on the manager's goal."""
+        return min(candidates, key=lambda n: self._score(candidates[n]))
 
     @staticmethod
     def _evaluation_key(
@@ -283,7 +259,7 @@ class ElasticManager:
         the manager's policy."""
         return self._evaluation_key(service, world, health) + (
             service.state, service.active_pipeline, service.deadline_s,
-            self.goal, self.switch_margin, self.degrade_before_hang,
+            self.goal, self.degrade_before_hang,
         )
 
     def choose(
@@ -298,8 +274,8 @@ class ElasticManager:
         them (so it switched nothing and counted no hang) is kept with its
         inputs; while those inputs stay equal it is returned without
         re-scoring.  Any other decision has side effects and is always
-        re-derived, so switch counts, ``hang_count``, hysteresis and
-        degraded mode behave exactly as if every call re-scored.
+        re-derived, so switch counts, ``hang_count`` and degraded mode
+        behave exactly as if every call re-scored.
         """
         inputs = self._inputs(service, world, health)
         kept = self._decisions.get(service.name)
@@ -328,7 +304,7 @@ class ElasticManager:
         was_down = service.state in (ServiceState.HUNG, ServiceState.DEGRADED)
 
         if feasible:
-            best_name = self._pick(feasible, previous)
+            best_name = self._pick(feasible)
             service.state = ServiceState.RUNNING
             service.active_pipeline = best_name
             choice = PipelineChoice(
@@ -346,7 +322,7 @@ class ElasticManager:
                 # Nothing meets the deadline, but something still runs:
                 # serve best-effort on the cheapest surviving pipeline
                 # rather than going dark (resume upgrades it later).
-                best_name = self._pick(runnable, previous)
+                best_name = self._pick(runnable)
                 service.state = ServiceState.DEGRADED
                 service.active_pipeline = best_name
                 choice = PipelineChoice(

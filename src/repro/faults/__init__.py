@@ -1,13 +1,13 @@
-"""Fault model: deterministic injection plans plus resilience primitives.
+"""Fault model: deterministic injection plans plus the executor's retry policy.
 
 The unreliable-environment half of the OpenVDAP argument (paper SIII-A,
 SIV-C): :mod:`repro.faults.plan` describes *what breaks when* as
 seed-reproducible data, :mod:`repro.faults.injector` replays a plan on the
 simulation clock, and :mod:`repro.faults.resilience` supplies the
-retry/backoff and circuit-breaker machinery the rest of the platform uses
-to survive it.  :mod:`repro.faults.prockill` targets the layer underneath
-the simulation -- OS worker processes hosting fleet partitions
-(:mod:`repro.fleet`) -- with seed-deterministic SIGKILL schedules.
+retry/backoff policy the distributed executor uses to survive it.
+:mod:`repro.faults.prockill` targets the layer underneath the simulation
+-- OS worker processes hosting fleet partitions (:mod:`repro.fleet`) --
+with seed-deterministic SIGKILL schedules.
 """
 
 from typing import TYPE_CHECKING
@@ -26,12 +26,9 @@ if TYPE_CHECKING:
     )
     from .plan import DEFAULT_RATES, FaultEvent, FaultKind, FaultPlan, FaultRates
     from .prockill import KillPhase, KillPlan, WorkerKill
-    from .resilience import BreakerState, CircuitBreaker, CircuitOpenError, RetryPolicy
+    from .resilience import RetryPolicy
 
 __all__ = [
-    "BreakerState",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "CLOUD_KEY",
     "DEFAULT_RATES",
     "FaultEvent",

@@ -9,7 +9,7 @@ adverse episode -- an explicit, seed-derived schedule of
 
 Plans are *data*, not behaviour: the :class:`~repro.faults.injector.
 FaultInjector` replays a plan on the simulation clock, and the resilience
-machinery (executor retries, circuit breakers, elastic failover) reacts.
+machinery (executor retries and failover, elastic failover) reacts.
 Because generation draws every window from a named
 :class:`~repro.sim.random.RngRegistry` stream keyed by (kind, target),
 identical seeds yield byte-identical plans -- pinned by

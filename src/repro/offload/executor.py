@@ -16,11 +16,10 @@ The executor is also where the platform survives an unreliable world
 (paper SIII-A): wired to a :class:`~repro.faults.injector.FaultInjector`
 it sees processors die and links drop, and -- given a
 :class:`~repro.faults.resilience.RetryPolicy` -- it retries attempts with
-exponential backoff, bounds them with per-attempt timeouts, and fails a
-task over to a surviving tier once its home tier has burned its attempt
-budget.  Without a retry policy, faults are fatal to the job (fail-fast),
-which is exactly the resilience-off arm of
-``benchmarks/bench_ablate_faults.py``.
+exponential backoff and fails a task over to a surviving tier once its
+home tier has burned its attempt budget.  Without a retry policy, faults
+are fatal to the job (fail-fast), which is exactly the resilience-off arm
+of ``benchmarks/bench_ablate_faults.py``.
 """
 
 from __future__ import annotations
@@ -86,9 +85,9 @@ class DistributedExecutor:
     """Executes placements across the world's tiers on a shared simulator.
 
     ``faults`` wires in the live fault state; ``retry`` enables resilience
-    (retry/backoff, attempt timeouts, tier failover).  With neither, the
-    executor behaves exactly as the fault-free original: a missing
-    processor fails the job process itself.
+    (retry/backoff, tier failover).  With neither, the executor behaves
+    exactly as the fault-free original: a missing processor fails the job
+    process itself.
     """
 
     def __init__(
@@ -268,22 +267,13 @@ class DistributedExecutor:
         attempt_name = f"attempt:{graph.name}/{name}"
         attempt = 0
         while True:
-            attempt_proc = sim.process(
-                self._attempt(
-                    graph, name, task, tier, done, result, priority, actual_tiers
-                ),
-                name=attempt_name,
-            )
             try:
-                if retry is not None and retry.attempt_timeout_s is not None:
-                    winner, _ = yield sim.race(
-                        attempt_proc, sim.timeout(retry.attempt_timeout_s)
-                    )
-                    if winner == 1:
-                        attempt_proc.try_interrupt("attempt timeout")
-                        raise _AttemptFailed(f"attempt timed out on {tier}")
-                else:
-                    yield attempt_proc
+                yield sim.process(
+                    self._attempt(
+                        graph, name, task, tier, done, result, priority, actual_tiers
+                    ),
+                    name=attempt_name,
+                )
                 break  # success
             except _AttemptFailed as fail:
                 if retry is None or attempt >= retry.max_attempts - 1:

@@ -8,7 +8,6 @@ share and, when kept, the first event where two runs differ.
 from .core import (
     AllOf,
     Event,
-    Interrupt,
     Process,
     Race,
     SimulationError,
@@ -23,7 +22,6 @@ __all__ = [
     "AllOf",
     "Event",
     "HeapQueue",
-    "Interrupt",
     "Process",
     "Race",
     "Resource",

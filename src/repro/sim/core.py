@@ -40,7 +40,6 @@ __all__ = [
     "Process",
     "AllOf",
     "Race",
-    "Interrupt",
     "Simulator",
     "SimulationError",
     "raise_failure",
@@ -49,17 +48,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for illegal kernel operations (e.g. running time backwards)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries whatever the interrupter supplied.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -131,7 +119,7 @@ class Event:
         """Succeed with ``value``, with no kernel entry if nothing waits yet.
 
         With no callback registered, the event is ``processed`` at once:
-        a process that yields it later resumes through the relay at that
+        a process that yields it later resumes by a queued call at that
         same instant, and an :class:`AllOf` or :class:`Race` built on it
         reads its value.  Otherwise this is :meth:`succeed`.
         """
@@ -169,8 +157,8 @@ class Timeout(Event):
 class _Call:
     """A bare queue entry that calls ``_resolve()`` at ``now``, after what
     is queued, traced as an unnamed ``Event``; :meth:`Simulator.call_soon`
-    queues one.  A process's start, its resumption on an already-processed
-    event and an interrupt's delivery each fire one, and none costs an
+    queues one.  A process's start and its resumption on an
+    already-processed event each fire one, and neither costs an
     :class:`Event`."""
 
     __slots__ = ("_resolve",)
@@ -187,48 +175,17 @@ class Process(Event):
     event value, so ``result = yield sim.process(...)`` works.
     """
 
-    __slots__ = ("generator", "name", "_label", "_waiting_on", "_spawned_at")
+    __slots__ = ("generator", "name", "_label", "_spawned_at")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._label = f"Process|{self.name}\n"
-        self._waiting_on: Optional[Event] = None
         self._spawned_at = sim.now
         sim.call_soon(self._step)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        self.sim.call_soon(partial(self._step_throw, Interrupt(cause)))
-
-    def try_interrupt(self, cause: Any = None) -> bool:
-        """Interrupt the process if it is still alive; no-op otherwise.
-
-        Supervisor and watchdog paths race their deadline against the work
-        they guard, and both can fire in the same event round -- a process
-        that finished just before its supervisor's timeout is not an error.
-        Returns True if the interrupt was delivered, False if the process
-        had already finished.
-        """
-        if self.triggered:
-            return False
-        self.interrupt(cause)
-        return True
-
     # -- internal stepping ------------------------------------------------
-
-    def _detach(self) -> None:
-        target = self._waiting_on
-        if (
-            target is not None
-            and target.callbacks is not None
-            and self._step in target.callbacks
-        ):
-            target.callbacks.remove(self._step)
-        self._waiting_on = None
 
     def _record_completion(self, ok: bool) -> None:
         """Span the process lifetime into the recorder (no-op when null)."""
@@ -244,9 +201,7 @@ class Process(Event):
             pending[self.name] = pending.get(self.name, 0) + 1
 
     def _step_throw(self, exc: BaseException) -> None:
-        if self.triggered:
-            return
-        self._detach()
+        """Throw ``exc`` into the generator (it yielded a non-event)."""
         try:
             yielded = self.generator.throw(exc)
         except StopIteration as stop:
@@ -260,9 +215,6 @@ class Process(Event):
         self._wait_on(yielded)
 
     def _step(self, trigger: Optional[Event] = None) -> None:
-        if self.triggered:
-            return
-        self._waiting_on = None
         sim = self.sim
         if sim.obs.enabled:
             pending = sim._pending_steps
@@ -288,19 +240,11 @@ class Process(Event):
             self._step_throw(
                 SimulationError(f"process {self.name} yielded non-event: {yielded!r}")
             )
-            return
-        self._waiting_on = yielded
-        if yielded.processed:
+        elif yielded.processed:
             # Already fired: resume with its outcome at the current time.
-            self.sim.call_soon(partial(self._relay, yielded))
+            self.sim.call_soon(partial(self._step, yielded))
         else:
             yielded.callbacks.append(self._step)
-
-    def _relay(self, trigger: Event) -> None:
-        # An interrupt delivered since the relay was queued detached the
-        # process; it may be waiting on something else by now.
-        if self._waiting_on is trigger:
-            self._step(trigger)
 
 
 def raise_failure(event: Event) -> None:
@@ -597,8 +541,8 @@ class Simulator:
     def call_soon(self, fn: Callable[[], None]) -> None:
         """Queue ``fn()`` to run at ``now``, after what is already queued.
 
-        Each call is one kernel entry; a process's start, its relay and an
-        interrupt's delivery take one.  Work that may run inside the
+        Each call is one kernel entry; a process's start and its resumption
+        on an already-processed event take one.  Work that may run inside the
         current entry (a DSF dispatch, a slot grant) calls straight
         through instead."""
         self._queue.push(self._now, next(self._counter), _Call(fn))

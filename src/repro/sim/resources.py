@@ -82,7 +82,8 @@ class Resource:
                 # reference cycle for the cycle collector.
                 token._value = None
         else:
-            # Cancelling a queued token is allowed (e.g. on interrupt); a
+            # Cancelling a queued token is allowed (a generator's
+            # ``finally`` releases it when the generator is closed); a
             # token this resource neither holds nor queues is a double or
             # stray release.
             waiting = [entry for entry in self._waiting if entry[2] is not token]

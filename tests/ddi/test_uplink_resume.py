@@ -15,7 +15,6 @@ import pytest
 
 from repro.ddi import CloudDataServer, DiskDB, Record, UplinkMigrator
 from repro.ddi.uplink import WATERMARK_FILE
-from repro.faults import CircuitBreaker
 from repro.net import LinkModel
 
 
@@ -111,36 +110,3 @@ def test_repeated_crashes_still_converge(tmp_path):
     final = UplinkMigrator(disk, server, ["obd"], batch_size=10)
     assert final.fully_migrated(500.0)
     assert server.count("obd") == 30
-
-
-def test_breaker_stops_hammering_dead_cloud(tmp_path):
-    disk = loaded_disk(tmp_path, count=30)
-    server = CloudDataServer()
-    breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=60.0)
-    migrator = UplinkMigrator(disk, server, ["obd"], batch_size=10,
-                              breaker=breaker)
-    # Cloud down: two failed rounds trip the breaker.
-    assert migrator.run_round(0.0, lte(), cloud_up=False) == 0
-    assert migrator.run_round(1.0, lte(), cloud_up=False) == 0
-    # Open: rounds short-circuit without touching the network.
-    assert migrator.run_round(2.0, lte(), cloud_up=True) == 0
-    assert migrator.stats.breaker_deferred_rounds == 1
-    # After the cooldown one probe round goes through and closes it.
-    assert migrator.run_round(61.0, lte(), cloud_up=True) == 10
-    assert migrator.run_round(62.0, lte(), cloud_up=True) == 10
-    assert migrator.stats.failed_rounds == 2
-
-
-def test_durable_false_keeps_legacy_in_memory_behavior(tmp_path):
-    disk = loaded_disk(tmp_path, count=10)
-    server = CloudDataServer()
-    migrator = UplinkMigrator(disk, server, ["obd"], batch_size=5,
-                              durable=False)
-    migrator.run_round(100.0, lte())
-    assert not os.path.exists(os.path.join(disk.root, WATERMARK_FILE))
-    # A restart starts from scratch; dedup still prevents double-count.
-    fresh = UplinkMigrator(disk, server, ["obd"], batch_size=100,
-                           durable=False)
-    assert fresh.watermark("obd") == 0.0
-    fresh.run_round(100.0, lte())
-    assert server.count("obd") == 10

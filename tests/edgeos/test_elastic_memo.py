@@ -55,9 +55,6 @@ def script(world, dog, memo, mine, theirs):
     """
     services = mine + theirs
 
-    def margin(value):
-        memo.switch_margin = value
-
     def degrade(value):
         memo.degrade_before_hang = value
 
@@ -87,11 +84,9 @@ def script(world, dog, memo, mine, theirs):
             both(services, state=ServiceState.RUNNING),
         )),
         ("incumbent cleared", lambda: both(services, active_pipeline=None)),
-        ("hysteresis on", lambda: margin(0.3)),
-        ("flap down under hysteresis", lambda: set_bw(world, SOFT_BW)),
-        ("flap up under hysteresis", lambda: set_bw(world, GOOD_BW)),
-        ("hysteresis off", lambda: margin(0.0)),
         ("flap down", lambda: set_bw(world, SOFT_BW)),
+        ("flap up", lambda: set_bw(world, GOOD_BW)),
+        ("flap down again", lambda: set_bw(world, SOFT_BW)),
         ("degraded mode on", lambda: degrade(True)),
         ("deadline unreachable, degraded", lambda: both(services, deadline_s=1e-6)),
         ("degraded mode off", lambda: degrade(False)),
@@ -133,7 +128,6 @@ def test_memo_matches_a_manager_without_memory():
             for ours, other in zip(mine, theirs):
                 fresh = ElasticManager(
                     goal=memo.goal,
-                    switch_margin=memo.switch_margin,
                     degrade_before_hang=memo.degrade_before_hang,
                 )
                 expected = fresh.choose(other, world, health=dog)

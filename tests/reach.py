@@ -28,14 +28,23 @@ with no name filter: a method called ``put`` or ``step`` is named
 somewhere, so only this list shows a whole unreached class.  ``--ran``
 prints the functions that did run instead.
 
+Run over every surface (no ``--only``), the script also reads the
+tables under DESIGN.md's "What stays unreached" and exits 1 if a
+function on the unreferenced list, or a class on the last list, has no
+row there: a row names it if the row's first cell holds every part of
+its dotted name (``Class`` and ``method`` for a method, ``<locals>``
+dropped).  CI's ``reach`` job runs it so.
+
 The paper benches rewrite ``benchmarks/results/`` in place, as CI does;
-``git diff benchmarks/results/`` stays empty on a clean tree.  This is a
-script, not a pytest module, and not a CI step.
+``git diff benchmarks/results/`` stays empty on a clean tree, and the
+``reach`` job checks that after the run.  This is a script, not a
+pytest module.
 """
 
 import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -46,6 +55,9 @@ SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "repro")
 #: Trees whose code counts as a caller; ``tests/`` does not.
 CALLER_TREES = ("src", "benchmarks", "examples", "perfbench")
+#: The DESIGN.md section whose tables name what stays unreached.
+DESIGN = os.path.join(ROOT, "DESIGN.md")
+DESIGN_SECTION = "### What stays unreached"
 
 SITECUSTOMIZE = '''\
 import os, signal, sys, threading
@@ -230,6 +242,23 @@ def caller_names() -> set[str]:
     return mentioned
 
 
+def design_rows() -> list[set[str]]:
+    """The identifiers in the first cell of each table row of DESIGN.md's
+    "What stays unreached" section (up to the next ``## `` heading)."""
+    with open(DESIGN, encoding="utf-8") as fh:
+        section = fh.read().split(DESIGN_SECTION, 1)[1].split("\n## ", 1)[0]
+    return [set(re.findall(r"\w+", line.split("|")[1]))
+            for line in section.splitlines()
+            if line.startswith("|") and not line.startswith("|---")]
+
+
+def unlisted(names: list[str], rows: list[set[str]]) -> list[str]:
+    """The dotted names no row names part by part (``<locals>`` dropped)."""
+    return [name for name in names
+            if not any({part for part in name.split(".") if part != "<locals>"} <= row
+                       for row in rows)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", nargs="+", metavar="LABEL", default=None,
@@ -288,9 +317,15 @@ def main(argv=None) -> int:
     for module, owner in idle:
         rows = methods[module, owner]
         print(f"  {module}:{owner} ({len(rows)} defs, {sum(b for _, b in rows)} body lines)")
+    missing = []
+    if args.only is None:
+        missing = unlisted([qualname for _, _, qualname, *_ in orphans]
+                           + [owner for _, owner in idle], design_rows())
+    for name in missing:
+        print(f"NO DESIGN.md row: {name}")
     for label in failed:
         print(f"FAILED surface: {label}")
-    return 1 if failed else 0
+    return 1 if failed or missing else 0
 
 
 if __name__ == "__main__":

@@ -1,61 +1,8 @@
-"""Kernel fleet hooks: try_interrupt, barrier-aligned runs."""
+"""Kernel fleet hooks: barrier-aligned runs."""
 
 import pytest
 
-from repro.sim import Interrupt, SimulationError, Simulator
-
-
-def sleeper(sim, delay_s=10.0):
-    try:
-        yield sim.timeout(delay_s)
-        return "finished"
-    except Interrupt as interrupt:
-        return f"interrupted:{interrupt.cause}"
-
-
-# -- try_interrupt ----------------------------------------------------------
-
-def test_try_interrupt_delivers_to_live_process():
-    sim = Simulator()
-    proc = sim.process(sleeper(sim))
-    sim.run(until=1.0)
-    assert proc.try_interrupt("deadline") is True
-    sim.run()
-    assert proc.value == "interrupted:deadline"
-
-
-def test_try_interrupt_is_noop_on_finished_process():
-    sim = Simulator()
-    proc = sim.process(sleeper(sim, delay_s=1.0))
-    sim.run()
-    assert proc.value == "finished"
-    assert proc.try_interrupt("too late") is False
-    assert proc.value == "finished"
-
-
-def test_plain_interrupt_on_finished_process_still_raises():
-    sim = Simulator()
-    proc = sim.process(sleeper(sim, delay_s=1.0))
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt("too late")
-
-
-def test_supervisor_racing_natural_completion():
-    # The watchdog pattern try_interrupt exists for: a supervisor whose
-    # deadline fires in the same round the work completes must not crash.
-    sim = Simulator()
-    worker = sim.process(sleeper(sim, delay_s=2.0))
-
-    def supervisor(sim):
-        yield sim.timeout(2.0)
-        delivered = worker.try_interrupt("watchdog")
-        return delivered
-
-    sup = sim.process(supervisor(sim))
-    sim.run()
-    assert worker.value == "finished"
-    assert sup.value is False
+from repro.sim import SimulationError, Simulator
 
 
 # -- barriers: run(until=barrier) -------------------------------------------

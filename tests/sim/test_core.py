@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    Interrupt,
-    Resource,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import Resource, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -230,61 +225,6 @@ def test_yield_non_event_fails_process():
         _ = proc.value
 
 
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            log.append((sim.now, intr.cause))
-
-    def interrupter(sim, target):
-        yield sim.timeout(2.0)
-        target.interrupt("wake up")
-
-    target = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, target))
-    sim.run()
-    assert log == [(2.0, "wake up")]
-
-
-def test_interrupt_finished_process_raises():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(0.0)
-
-    proc = sim.process(quick(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(1.0)
-        log.append(sim.now)
-
-    target = sim.process(sleeper(sim))
-
-    def interrupter(sim):
-        yield sim.timeout(5.0)
-        target.interrupt()
-
-    sim.process(interrupter(sim))
-    sim.run()
-    assert log == [6.0]
-
-
 def test_all_of_waits_for_every_event():
     sim = Simulator()
     seen = []
@@ -443,9 +383,9 @@ def test_nested_processes_three_deep():
 
 
 def test_each_resume_fires_one_unnamed_event_entry():
-    """A process's start, its resumption on an already-processed event
-    (with a value or an exception) and an interrupt's delivery each fire
-    exactly one queue entry, traced as an unnamed ``Event``."""
+    """A process's start and its resumption on an already-processed event
+    (with a value or an exception) each fire exactly one queue entry,
+    traced as an unnamed ``Event``."""
     sim = Simulator()
     done = sim.event().succeed("early")
     failed = sim.event().fail(KeyError("gone"))
@@ -461,28 +401,21 @@ def test_each_resume_fires_one_unnamed_event_entry():
             yield failed
         except KeyError as err:
             seen.append(err.args[0])
-        try:
-            yield sim.event()  # never fires
-        except Interrupt as intr:
-            seen.append(intr.cause)
         return "end"
 
     target = sim.process(proc(sim), name="p")
-    sim.run()
-    target.interrupt("wake")
     sim.run()
     trace.fold()
     times, labels = trace.kept
     assert list(zip(times, labels)) == [
         (0.0, "Event|\n"),  # the start
         (1.0, "Timeout|\n"),
-        (1.0, "Event|\n"),  # the relay of ``done``
+        (1.0, "Event|\n"),  # the resumption on ``done``
         (2.0, "Timeout|\n"),
-        (2.0, "Event|\n"),  # the relay of ``failed``
-        (2.0, "Event|\n"),  # the interrupt
+        (2.0, "Event|\n"),  # the resumption on ``failed``
         (2.0, "Process|p\n"),
     ]
-    assert seen == ["early", "gone", "wake"]
+    assert seen == ["early", "gone"]
     assert target.value == "end"
     assert sim.events_fired == 2 + len(times)
 

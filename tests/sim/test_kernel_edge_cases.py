@@ -4,7 +4,7 @@ import pytest
 
 from repro.hw import WorkloadClass, catalog
 from repro.offload import Task, TaskGraph
-from repro.sim import Interrupt, Resource, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 from repro.vcu import DSF, MHEP
 
 
@@ -42,39 +42,6 @@ def test_run_until_fires_events_exactly_at_boundary():
     sim.process(proc(sim))
     sim.run(until=5.0)
     assert fired == [5.0]
-
-
-def test_interrupt_while_waiting_on_resource_detaches_cleanly():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    holder_req = res.request()
-    state = []
-
-    def waiter(sim):
-        req = res.request()
-        try:
-            yield req
-            state.append("granted")
-        # Deliberately broad: the test must catch Interrupt (a BaseException
-        # subclass here) however the kernel delivers it, and records it below.
-        except BaseException:  # vdaplint: disable=RES001
-            res.release(req)  # cancel the queued claim
-            state.append("cancelled")
-
-    target = sim.process(waiter(sim))
-
-    def interrupter(sim):
-        yield sim.timeout(1.0)
-        target.interrupt()
-
-    sim.process(interrupter(sim))
-    sim.run()
-    assert state == ["cancelled"]
-    assert res.queue_length == 0
-    # The original holder still owns the resource.
-    assert res.count == 1
-    res.release(holder_req)
-    assert res.count == 0
 
 
 def test_yielding_a_non_event_fails_the_process():
@@ -151,31 +118,6 @@ def test_running_is_true_only_while_events_fire():
     with pytest.raises(RuntimeError, match="boom"):
         sim.run()
     assert not sim.running
-
-
-def test_an_interrupt_cancels_a_queued_resume_on_a_processed_event():
-    """An interrupt delivered between yielding an already-processed event
-    and the resumption it queued wins: the stale resumption must not feed
-    that event's value into whatever the process waits on next."""
-    sim = Simulator()
-    done = sim.event().succeed("early")
-    seen = []
-
-    def victim(sim):
-        yield sim.timeout(1.0)
-        try:
-            seen.append(("done", (yield done)))
-        except Interrupt:
-            seen.append(("late", (yield sim.timeout(5.0, value="late")), sim.now))
-
-    def interrupter(sim):
-        yield sim.timeout(1.0)
-        target.interrupt()
-
-    sim.process(interrupter(sim))  # wakes at t=1 before the victim
-    target = sim.process(victim(sim))
-    sim.run()
-    assert seen == [("late", "late", 6.0)]
 
 
 def test_dsf_priority_jumps_device_queue():
